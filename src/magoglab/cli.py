@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain validation failure (bad object, point
 outside a polytope, failed check), 2 I/O or parse error, 3 internal
-assertion failure.  MAGOGLAB_THREADS sets the worker count for counting;
-MAGOGLAB_CEILING_OVERRIDE=1 unlocks the large-n resource guards.
+assertion failure.  MAGOGLAB_CEILING_OVERRIDE=1 unlocks the large-n
+resource guards.
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ STAT_FLAGS = {
 }
 
 
-def _env_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MAGOGLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _env_override() -> bool:
     return os.environ.get("MAGOGLAB_CEILING_OVERRIDE", "") not in ("", "0")
 
@@ -61,7 +54,7 @@ def _emit(text: str):
 def _cmd_enumerate(args) -> int:
     kind = KIND_FLAGS[args.kind]
     if args.count:
-        _emit(str(enumeration.count(kind, args.n, ceiling=_ceiling(), threads=_env_threads())))
+        _emit(str(enumeration.count(kind, args.n, ceiling=_ceiling())))
         return 0
     for obj in enumeration.enumerate_objects(kind, args.n, ceiling=_ceiling()):
         _emit(serialize.dumps(obj))
@@ -186,16 +179,28 @@ def _cmd_polytope(args) -> int:
     raise ValidationFailure(f"unknown polytope action {args.action!r}")
 
 
+def _ehrhart_degree(args) -> int:
+    """Dimension of the polytope, hence the degree of its Ehrhart polynomial."""
+    if args.polytope == "tsscpp3":
+        return 4  # (n-1)^2 at n=3
+    if args.n is None:
+        raise ValidationFailure("btp requires the order n")
+    return args.n * (args.n - 1) // 2
+
+
 def _cmd_ehrhart(args) -> int:
     allow = _env_override()
     n = args.n
+    degree = _ehrhart_degree(args) if args.interpolate else None
+    if degree is not None and args.tmax < degree:
+        raise ValidationFailure(f"--interpolate needs --tmax >= {degree}, the dimension of the polytope")
     samples = []
     for t in range(args.tmax + 1):
         c = polytope.lattice_points_in_dilate(args.polytope, t, n=n, allow_large=allow)
         samples.append((t, c))
         _emit(f"{t},{c}")
     if args.interpolate:
-        poly = polytope.ehrhart_interpolate(samples)
+        poly = polytope.ehrhart_interpolate(samples, degree=degree)
         _emit(json.dumps({
             "degree": poly.degree,
             "coefficients": [str(c) for c in poly.coefficients],

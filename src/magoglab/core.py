@@ -221,6 +221,21 @@ def _prefix_matrices(rows):
     return col, rowp
 
 
+def _triangle_to_matrix_rows(tri) -> tuple[tuple[int, ...], ...]:
+    """Matrix rows from triangle rows: row i is the indicator of triangle
+    row i minus the indicator of triangle row i-1."""
+    n = len(tri)
+    prev = [0] * n
+    out = []
+    for row in tri:
+        ind = [0] * n
+        for v in row:
+            ind[v - 1] = 1
+        out.append(tuple(ind[j] - prev[j] for j in range(n)))
+        prev = ind
+    return tuple(out)
+
+
 def _square_sign_violations(rows, collect_all=False):
     n = len(rows)
     out = []
@@ -286,14 +301,6 @@ def _asm_extra_violations(rows, collect_all=False):
 
 def _is_square_sign(rows) -> bool:
     return not _square_sign_violations(rows)
-
-
-def _is_magog(rows) -> bool:
-    return _is_square_sign(rows) and not _special_violations(rows)
-
-
-def _is_asm(rows) -> bool:
-    return _is_square_sign(rows) and not _asm_extra_violations(rows)
 
 
 def _neg_count(rows) -> int:
@@ -433,20 +440,7 @@ def matrix_to_magog_triangle(m: SignMatrix) -> MagogTriangle:
 def magog_triangle_to_matrix(t: MagogTriangle) -> SignMatrix:
     """Inverse map: rebuild the 0/1 partial-sum matrix from the recorded
     positions, then difference consecutive rows."""
-    n = t.n
-    ps = []
-    for row in t.rows:
-        ind = [0] * n
-        for v in row:
-            ind[v - 1] = 1
-        ps.append(ind)
-    rows = []
-    for i in range(n):
-        if i == 0:
-            rows.append(tuple(ps[0]))
-        else:
-            rows.append(tuple(ps[i][j] - ps[i - 1][j] for j in range(n)))
-    return SignMatrix(n, tuple(rows))
+    return SignMatrix(t.n, _triangle_to_matrix_rows(t.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,26 @@
 """Exhaustive, order-deterministic enumeration of the object families,
 their statistics tables, and brute-force verification suites.
 
-Generation goes through triangles wherever possible: magog matrices are
-emitted by backtracking over magog triangles and inverting the partial-sum
-map, ASMs by backtracking over monotone triangles (strictly increasing
-rows interlacing the row below), boolean triangles by filling rows under
-the diagonal partial-sum inequalities, and square sign matrices directly
-in row-major lexicographic order over entries.
+Generation goes through triangles wherever possible.  Magog triangles,
+monotone triangles (the partial-sum position triangles of ASMs) and the
+gapless triangles (both at once) are paths through one graph whose nodes
+are triangle rows and whose edges are a window rule between consecutive
+rows (_next_rows); magog matrices, ASMs and gapless matrices come from
+their triangles by inverting the partial-sum map.  Boolean triangles are
+filled row by row under the diagonal partial-sum inequalities, and square
+sign matrices directly in row-major lexicographic order over entries.
 
 Canonical orders: triangle-backed kinds stream in lexicographic order of
 the triangle read row 1 to row n, left to right; square sign matrices
 stream in row-major lexicographic order of entries with -1 < 0 < 1.
-Counting may be split across the top triangle entry and merged by
-addition, so worker fan-out cannot change any result.
+Counts of the triangle-backed kinds are path counts over the row graph
+(the transfer-matrix method) and never enumerate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,10 +30,10 @@ from .core import (
     Permutation,
     SignMatrix,
     _inv,
-    _is_asm,
     _neg_count,
     _one_position_in_col,
     _one_position_in_row,
+    _triangle_to_matrix_rows,
     is_132_avoiding,
     max_negative_ones_bound,
     max_negative_ones_matrix,
@@ -68,102 +69,77 @@ def _guard(n: int, ceiling: int):
 # raw generators (tuples of row tuples)
 
 
-def _iter_magog_triangle_rows(n: int, top: int | None = None) -> Iterator[tuple]:
-    """Magog triangles in row-lex order.  The window bounds make the search
-    tree free of dead ends and force the bottom row to 1..n."""
-    rows: list[tuple[int, ...]] = []
+def _next_rows(n: int, prev: tuple, rule: str) -> tuple:
+    """Rows that may follow ``prev`` (one entry longer) in a triangle of
+    order n, in lex order; ``prev == ()`` gives the possible first rows.
 
-    def rec(r: int):
-        if r > n:
-            yield tuple(rows)
-            return
-        prev = rows[-1] if rows else None
-        row: list[int] = []
-
-        def fill(k: int, low: int):
-            if k > r:
-                rows.append(tuple(row))
-                yield from rec(r + 1)
-                rows.pop()
-                return
-            hi = n - (r - k)
-            if k >= 2 and prev is not None:
-                hi = min(hi, prev[k - 2] + 1)
-            lo = low
-            if r == 1 and top is not None:
-                if not lo <= top <= hi:
-                    return
-                lo = hi = top
-            for v in range(lo, hi + 1):
-                row.append(v)
-                yield from fill(k + 1, v + 1)
-                row.pop()
-
-        yield from fill(1, 1)
-
-    yield from rec(1)
-
-
-def _iter_monotone_triangle_rows(n: int, top: int | None = None) -> Iterator[tuple]:
-    """Monotone triangles with bottom row 1..n, in row-lex order; these are
-    the partial-sum position triangles of ASMs."""
-    rows: list[tuple[int, ...]] = []
-
-    def rec(r: int):
-        if r > n:
-            yield tuple(rows)
-            return
-        prev = rows[-1] if rows else None
-        row: list[int] = []
-
-        def fill(k: int, low: int):
-            if k > r:
-                rows.append(tuple(row))
-                yield from rec(r + 1)
-                rows.pop()
-                return
-            hi = n - (r - k)
-            lo = low
-            if prev is not None:
-                if k <= r - 1:
-                    hi = min(hi, prev[k - 1])
-                if k >= 2:
-                    lo = max(lo, prev[k - 2])
-            if r == 1 and top is not None:
-                if not lo <= top <= hi:
-                    return
-                lo = hi = top
-            for v in range(lo, hi + 1):
-                row.append(v)
-                yield from fill(k + 1, v + 1)
-                row.pop()
-
-        yield from fill(1, 1)
-
-    yield from rec(1)
-
-
-def _triangle_to_matrix_rows(tri) -> tuple[tuple[int, ...], ...]:
-    n = len(tri)
-    prev = [0] * n
+    Rows increase strictly and leave room for the entries still to come.
+    The magog window adds v_k <= prev[k-2] + 1 (magog triangles, the
+    column-partial-sum triangles of magog matrices); the monotone window
+    adds prev[k-2] <= v_k <= prev[k-1] (monotone triangles, those of ASMs);
+    gapless applies both, so it yields the magog matrices that are ASMs.
+    """
+    magog = rule in ("magog", "gapless")
+    monotone = rule in ("monotone", "gapless")
+    r = len(prev) + 1
     out = []
-    for row in tri:
-        ind = [0] * n
-        for v in row:
-            ind[v - 1] = 1
-        out.append(tuple(ind[j] - prev[j] for j in range(n)))
-        prev = ind
+    row: list[int] = []
+
+    def fill(k: int, lo: int):
+        if k > r:
+            out.append(tuple(row))
+            return
+        hi = n - (r - k)
+        if k >= 2:
+            if magog:
+                hi = min(hi, prev[k - 2] + 1)
+            if monotone:
+                lo = max(lo, prev[k - 2])
+        if monotone and k < r:
+            hi = min(hi, prev[k - 1])
+        for v in range(lo, hi + 1):
+            row.append(v)
+            fill(k + 1, v + 1)
+            row.pop()
+
+    fill(1, 1)
     return tuple(out)
 
 
-def _iter_magog_matrix_rows(n: int, top: int | None = None) -> Iterator[tuple]:
-    for tri in _iter_magog_triangle_rows(n, top):
-        yield _triangle_to_matrix_rows(tri)
+def _iter_triangle_rows(n: int, rule: str) -> Iterator[tuple]:
+    """Triangles whose consecutive rows pass ``rule``, in row-lex order: a
+    depth-first walk over successor lists kept for this call only.  The
+    bottom row is forced to 1..n."""
+    successors: dict[tuple, tuple] = {}
+
+    def walk(tri: tuple, prev: tuple):
+        if len(tri) == n:
+            yield tri
+            return
+        nxt = successors.get(prev)
+        if nxt is None:
+            nxt = successors[prev] = _next_rows(n, prev, rule)
+        for row in nxt:
+            yield from walk(tri + (row,), row)
+
+    return walk((), ())
 
 
-def _iter_asm_rows(n: int, top: int | None = None) -> Iterator[tuple]:
-    for tri in _iter_monotone_triangle_rows(n, top):
-        yield _triangle_to_matrix_rows(tri)
+def _count_triangle_rows(n: int, rule: str) -> int:
+    """Length of _iter_triangle_rows(n, rule) without walking it: the number
+    of paths from the empty row to row n, memoised per row for this call
+    (the transfer-matrix method)."""
+    paths: dict[tuple, int] = {}
+
+    def completions(prev: tuple) -> int:
+        if len(prev) == n:
+            return 1
+        hit = paths.get(prev)
+        if hit is None:
+            hit = paths[prev] = sum(completions(row) for row in _next_rows(n, prev, rule))
+        return hit
+
+    return completions(())
 
 
 def _iter_boolean_triangle_rows(n: int) -> Iterator[tuple]:
@@ -248,20 +224,21 @@ def _iter_square_sign_rows(n: int) -> Iterator[tuple]:
     yield from mat_dfs(1)
 
 
-def _iter_gapless_rows(n: int) -> Iterator[tuple]:
-    for rows in _iter_magog_matrix_rows(n):
-        if _is_asm(rows):
-            yield rows
+# the triangle-backed kinds and the row rule of their triangles
+_TRIANGLE_RULES = {"magog_triangle": "magog", "magog_matrix": "magog", "asm": "monotone", "gapless": "gapless"}
 
 
-_RAW_ITERS = {
-    "magog_triangle": _iter_magog_triangle_rows,
-    "magog_matrix": _iter_magog_matrix_rows,
-    "square_sign": _iter_square_sign_rows,
-    "asm": _iter_asm_rows,
-    "boolean_triangle": _iter_boolean_triangle_rows,
-    "gapless": _iter_gapless_rows,
-}
+def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
+    if kind == "square_sign":
+        return _iter_square_sign_rows(n)
+    if kind == "boolean_triangle":
+        return _iter_boolean_triangle_rows(n)
+    tris = _iter_triangle_rows(n, _TRIANGLE_RULES[kind])
+    return tris if kind == "magog_triangle" else map(_triangle_to_matrix_rows, tris)
+
+
+def _iter_magog_matrix_rows(n: int) -> Iterator[tuple]:
+    return _raw_rows("magog_matrix", n)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +250,7 @@ def enumerate_objects(kind: str, n: int, ceiling: int = DEFAULT_CEILING):
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     _guard(n, ceiling)
-    raw = _RAW_ITERS[kind](n)
+    raw = _raw_rows(kind, n)
     if kind == "magog_triangle":
         return (MagogTriangle(n, t) for t in raw)
     if kind == "boolean_triangle":
@@ -281,29 +258,18 @@ def enumerate_objects(kind: str, n: int, ceiling: int = DEFAULT_CEILING):
     return (SignMatrix(n, t) for t in raw)
 
 
-def _count_top_slice(args) -> int:
-    kind, n, top = args
-    if kind in ("magog_matrix", "magog_triangle"):
-        return sum(1 for _ in _iter_magog_triangle_rows(n, top))
-    if kind == "asm":
-        return sum(1 for _ in _iter_monotone_triangle_rows(n, top))
-    raise ValueError(kind)
-
-
-def count(kind: str, n: int, ceiling: int = DEFAULT_CEILING, threads: int = 1) -> int:
+def count(kind: str, n: int, ceiling: int = DEFAULT_CEILING) -> int:
     """Stream length of enumerate_objects(kind, n).
 
-    For the triangle-backed matrix kinds the count may be split over the
-    top triangle entry and merged by addition.
+    The triangle-backed kinds are counted as row-graph paths without
+    enumerating; the other two kinds are enumerated.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     _guard(n, ceiling)
-    if threads > 1 and kind in ("magog_matrix", "magog_triangle", "asm") and n > 3:
-        jobs = [(kind, n, top) for top in range(1, n + 1)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(_count_top_slice, jobs))
-    return sum(1 for _ in _RAW_ITERS[kind](n))
+    if kind in _TRIANGLE_RULES:
+        return _count_triangle_rows(n, _TRIANGLE_RULES[kind])
+    return sum(1 for _ in _raw_rows(kind, n))
 
 
 def product_formula(n: int) -> int:
@@ -368,19 +334,7 @@ def _stat_value(stat: str, rows) -> int:
 
 def distribution(kind: str, statistic: str, n: int, ceiling: int = DEFAULT_CEILING) -> DistributionTable:
     """Distribution of a statistic over magog matrices or ASMs."""
-    if kind not in ("magog_matrix", "asm"):
-        raise ValueError("distributions are defined for magog_matrix and asm")
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
-    _guard(n, ceiling)
-    counts: dict[int, int] = {}
-    for rows in _RAW_ITERS[kind](n):
-        v = _stat_value(statistic, rows)
-        counts[v] = counts.get(v, 0) + 1
-    lo, hi = min(counts), max(counts)
-    return DistributionTable(
-        kind, statistic, n, lo, tuple(counts.get(v, 0) for v in range(lo, hi + 1))
-    )
+    return distribution_bundle(kind, n, (statistic,), ceiling)[statistic]
 
 
 def distribution_bundle(kind: str, n: int, statistics=STATISTICS,
@@ -388,9 +342,12 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS,
     """All requested distributions from a single enumeration pass."""
     if kind not in ("magog_matrix", "asm"):
         raise ValueError("distributions are defined for magog_matrix and asm")
+    for s in statistics:
+        if s not in STATISTICS:
+            raise ValueError(f"unknown statistic {s!r}; expected one of {STATISTICS}")
     _guard(n, ceiling)
     acc: dict[str, dict[int, int]] = {s: {} for s in statistics}
-    for rows in _RAW_ITERS[kind](n):
+    for rows in _raw_rows(kind, n):
         for s in statistics:
             v = _stat_value(s, rows)
             acc[s][v] = acc[s].get(v, 0) + 1
@@ -516,7 +473,7 @@ def theorem_suite(n_max: int, ceiling: int = DEFAULT_CEILING) -> SuiteReport:
         add("max negative ones over square sign matrices", n, bound,
             max(_neg_count(m) for m in _iter_square_sign_rows(n)))
         asm_max = 0
-        for m in _iter_asm_rows(n):
+        for m in _raw_rows("asm", n):
             asm_max = max(asm_max, _neg_count(m))
         add("max negative ones over ASMs", n, bound, asm_max)
         add("max negative ones over magog matrices", n, bound,

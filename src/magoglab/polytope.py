@@ -881,15 +881,17 @@ def ehrhart_interpolate(samples, degree: int | None = None) -> RationalPolynomia
 # exact linear algebra
 
 
-def _solve_square(aug) -> list[Fraction] | None:
-    """Solve an augmented system with exactly as many unknowns as
-    aug[0][:-1]; None when the solution is not unique or inconsistent."""
-    rows = [[as_fraction(v) for v in r] for r in aug]
+def _reduce(rows, cols: int) -> list[int]:
+    """Gauss-Jordan elimination, in place, over the first ``cols`` columns
+    of ``rows`` (lists of Fractions; later columns ride along).  Returns
+    the pivot columns; pivot row r ends up normalised with a one at
+    pivots[r].  Stops as soon as every row holds a pivot."""
     m = len(rows)
-    cols = len(rows[0]) - 1
-    rank = 0
-    pivots = []
+    pivots: list[int] = []
     for c in range(cols):
+        rank = len(pivots)
+        if rank == m:
+            break
         piv = next((r for r in range(rank, m) if rows[r][c] != 0), None)
         if piv is None:
             continue
@@ -901,39 +903,20 @@ def _solve_square(aug) -> list[Fraction] | None:
                 f = rows[r][c]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         pivots.append(c)
-        rank += 1
-    for r in range(rank, m):
-        if rows[r][cols] != 0:
-            return None  # inconsistent
+    return pivots
+
+
+def _solve_square(aug) -> list[Fraction] | None:
+    """Solve an augmented system with exactly as many unknowns as
+    aug[0][:-1]; None when the solution is not unique or inconsistent."""
+    rows = [[as_fraction(v) for v in r] for r in aug]
+    cols = len(rows[0]) - 1
+    rank = len(_reduce(rows, cols))
+    if any(row[cols] != 0 for row in rows[rank:]):
+        return None  # inconsistent
     if rank < cols:
         return None  # underdetermined
-    sol = [ZERO] * cols
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r][cols]
-    return sol
-
-
-def _matrix_rank(vectors) -> int:
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    m, w = len(rows), len(rows[0])
-    rank = 0
-    for c in range(w):
-        piv = next((r for r in range(rank, m) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return [row[cols] for row in rows[:cols]]
 
 
 def affine_dimension(points) -> int:
@@ -942,8 +925,8 @@ def affine_dimension(points) -> int:
     if not pts:
         raise ValueError("need at least one point")
     base = pts[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in pts[1:]]
-    return _matrix_rank(diffs)
+    diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
+    return len(_reduce(diffs, len(base)))
 
 
 # ---------------------------------------------------------------------------

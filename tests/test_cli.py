@@ -153,6 +153,22 @@ def test_ehrhart_command(capsys):
     assert doc["normalized_volume"] == "5"
 
 
+def test_ehrhart_interpolate_uses_the_dimension(capsys):
+    # below the dimension the fit would have the wrong degree: refuse
+    code = main(["ehrhart", "--polytope", "tsscpp3", "--tmax", "3", "--interpolate"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # above it, the samples past t=3 are checked against the degree-3 fit
+    code, out = run(capsys, "ehrhart", "--polytope", "btp", "--n", "3", "--tmax", "5", "--interpolate")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[4:6] == ["4,105", "5,181"]
+    doc = json.loads(lines[6])
+    assert doc["degree"] == 3
+    assert doc["coefficients"] == ["1", "8/3", "5/2", "5/6"]
+
+
 def test_check_theorems(capsys):
     code, out = run(capsys, "check", "--suite", "theorems", "--n-max", "3")
     assert code == 0
@@ -210,12 +226,6 @@ def test_cli_output_deterministic(capsys):
     _, out1 = run(capsys, "enumerate", "--kind", "asm", "--n", "4")
     _, out2 = run(capsys, "enumerate", "--kind", "asm", "--n", "4")
     assert out1 == out2
-
-
-def test_threads_env_does_not_change_counts(capsys, monkeypatch):
-    monkeypatch.setenv("MAGOGLAB_THREADS", "2")
-    code, out = run(capsys, "enumerate", "--kind", "magog-matrix", "--n", "5", "--count")
-    assert code == 0 and out == "429\n"
 
 
 def test_ceiling_override_env(capsys, monkeypatch):

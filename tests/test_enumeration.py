@@ -145,9 +145,32 @@ def test_ceiling_guard():
     assert count("magog_matrix", 2, ceiling=9) == 2
 
 
-def test_count_with_thread_split_matches_sequential():
-    assert count("magog_matrix", 5, threads=2) == 429
-    assert count("asm", 5, threads=3) == 429
+TRIANGLE_KINDS = ("magog_triangle", "magog_matrix", "asm", "gapless")
+
+
+def test_count_matches_stream_length(family):
+    for kind in TRIANGLE_KINDS:
+        for n in range(1, 7):
+            assert count(kind, n) == len(family(kind, n))
+        assert count(kind, 7) == sum(1 for _ in enumerate_objects(kind, 7))
+
+
+def test_path_count_matches_product_formula_through_12():
+    for n in range(1, 13):
+        expected = product_formula(n)
+        for kind in ("magog_triangle", "magog_matrix", "asm"):
+            assert count(kind, n, ceiling=12) == expected
+
+
+def test_triangle_streams_match_classified_square_sign(family):
+    # classify shares no window bounds with the row-transition rule
+    for n in range(1, 6):
+        flags = [(m.entries, classify(m)) for m in family("square_sign", n)]
+        magog = {e for e, c in flags if c.magog}
+        asm = {e for e, c in flags if c.asm}
+        assert {m.entries for m in family("magog_matrix", n)} == magog
+        assert {m.entries for m in family("asm", n)} == asm
+        assert {m.entries for m in family("gapless", n)} == magog & asm
 
 
 def test_distribution_table1_row4():
@@ -190,10 +213,12 @@ def test_boundary_counts():
 
 def test_gapless_counts_bounded_and_stable(family):
     values = [count("gapless", n) for n in range(1, 7)]
-    assert values == [count("gapless", n) for n in range(1, 7)]
+    assert values == [1, 2, 6, 26, 162, 1450]
     for n in range(1, 7):
+        assert values[n - 1] == len(family("gapless", n))
         assert values[n - 1] <= min(product_formula(n), product_formula(n))
         assert values[n - 1] <= count("magog_matrix", n)
+    assert count("gapless", 7) == 18626 == sum(1 for _ in enumerate_objects("gapless", 7))
 
 
 def test_round_trip_samples_at_larger_orders():
