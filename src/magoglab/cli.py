@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except (DecompositionError, LPError, AssertionError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, serialize.DocumentError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except (ValidationFailure, CeilingExceeded, ValueError, TypeError) as exc:

@@ -268,10 +268,12 @@ def _square_sign_violations(rows, collect_all=False):
 
 def _special_violations(rows, collect_all=False):
     """Violated (i,j)-special inequalities, 1 <= i,j <= n-2."""
-    n = len(rows)
-    if n < 3:
-        return []
-    col, rowp = _prefix_matrices(rows)
+    return _special_from_prefixes(*_prefix_matrices(rows), collect_all)
+
+
+def _special_from_prefixes(col, rowp, collect_all=False):
+    """The same check on prefix matrices already in hand."""
+    n = len(col)
     out = []
     for i in range(1, n - 1):
         for j in range(1, n - 1):
@@ -280,6 +282,34 @@ def _special_violations(rows, collect_all=False):
             lhs = rowp[i][j - 1] + col[i][j] - col[i - 1][j - 1]
             if lhs < 0:
                 out.append(("special", (i, j)))
+                if not collect_all:
+                    return out
+    return out
+
+
+def _column_prefixes(n, rows):
+    """Column prefix sums of a triangle-shaped array, keyed (row, column)
+    with both 1-based as in :meth:`BooleanTriangle.ones`."""
+    pref = {}
+    run = {}
+    for i, row in enumerate(rows, start=1):
+        for k, v in enumerate(row):
+            c = n - i + k
+            run[c] = run.get(c, 0) + v
+            pref[(i, c)] = run[c]
+    return pref
+
+
+def _diagonal_violations(n, rows, collect_all=False):
+    """Violated (i,j)-diagonal inequalities of a triangle-shaped array,
+    1 <= j < i <= n-1:  1 + sum_{k=j+1..i} b[k][n-j-1] >= sum_{k=j..i} b[k][n-j]."""
+    pref = _column_prefixes(n, rows)
+    out = []
+    for i in range(2, n):
+        for j in range(1, i):
+            c = n - j
+            if pref[(i, c)] > 1 + pref[(i, c - 1)]:
+                out.append(("diagonal", (i, j)))
                 if not collect_all:
                     return out
     return out
@@ -377,23 +407,7 @@ def classify(m: SignMatrix) -> Classification:
 def validate_boolean_triangle(b: BooleanTriangle, collect_all: bool = False) -> ValidationReport:
     """Check every (i,j)-inequality
     1 + sum_{k=j+1..i} b[k][n-j-1] >= sum_{k=j..i} b[k][n-j]."""
-    n = b.n
-    pref = {}
-    run = {}
-    for i in range(1, n):
-        for k, v in enumerate(b.rows[i - 1]):
-            c = n - i + k
-            run[c] = run.get(c, 0) + v
-            pref[(i, c)] = run[c]
-    out = []
-    for i in range(2, n):
-        for j in range(1, i):
-            c = n - j
-            if pref[(i, c)] > 1 + pref[(i, c - 1)]:
-                out.append(("diagonal", (i, j)))
-                if not collect_all:
-                    return ValidationReport.of(out)
-    return ValidationReport.of(out)
+    return ValidationReport.of(_diagonal_violations(b.n, b.rows, collect_all))
 
 
 # ---------------------------------------------------------------------------

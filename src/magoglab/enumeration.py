@@ -181,45 +181,44 @@ def _iter_boolean_triangle_rows(n: int) -> Iterator[tuple]:
     yield from rec(1, {})
 
 
-def _iter_square_sign_rows(n: int) -> Iterator[tuple]:
+def _iter_square_sign_rows(n: int, t: int = 1) -> Iterator[tuple]:
     """Square sign matrices in row-major lexicographic entry order.
 
-    The last row is forced (each column prefix must close at one), and the
-    in-row feasibility bound keeps the tree nearly dead-end free.
+    With t > 1 the walk yields the integer points of the t-th dilate of
+    the square-sign relaxation: row and column sums t, column prefixes in
+    [0, t], row prefixes >= 0.  The last row is forced (each column prefix
+    must close at t), and the in-row bound (what the columns to the right
+    can still add) closes every row at sum t with no dead ends.
     """
     colpref = [0] * n
     rows: list[tuple[int, ...]] = []
 
-    def row_dfs(i: int, j: int, row: list[int], rsum: int):
+    def row_dfs(i: int, j: int, row: list[int], rsum: int, rest: int):
+        # rest: sum of the column prefixes from column j rightwards
         if j == n:
-            if rsum == 1:
-                rows.append(tuple(row))
-                yield from mat_dfs(i + 1)
-                rows.pop()
+            rows.append(tuple(row))
+            yield from mat_dfs(i + 1)
+            rows.pop()
             return
-        for a in (-1, 0, 1):
-            q = colpref[j] + a
-            if q < 0 or q > 1:
-                continue
-            if i == n and q != 1:
-                continue
+        q0 = colpref[j]
+        right = rest - q0
+        lo, hi = (t - q0, t - q0) if i == n else (-q0, t - q0)
+        for a in range(lo, hi + 1):
             r = rsum + a
-            if r < 0:
+            # the columns right of j can still add -right .. (n-j-1)t - right
+            if r < 0 or r - right > t or r + (n - j - 1) * t - right < t:
                 continue
-            rem = n - j - 1
-            if r - rem > 1 or r + rem < 1:
-                continue
-            colpref[j] = q
+            colpref[j] = q0 + a
             row.append(a)
-            yield from row_dfs(i, j + 1, row, r)
+            yield from row_dfs(i, j + 1, row, r, right)
             row.pop()
-            colpref[j] = q - a
+        colpref[j] = q0
 
     def mat_dfs(i: int):
         if i > n:
             yield tuple(rows)
             return
-        yield from row_dfs(i, 0, [], 0)
+        yield from row_dfs(i, 0, [], 0, (i - 1) * t)
 
     yield from mat_dfs(1)
 

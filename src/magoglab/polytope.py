@@ -23,9 +23,20 @@ from .core import (
     SignMatrix,
     ValidationFailure,
     ValidationReport,
+    _column_prefixes,
+    _diagonal_violations,
+    _prefix_matrices,
+    _special_from_prefixes,
+    column_one_positions,
     validate_magog,
 )
-from .enumeration import DEFAULT_CEILING, _guard, _iter_boolean_triangle_rows, _iter_magog_matrix_rows
+from .enumeration import (
+    DEFAULT_CEILING,
+    _guard,
+    _iter_boolean_triangle_rows,
+    _iter_magog_matrix_rows,
+    _iter_square_sign_rows,
+)
 from .lp import Feasible, Infeasible, solve_feasibility
 
 ZERO = Fraction(0)
@@ -157,14 +168,8 @@ def check_necessary_inequalities(p: RationalMatrixPoint) -> ValidationReport:
     Passing is necessary but not sufficient for membership when n >= 3.
     """
     n = p.n
-    a = p.entries
+    col, rowp = _prefix_matrices(p.entries)
     out = []
-    col = [[ZERO] * n for _ in range(n)]
-    rowp = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            col[i][j] = a[i][j] + (col[i - 1][j] if i else ZERO)
-            rowp[i][j] = a[i][j] + (rowp[i][j - 1] if j else ZERO)
     for j in range(n):
         if col[n - 1][j] != 1:
             out.append(("column-sum", (j + 1,)))
@@ -177,11 +182,7 @@ def check_necessary_inequalities(p: RationalMatrixPoint) -> ValidationReport:
                 out.append(("column-prefix", (i + 1, j + 1)))
             if rowp[i][j] < 0:
                 out.append(("row-prefix", (i + 1, j + 1)))
-    for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            lhs = rowp[i][j - 1] + col[i][j] - col[i - 1][j - 1]
-            if lhs < 0:
-                out.append(("special", (i, j)))
+    out += _special_from_prefixes(col, rowp, collect_all=True)
     for i in range(1, n - 1):
         for j in range(1, n - 1):
             if i + j >= n - 1 and rowp[i][j - 1] + col[i][j] < 1:
@@ -209,22 +210,24 @@ class SeparationCertificate:
     support: frozenset[tuple[int, int]]
     threshold: Fraction
 
-    def evaluate(self, obj) -> Fraction:
+    def evaluate(self, obj):
         rows = _rows_of(obj)
         if self.kind == "matrix-prefix":
-            total = ZERO
-            for (i, j) in self.support:
-                for i2 in range(i):
-                    total += rows[i2][j - 1]
-            return total
+            return sum(rows[i2][j - 1] for (i, j) in self.support for i2 in range(i))
         n = self.n
-        total = ZERO
-        for idx, row in enumerate(rows):
-            i = idx + 1
+        total = 0
+        for i, row in enumerate(rows, start=1):
             for k, v in enumerate(row):
-                c = n - i + k
-                total += v if (i, c) in self.support else -v
+                total += v if (i, n - i + k) in self.support else -v
         return total
+
+    def score_vertex(self, support) -> int:
+        """:meth:`evaluate` at the vertex whose own certificate has this
+        support.  A vertex's column prefixes in rows 1..n-1 are one exactly
+        on its support (zero elsewhere), and a boolean triangle is one
+        exactly on its support."""
+        shared = len(self.support & support)
+        return shared if self.kind == "matrix-prefix" else 2 * shared - len(support)
 
 
 def magog_separating_hyperplane(a: SignMatrix) -> SeparationCertificate:
@@ -236,17 +239,13 @@ def magog_separating_hyperplane(a: SignMatrix) -> SeparationCertificate:
     if not report.valid:
         raise ValidationFailure(f"not a magog matrix: {report.first()}", report)
     n = a.n
-    support = set()
-    pref = [0] * n
-    for i in range(n - 1):
-        for j in range(n):
-            pref[j] += a.entries[i][j]
-            if pref[j] == 1:
-                support.add((i + 1, j + 1))
+    support = frozenset(
+        (i, j) for i, cols in enumerate(column_one_positions(a)[:-1], start=1) for j in cols
+    )
     binom2 = n * (n - 1) // 2
     if len(support) != binom2:
         raise DecompositionError("prefix support size must be C(n,2) on a magog matrix")
-    return SeparationCertificate("matrix-prefix", n, frozenset(support), Fraction(binom2) - HALF)
+    return SeparationCertificate("matrix-prefix", n, support, Fraction(binom2) - HALF)
 
 
 def boolean_separating_hyperplane(b: BooleanTriangle) -> SeparationCertificate:
@@ -274,68 +273,28 @@ class CertificateReport:
 
 def verify_vertex_certificates(n: int, polytope: str = "tsscpp", ceiling: int = DEFAULT_CEILING) -> CertificateReport:
     """Check, for every vertex candidate, strict separation from all other
-    candidates under its own certificate."""
+    candidates under the certificate its public constructor returns."""
     _guard(n, ceiling)
-    failures = []
     if polytope == "tsscpp":
-        mats = list(_iter_magog_matrix_rows(n))
-        binom2 = n * (n - 1) // 2
-        prefs = []
-        for rows in mats:
-            pref = []
-            run = [0] * n
-            for i in range(n - 1):
-                for j in range(n):
-                    run[j] += rows[i][j]
-                pref.extend(run)
-            prefs.append(tuple(pref))
-        supports = [tuple(idx for idx, v in enumerate(p) if v == 1) for p in prefs]
-        separated = 0
-        for k, supp in enumerate(supports):
-            if len(supp) != binom2:
-                failures.append(("support-size", k))
-                continue
-            ok = True
-            for k2, p2 in enumerate(prefs):
-                h = sum(p2[idx] for idx in supp)
-                if k2 == k:
-                    if h != binom2:
-                        ok = False
-                        failures.append(("self-value", k, k2))
-                elif h > binom2 - 1:
-                    ok = False
-                    failures.append(("not-separated", k, k2))
-            if ok:
-                separated += 1
-        return CertificateReport("tsscpp", n, len(mats), separated, tuple(failures))
-    if polytope == "btp":
-        tris = list(_iter_boolean_triangle_rows(n))
-        sets = []
-        for rows in tris:
-            s = set()
-            for idx, row in enumerate(rows):
-                i = idx + 1
-                for kk, v in enumerate(row):
-                    if v:
-                        s.add((i, n - i + kk))
-            sets.append(frozenset(s))
-        separated = 0
-        for k, sb in enumerate(sets):
-            target = len(sb)
-            ok = True
-            for k2, sx in enumerate(sets):
-                h = 2 * len(sb & sx) - len(sx)
-                if k2 == k:
-                    if h != target:
-                        ok = False
-                        failures.append(("self-value", k, k2))
-                elif h > target - 1:
-                    ok = False
-                    failures.append(("not-separated", k, k2))
-            if ok:
-                separated += 1
-        return CertificateReport("btp", n, len(tris), separated, tuple(failures))
-    raise ValueError("polytope must be 'tsscpp' or 'btp'")
+        certs = [magog_separating_hyperplane(SignMatrix(n, rows)) for rows in _iter_magog_matrix_rows(n)]
+    elif polytope == "btp":
+        certs = [boolean_separating_hyperplane(BooleanTriangle(n, rows)) for rows in _iter_boolean_triangle_rows(n)]
+    else:
+        raise ValueError("polytope must be 'tsscpp' or 'btp'")
+    failures = []
+    separated = 0
+    for k, cert in enumerate(certs):
+        # scores are integers and thresholds sit halfway between two, so
+        # "strictly above" is "above the floor" and "strictly below" is not
+        floor = math.floor(cert.threshold)
+        ok = True
+        for k2, other in enumerate(certs):
+            if (cert.score_vertex(other.support) > floor) != (k2 == k):
+                ok = False
+                failures.append(("self-value" if k2 == k else "not-separated", k, k2))
+        if ok:
+            separated += 1
+    return CertificateReport(polytope, n, len(certs), separated, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +314,8 @@ def btp_contains(p: RationalTrianglePoint) -> ValidationReport:
                 out.append(("lower-bound", (i, c)))
             if v > 1:
                 out.append(("upper-bound", (i, c)))
-    pref = _column_prefixes(n, p.rows)
-    for i in range(2, n):
-        for j in range(1, i):
-            c = n - j
-            if pref[(i, c)] > 1 + pref[(i, c - 1)]:
-                out.append(("diagonal", (i, j)))
+    out += _diagonal_violations(n, p.rows, collect_all=True)
     return ValidationReport.of(out)
-
-
-def _column_prefixes(n, rows):
-    pref = {}
-    run = {}
-    for idx, row in enumerate(rows):
-        i = idx + 1
-        for k, v in enumerate(row):
-            c = n - i + k
-            run[c] = run.get(c, ZERO) + v
-            pref[(i, c)] = run[c]
-    return pref
 
 
 def _is_int(x: Fraction) -> bool:
@@ -678,6 +620,8 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_
     if polytope == "btp":
         if n is None:
             raise ValueError("btp requires the order n")
+        if n < 1:
+            raise ValueError("order must be positive")
         if not allow_large and (n > BTP_DILATE_N_CEILING or t > BTP_DILATE_T_CEILING):
             raise _ceiling_error(f"btp dilate ceiling is n<={BTP_DILATE_N_CEILING}, t<={BTP_DILATE_T_CEILING}")
         return _btp_dilate_count(n, t)
@@ -738,49 +682,6 @@ def _btp_dilate_count(n: int, t: int) -> int:
     return count_cols(1, ())
 
 
-def _tsscpp_relaxation_points(n: int, t: int):
-    """Integer n x n arrays with row/column sums t, column prefixes in
-    [0, t], and nonnegative row prefixes, in row-major order."""
-    colpref = [0] * n
-    rows: list[tuple[int, ...]] = []
-    out = []
-
-    def row_dfs(i, j, row, rsum):
-        if j == n:
-            if rsum == t:
-                rows.append(tuple(row))
-                mat_dfs(i + 1)
-                rows.pop()
-            return
-        lo, hi = -colpref[j], t - colpref[j]
-        if i == n:
-            lo = hi = t - colpref[j]
-        for a in range(lo, hi + 1):
-            r = rsum + a
-            if r < 0:
-                continue
-            rem_lo = rem_hi = 0
-            for j2 in range(j + 1, n):
-                rem_lo += -colpref[j2]
-                rem_hi += t - colpref[j2]
-            if r + rem_hi < t or r + rem_lo > t:
-                continue
-            colpref[j] += a
-            row.append(a)
-            row_dfs(i, j + 1, row, r)
-            row.pop()
-            colpref[j] -= a
-
-    def mat_dfs(i):
-        if i > n:
-            out.append(tuple(rows))
-            return
-        row_dfs(i, 0, [], 0)
-
-    mat_dfs(1)
-    return out
-
-
 def _tsscpp_dilate_count(n: int, t: int) -> int:
     """Candidates from the scaled relaxation, prefiltered through the
     known necessary inequalities of the unit hull (applied to the point
@@ -789,7 +690,7 @@ def _tsscpp_dilate_count(n: int, t: int) -> int:
         return 1
     vertices = list(_iter_magog_matrix_rows(n))
     count = 0
-    for cand in _tsscpp_relaxation_points(n, t):
+    for cand in _iter_square_sign_rows(n, t):
         point = RationalMatrixPoint.from_rows(
             [[Fraction(v, t) for v in row] for row in cand])
         if not check_necessary_inequalities(point).valid:

@@ -46,6 +46,52 @@ def dumps(obj) -> str:
     return json.dumps(to_document(obj), separators=(",", ":"))
 
 
+class DocumentError(ValueError):
+    """Well-formed JSON that is not a document of any kind above."""
+
+
+def _field(doc, key: str):
+    if not isinstance(doc, dict):
+        raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise DocumentError(f"document has no {key!r} field")
+    return doc[key]
+
+
+def _list(doc, key: str) -> list:
+    value = _field(doc, key)
+    if not isinstance(value, list):
+        raise DocumentError(f"{key!r} must be a list")
+    return value
+
+
+def _scalar(v):
+    """An integer or a rational string, passed on unchanged; booleans are
+    not integers here."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise DocumentError(f"{v!r} is neither an integer nor a rational string")
+    if isinstance(v, str):
+        try:
+            Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise DocumentError(f"{v!r} is not a rational") from None
+    return v
+
+
+def _rows(doc, key: str) -> list:
+    rows = _list(doc, key)
+    if not all(isinstance(r, list) for r in rows):
+        raise DocumentError(f"{key!r} must be a list of lists")
+    return [[_scalar(v) for v in row] for row in rows]
+
+
+def _order(doc) -> int:
+    n = _field(doc, "n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DocumentError(f"order {n!r} is not an integer")
+    return n
+
+
 def _entries_integral(rows) -> bool:
     return all(isinstance(v, int) for row in rows for v in row)
 
@@ -53,30 +99,33 @@ def _entries_integral(rows) -> bool:
 def from_document(doc: dict):
     """Inverse of to_document.  Integer payloads come back as the typed
     integer objects; any string entry promotes the whole object to its
-    rational form."""
+    rational form.  A document of no known shape raises DocumentError."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
     if "terms" in doc:
         terms = tuple(
-            (as_fraction(t["weight"]), from_document(t["vertex"])) for t in doc["terms"]
+            (as_fraction(_scalar(_field(t, "weight"))), from_document(_field(t, "vertex")))
+            for t in _list(doc, "terms")
         )
         return ConvexDecomposition(terms)
     kind = doc.get("kind")
     if kind == "matrix":
-        rows = doc["entries"]
+        rows = _rows(doc, "entries")
         if _entries_integral(rows):
             return SignMatrix.from_rows(rows)
         return RationalMatrixPoint.from_rows(rows)
     if kind == "magog-triangle":
-        return MagogTriangle.from_rows(doc["rows"])
+        return MagogTriangle.from_rows(_rows(doc, "rows"))
     if kind == "boolean-triangle":
-        return BooleanTriangle.from_rows(doc["n"], doc["rows"])
+        return BooleanTriangle.from_rows(_order(doc), _rows(doc, "rows"))
     if kind == "rational-triangle":
-        return RationalTrianglePoint.from_rows(doc["n"], doc["rows"])
+        return RationalTrianglePoint.from_rows(_order(doc), _rows(doc, "rows"))
     if kind == "not-in-hull":
         return NotInHull(
-            coefficients=tuple(as_fraction(c) for c in doc["coefficients"]),
-            offset=as_fraction(doc["offset"]),
+            coefficients=tuple(as_fraction(_scalar(c)) for c in _list(doc, "coefficients")),
+            offset=as_fraction(_scalar(_field(doc, "offset"))),
         )
-    raise ValueError(f"unrecognized document kind {kind!r}")
+    raise DocumentError(f"unrecognized document kind {kind!r}")
 
 
 def loads(text: str):

@@ -169,6 +169,33 @@ def test_ehrhart_interpolate_uses_the_dimension(capsys):
     assert doc["coefficients"] == ["1", "8/3", "5/2", "5/6"]
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_ehrhart_btp_rejects_nonpositive_order(capsys, n):
+    code = main(["ehrhart", "--polytope", "btp", "--n", n, "--tmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: order must be positive\n"
+
+
+MALFORMED_DOCUMENTS = {
+    "zero-denominator": {"kind": "matrix", "n": 2, "entries": [["1/0", 0], [0, 1]]},
+    "no-entries": {"kind": "matrix", "n": 2},
+    "top-level-array": [[1, 0], [0, 1]],
+    "boolean-entries": {"kind": "matrix", "n": 2, "entries": [[True, False], [False, True]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+@pytest.mark.parametrize("command", [["classify"], ["polytope", "membership", "--polytope", "tsscpp"]])
+def test_malformed_documents_are_parse_errors(tmp_path, capsys, name, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]), encoding="utf-8")
+    code = main(command + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
 def test_check_theorems(capsys):
     code, out = run(capsys, "check", "--suite", "theorems", "--n-max", "3")
     assert code == 0

@@ -24,10 +24,12 @@ from magoglab import (
     lattice_points_in_dilate,
     lp_membership,
     magog_separating_hyperplane,
+    product_formula,
     tsscpp3_vertex_audit,
+    validate_boolean_triangle,
     verify_vertex_certificates,
 )
-from magoglab.enumeration import CeilingExceeded
+from magoglab.enumeration import CeilingExceeded, _iter_square_sign_rows
 from magoglab.polytope import InterpolationError, as_fraction
 
 from conftest import random_membership_point
@@ -96,6 +98,24 @@ def test_half_integer_point_hook_value_by_hand():
     assert rows[1][0] + rows[0][1] + rows[1][1] == F(1, 2)
 
 
+def test_necessary_inequalities_full_violation_list():
+    # breaks all eight families; pins the families' order and the order
+    # within each
+    point = RationalMatrixPoint.from_rows([
+        ["1/2", -1, 0, "3/2", 0], [0, 0, 1, -1, 0], [2, 0, 0, 0, -1], [0, 1, 0, 0, 0], [-1, 0, "1/3", 0, 1]])
+    assert check_necessary_inequalities(point).violations == (
+        ("column-sum", (1,)), ("column-sum", (2,)), ("column-sum", (3,)), ("column-sum", (4,)),
+        ("column-sum", (5,)), ("row-sum", (2,)), ("row-sum", (5,)),
+        ("column-prefix", (1, 2)), ("row-prefix", (1, 2)), ("row-prefix", (1, 3)),
+        ("column-prefix", (1, 4)), ("column-prefix", (2, 2)), ("column-prefix", (3, 1)),
+        ("column-prefix", (3, 2)), ("column-prefix", (3, 5)), ("column-prefix", (4, 1)),
+        ("column-prefix", (4, 5)), ("column-prefix", (5, 1)), ("row-prefix", (5, 1)),
+        ("row-prefix", (5, 2)), ("column-prefix", (5, 3)), ("row-prefix", (5, 3)),
+        ("row-prefix", (5, 4)), ("special", (1, 1)), ("special", (3, 1)),
+        ("inner-hook", (3, 1)), ("top-hook", (1,)), ("left-hook", (1,)), ("left-hook", (2,)),
+    )
+
+
 def test_necessary_inequalities_insufficient_at_n4(family):
     point = RationalMatrixPoint.from_rows(OUTSIDE_BUT_PASSING_4)
     assert check_necessary_inequalities(point).valid
@@ -144,6 +164,18 @@ def test_boolean_certificate(family):
                 assert cert.evaluate(other) < cert.threshold
 
 
+@pytest.mark.parametrize("kind, certificate", [
+    ("magog_matrix", magog_separating_hyperplane),
+    ("boolean_triangle", boolean_separating_hyperplane),
+])
+def test_support_score_equals_evaluate(family, kind, certificate):
+    vertices = family(kind, 4)
+    certs = [certificate(v) for v in vertices]
+    for cert in certs:
+        for other, vertex in zip(certs, vertices):
+            assert cert.score_vertex(other.support) == cert.evaluate(vertex)
+
+
 def test_verify_vertex_certificates_small():
     for n in (2, 3, 4):
         assert verify_vertex_certificates(n, "tsscpp").passed
@@ -161,6 +193,20 @@ def test_btp_contains_split_demo():
 def test_btp_contains_boolean_triangles(family):
     for b in family("boolean_triangle", 4):
         assert btp_contains(RationalTrianglePoint.from_rows(4, b.rows)).valid
+
+
+def test_diagonal_check_against_all_zero_one_arrays():
+    # an oracle that shares none of the generator's pruning: of all
+    # 2^C(n,2) triangle-shaped 0/1 arrays, exactly the boolean triangles pass
+    for n in range(1, 6):
+        passed = 0
+        for bits in itertools.product((0, 1), repeat=n * (n - 1) // 2):
+            cells = iter(bits)
+            rows = tuple(tuple(next(cells) for _ in range(i)) for i in range(1, n))
+            valid = validate_boolean_triangle(BooleanTriangle(n, rows)).valid
+            assert btp_contains(RationalTrianglePoint.from_rows(n, rows)).valid == valid
+            passed += valid
+        assert passed == product_formula(n)
 
 
 def test_btp_contains_rejects_the_printed_non_example():
@@ -356,6 +402,17 @@ def test_dilate_counts_monotone():
         c = lattice_points_in_dilate("btp", t, n=4)
         assert c >= prev
         prev = c
+
+
+def test_relaxation_walk_counts():
+    # integer points of the t-th dilate of the square-sign relaxation, the
+    # candidates of the tsscpp dilate counts
+    def points(n, t):
+        return sum(1 for _ in _iter_square_sign_rows(n, t))
+
+    assert [points(3, t) for t in range(7)] == [1, 8, 31, 85, 190, 371, 658]
+    assert points(4, 2) == 1115
+    assert [points(2, t) for t in range(7)] == [t + 1 for t in range(7)]
 
 
 def test_tsscpp3_dilate_counts():
