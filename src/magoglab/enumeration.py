@@ -51,8 +51,6 @@ KINDS = (
     "gapless",
 )
 
-STATISTICS = ("neg_ones", "inv", "posinv", "first_row_one", "first_col_one", "last_row_one")
-
 
 class CeilingExceeded(RuntimeError):
     """Requested order lies above the configured resource ceiling."""
@@ -314,45 +312,52 @@ class DistributionTable:
     def items(self):
         return [(self.start + i, c) for i, c in enumerate(self.counts)]
 
+    def get(self, value: int) -> int:
+        """Count at ``value``; 0 outside the attained range."""
+        k = value - self.start
+        return self.counts[k] if 0 <= k < len(self.counts) else 0
 
-def _stat_value(stat: str, rows) -> int:
-    if stat == "neg_ones":
-        return _neg_count(rows)
-    if stat == "inv":
-        return _inv(rows)
-    if stat == "posinv":
-        return _inv(rows) - _neg_count(rows)
-    if stat == "first_row_one":
-        return _one_position_in_row(rows, 0)
-    if stat == "last_row_one":
-        return _one_position_in_row(rows, len(rows) - 1)
-    if stat == "first_col_one":
-        return _one_position_in_col(rows, 0)
-    raise ValueError(f"unknown statistic {stat!r}")
+
+# each statistic from the rows and the object's inversion and -1 counts,
+# which distribution_bundle works out once per object and only on demand
+_STAT_VALUE = {
+    "neg_ones": lambda rows, inv, neg: neg,
+    "inv": lambda rows, inv, neg: inv,
+    "posinv": lambda rows, inv, neg: inv - neg,
+    "first_row_one": lambda rows, inv, neg: _one_position_in_row(rows, 0),
+    "first_col_one": lambda rows, inv, neg: _one_position_in_col(rows, 0),
+    "last_row_one": lambda rows, inv, neg: _one_position_in_row(rows, len(rows) - 1),
+}
+STATISTICS = tuple(_STAT_VALUE)
+_TABLE_KINDS = ("magog_matrix", "asm", "square_sign")
 
 
 def distribution(kind: str, statistic: str, n: int, ceiling: int = DEFAULT_CEILING) -> DistributionTable:
-    """Distribution of a statistic over magog matrices or ASMs."""
+    """Distribution of a statistic over magog matrices, ASMs or square sign matrices."""
     return distribution_bundle(kind, n, (statistic,), ceiling)[statistic]
 
 
 def distribution_bundle(kind: str, n: int, statistics=STATISTICS,
                         ceiling: int = DEFAULT_CEILING) -> dict[str, DistributionTable]:
     """All requested distributions from a single enumeration pass."""
-    if kind not in ("magog_matrix", "asm"):
-        raise ValueError("distributions are defined for magog_matrix and asm")
+    if kind not in _TABLE_KINDS:
+        raise ValueError(f"distributions are defined for {', '.join(_TABLE_KINDS)}")
     for s in statistics:
         if s not in STATISTICS:
             raise ValueError(f"unknown statistic {s!r}; expected one of {STATISTICS}")
     _guard(n, ceiling)
     acc: dict[str, dict[int, int]] = {s: {} for s in statistics}
+    tallies = [(tally, _STAT_VALUE[s]) for s, tally in acc.items()]
+    need_inv = "inv" in acc or "posinv" in acc
+    need_neg = "neg_ones" in acc or "posinv" in acc
     for rows in _raw_rows(kind, n):
-        for s in statistics:
-            v = _stat_value(s, rows)
-            acc[s][v] = acc[s].get(v, 0) + 1
+        inv = _inv(rows) if need_inv else 0
+        neg = _neg_count(rows) if need_neg else 0
+        for tally, value in tallies:
+            v = value(rows, inv, neg)
+            tally[v] = tally.get(v, 0) + 1
     out = {}
-    for s in statistics:
-        counts = acc[s]
+    for s, counts in acc.items():
         lo, hi = min(counts), max(counts)
         out[s] = DistributionTable(kind, s, n, lo, tuple(counts.get(v, 0) for v in range(lo, hi + 1)))
     return out
@@ -416,72 +421,53 @@ def theorem_suite(n_max: int, ceiling: int = DEFAULT_CEILING) -> SuiteReport:
         checks.append(SuiteCheck(claim, n, expected, computed, expected == computed))
 
     for n in range(1, n_max + 1):
-        _guard(n, ceiling)
-        magog = list(_iter_magog_matrix_rows(n))
+        magog = distribution_bundle("magog_matrix", n, ceiling=ceiling)
+        neg, inv, posinv = magog["neg_ones"], magog["inv"], magog["posinv"]
+        first_row, first_col, last_row = magog["first_row_one"], magog["first_col_one"], magog["last_row_one"]
+        asm_neg = distribution_bundle("asm", n, ("neg_ones",), ceiling)["neg_ones"]
+        sign_neg = distribution_bundle("square_sign", n, ("neg_ones",), ceiling)["neg_ones"]
         binom2 = n * (n - 1) // 2
 
         # negative-one-free magog matrices are the 132-avoiding permutations
-        negfree = {m for m in magog if _neg_count(m) == 0}
-        add("catalan count of negative-one-free magog matrices", n, catalan(n), len(negfree))
-        avoiders = {
-            Permutation(p).matrix().entries
-            for p in itertools.permutations(range(1, n + 1))
-            if is_132_avoiding(Permutation(p))
-        }
-        add("negative-one-free magog = 132-avoiding permutation matrices", n, True, negfree == avoiders)
+        add("catalan count of negative-one-free magog matrices", n, catalan(n), neg.get(0))
+        perms = map(Permutation, itertools.permutations(range(1, n + 1)))
+        avoiders = [p.matrix() for p in perms if is_132_avoiding(p)]
+        # -1-free sign matrices are permutation matrices: all avoiders magog + equal counts = equal sets
+        add("negative-one-free magog = 132-avoiding permutation matrices", n, True,
+            len(avoiders) == neg.get(0) and all(classify(m).magog for m in avoiders))
 
         # boundary ones; positions outside a small matrix count zero
-        def bc(i, j):
-            if i > n or j > n:
-                return 0
-            return sum(1 for m in magog if m[i - 1][j - 1] == 1)
-
-        add("unique magog matrix with a one at (1,1)", n, 1, bc(1, 1))
+        add("unique magog matrix with a one at (1,1)", n, 1, first_row.get(1))
         if n > 1:
             add(
                 "ones at (n,1) and (n,2) both counted by the order n-1 total",
                 n,
                 (product_formula(n - 1), product_formula(n - 1)),
-                (bc(n, 1), bc(n, 2)),
+                (last_row.get(1), last_row.get(2)),
             )
-            add("ones at (1,n) and (1,n-1) equinumerous", n, bc(1, n), bc(1, n - 1))
-        add("ones at (2,1) counted by Catalan(n) - 1", n, catalan(n) - 1, bc(2, 1))
-        add("ones at (1,2) counted by 2^(n-1) - 1", n, 2 ** (n - 1) - 1, bc(1, 2))
+            add("ones at (1,n) and (1,n-1) equinumerous", n, first_row.get(n), first_row.get(n - 1))
+        add("ones at (2,1) counted by Catalan(n) - 1", n, catalan(n) - 1, first_col.get(2))
+        add("ones at (1,2) counted by 2^(n-1) - 1", n, 2 ** (n - 1) - 1, first_row.get(2))
 
         # inversion identities
-        inv_counts: dict[int, int] = {}
-        posinv_counts: dict[int, int] = {}
-        for m in magog:
-            iv = _inv(m)
-            inv_counts[iv] = inv_counts.get(iv, 0) + 1
-            pv = iv - _neg_count(m)
-            posinv_counts[pv] = posinv_counts.get(pv, 0) + 1
-        add("unique magog matrix with zero inversions", n, (1, 1),
-            (inv_counts.get(0, 0), posinv_counts.get(0, 0)))
+        add("unique magog matrix with zero inversions", n, (1, 1), (inv.get(0), posinv.get(0)))
         if n >= 2:
-            add("unique magog matrix with one inversion", n, 1, inv_counts.get(1, 0))
+            add("unique magog matrix with one inversion", n, 1, inv.get(1))
             add("n-1 magog matrices one positive inversion below the maximum", n,
-                n - 1, posinv_counts.get(binom2 - 1, 0))
+                n - 1, posinv.get(binom2 - 1))
             add("unique magog matrix attaining the inversion maximum", n, (1, 1),
-                (inv_counts.get(binom2, 0), posinv_counts.get(binom2, 0)))
+                (inv.get(binom2), posinv.get(binom2)))
         if n >= 3:
-            add("n+1 magog matrices with two inversions", n, n + 1, inv_counts.get(2, 0))
+            add("n+1 magog matrices with two inversions", n, n + 1, inv.get(2))
 
-        # negative-one maxima across the three families
+        # negative-one maxima across the three families: each table's last value
         bound = max_negative_ones_bound(n)
-        add("max negative ones over square sign matrices", n, bound,
-            max(_neg_count(m) for m in _iter_square_sign_rows(n)))
-        asm_max = 0
-        for m in _raw_rows("asm", n):
-            asm_max = max(asm_max, _neg_count(m))
-        add("max negative ones over ASMs", n, bound, asm_max)
-        add("max negative ones over magog matrices", n, bound,
-            max(_neg_count(m) for m in magog))
+        for family, table in (("square sign matrices", sign_neg), ("ASMs", asm_neg), ("magog matrices", neg)):
+            add(f"max negative ones over {family}", n, bound, table.start + len(table.counts) - 1)
         cls = classify(max_negative_ones_matrix(n))
         add("extremal construction is both magog and ASM", n, (True, True), (cls.magog, cls.asm))
 
-        add("square sign count is 2^C(n,2)", n, 2 ** binom2,
-            sum(1 for _ in _iter_square_sign_rows(n)))
+        add("square sign count is 2^C(n,2)", n, 2 ** binom2, sign_neg.total())
 
     return SuiteReport("theorem suite", tuple(checks))
 
@@ -494,27 +480,15 @@ def conjecture_suite(n_max: int, ceiling: int = DEFAULT_CEILING) -> SuiteReport:
         raise ValueError("n_max must be at least 3")
     checks: list[SuiteCheck] = []
     for n in range(3, n_max + 1):
-        _guard(n, ceiling)
+        bundle = distribution_bundle("magog_matrix", n, ("inv", "posinv"), ceiling)
+        inv, posinv = bundle["inv"], bundle["posinv"]
         binom2 = n * (n - 1) // 2
-        inv_counts: dict[int, int] = {}
-        posinv_counts: dict[int, int] = {}
-        for m in _iter_magog_matrix_rows(n):
-            iv = _inv(m)
-            inv_counts[iv] = inv_counts.get(iv, 0) + 1
-            pv = iv - _neg_count(m)
-            posinv_counts[pv] = posinv_counts.get(pv, 0) + 1
-        checks.append(SuiteCheck(
-            "posinv=1 count equals C(n,2)", n, binom2,
-            posinv_counts.get(1, 0), binom2 == posinv_counts.get(1, 0)))
         f2 = 2 * math.comb(n - 1, 2) + 4 * math.comb(n - 1, 3) + 3 * math.comb(n - 1, 4)
-        checks.append(SuiteCheck(
-            "posinv=2 count equals 2C(n-1,2)+4C(n-1,3)+3C(n-1,4)", n, f2,
-            posinv_counts.get(2, 0), f2 == posinv_counts.get(2, 0)))
-        checks.append(SuiteCheck(
-            "posinv=C(n,2)-2 count equals n(n-2)", n, n * (n - 2),
-            posinv_counts.get(binom2 - 2, 0), n * (n - 2) == posinv_counts.get(binom2 - 2, 0)))
-        e = 2 ** n - n - 1
-        checks.append(SuiteCheck(
-            "inv=C(n,2)-1 count equals 2^n-n-1", n, e,
-            inv_counts.get(binom2 - 1, 0), e == inv_counts.get(binom2 - 1, 0)))
+        for claim, expected, computed in (
+            ("posinv=1 count equals C(n,2)", binom2, posinv.get(1)),
+            ("posinv=2 count equals 2C(n-1,2)+4C(n-1,3)+3C(n-1,4)", f2, posinv.get(2)),
+            ("posinv=C(n,2)-2 count equals n(n-2)", n * (n - 2), posinv.get(binom2 - 2)),
+            ("inv=C(n,2)-1 count equals 2^n-n-1", 2 ** n - n - 1, inv.get(binom2 - 1)),
+        ):
+            checks.append(SuiteCheck(claim, n, expected, computed, expected == computed))
     return SuiteReport("conjecture suite", tuple(checks))

@@ -32,6 +32,7 @@ from .core import (
 )
 from .enumeration import (
     DEFAULT_CEILING,
+    CeilingExceeded,
     _guard,
     _iter_boolean_triangle_rows,
     _iter_magog_matrix_rows,
@@ -623,7 +624,7 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_
         if n < 1:
             raise ValueError("order must be positive")
         if not allow_large and (n > BTP_DILATE_N_CEILING or t > BTP_DILATE_T_CEILING):
-            raise _ceiling_error(f"btp dilate ceiling is n<={BTP_DILATE_N_CEILING}, t<={BTP_DILATE_T_CEILING}")
+            raise CeilingExceeded(f"btp dilate ceiling is n<={BTP_DILATE_N_CEILING}, t<={BTP_DILATE_T_CEILING}")
         return _btp_dilate_count(n, t)
     if polytope in ("tsscpp3", "tsscpp"):
         if polytope == "tsscpp3" and n not in (None, 3):
@@ -631,20 +632,14 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_
         order = 3 if n is None else n
         if order == 3:
             if not allow_large and t > TSSCPP3_DILATE_T_CEILING:
-                raise _ceiling_error(f"tsscpp3 dilate ceiling is t<={TSSCPP3_DILATE_T_CEILING}")
+                raise CeilingExceeded(f"tsscpp3 dilate ceiling is t<={TSSCPP3_DILATE_T_CEILING}")
             return _tsscpp_dilate_count(3, t)
         if order == 4:
             if not allow_large:
-                raise _ceiling_error("tsscpp dilates at n=4 are opt-in; pass allow_large")
+                raise CeilingExceeded("tsscpp dilates at n=4 are opt-in; pass allow_large")
             return _tsscpp_dilate_count(4, t)
         raise ValueError("tsscpp dilate counting supports n = 3 and (opt-in) n = 4")
     raise ValueError("polytope must be 'btp', 'tsscpp3', or 'tsscpp'")
-
-
-def _ceiling_error(msg):
-    from .enumeration import CeilingExceeded
-
-    return CeilingExceeded(msg)
 
 
 def _btp_dilate_count(n: int, t: int) -> int:

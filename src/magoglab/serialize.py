@@ -78,18 +78,33 @@ def _scalar(v):
     return v
 
 
-def _rows(doc, key: str) -> list:
+def _order(doc) -> int:
+    n = _field(doc, "n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DocumentError(f"order {n!r} is not a positive integer")
+    return n
+
+
+# rows field, row count and length of row i (from 0) for a stated order n
+_SHAPES = {
+    "matrix": ("entries", lambda n: n, lambda n, i: n),
+    "magog-triangle": ("rows", lambda n: n, lambda n, i: i + 1),
+    "boolean-triangle": ("rows", lambda n: n - 1, lambda n, i: i + 1),
+    "rational-triangle": ("rows", lambda n: n - 1, lambda n, i: i + 1),
+}
+
+
+def _rows(doc, kind: str) -> tuple[int, list]:
+    """The stated order and the rows of a document of one of the _SHAPES,
+    which must have the shape that order gives."""
+    key, count, length = _SHAPES[kind]
+    n = _order(doc)
     rows = _list(doc, key)
     if not all(isinstance(r, list) for r in rows):
         raise DocumentError(f"{key!r} must be a list of lists")
-    return [[_scalar(v) for v in row] for row in rows]
-
-
-def _order(doc) -> int:
-    n = _field(doc, "n")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DocumentError(f"order {n!r} is not an integer")
-    return n
+    if len(rows) != count(n) or any(len(r) != length(n, i) for i, r in enumerate(rows)):
+        raise DocumentError(f"{key!r} do not have the shape of a {kind} of order {n}")
+    return n, [[_scalar(v) for v in row] for row in rows]
 
 
 def _entries_integral(rows) -> bool:
@@ -110,16 +125,16 @@ def from_document(doc: dict):
         return ConvexDecomposition(terms)
     kind = doc.get("kind")
     if kind == "matrix":
-        rows = _rows(doc, "entries")
+        rows = _rows(doc, kind)[1]
         if _entries_integral(rows):
             return SignMatrix.from_rows(rows)
         return RationalMatrixPoint.from_rows(rows)
     if kind == "magog-triangle":
-        return MagogTriangle.from_rows(_rows(doc, "rows"))
+        return MagogTriangle.from_rows(_rows(doc, kind)[1])
     if kind == "boolean-triangle":
-        return BooleanTriangle.from_rows(_order(doc), _rows(doc, "rows"))
+        return BooleanTriangle.from_rows(*_rows(doc, kind))
     if kind == "rational-triangle":
-        return RationalTrianglePoint.from_rows(_order(doc), _rows(doc, "rows"))
+        return RationalTrianglePoint.from_rows(*_rows(doc, kind))
     if kind == "not-in-hull":
         return NotInHull(
             coefficients=tuple(as_fraction(_scalar(c)) for c in _list(doc, "coefficients")),
@@ -134,4 +149,8 @@ def loads(text: str):
 
 def load_path(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return from_document(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"input is not UTF-8: {exc}") from None
+    return from_document(doc)

@@ -182,6 +182,12 @@ MALFORMED_DOCUMENTS = {
     "no-entries": {"kind": "matrix", "n": 2},
     "top-level-array": [[1, 0], [0, 1]],
     "boolean-entries": {"kind": "matrix", "n": 2, "entries": [[True, False], [False, True]]},
+    "matrix-order-above-rows": {"kind": "matrix", "n": 5, "entries": [[1]]},
+    "matrix-short-row": {"kind": "matrix", "n": 2, "entries": [[1, 0], [0]]},
+    "matrix-order-zero": {"kind": "matrix", "n": 0, "entries": []},
+    "magog-triangle-order": {"kind": "magog-triangle", "n": 9, "rows": [[1]]},
+    "boolean-triangle-order": {"kind": "boolean-triangle", "n": 4, "rows": [[0], [0, 1]]},
+    "rational-triangle-row-length": {"kind": "rational-triangle", "n": 3, "rows": [["1/2"], ["0"]]},
 }
 
 
@@ -191,6 +197,15 @@ def test_malformed_documents_are_parse_errors(tmp_path, capsys, name, command):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]), encoding="utf-8")
     code = main(command + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code = main(["classify", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1

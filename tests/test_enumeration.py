@@ -211,6 +211,42 @@ def test_boundary_counts():
     assert boundary_count(4, 1, 2) == 7
 
 
+def test_bundle_computes_inv_once_per_object(monkeypatch):
+    from magoglab import enumeration
+    calls = []
+    inv = enumeration._inv
+    monkeypatch.setattr(enumeration, "_inv", lambda rows: calls.append(rows) or inv(rows))
+    distribution_bundle("magog_matrix", 4)
+    assert len(calls) == 42
+
+
+def test_boundary_counts_read_off_the_positional_tables():
+    for n in range(1, 6):
+        bundle = distribution_bundle("magog_matrix", n)
+        first_row, first_col, last_row = (bundle[s] for s in ("first_row_one", "first_col_one", "last_row_one"))
+        for j in range(1, n + 1):
+            assert boundary_count(n, 1, j) == first_row.get(j)
+            assert boundary_count(n, j, 1) == first_col.get(j)
+            assert boundary_count(n, n, j) == last_row.get(j)
+        for table in (first_row, first_col, last_row):
+            assert table.get(table.start - 1) == 0
+            assert table.get(table.start + len(table.counts)) == 0
+
+
+def test_square_sign_neg_ones_table():
+    from magoglab import max_negative_ones_bound
+    for n in range(1, 6):
+        table = distribution_bundle("square_sign", n, ("neg_ones",))["neg_ones"]
+        assert table.total() == 2 ** (n * (n - 1) // 2)
+        assert table.items()[-1][0] == max_negative_ones_bound(n)
+
+
+@pytest.mark.parametrize("kind", ["boolean_triangle", "magog_triangle"])
+def test_distribution_bundle_rejects_kinds_without_tables(kind):
+    with pytest.raises(ValueError):
+        distribution_bundle(kind, 3)
+
+
 def test_gapless_counts_bounded_and_stable(family):
     values = [count("gapless", n) for n in range(1, 7)]
     assert values == [1, 2, 6, 26, 162, 1450]
