@@ -189,6 +189,8 @@ def _ehrhart_degree(args) -> int:
 
 
 def _cmd_ehrhart(args) -> int:
+    if args.tmax < 0:
+        raise ValidationFailure("dilation factor must be nonnegative")
     allow = _env_override()
     n = args.n
     degree = _ehrhart_degree(args) if args.interpolate else None
@@ -280,6 +282,8 @@ def _cmd_check(args) -> int:
         _emit(f"conjecture suite: {sum(c.passed for c in report.checks)}/{len(report.checks)} agree")
         return 0
     # tables
+    if args.n_max < 2:
+        raise ValidationFailure("n_max must be at least 2")
     wanted = None
     if args.tables and args.tables != "all":
         wanted = {t.strip() for t in args.tables.split(",")}

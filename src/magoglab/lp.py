@@ -1,11 +1,24 @@
-"""Exact rational feasibility oracle for equality-constrained systems
-A x = b, x >= 0, solved by a revised phase-one simplex over Fractions.
+"""Exact feasibility oracle for equality-constrained systems A x = b,
+x >= 0, solved by a revised phase-one simplex in integer arithmetic.
+
+The simplex state is fraction-free (Edmonds 1967; Bareiss 1968).  The
+right-hand side is scaled by the lcm D of its denominators and each
+column by the lcm of its own denominators; a positive column scale
+changes neither the sign of a reduced cost nor the order of the ratio
+test.  With delta = |det B| for the current basis B (the previous pivot,
+positive because the ratio test only pivots on d > 0), the solver keeps
+delta * B^{-1} and delta * x_B, whose entries are minors and so
+integers.  A pivot on row r with pivot p replaces every other row k by
+(p * a - d_k * c) // delta, an exact division.  The artificial basis
+starts as diag(sign b_i), so the multipliers y come out in the caller's
+coordinates.
 
 Bland's smallest-index rule is used for both the entering and leaving
 choices, which rules out cycling, so termination is unconditional.  On
 infeasible systems the simplex multipliers of the optimal phase-one basis
-form a Farkas certificate y with y.A_j <= 0 for every column and y.b > 0;
-the certificate is re-verified before it is returned.
+form a Farkas certificate y with y.A_j <= 0 for every column and y.b > 0.
+Either outcome is verified in integers against every column before it is
+returned, and a failed check raises LPError.
 """
 
 from __future__ import annotations
@@ -13,9 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LPError(RuntimeError):
@@ -36,12 +46,21 @@ class Feasible:
     x: dict
 
 
-def _support(column):
-    """Split a column into (+1 positions, -1 positions, other entries).
+def _integer_column(column, m):
+    """Scale a column by the lcm s of its denominators and split s * column
+    into (+1 positions, -1 positions, other (position, value) pairs).
 
     Columns made of 0/1/-1 entries admit a multiplication-free dot
     product, which dominates the pricing cost on large vertex lists.
+    Returns (s, support).
     """
+    if len(column) != m:
+        raise ValueError("column length does not match rhs")
+    scale = 1
+    if not all(type(v) is int for v in column):
+        column = [Fraction(v) for v in column]
+        scale = math.lcm(*(v.denominator for v in column))
+        column = [v.numerator * (scale // v.denominator) for v in column]
     pos, neg, other = [], [], []
     for i, v in enumerate(column):
         if v == 1:
@@ -49,124 +68,124 @@ def _support(column):
         elif v == -1:
             neg.append(i)
         elif v != 0:
-            other.append((i, Fraction(v)))
-    return tuple(pos), tuple(neg), tuple(other)
+            other.append((i, v))
+    return scale, (tuple(pos), tuple(neg), tuple(other))
+
+
+def _dot(y, support) -> int:
+    pos, neg, other = support
+    s = 0
+    for i in pos:
+        s += y[i]
+    for i in neg:
+        s -= y[i]
+    for i, v in other:
+        s += y[i] * v
+    return s
 
 
 def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
     """Decide whether rhs lies in the cone {A x : x >= 0} spanned by the
     given columns (each a sequence of length len(rhs))."""
     m = len(rhs)
-    n_real = len(columns)
-    for c in columns:
-        if len(c) != m:
-            raise ValueError("column length does not match rhs")
+    b = [Fraction(v) for v in rhs]
+    rhs_scale = math.lcm(*(v.denominator for v in b))
+    b = [v.numerator * (rhs_scale // v.denominator) for v in b]
+    signs = [1 if v >= 0 else -1 for v in b]
+    scales, supports = [], []
+    for column in columns:
+        scale, support = _integer_column(column, m)
+        scales.append(scale)
+        supports.append(support)
+    n_real = len(supports)
 
-    # normalize signs so the right-hand side is nonnegative
-    signs = [1 if Fraction(v) >= 0 else -1 for v in rhs]
-    b = [Fraction(v) * s for v, s in zip(rhs, signs)]
-    supports = []
-    for col in columns:
-        adj = [s * Fraction(v) for s, v in zip(signs, col)]
-        supports.append(_support(adj))
-
-    # artificial j (0..m-1) is real column index n_real + j; basis starts
-    # as the artificial identity
+    # artificial i (0..m-1) is column n_real + i, equal to signs[i] * e_i;
+    # the basis starts as the artificial one, so delta * B^{-1} = diag(signs)
     basis = [n_real + i for i in range(m)]
-    in_basis = set(basis)
-    binv = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
-    xb = list(b)
-
-    def column_of(j):
-        if j < n_real:
-            return supports[j]
-        i = j - n_real
-        return ((i,), (), ())
+    binv = [[signs[i] if i == j else 0 for j in range(m)] for i in range(m)]
+    xb = [abs(v) for v in b]
+    delta = 1
 
     while True:
-        # simplex multipliers y = c_B B^{-1}
-        y = [ZERO] * m
+        # delta * y, with y = c_B B^{-1} the simplex multipliers
+        y = [0] * m
         for k, bj in enumerate(basis):
             if bj >= n_real:
-                for i in range(m):
-                    y[i] += binv[k][i]
+                y = [a + c for a, c in zip(y, binv[k])]
 
-        # pricing only needs signs, so scale y to integers once and scan
-        # with machine arithmetic; Bland's rule = first negative index
-        scale = 1
-        for v in y:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        y_int = [int(v * scale) for v in y]
-
+        # Bland's rule: the first column whose reduced cost c_j - y.A_j is
+        # negative; a basic column has reduced cost 0, so none is skipped
         entering = -1
-        for j in range(n_real):
-            if j in in_basis:
-                continue
-            pos, neg, other = supports[j]
-            s = 0
-            for i in pos:
-                s += y_int[i]
-            for i in neg:
-                s -= y_int[i]
-            if other:
-                s = Fraction(s) + sum(y[i] * v for i, v in other) * scale
-            if s > 0:  # reduced cost 0 - y.A_j < 0
+        for j, support in enumerate(supports):
+            if _dot(y, support) > 0:
                 entering = j
                 break
         if entering < 0:
-            for j in range(n_real, n_real + m):
-                if j in in_basis:
-                    continue
-                if scale - y_int[j - n_real] < 0:  # reduced cost 1 - y_i < 0
-                    entering = j
+            for i in range(m):
+                if delta - signs[i] * y[i] < 0:
+                    entering = n_real + i
                     break
 
         if entering < 0:
-            objective = sum(xb[k] for k, bj in enumerate(basis) if bj >= n_real)
-            if objective == 0:
-                sol = {}
-                for k, bj in enumerate(basis):
-                    if bj < n_real and xb[k] != 0:
-                        sol[bj] = xb[k]
-                return Feasible(sol)
-            y_orig = tuple(y[i] * signs[i] for i in range(m))
-            return Infeasible(y_orig)
+            if sum(xb[k] for k, bj in enumerate(basis) if bj >= n_real) == 0:
+                x = {bj: xb[k] for k, bj in enumerate(basis) if bj < n_real and xb[k] != 0}
+                _verify_solution(x, supports, b, delta)
+                return Feasible({j: Fraction(v * scales[j], delta * rhs_scale) for j, v in x.items()})
+            _verify_certificate(y, supports, b)
+            return Infeasible(tuple(Fraction(v, delta) for v in y))
 
-        # direction d = B^{-1} A_entering
-        pos, neg, other = column_of(entering)
-        d = [ZERO] * m
-        for k in range(m):
-            row = binv[k]
-            s = ZERO
-            for i in pos:
-                s += row[i]
-            for i in neg:
-                s -= row[i]
-            for i, v in other:
-                s += row[i] * v
-            d[k] = s
+        # direction delta * B^{-1} A_entering
+        if entering < n_real:
+            support = supports[entering]
+            d = [_dot(row, support) for row in binv]
+        else:
+            i = entering - n_real
+            d = [row[i] * signs[i] for row in binv]
 
+        # ratio test xb_k / d_k, ties to the smallest basic index
         leaving = -1
-        best = None
         for k in range(m):
-            if d[k] > 0:
-                ratio = xb[k] / d[k]
-                if best is None or ratio < best or (ratio == best and basis[k] < basis[leaving]):
-                    best = ratio
-                    leaving = k
+            if d[k] <= 0:
+                continue
+            if leaving >= 0:
+                here, best = xb[k] * d[leaving], xb[leaving] * d[k]
+                if here > best or (here == best and basis[k] > basis[leaving]):
+                    continue
+            leaving = k
         if leaving < 0:
             raise LPError("unbounded direction in a bounded-below phase-one problem")
 
         piv = d[leaving]
-        xb[leaving] = xb[leaving] / piv
-        binv[leaving] = [v / piv for v in binv[leaving]]
+        rowl, xl = binv[leaving], xb[leaving]
         for k in range(m):
-            if k != leaving and d[k] != 0:
+            if k != leaving:
                 f = d[k]
-                xb[k] -= f * xb[leaving]
-                rowl = binv[leaving]
-                rowk = binv[k]
-                binv[k] = [rowk[i] - f * rowl[i] for i in range(m)]
-        in_basis.discard(basis[leaving])
+                binv[k] = [(piv * a - f * c) // delta for a, c in zip(binv[k], rowl)]
+                xb[k] = (piv * xb[k] - f * xl) // delta
+        delta = piv
         basis[leaving] = entering
-        in_basis.add(entering)
+
+
+def _verify_solution(x, supports, b, delta):
+    """x >= 0 and sum_j x_j A_j = delta * b, all in scaled integers."""
+    acc = [0] * len(b)
+    for j, v in x.items():
+        if v < 0:
+            raise LPError("basic solution has a negative entry")
+        pos, neg, other = supports[j]
+        for i in pos:
+            acc[i] += v
+        for i in neg:
+            acc[i] -= v
+        for i, a in other:
+            acc[i] += v * a
+    if acc != [delta * v for v in b]:
+        raise LPError("basic solution does not satisfy A x = b")
+
+
+def _verify_certificate(y, supports, b):
+    """y.A_j <= 0 for every column and y.b > 0, in scaled integers."""
+    if any(_dot(y, support) > 0 for support in supports):
+        raise LPError("Farkas certificate is positive on a column")
+    if sum(a * c for a, c in zip(y, b)) <= 0:
+        raise LPError("Farkas certificate is not positive on the right-hand side")

@@ -460,10 +460,7 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
         if _shape(v) != shape:
             raise ValueError("vertex shape does not match the point's shape")
     target = [as_fraction(x) for x in _flatten(point)]
-    columns = [list(_flatten(v)) + [1] for v in vertices]
-    rhs = target + [ONE]
-
-    outcome = solve_feasibility(columns, rhs)
+    outcome = solve_feasibility([(*_flatten(v), 1) for v in vertices], target + [ONE])
     if isinstance(outcome, Feasible):
         terms = [(w, vertices[j]) for j, w in sorted(outcome.x.items())]
         decomposition = ConvexDecomposition(tuple(terms))
@@ -473,11 +470,9 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
             raise DecompositionError("feasible basis does not reproduce the point")
         return decomposition
     assert isinstance(outcome, Infeasible)
+    # solve_feasibility has checked y.(v, 1) <= 0 on every vertex v
     y = outcome.y
     cert = NotInHull(coefficients=y[:-1], offset=y[-1])
-    for v in vertices:
-        if cert.value_at(v) > 0:
-            raise DecompositionError("separating functional fails on a vertex")
     if cert.value_at(point) <= 0:
         raise DecompositionError("separating functional fails on the point")
     return cert

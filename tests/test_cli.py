@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -177,6 +178,49 @@ def test_ehrhart_btp_rejects_nonpositive_order(capsys, n):
     assert captured.err == "error: order must be positive\n"
 
 
+@pytest.mark.parametrize("argv", [["--polytope", "tsscpp3", "--tmax", "-1"],
+                                  ["--polytope", "btp", "--n", "3", "--tmax", "-2"],
+                                  ["--polytope", "tsscpp3", "--tmax", "-1", "--interpolate"]])
+def test_ehrhart_rejects_negative_tmax(capsys, argv):
+    code = main(["ehrhart"] + argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: dilation factor must be nonnegative\n"
+
+
+# stdout sha256 of `polytope membership --polytope tsscpp`, taken from the
+# Fraction simplex: the integer pivots must reach the same bases
+MEMBERSHIP_PINS = {
+    "n4-member": (
+        {"kind": "matrix", "n": 4, "entries": [["0", "1/2", "1/3", "1/6"], ["1/2", "-1/6", "1/3", "1/3"],
+                                               ["1/2", "1/2", "-1/6", "1/6"], ["0", "1/6", "1/2", "1/3"]]},
+        0, "1359f57e88f4782102e14e544d97f7fc6745c22f197bdde02e2ecc8222aae5e9"),
+    "n4-outside-passing": (
+        {"kind": "matrix", "n": 4, "entries": [["1/2", "0", "1/2", "0"], ["0", "1/2", "0", "1/2"],
+                                               ["1/2", "0", "0", "1/2"], ["0", "1/2", "1/2", "0"]]},
+        1, "5a6a33bbf89646d46c9794c60817dec36b1b824101bfadfa4366fe30502eb4b7"),
+    "n5-member": (
+        {"kind": "matrix", "n": 5, "entries": [["0", "2/7", "0", "4/7", "1/7"], ["0", "0", "6/7", "-3/7", "4/7"],
+                                               ["4/7", "1/7", "1/7", "2/7", "-1/7"],
+                                               ["3/7", "4/7", "-1/7", "4/7", "-3/7"], ["0", "0", "1/7", "0", "6/7"]]},
+        0, "70b6f964263944473bd1bfd2c3362080733e27835b7faa7f462c93bba737ecdc"),
+    "n5-nonmember": (
+        {"kind": "matrix", "n": 5, "entries": [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 1, -1, 0, 1],
+                                               [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]},
+        1, "bab5b9c0df73196a6b429c95e5b867a8d63b01c6ce7bdf962d518796a4019b87"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_PINS))
+def test_tsscpp_membership_output_is_pinned(tmp_path, capsys, name):
+    doc, expected_code, digest = MEMBERSHIP_PINS[name]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "polytope", "membership", "--polytope", "tsscpp", "--input", str(path))
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 MALFORMED_DOCUMENTS = {
     "zero-denominator": {"kind": "matrix", "n": 2, "entries": [["1/0", 0], [0, 1]]},
     "no-entries": {"kind": "matrix", "n": 2},
@@ -230,6 +274,14 @@ def test_check_tables_small(tmp_path, capsys):
     assert (tmp_path / "table1.csv").exists()
     content = (tmp_path / "table1.csv").read_text(encoding="utf-8")
     assert content.splitlines()[0] == "3,neg_ones,5,2"
+
+
+@pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+def test_check_tables_rejects_n_max_below_two(capsys, n_max):
+    code = main(["check", "--suite", "tables", "--n-max", n_max])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: n_max must be at least 2\n"
 
 
 def test_check_tables_selector(capsys):
