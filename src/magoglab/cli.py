@@ -183,16 +183,14 @@ def _ehrhart_degree(args) -> int:
     """Dimension of the polytope, hence the degree of its Ehrhart polynomial."""
     if args.polytope == "tsscpp3":
         return 4  # (n-1)^2 at n=3
-    if args.n is None:
-        raise ValidationFailure("btp requires the order n")
     return args.n * (args.n - 1) // 2
 
 
 def _cmd_ehrhart(args) -> int:
-    if args.tmax < 0:
-        raise ValidationFailure("dilation factor must be nonnegative")
     allow = _env_override()
     n = args.n
+    # every ceiling bounds t, so checking --tmax refuses before the first sample
+    polytope.check_dilate(args.polytope, args.tmax, n=n, allow_large=allow)
     degree = _ehrhart_degree(args) if args.interpolate else None
     if degree is not None and args.tmax < degree:
         raise ValidationFailure(f"--interpolate needs --tmax >= {degree}, the dimension of the polytope")

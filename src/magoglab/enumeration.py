@@ -7,14 +7,14 @@ gapless triangles (both at once) are paths through one graph whose nodes
 are triangle rows and whose edges are a window rule between consecutive
 rows (_next_rows); magog matrices, ASMs and gapless matrices come from
 their triangles by inverting the partial-sum map.  Boolean triangles are
-filled row by row under the diagonal partial-sum inequalities, and square
-sign matrices directly in row-major lexicographic order over entries.
+walked cell by cell under one diagonal rule on the column prefix sums
+(_boolean_moves), which also counts the btp dilates; square sign
+matrices are generated directly in row-major order over entries.
 
-Canonical orders: triangle-backed kinds stream in lexicographic order of
-the triangle read row 1 to row n, left to right; square sign matrices
-stream in row-major lexicographic order of entries with -1 < 0 < 1.
-Counts of the triangle-backed kinds are path counts over the row graph
-(the transfer-matrix method) and never enumerate.
+Canonical orders: triangles stream in lexicographic order read row 1 to
+row n, left to right; square sign matrices in row-major lexicographic
+order of entries with -1 < 0 < 1.  Counts of every kind but square sign
+matrices are path counts (the transfer-matrix method) and never enumerate.
 """
 
 from __future__ import annotations
@@ -140,43 +140,67 @@ def _count_triangle_rows(n: int, rule: str) -> int:
     return completions(())
 
 
-def _iter_boolean_triangle_rows(n: int) -> Iterator[tuple]:
-    """Boolean triangles in row-lex order.  Column prefix sums are carried
-    along so each (i,j)-inequality is checked as soon as its last entry is
-    placed; any valid prefix extends by zero rows, so no dead ends."""
-    if n == 1:
-        yield ()
-        return
-    rows: list[tuple[int, ...]] = []
+def _boolean_moves(n: int, t: int, i: int, c: int, pref: tuple) -> list:
+    """(v, next state) for each value v of cell (i, c), increasing, in a
+    boolean triangle of order n dilated by t.
 
-    def rec(i: int, colsum: dict):
-        if i > n - 1:
-            yield tuple(rows)
+    Cells are placed in row-major order; row i covers columns n-i..n-1.
+    The state ``pref`` holds the column prefix sums so far (pref[c] for
+    column c).  Entries lie in [0, t].  Once column c-1, which starts a
+    row later and sits left of c, has reached row i, the diagonal
+    inequality P_c(i) <= t + P_{c-1}(i) lowers the top to
+    t + P_{c-1} - P_c; that never falls below 0, so every prefix extends
+    by zeros and the walk has no dead ends.  In the last row no later
+    cell reads column c-1 again, so the next state drops it (sets it to
+    0), which merges states with the same completions.
+    """
+    s = pref[c]
+    if i <= n - c:
+        hi, head = t, pref[:c]
+    else:
+        hi = min(t, t + pref[c - 1] - s)
+        head = pref[:c - 1] + (0 if i == n - 1 else pref[c - 1],)
+    return [(v, head + (s + v,) + pref[c + 1:]) for v in range(hi + 1)]
+
+
+def _iter_boolean_rows(n: int) -> Iterator[tuple]:
+    """Boolean triangles in row-lex order: a depth-first walk of
+    _boolean_moves at t=1.  The cells of a row are expanded together, once
+    per state at the start of the row, into successor lists kept for this
+    call only."""
+    successors: dict[tuple, list] = {}
+
+    def walk(tri: tuple, pref: tuple):
+        i = len(tri) + 1
+        if i == n:
+            yield tri
             return
-        row: list[int] = []
+        nxt = successors.get((i, pref))
+        if nxt is None:
+            nxt = [((), pref)]
+            for c in range(n - i, n):
+                nxt = [(row + (v,), q) for row, p in nxt for v, q in _boolean_moves(n, 1, i, c, p)]
+            successors[(i, pref)] = nxt
+        for row, q in nxt:
+            yield from walk(tri + (row,), q)
 
-        def fill(k: int, cs: dict):
-            if k == i:
-                rows.append(tuple(row))
-                yield from rec(i + 1, cs)
-                rows.pop()
-                return
-            c = n - i + k
-            for v in (0, 1):
-                s = cs.get(c, 0) + v
-                # (i, n-c)-inequality once both columns c, c-1 reach row i;
-                # column c-1 was already filled through row i (it sits left)
-                if c >= 2 and i > n - c and s > 1 + cs.get(c - 1, 0):
-                    continue
-                ncs = dict(cs)
-                ncs[c] = s
-                row.append(v)
-                yield from fill(k + 1, ncs)
-                row.pop()
+    return walk((), (0,) * n)
 
-        yield from fill(0, colsum)
 
-    yield from rec(1, {})
+def _count_boolean_rows(n: int, t: int = 1) -> int:
+    """Integer points of the t-th dilate of the boolean triangle polytope
+    (at t=1 the length of _iter_boolean_rows(n)): the paths of
+    _boolean_moves counted per (cell, state), one cell at a time, so only
+    the states of the current cell are held."""
+    layer = {(0,) * n: 1}
+    for i in range(1, n):
+        for c in range(n - i, n):
+            nxt: dict[tuple, int] = {}
+            for pref, ways in layer.items():
+                for _, q in _boolean_moves(n, t, i, c, pref):
+                    nxt[q] = nxt.get(q, 0) + ways
+            layer = nxt
+    return sum(layer.values())
 
 
 def _iter_square_sign_rows(n: int, t: int = 1) -> Iterator[tuple]:
@@ -229,13 +253,9 @@ def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
     if kind == "square_sign":
         return _iter_square_sign_rows(n)
     if kind == "boolean_triangle":
-        return _iter_boolean_triangle_rows(n)
+        return _iter_boolean_rows(n)
     tris = _iter_triangle_rows(n, _TRIANGLE_RULES[kind])
     return tris if kind == "magog_triangle" else map(_triangle_to_matrix_rows, tris)
-
-
-def _iter_magog_matrix_rows(n: int) -> Iterator[tuple]:
-    return _raw_rows("magog_matrix", n)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +278,17 @@ def enumerate_objects(kind: str, n: int, ceiling: int = DEFAULT_CEILING):
 def count(kind: str, n: int, ceiling: int = DEFAULT_CEILING) -> int:
     """Stream length of enumerate_objects(kind, n).
 
-    The triangle-backed kinds are counted as row-graph paths without
-    enumerating; the other two kinds are enumerated.
+    The triangle-backed kinds are counted as row-graph paths and boolean
+    triangles as cell-state paths, without enumerating; only square sign
+    matrices are enumerated.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     _guard(n, ceiling)
     if kind in _TRIANGLE_RULES:
         return _count_triangle_rows(n, _TRIANGLE_RULES[kind])
+    if kind == "boolean_triangle":
+        return _count_boolean_rows(n)
     return sum(1 for _ in _raw_rows(kind, n))
 
 
@@ -368,7 +391,7 @@ def boundary_count(n: int, i: int, j: int, ceiling: int = DEFAULT_CEILING) -> in
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("position out of range")
     _guard(n, ceiling)
-    return sum(1 for rows in _iter_magog_matrix_rows(n) if rows[i - 1][j - 1] == 1)
+    return sum(1 for rows in _raw_rows("magog_matrix", n) if rows[i - 1][j - 1] == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,10 @@ from .core import (
 from .enumeration import (
     DEFAULT_CEILING,
     CeilingExceeded,
+    _count_boolean_rows,
     _guard,
-    _iter_boolean_triangle_rows,
-    _iter_magog_matrix_rows,
     _iter_square_sign_rows,
+    _raw_rows,
 )
 from .lp import Feasible, Infeasible, solve_feasibility
 
@@ -277,9 +277,9 @@ def verify_vertex_certificates(n: int, polytope: str = "tsscpp", ceiling: int = 
     candidates under the certificate its public constructor returns."""
     _guard(n, ceiling)
     if polytope == "tsscpp":
-        certs = [magog_separating_hyperplane(SignMatrix(n, rows)) for rows in _iter_magog_matrix_rows(n)]
+        certs = [magog_separating_hyperplane(SignMatrix(n, rows)) for rows in _raw_rows("magog_matrix", n)]
     elif polytope == "btp":
-        certs = [boolean_separating_hyperplane(BooleanTriangle(n, rows)) for rows in _iter_boolean_triangle_rows(n)]
+        certs = [boolean_separating_hyperplane(BooleanTriangle(n, rows)) for rows in _raw_rows("boolean_triangle", n)]
     else:
         raise ValueError("polytope must be 'tsscpp' or 'btp'")
     failures = []
@@ -599,18 +599,11 @@ BTP_DILATE_T_CEILING = 10
 TSSCPP3_DILATE_T_CEILING = 6
 
 
-def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_large: bool = False) -> int:
-    """Number of integer points in the t-th dilate.
-
-    'btp' counts integer triangles with entries in [0, t] satisfying the
-    scaled diagonal inequalities by column-ordered backtracking (each
-    column is pruned against the previously filled neighbour that bounds
-    it).  'tsscpp3' enumerates integer relaxation points of the scaled
-    3 x 3 system and keeps those that pass the LP oracle against the
-    vertex list; 'tsscpp' at n=4 is the same procedure over the 42-vertex
-    list, gated behind allow_large because the candidate space explodes
-    with t (no usable inequality description exists there).
-    """
+def check_dilate(polytope: str, t: int, n: int | None = None, allow_large: bool = False) -> int:
+    """The order of the polytope whose t-th dilate lattice_points_in_dilate
+    counts.  Raises what that call would raise for these arguments before
+    any counting; every ceiling is an upper bound on t, so a check at the
+    largest t clears the whole range 0..t."""
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
     if polytope == "btp":
@@ -620,56 +613,37 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_
             raise ValueError("order must be positive")
         if not allow_large and (n > BTP_DILATE_N_CEILING or t > BTP_DILATE_T_CEILING):
             raise CeilingExceeded(f"btp dilate ceiling is n<={BTP_DILATE_N_CEILING}, t<={BTP_DILATE_T_CEILING}")
-        return _btp_dilate_count(n, t)
+        return n
     if polytope in ("tsscpp3", "tsscpp"):
         if polytope == "tsscpp3" and n not in (None, 3):
             raise ValueError("tsscpp3 is fixed at order 3")
         order = 3 if n is None else n
-        if order == 3:
-            if not allow_large and t > TSSCPP3_DILATE_T_CEILING:
-                raise CeilingExceeded(f"tsscpp3 dilate ceiling is t<={TSSCPP3_DILATE_T_CEILING}")
-            return _tsscpp_dilate_count(3, t)
-        if order == 4:
-            if not allow_large:
-                raise CeilingExceeded("tsscpp dilates at n=4 are opt-in; pass allow_large")
-            return _tsscpp_dilate_count(4, t)
-        raise ValueError("tsscpp dilate counting supports n = 3 and (opt-in) n = 4")
+        if order not in (3, 4):
+            raise ValueError("tsscpp dilate counting supports n = 3 and (opt-in) n = 4")
+        if order == 4 and not allow_large:
+            raise CeilingExceeded("tsscpp dilates at n=4 are opt-in; pass allow_large")
+        if order == 3 and not allow_large and t > TSSCPP3_DILATE_T_CEILING:
+            raise CeilingExceeded(f"tsscpp3 dilate ceiling is t<={TSSCPP3_DILATE_T_CEILING}")
+        return order
     raise ValueError("polytope must be 'btp', 'tsscpp3', or 'tsscpp'")
 
 
-def _btp_dilate_count(n: int, t: int) -> int:
-    if n == 1:
-        return 1
-    memo: dict = {}
+def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_large: bool = False) -> int:
+    """Number of integer points in the t-th dilate.
 
-    def count_cols(c: int, left_profile: tuple) -> int:
-        if c == n:
-            return 1
-        key = (c, left_profile)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        profile: list[int] = []
-
-        def fill(idx: int, s: int):
-            nonlocal total
-            if idx == c:
-                total += count_cols(c + 1, tuple(profile))
-                return
-            hi = t
-            if idx > 0:
-                hi = min(hi, t + left_profile[idx - 1] - s)
-            for v in range(hi + 1):
-                profile.append(s + v)
-                fill(idx + 1, s + v)
-                profile.pop()
-
-        fill(0, 0)
-        memo[key] = total
-        return total
-
-    return count_cols(1, ())
+    'btp' counts integer triangles with entries in [0, t] satisfying the
+    scaled diagonal inequalities as paths of the boolean triangles'
+    cell-state walk at t, without listing them.  'tsscpp3' enumerates
+    integer relaxation points of the scaled 3 x 3 system and keeps those
+    that pass the LP oracle against the vertex list; 'tsscpp' at n=4 is
+    the same procedure over the 42-vertex list, gated behind allow_large
+    because the candidate space explodes with t (no usable inequality
+    description exists there).
+    """
+    order = check_dilate(polytope, t, n, allow_large)
+    if polytope == "btp":
+        return _count_boolean_rows(order, t)
+    return _tsscpp_dilate_count(order, t)
 
 
 def _tsscpp_dilate_count(n: int, t: int) -> int:
@@ -678,7 +652,7 @@ def _tsscpp_dilate_count(n: int, t: int) -> int:
     divided by t), then decided by the LP oracle."""
     if t == 0:
         return 1
-    vertices = list(_iter_magog_matrix_rows(n))
+    vertices = list(_raw_rows("magog_matrix", n))
     count = 0
     for cand in _iter_square_sign_rows(n, t):
         point = RationalMatrixPoint.from_rows(
@@ -936,7 +910,7 @@ def tsscpp3_vertex_audit() -> Tsscpp3AuditReport:
     ineqs = _audit_inequalities_3()
     sols = _basic_feasible_solutions(eqs, ineqs, dim_free=4)
 
-    magog3 = {tuple(Fraction(v) for row in rows for v in row) for rows in _iter_magog_matrix_rows(3)}
+    magog3 = {tuple(Fraction(v) for row in rows for v in row) for rows in _raw_rows("magog_matrix", 3)}
     matches = set(map(tuple, sols)) == magog3
 
     incidences = []

@@ -188,6 +188,34 @@ def test_ehrhart_rejects_negative_tmax(capsys, argv):
     assert captured.err == "error: dilation factor must be nonnegative\n"
 
 
+@pytest.mark.parametrize("argv", [["--polytope", "btp", "--n", "3", "--tmax", "11"],
+                                  ["--polytope", "tsscpp3", "--tmax", "7"]])
+def test_ehrhart_refuses_a_dilate_ceiling_before_any_sample(capsys, argv):
+    code = main(["ehrhart"] + argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "dilate ceiling" in captured.err
+
+
+# stdout sha256 of `enumerate --kind boolean-triangle --n k`, taken from the
+# row-by-row backtracker that the cell-state walk replaced
+BOOLEAN_STREAM_PINS = {
+    1: "647ec116fa1c523133ecce391e88189d72a8b9f6a9a4409eaca6678b57e39403",
+    2: "4404d0bb7a5f4d7cb8c32e64920e5890220889d6d64d863a5b2ad25b5c383158",
+    3: "6825a040753db9334304c2e1d071fc057f3c26ee885db00d6ef50f7390961727",
+    4: "d6cb740533feaf0831d572d5e07ab9c52f04c91fd3dd2f1da0adf5b1378cd89c",
+    5: "65aa80737c593b2d766e7959415b8d9bab1d971920684afd9116cb9015dfb731",
+    6: "82aad50e4ff61ac97ade09365fdfa5218bc3f7f8f7c2e9b2ba2fd8c3dc40b59d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BOOLEAN_STREAM_PINS))
+def test_boolean_triangle_stream_is_pinned(capsys, n):
+    code, out = run(capsys, "enumerate", "--kind", "boolean-triangle", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOOLEAN_STREAM_PINS[n]
+
+
 # stdout sha256 of `polytope membership --polytope tsscpp`, taken from the
 # Fraction simplex: the integer pivots must reach the same bases
 MEMBERSHIP_PINS = {

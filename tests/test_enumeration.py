@@ -149,7 +149,7 @@ TRIANGLE_KINDS = ("magog_triangle", "magog_matrix", "asm", "gapless")
 
 
 def test_count_matches_stream_length(family):
-    for kind in TRIANGLE_KINDS:
+    for kind in TRIANGLE_KINDS + ("boolean_triangle",):
         for n in range(1, 7):
             assert count(kind, n) == len(family(kind, n))
         assert count(kind, 7) == sum(1 for _ in enumerate_objects(kind, 7))
@@ -160,6 +160,8 @@ def test_path_count_matches_product_formula_through_12():
         expected = product_formula(n)
         for kind in ("magog_triangle", "magog_matrix", "asm"):
             assert count(kind, n, ceiling=12) == expected
+        if n <= 10:  # the cell-state count takes about 4 s at n=12
+            assert count("boolean_triangle", n, ceiling=10) == expected
 
 
 def test_triangle_streams_match_classified_square_sign(family):

@@ -497,8 +497,6 @@ def test_tsscpp3_vertex_audit():
     assert report.half_integer_relaxation_vertices_found
 
 
-@pytest.mark.skipif("MAGOGLAB_STRETCH" not in __import__("os").environ,
-                    reason="btp(5) dilate counts to t=10 take about 18 s; opt in via MAGOGLAB_STRETCH")
 def test_ehrhart_btp5_stretch():
     from magoglab import golden
     samples = [(t, lattice_points_in_dilate("btp", t, n=5, allow_large=True)) for t in range(11)]
