@@ -352,19 +352,6 @@ def _inv(rows) -> int:
     return total
 
 
-def _one_position_in_row(rows, i) -> int:
-    """1-based column of the unique one in row i (0-based); rows of a
-    square sign matrix have exactly one 1 in rows 1 and n."""
-    return rows[i].index(1) + 1
-
-
-def _one_position_in_col(rows, j) -> int:
-    for i in range(len(rows)):
-        if rows[i][j] == 1:
-            return i + 1
-    raise ValueError("column holds no 1")
-
-
 # ---------------------------------------------------------------------------
 # validators
 

@@ -6,19 +6,22 @@ monotone triangles (the partial-sum position triangles of ASMs) and the
 gapless triangles (both at once) are paths through one graph whose nodes
 are triangle rows and whose edges are a window rule between consecutive
 rows (_next_rows); magog matrices, ASMs and gapless matrices come from
-their triangles by inverting the partial-sum map.  Boolean triangles are
-walked cell by cell under one diagonal rule on the column prefix sums
-(_boolean_moves), which also counts the btp dilates; square sign
-matrices are generated directly in row-major order over entries.
+their triangles by inverting the partial-sum map.  Square sign matrices
+are paths through the same graph under the sign window, but stream
+directly in row-major order over entries.  Boolean triangles are walked
+cell by cell under one diagonal rule on the column prefix sums
+(_boolean_moves), which also counts the btp dilates.
 
 Canonical orders: triangles stream in lexicographic order read row 1 to
 row n, left to right; square sign matrices in row-major lexicographic
-order of entries with -1 < 0 < 1.  Counts of every kind but square sign
-matrices are path counts (the transfer-matrix method) and never enumerate.
+order of entries with -1 < 0 < 1.  Counts, statistics tables and
+boundary counts are path sums over these graphs (the transfer-matrix
+method) and never enumerate.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,10 +32,6 @@ from .core import (
     MagogTriangle,
     Permutation,
     SignMatrix,
-    _inv,
-    _neg_count,
-    _one_position_in_col,
-    _one_position_in_row,
     _triangle_to_matrix_rows,
     is_132_avoiding,
     max_negative_ones_bound,
@@ -71,14 +70,19 @@ def _next_rows(n: int, prev: tuple, rule: str) -> tuple:
     """Rows that may follow ``prev`` (one entry longer) in a triangle of
     order n, in lex order; ``prev == ()`` gives the possible first rows.
 
-    Rows increase strictly and leave room for the entries still to come.
-    The magog window adds v_k <= prev[k-2] + 1 (magog triangles, the
-    column-partial-sum triangles of magog matrices); the monotone window
-    adds prev[k-2] <= v_k <= prev[k-1] (monotone triangles, those of ASMs);
-    gapless applies both, so it yields the magog matrices that are ASMs.
+    Row i is the set of columns whose prefix sum is 1 after matrix row i,
+    and matrix row i is its indicator minus that of row i-1.  Rows
+    increase strictly and leave room for the entries still to come.  The
+    sign window v_k <= prev[k-1] says the matrix row's prefixes are >= 0
+    (square sign matrices); the magog window v_k <= prev[k-2] + 1 implies
+    it (magog triangles, the column-partial-sum triangles of magog
+    matrices); the monotone window adds prev[k-2] <= v_k to the sign
+    window (monotone triangles, those of ASMs); gapless applies both, so
+    it yields the magog matrices that are ASMs.
     """
     magog = rule in ("magog", "gapless")
     monotone = rule in ("monotone", "gapless")
+    upper = monotone or rule == "sign"
     r = len(prev) + 1
     out = []
     row: list[int] = []
@@ -93,7 +97,7 @@ def _next_rows(n: int, prev: tuple, rule: str) -> tuple:
                 hi = min(hi, prev[k - 2] + 1)
             if monotone:
                 lo = max(lo, prev[k - 2])
-        if monotone and k < r:
+        if upper and k < r:
             hi = min(hi, prev[k - 1])
         for v in range(lo, hi + 1):
             row.append(v)
@@ -123,21 +127,31 @@ def _iter_triangle_rows(n: int, rule: str) -> Iterator[tuple]:
     return walk((), ())
 
 
-def _count_triangle_rows(n: int, rule: str) -> int:
-    """Length of _iter_triangle_rows(n, rule) without walking it: the number
-    of paths from the empty row to row n, memoised per row for this call
-    (the transfer-matrix method)."""
-    paths: dict[tuple, int] = {}
+def _path_sums(n: int, rule: str, steps=()) -> tuple:
+    """The number of row-graph paths (n, rule), the length of
+    _iter_triangle_rows(n, rule), and for each step function those paths
+    counted by the sum of the function along them, as a dict value -> count.
 
-    def completions(prev: tuple) -> int:
-        if len(prev) == n:
-            return 1
-        hit = paths.get(prev)
-        if hit is None:
-            hit = paths[prev] = sum(completions(row) for row in _next_rows(n, prev, rule))
-        return hit
-
-    return completions(())
+    A forward pass (the transfer-matrix method): one layer maps each row to
+    the number of paths ending there and one such dict per step function,
+    and is pushed to the next row edge by edge, so only two layers are
+    held.  Every path ends at row 1..n."""
+    layer = {(): [1, *({0: 1} for _ in steps)]}
+    for i in range(1, n + 1):
+        nxt: dict[tuple, list] = {}
+        for prev, (ways, *tallies) in layer.items():
+            for row in _next_rows(n, prev, rule):
+                into = nxt.get(row)
+                if into is None:
+                    into = nxt[row] = [0, *({} for _ in steps)]
+                into[0] += ways
+                for k, step in enumerate(steps, 1):
+                    d, acc = step(n, i, prev, row), into[k]
+                    for v, c in tallies[k - 1].items():
+                        acc[v + d] = acc.get(v + d, 0) + c
+        layer = nxt
+    ((ways, *tallies),) = layer.values()
+    return ways, tallies
 
 
 def _boolean_moves(n: int, t: int, i: int, c: int, pref: tuple) -> list:
@@ -245,8 +259,10 @@ def _iter_square_sign_rows(n: int, t: int = 1) -> Iterator[tuple]:
     yield from mat_dfs(1)
 
 
-# the triangle-backed kinds and the row rule of their triangles
-_TRIANGLE_RULES = {"magog_triangle": "magog", "magog_matrix": "magog", "asm": "monotone", "gapless": "gapless"}
+# the kinds that are paths through the row graph and the rule of their
+# edges; square sign matrices stream in entry order instead
+_ROW_RULES = {"magog_triangle": "magog", "magog_matrix": "magog", "asm": "monotone", "gapless": "gapless",
+              "square_sign": "sign"}
 
 
 def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
@@ -254,7 +270,7 @@ def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
         return _iter_square_sign_rows(n)
     if kind == "boolean_triangle":
         return _iter_boolean_rows(n)
-    tris = _iter_triangle_rows(n, _TRIANGLE_RULES[kind])
+    tris = _iter_triangle_rows(n, _ROW_RULES[kind])
     return tris if kind == "magog_triangle" else map(_triangle_to_matrix_rows, tris)
 
 
@@ -276,20 +292,15 @@ def enumerate_objects(kind: str, n: int, ceiling: int = DEFAULT_CEILING):
 
 
 def count(kind: str, n: int, ceiling: int = DEFAULT_CEILING) -> int:
-    """Stream length of enumerate_objects(kind, n).
-
-    The triangle-backed kinds are counted as row-graph paths and boolean
-    triangles as cell-state paths, without enumerating; only square sign
-    matrices are enumerated.
-    """
+    """Stream length of enumerate_objects(kind, n), without enumerating:
+    boolean triangles are counted as cell-state paths and every other kind
+    (square sign matrices through the sign window) as row-graph paths."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     _guard(n, ceiling)
-    if kind in _TRIANGLE_RULES:
-        return _count_triangle_rows(n, _TRIANGLE_RULES[kind])
     if kind == "boolean_triangle":
         return _count_boolean_rows(n)
-    return sum(1 for _ in _raw_rows(kind, n))
+    return _path_sums(n, _ROW_RULES[kind])[0]
 
 
 def product_formula(n: int) -> int:
@@ -341,17 +352,30 @@ class DistributionTable:
         return self.counts[k] if 0 <= k < len(self.counts) else 0
 
 
-# each statistic from the rows and the object's inversion and -1 counts,
-# which distribution_bundle works out once per object and only on demand
-_STAT_VALUE = {
-    "neg_ones": lambda rows, inv, neg: neg,
-    "inv": lambda rows, inv, neg: inv,
-    "posinv": lambda rows, inv, neg: inv - neg,
-    "first_row_one": lambda rows, inv, neg: _one_position_in_row(rows, 0),
-    "first_col_one": lambda rows, inv, neg: _one_position_in_col(rows, 0),
-    "last_row_one": lambda rows, inv, neg: _one_position_in_row(rows, len(rows) - 1),
+def _inv_step(n: int, i: int, prev: tuple, row: tuple) -> int:
+    # each new entry a_ij pairs with the column prefixes right of j, which
+    # after row i-1 are the columns of prev right of j
+    return (sum(len(prev) - bisect.bisect(prev, j) for j in row if j not in prev)
+            - sum(len(prev) - bisect.bisect(prev, j) for j in prev if j not in row))
+
+
+def _neg_step(n: int, i: int, prev: tuple, row: tuple) -> int:
+    return sum(1 for j in prev if j not in row)
+
+
+# what each statistic adds along the edge from row i-1 (prev) to row i of a
+# row-graph path; column 1 never holds a -1, so its one sits where it
+# enters the row, and row n-1 misses from 1..n just the column of the last
+# matrix row's one
+_STAT_STEP = {
+    "neg_ones": _neg_step,
+    "inv": _inv_step,
+    "posinv": lambda n, i, prev, row: _inv_step(n, i, prev, row) - _neg_step(n, i, prev, row),
+    "first_row_one": lambda n, i, prev, row: row[0] if i == 1 else 0,
+    "first_col_one": lambda n, i, prev, row: i if row[0] == 1 and prev[:1] != (1,) else 0,
+    "last_row_one": lambda n, i, prev, row: n * (n + 1) // 2 - sum(prev) if i == n else 0,
 }
-STATISTICS = tuple(_STAT_VALUE)
+STATISTICS = tuple(_STAT_STEP)
 _TABLE_KINDS = ("magog_matrix", "asm", "square_sign")
 
 
@@ -362,25 +386,19 @@ def distribution(kind: str, statistic: str, n: int, ceiling: int = DEFAULT_CEILI
 
 def distribution_bundle(kind: str, n: int, statistics=STATISTICS,
                         ceiling: int = DEFAULT_CEILING) -> dict[str, DistributionTable]:
-    """All requested distributions from a single enumeration pass."""
+    """All requested distributions from one forward pass over the row
+    graph of the kind, without enumerating: every statistic is a sum of
+    steps along the path (_STAT_STEP)."""
     if kind not in _TABLE_KINDS:
         raise ValueError(f"distributions are defined for {', '.join(_TABLE_KINDS)}")
     for s in statistics:
         if s not in STATISTICS:
             raise ValueError(f"unknown statistic {s!r}; expected one of {STATISTICS}")
     _guard(n, ceiling)
-    acc: dict[str, dict[int, int]] = {s: {} for s in statistics}
-    tallies = [(tally, _STAT_VALUE[s]) for s, tally in acc.items()]
-    need_inv = "inv" in acc or "posinv" in acc
-    need_neg = "neg_ones" in acc or "posinv" in acc
-    for rows in _raw_rows(kind, n):
-        inv = _inv(rows) if need_inv else 0
-        neg = _neg_count(rows) if need_neg else 0
-        for tally, value in tallies:
-            v = value(rows, inv, neg)
-            tally[v] = tally.get(v, 0) + 1
+    stats = tuple(dict.fromkeys(statistics))
+    _, tallies = _path_sums(n, _ROW_RULES[kind], [_STAT_STEP[s] for s in stats])
     out = {}
-    for s, counts in acc.items():
+    for s, counts in zip(stats, tallies):
         lo, hi = min(counts), max(counts)
         out[s] = DistributionTable(kind, s, n, lo, tuple(counts.get(v, 0) for v in range(lo, hi + 1)))
     return out
@@ -391,7 +409,9 @@ def boundary_count(n: int, i: int, j: int, ceiling: int = DEFAULT_CEILING) -> in
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("position out of range")
     _guard(n, ceiling)
-    return sum(1 for rows in _raw_rows("magog_matrix", n) if rows[i - 1][j - 1] == 1)
+    # the paths on whose step to row i column j enters the row
+    _, (tally,) = _path_sums(n, "magog", [lambda n, r, prev, row: r == i and j in row and j not in prev])
+    return tally.get(1, 0)
 
 
 # ---------------------------------------------------------------------------

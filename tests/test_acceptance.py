@@ -70,7 +70,7 @@ def test_criterion_2_square_sign_count():
 
 def test_criterion_3_table_reproduction():
     t0 = time.monotonic()
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5, 6, 7):
         magog = distribution_bundle("magog_matrix", n)
         assert magog["neg_ones"].counts == golden.TABLE1[n]
         for stat in ("first_row_one", "first_col_one", "last_row_one"):
@@ -85,7 +85,7 @@ def test_criterion_3_table_reproduction():
         assert asm["inv"].counts == golden.TABLE6[n]["inv"]
     dt = time.monotonic() - t0
     assert dt < 120, f"table reproduction took {dt:.1f}s"
-    report(3, f"tables 1-6 rows n=3..6 reproduced exactly in {dt:.1f}s")
+    report(3, f"tables 1-6 rows n=3..7 reproduced exactly in {dt:.1f}s")
 
 
 def test_criterion_4_theorem_suite():

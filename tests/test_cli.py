@@ -312,6 +312,14 @@ def test_check_tables_rejects_n_max_below_two(capsys, n_max):
     assert captured.err == "error: n_max must be at least 2\n"
 
 
+def test_check_tables_1_to_6_through_order_7(capsys):
+    code, out = run(capsys, "check", "--suite", "tables", "--tables", "table1,table2,table3,table4,table5,table6",
+                    "--n-max", "7")
+    assert code == 0
+    assert "0 mismatch(es)" in out
+    assert any(ln.startswith("table1") and " n=7" in ln for ln in out.splitlines())
+
+
 def test_check_tables_selector(capsys):
     code, out = run(capsys, "check", "--suite", "tables", "--n-max", "4", "--tables", "table5")
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -22,6 +23,7 @@ from magoglab import (
     validate_boolean_triangle,
 )
 from magoglab import golden
+from magoglab.enumeration import STATISTICS
 
 
 def brute_force_boolean_triangles(n):
@@ -67,8 +69,8 @@ def test_product_formula_values():
 
 
 def test_square_sign_count_is_power_of_two():
-    for n in range(1, 6):
-        assert count("square_sign", n) == 2 ** (n * (n - 1) // 2)
+    for n in range(1, 12):
+        assert count("square_sign", n, ceiling=11) == 2 ** math.comb(n, 2)
 
 
 def test_enumerate_magog_3_matches_the_eight(family):
@@ -153,6 +155,8 @@ def test_count_matches_stream_length(family):
         for n in range(1, 7):
             assert count(kind, n) == len(family(kind, n))
         assert count(kind, 7) == sum(1 for _ in enumerate_objects(kind, 7))
+    for n in range(1, 7):
+        assert count("square_sign", n) == len(family("square_sign", n))
 
 
 def test_path_count_matches_product_formula_through_12():
@@ -213,13 +217,55 @@ def test_boundary_counts():
     assert boundary_count(4, 1, 2) == 7
 
 
-def test_bundle_computes_inv_once_per_object(monkeypatch):
+def enumerated_tally(kind, n):
+    """Independent oracle for distribution_bundle: every object's
+    statistics worked out from its entries, one object at a time."""
     from magoglab import enumeration
-    calls = []
-    inv = enumeration._inv
-    monkeypatch.setattr(enumeration, "_inv", lambda rows: calls.append(rows) or inv(rows))
-    distribution_bundle("magog_matrix", 4)
-    assert len(calls) == 42
+    from magoglab.core import _inv, _neg_count
+    values = {
+        "neg_ones": _neg_count,
+        "inv": _inv,
+        "posinv": lambda rows: _inv(rows) - _neg_count(rows),
+        "first_row_one": lambda rows: rows[0].index(1) + 1,
+        "first_col_one": lambda rows: [row[0] for row in rows].index(1) + 1,
+        "last_row_one": lambda rows: rows[-1].index(1) + 1,
+    }
+    tally = {s: {} for s in values}
+    for rows in enumeration._raw_rows(kind, n):
+        for s, value in values.items():
+            v = value(rows)
+            tally[s][v] = tally[s].get(v, 0) + 1
+    return tally
+
+
+def test_bundle_equals_the_enumerated_tally():
+    for kind in ("magog_matrix", "asm", "square_sign"):
+        for n in range(1, 7):
+            bundle = distribution_bundle(kind, n)
+            assert list(bundle) == list(STATISTICS)
+            for s, tally in enumerated_tally(kind, n).items():
+                assert dict(bundle[s].items()) == {v: tally.get(v, 0) for v in range(min(tally), max(tally) + 1)}
+
+
+def test_tables_and_counts_enumerate_nothing(monkeypatch):
+    from magoglab import core, enumeration
+
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    for name in ("_raw_rows", "_iter_triangle_rows", "_iter_square_sign_rows", "_iter_boolean_rows"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    for name in ("_inv", "_neg_count"):
+        monkeypatch.setattr(core, name, refuse)
+    for kind in ("magog_matrix", "asm", "square_sign"):
+        bundle = distribution_bundle(kind, 6)
+        assert list(bundle) == list(STATISTICS)
+        assert all(table.total() == count(kind, 6) for table in bundle.values())
+    assert bundle["neg_ones"].counts == (720, 4800, 10880, 10572, 4756, 964, 76)
+    assert theorem_suite(6).passed and conjecture_suite(6).passed
+    assert boundary_count(6, 3, 4) > 0
+    for kind in enumeration.KINDS:
+        assert count(kind, 6) > 0
 
 
 def test_boundary_counts_read_off_the_positional_tables():
@@ -233,6 +279,14 @@ def test_boundary_counts_read_off_the_positional_tables():
         for table in (first_row, first_col, last_row):
             assert table.get(table.start - 1) == 0
             assert table.get(table.start + len(table.counts)) == 0
+
+
+def test_boundary_count_at_every_position_against_enumeration(family):
+    for n in range(1, 6):
+        mats = [m.entries for m in family("magog_matrix", n)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert boundary_count(n, i, j) == sum(1 for rows in mats if rows[i - 1][j - 1] == 1)
 
 
 def test_square_sign_neg_ones_table():
@@ -315,6 +369,17 @@ def test_theorem_suite_small():
 def test_conjecture_suite_small():
     report = conjecture_suite(5)
     assert all(c.passed for c in report.checks)
+
+
+def test_conjecture_suite_through_11():
+    report = conjecture_suite(11, ceiling=11)
+    assert len(report.checks) == 36
+    assert report.passed, [c.line() for c in report.failures()]
+
+
+def test_theorem_suite_through_8():
+    report = theorem_suite(8)
+    assert report.passed, [c.line() for c in report.failures()]
 
 
 def test_distribution_rows_against_golden(family):
