@@ -127,28 +127,33 @@ def _iter_triangle_rows(n: int, rule: str) -> Iterator[tuple]:
     return walk((), ())
 
 
-def _path_sums(n: int, rule: str, steps=()) -> tuple:
+def _path_sums(n: int, rule: str, steps=(), width: int = 0) -> tuple:
     """The number of row-graph paths (n, rule), the length of
-    _iter_triangle_rows(n, rule), and for each step function those paths
-    counted by the sum of the function along them, as a dict value -> count.
+    _iter_triangle_rows(n, rule), and ``width`` tallies: each step function
+    step(n, i, prev, row) returns a tuple of values per edge, and tally k
+    counts the paths by the sum along them of the k-th of all those
+    values, as a dict value -> count.
 
     A forward pass (the transfer-matrix method): one layer maps each row to
-    the number of paths ending there and one such dict per step function,
-    and is pushed to the next row edge by edge, so only two layers are
-    held.  Every path ends at row 1..n."""
-    layer = {(): [1, *({0: 1} for _ in steps)]}
+    the number of paths ending there and one such dict per value, and is
+    pushed to the next row edge by edge, so only two layers are held.
+    Every path ends at row 1..n."""
+    layer = {(): [1, *({0: 1} for _ in range(width))]}
     for i in range(1, n + 1):
         nxt: dict[tuple, list] = {}
         for prev, (ways, *tallies) in layer.items():
             for row in _next_rows(n, prev, rule):
                 into = nxt.get(row)
                 if into is None:
-                    into = nxt[row] = [0, *({} for _ in steps)]
+                    into = nxt[row] = [0, *({} for _ in range(width))]
                 into[0] += ways
-                for k, step in enumerate(steps, 1):
-                    d, acc = step(n, i, prev, row), into[k]
-                    for v, c in tallies[k - 1].items():
-                        acc[v + d] = acc.get(v + d, 0) + c
+                k = 0
+                for step in steps:
+                    for d in step(n, i, prev, row):
+                        k += 1
+                        acc = into[k]
+                        for v, c in tallies[k - 1].items():
+                            acc[v + d] = acc.get(v + d, 0) + c
         layer = nxt
     ((ways, *tallies),) = layer.values()
     return ways, tallies
@@ -364,19 +369,33 @@ def _neg_step(n: int, i: int, prev: tuple, row: tuple) -> int:
 
 
 # what each statistic adds along the edge from row i-1 (prev) to row i of a
-# row-graph path; column 1 never holds a -1, so its one sits where it
-# enters the row, and row n-1 misses from 1..n just the column of the last
-# matrix row's one
+# row-graph path, as a 1-tuple; column 1 never holds a -1, so its one sits
+# where it enters the row, and row n-1 misses from 1..n just the column of
+# the last matrix row's one.  The inversion statistics share one step
+# (_inversion_step).
 _STAT_STEP = {
-    "neg_ones": _neg_step,
-    "inv": _inv_step,
-    "posinv": lambda n, i, prev, row: _inv_step(n, i, prev, row) - _neg_step(n, i, prev, row),
-    "first_row_one": lambda n, i, prev, row: row[0] if i == 1 else 0,
-    "first_col_one": lambda n, i, prev, row: i if row[0] == 1 and prev[:1] != (1,) else 0,
-    "last_row_one": lambda n, i, prev, row: n * (n + 1) // 2 - sum(prev) if i == n else 0,
+    "first_row_one": lambda n, i, prev, row: (row[0] if i == 1 else 0,),
+    "first_col_one": lambda n, i, prev, row: (i if row[0] == 1 and prev[:1] != (1,) else 0,),
+    "last_row_one": lambda n, i, prev, row: (n * (n + 1) // 2 - sum(prev) if i == n else 0,),
 }
-STATISTICS = tuple(_STAT_STEP)
+_INVERSION_STATS = ("inv", "neg_ones", "posinv")
+STATISTICS = ("neg_ones", "inv", "posinv", *_STAT_STEP)
 _TABLE_KINDS = ("magog_matrix", "asm", "square_sign")
+
+
+def _inversion_step(wanted):
+    """The step of the wanted inversion statistics, in _INVERSION_STATS
+    order: _inv_step and _neg_step each run at most once per edge, and
+    posinv is read off them as inv - neg."""
+    mask = [s in wanted for s in _INVERSION_STATS]
+    need_inv = mask[0] or mask[2]
+    need_neg = mask[1] or mask[2]
+
+    def step(n, i, prev, row):
+        inv = _inv_step(n, i, prev, row) if need_inv else 0
+        neg = _neg_step(n, i, prev, row) if need_neg else 0
+        return tuple(itertools.compress((inv, neg, inv - neg), mask))
+    return step
 
 
 def distribution(kind: str, statistic: str, n: int, ceiling: int = DEFAULT_CEILING) -> DistributionTable:
@@ -388,7 +407,7 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS,
                         ceiling: int = DEFAULT_CEILING) -> dict[str, DistributionTable]:
     """All requested distributions from one forward pass over the row
     graph of the kind, without enumerating: every statistic is a sum of
-    steps along the path (_STAT_STEP)."""
+    steps along the path (_STAT_STEP, _inversion_step)."""
     if kind not in _TABLE_KINDS:
         raise ValueError(f"distributions are defined for {', '.join(_TABLE_KINDS)}")
     for s in statistics:
@@ -396,9 +415,14 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS,
             raise ValueError(f"unknown statistic {s!r}; expected one of {STATISTICS}")
     _guard(n, ceiling)
     stats = tuple(dict.fromkeys(statistics))
-    _, tallies = _path_sums(n, _ROW_RULES[kind], [_STAT_STEP[s] for s in stats])
+    inversion = [s for s in _INVERSION_STATS if s in stats]
+    others = [s for s in stats if s in _STAT_STEP]
+    steps = ([_inversion_step(inversion)] if inversion else []) + [_STAT_STEP[s] for s in others]
+    _, tallies = _path_sums(n, _ROW_RULES[kind], steps, len(stats))
+    by_stat = dict(zip(inversion + others, tallies))
     out = {}
-    for s, counts in zip(stats, tallies):
+    for s in stats:
+        counts = by_stat[s]
         lo, hi = min(counts), max(counts)
         out[s] = DistributionTable(kind, s, n, lo, tuple(counts.get(v, 0) for v in range(lo, hi + 1)))
     return out
@@ -410,7 +434,7 @@ def boundary_count(n: int, i: int, j: int, ceiling: int = DEFAULT_CEILING) -> in
         raise ValueError("position out of range")
     _guard(n, ceiling)
     # the paths on whose step to row i column j enters the row
-    _, (tally,) = _path_sums(n, "magog", [lambda n, r, prev, row: r == i and j in row and j not in prev])
+    _, (tally,) = _path_sums(n, "magog", [lambda n, r, prev, row: (r == i and j in row and j not in prev,)], 1)
     return tally.get(1, 0)
 
 

@@ -1,14 +1,18 @@
-"""Exact-rational polytope computations for the two hulls studied here:
-the hull of the n x n magog matrices and the hull of the order-n boolean
-triangles.
+"""Exact polytope computations for the two hulls studied here: the hull
+of the n x n magog matrices and the hull of the order-n boolean triangles.
 
-Everything runs on Fractions; floats are rejected at the boundary.  The
+All arithmetic is exact.  Points and weights are Fractions, floats are
+rejected at the boundary, and the inner loops run over integers: the LP
+and the elimination scale their rows to integers, the facet audit keeps
+slacks in quarter units, and dilates are counted by integer filters.  The
 boolean-triangle hull has a complete inequality description (entry bounds
 plus the diagonal partial-sum inequalities), which makes membership a
-direct check and supports a constructive convex decomposition.  The magog
-hull has no known inequality description for n >= 4, so membership there
-is decided by an exact LP against the enumerated vertex list, with a
-Farkas functional returned as the non-membership certificate.
+direct check and supports a constructive convex decomposition.  The order-3
+magog hull has a six-inequality description, certified complete by
+tsscpp3_vertex_audit, which filters its dilates.  For n >= 4 no inequality
+description of the magog hull is known, so membership there is decided by
+an exact LP against the enumerated vertex list, with a Farkas functional
+returned as the non-membership certificate.
 """
 
 from __future__ import annotations
@@ -462,13 +466,13 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
     target = [as_fraction(x) for x in _flatten(point)]
     outcome = solve_feasibility([(*_flatten(v), 1) for v in vertices], target + [ONE])
     if isinstance(outcome, Feasible):
-        terms = [(w, vertices[j]) for j, w in sorted(outcome.x.items())]
-        decomposition = ConvexDecomposition(tuple(terms))
-        rebuilt = decomposition.reconstruct()
-        flat = tuple(v for row in rebuilt for v in row)
-        if flat != tuple(target):
-            raise DecompositionError("feasible basis does not reproduce the point")
-        return decomposition
+        # solve_feasibility has checked A x = b in integers, the convexity
+        # row included, so the weights reproduce the point
+        terms = tuple((w, vertices[j]) for j, w in sorted(outcome.x.items()))
+        try:
+            return ConvexDecomposition(terms)
+        except ValueError as exc:
+            raise DecompositionError(f"feasible basis is not a convex decomposition: {exc}") from exc
     assert isinstance(outcome, Infeasible)
     # solve_feasibility has checked y.(v, 1) <= 0 on every vertex v
     y = outcome.y
@@ -499,50 +503,57 @@ def btp_inequalities(n: int):
     return out
 
 
-def _slack(ineq, n, rows) -> Fraction:
+def _quarter_terms(n: int, ineq) -> tuple:
+    """The inequality's slack in quarter units, as (constant, terms): four
+    times the slack at a triangle with entries q/4 is constant plus the sum
+    of coefficient * q over the (cell, coefficient) terms."""
     kind = ineq[0]
     if kind == "lower":
         _, i, c = ineq
-        return rows[i - 1][c - (n - i)]
+        return 0, [((i, c), 1)]
     if kind == "upper":
         _, i, c = ineq
-        return ONE - rows[i - 1][c - (n - i)]
+        return 4, [((i, c), -1)]
+    # 1 + (column c-1, rows j+1..i) - (column c, rows j..i) >= 0
     _, i, j = ineq
     c = n - j
-    s_main = sum(rows[k - 1][c - (n - k)] for k in range(j, i + 1))
-    s_left = sum(rows[k - 1][(c - 1) - (n - k)] for k in range(j + 1, i + 1))
-    return ONE + s_left - s_main
+    return 4, [((k, c), -1) for k in range(j, i + 1)] + [((k, c - 1), 1) for k in range(j + 1, i + 1)]
+
+
+def _facet_bumps(n: int, ineq) -> dict:
+    """The cells of the inequality's witness that are not 1/2, as
+    {(i, c): value in quarters}: the tight cell and small bumps around it."""
+    bumps = {}
+    kind = ineq[0]
+    if kind == "lower":
+        _, i, c = ineq
+        bumps[(i, c)] = 0
+        if c + 1 <= n - 1:
+            bumps[(i, c + 1)] = 1
+    elif kind == "upper":
+        _, i, c = ineq
+        bumps[(i, c)] = 4
+        if c - 1 >= n - i:
+            bumps[(i, c - 1)] = 3
+        elif c >= 2:
+            # first entry of its row: column c-1 starts one row lower
+            bumps[(i + 1, c - 1)] = 3
+    else:
+        _, i, j = ineq
+        c = n - j
+        bumps[(j, c)] = 3
+        bumps[(i, c)] = 3
+        if i + 1 <= n - 1:
+            bumps[(i + 1, c)] = 1
+    return bumps
 
 
 def _facet_witness(n: int, ineq) -> tuple:
     """Interior-ish point tight exactly on the requested inequality: all
-    entries 1/2 except small bumps around the tight position."""
+    entries 1/2 except the bumps of _facet_bumps."""
     rows = [[HALF] * i for i in range(1, n)]
-
-    def put(i, c, v):
-        rows[i - 1][c - (n - i)] = v
-
-    kind = ineq[0]
-    if kind == "lower":
-        _, i, c = ineq
-        put(i, c, ZERO)
-        if c + 1 <= n - 1:
-            put(i, c + 1, Fraction(1, 4))
-    elif kind == "upper":
-        _, i, c = ineq
-        put(i, c, ONE)
-        if c - 1 >= n - i:
-            put(i, c - 1, Fraction(3, 4))
-        elif c >= 2:
-            # first entry of its row: column c-1 starts one row lower
-            put(i + 1, c - 1, Fraction(3, 4))
-    else:
-        _, i, j = ineq
-        c = n - j
-        put(j, c, Fraction(3, 4))
-        put(i, c, Fraction(3, 4))
-        if i + 1 <= n - 1:
-            put(i + 1, c, Fraction(1, 4))
+    for (i, c), q in _facet_bumps(n, ineq).items():
+        rows[i - 1][c - (n - i)] = Fraction(q, 4)
     return tuple(tuple(r) for r in rows)
 
 
@@ -563,31 +574,41 @@ class FacetAuditReport:
 
 def btp_facet_audit(n: int) -> FacetAuditReport:
     """Certify every defining inequality as a facet by exhibiting a point
-    of the hull tight on it and strictly slack on all the others."""
+    of the hull tight on it and strictly slack on all the others.
+
+    Slacks are integers in quarter units.  Those at the all-1/2 point are
+    computed once; a witness differs from it only in its few bumped cells,
+    so its slacks are the base ones plus the bumped cells' deltas on the
+    inequalities that contain them.  A failure names the first offending
+    inequality in btp_inequalities order."""
     if n < 2:
         raise ValueError("order must be at least 2")
     ineqs = btp_inequalities(n)
     expected = (n - 1) * (3 * n - 2) // 2
     if len(ineqs) != expected:
         raise DecompositionError("inequality count disagrees with (n-1)(3n-2)/2")
+    base = []
+    incidence: dict[tuple, list] = {}
+    for m, ineq in enumerate(ineqs):
+        const, terms = _quarter_terms(n, ineq)
+        base.append(const + sum(2 * coef for _, coef in terms))
+        for cell, coef in terms:
+            incidence.setdefault(cell, []).append((m, coef))
+    failing_at_base = [m for m, s in enumerate(base) if s <= 0]
     certified = 0
     failures = []
-    for ineq in ineqs:
-        witness = _facet_witness(n, ineq)
-        ok = True
-        for other in ineqs:
-            s = _slack(other, n, witness)
-            if other == ineq:
-                if s != 0:
-                    ok = False
-                    failures.append((ineq, "not-tight"))
-                    break
-            elif s <= 0:
-                ok = False
-                failures.append((ineq, "tie-or-violation", other))
-                break
-        if ok:
+    for own, ineq in enumerate(ineqs):
+        slack = {m: base[m] for m in failing_at_base}
+        slack[own] = base[own]
+        for cell, q in _facet_bumps(n, ineq).items():
+            for m, coef in incidence[cell]:
+                slack[m] = slack.get(m, base[m]) + coef * (q - 2)
+        bad = [m for m, s in slack.items() if (s != 0 if m == own else s <= 0)]
+        if not bad:
             certified += 1
+            continue
+        first = min(bad)
+        failures.append((ineq, "not-tight") if first == own else (ineq, "tie-or-violation", ineqs[first]))
     return FacetAuditReport(n, expected, certified, tuple(failures))
 
 
@@ -633,12 +654,13 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_
 
     'btp' counts integer triangles with entries in [0, t] satisfying the
     scaled diagonal inequalities as paths of the boolean triangles'
-    cell-state walk at t, without listing them.  'tsscpp3' enumerates
-    integer relaxation points of the scaled 3 x 3 system and keeps those
-    that pass the LP oracle against the vertex list; 'tsscpp' at n=4 is
-    the same procedure over the 42-vertex list, gated behind allow_large
-    because the candidate space explodes with t (no usable inequality
-    description exists there).
+    cell-state walk at t, without listing them.  'tsscpp3' enumerates the
+    integer points of the scaled 3 x 3 relaxation and keeps those that
+    satisfy the order-3 hull's six-inequality description scaled by t, in
+    integers and with no LP (tsscpp3_vertex_audit certifies that
+    description).  'tsscpp' at n=4 decides each candidate by the LP
+    oracle against the 42-vertex list, gated behind allow_large because
+    the candidate space explodes with t.
     """
     order = check_dilate(polytope, t, n, allow_large)
     if polytope == "btp":
@@ -647,9 +669,19 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_
 
 
 def _tsscpp_dilate_count(n: int, t: int) -> int:
-    """Candidates from the scaled relaxation, prefiltered through the
-    known necessary inequalities of the unit hull (applied to the point
-    divided by t), then decided by the LP oracle."""
+    """Candidates from the scaled relaxation.  At n=3 a candidate x counts
+    when row.x >= t*rhs for each of the six inequalities of
+    _audit_inequalities_3.  At n=4 it is prefiltered through the known
+    necessary inequalities of the unit hull (applied to the point divided
+    by t), then decided by the LP oracle."""
+    if n == 3:
+        scaled = [(row, t * rhs) for _, row, rhs in _audit_inequalities_3()]
+        count = 0
+        for cand in _iter_square_sign_rows(3, t):
+            flat = [v for row in cand for v in row]
+            if all(sum(a * x for a, x in zip(row, flat)) >= b for row, b in scaled):
+                count += 1
+        return count
     if t == 0:
         return 1
     vertices = list(_raw_rows("magog_matrix", n))
@@ -746,27 +778,42 @@ def ehrhart_interpolate(samples, degree: int | None = None) -> RationalPolynomia
 # exact linear algebra
 
 
+def _integer_row(row) -> list[int]:
+    """The row scaled by the lcm of its denominators."""
+    if all(type(v) is int for v in row):
+        return list(row)
+    row = [as_fraction(v) for v in row]
+    scale = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
 def _reduce(rows, cols: int) -> list[int]:
-    """Gauss-Jordan elimination, in place, over the first ``cols`` columns
-    of ``rows`` (lists of Fractions; later columns ride along).  Returns
-    the pivot columns; pivot row r ends up normalised with a one at
-    pivots[r].  Stops as soon as every row holds a pivot."""
+    """Fraction-free Gauss-Jordan elimination, in place, over the first
+    ``cols`` columns of ``rows`` (later columns ride along).  Each row is
+    first scaled to integers by the lcm of its denominators; a pivot p in
+    column c clears c from every other row as p*row - f*pivot_row, divided
+    by the gcd of its entries.  Returns the pivot columns: row r ends up
+    with a nonzero integer at pivots[r] and zero in every other pivot
+    column.  Stops as soon as every row holds a pivot."""
+    rows[:] = [_integer_row(r) for r in rows]
     m = len(rows)
     pivots: list[int] = []
     for c in range(cols):
         rank = len(pivots)
         if rank == m:
             break
-        piv = next((r for r in range(rank, m) if rows[r][c] != 0), None)
+        piv = next((r for r in range(rank, m) if rows[r][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [v / pv for v in rows[rank]]
+        prow = rows[rank]
+        p = prow[c]
         for r in range(m):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            f = rows[r][c]
+            if r != rank and f:
+                row = [p * a - f * b for a, b in zip(rows[r], prow)]
+                g = math.gcd(*row)
+                rows[r] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
     return pivots
 
@@ -774,19 +821,19 @@ def _reduce(rows, cols: int) -> list[int]:
 def _solve_square(aug) -> list[Fraction] | None:
     """Solve an augmented system with exactly as many unknowns as
     aug[0][:-1]; None when the solution is not unique or inconsistent."""
-    rows = [[as_fraction(v) for v in r] for r in aug]
+    rows = [list(r) for r in aug]
     cols = len(rows[0]) - 1
     rank = len(_reduce(rows, cols))
     if any(row[cols] != 0 for row in rows[rank:]):
         return None  # inconsistent
     if rank < cols:
         return None  # underdetermined
-    return [row[cols] for row in rows[:cols]]
+    return [Fraction(row[cols], row[r]) for r, row in enumerate(rows[:cols])]
 
 
 def affine_dimension(points) -> int:
     """Rank of the difference set {p - p0} under exact elimination."""
-    pts = [tuple(as_fraction(v) for v in _flatten(p)) for p in points]
+    pts = [[v if type(v) is int else as_fraction(v) for v in _flatten(p)] for p in points]
     if not pts:
         raise ValueError("need at least one point")
     base = pts[0]
@@ -802,15 +849,15 @@ def _eq_rows_3():
     """Row/column sum equalities of the 3x3 system, as coefficient rows."""
     eqs = []
     for i in range(3):
-        row = [ZERO] * 9
+        row = [0] * 9
         for j in range(3):
-            row[3 * i + j] = ONE
-        eqs.append((row, ONE))
+            row[3 * i + j] = 1
+        eqs.append((row, 1))
     for j in range(3):
-        row = [ZERO] * 9
+        row = [0] * 9
         for i in range(3):
-            row[3 * i + j] = ONE
-        eqs.append((row, ONE))
+            row[3 * i + j] = 1
+        eqs.append((row, 1))
     return eqs
 
 
@@ -818,21 +865,21 @@ def _audit_inequalities_3():
     """The six inequalities of the complete order-3 hull description:
     five entry nonnegativities and a_12 + a_21 + a_22 >= 1."""
     def unit(i, j):
-        row = [ZERO] * 9
-        row[3 * (i - 1) + (j - 1)] = ONE
+        row = [0] * 9
+        row[3 * (i - 1) + (j - 1)] = 1
         return row
 
     ineqs = [
-        ("a11>=0", unit(1, 1), ZERO),
-        ("a12>=0", unit(1, 2), ZERO),
-        ("a13>=0", unit(1, 3), ZERO),
-        ("a31>=0", unit(3, 1), ZERO),
-        ("a32>=0", unit(3, 2), ZERO),
+        ("a11>=0", unit(1, 1), 0),
+        ("a12>=0", unit(1, 2), 0),
+        ("a13>=0", unit(1, 3), 0),
+        ("a31>=0", unit(3, 1), 0),
+        ("a32>=0", unit(3, 2), 0),
     ]
-    hook = [ZERO] * 9
+    hook = [0] * 9
     for (i, j) in ((1, 2), (2, 1), (2, 2)):
-        hook[3 * (i - 1) + (j - 1)] = ONE
-    ineqs.append(("a12+a21+a22>=1", hook, ONE))
+        hook[3 * (i - 1) + (j - 1)] = 1
+    ineqs.append(("a12+a21+a22>=1", hook, 1))
     return ineqs
 
 
@@ -841,7 +888,7 @@ def _relaxation_inequalities_3():
     for rows 1..2, row prefixes >= 0 for columns 1..2, and the single
     (1,1)-special inequality."""
     def coeffs(pairs):
-        row = [ZERO] * 9
+        row = [0] * 9
         for (i, j), w in pairs:
             row[3 * (i - 1) + (j - 1)] += w
         return row
@@ -849,15 +896,15 @@ def _relaxation_inequalities_3():
     out = []
     for j in range(1, 4):
         for i in range(1, 3):
-            pref = [((i2, j), ONE) for i2 in range(1, i + 1)]
-            out.append((f"colpref({i},{j})>=0", coeffs(pref), ZERO))
-            out.append((f"colpref({i},{j})<=1", [-v for v in coeffs(pref)], -ONE))
+            pref = [((i2, j), 1) for i2 in range(1, i + 1)]
+            out.append((f"colpref({i},{j})>=0", coeffs(pref), 0))
+            out.append((f"colpref({i},{j})<=1", [-v for v in coeffs(pref)], -1))
     for i in range(1, 4):
         for j in range(1, 3):
-            pref = [((i, j2), ONE) for j2 in range(1, j + 1)]
-            out.append((f"rowpref({i},{j})>=0", coeffs(pref), ZERO))
-    special = coeffs([((2, 1), ONE), ((1, 2), ONE), ((2, 2), ONE), ((1, 1), -ONE)])
-    out.append(("special(1,1)>=0", special, ZERO))
+            pref = [((i, j2), 1) for j2 in range(1, j + 1)]
+            out.append((f"rowpref({i},{j})>=0", coeffs(pref), 0))
+    special = coeffs([((2, 1), 1), ((1, 2), 1), ((2, 2), 1), ((1, 1), -1)])
+    out.append(("special(1,1)>=0", special, 0))
     return out
 
 
@@ -882,6 +929,22 @@ def _basic_feasible_solutions(eqs, ineqs, dim_free: int):
     return list(found)
 
 
+def _is_bounded(eqs, ineqs) -> bool:
+    """{eqs hold, ineqs >= rhs} has no recession direction d != 0, that is
+    no d with eqs.d = 0 and ineqs.d >= 0.  The stacked rows have rank 9, so
+    such a d would leave some s_k = ineq_k.d > 0; after scaling to
+    sum s_k = 1, the LP over d = d+ - d- and s finds none."""
+    a = [row for row, _ in eqs]
+    g = [row for _, row, _ in ineqs]
+    if len(_reduce(a + g, 9)) != 9:
+        return False
+    columns = [[sign * r[j] for r in a + g] + [0] for sign in (1, -1) for j in range(9)]
+    for k in range(len(g)):
+        columns.append([0] * len(a) + [-1 if k2 == k else 0 for k2 in range(len(g))] + [1])
+    rhs = [0] * (len(a) + len(g)) + [1]
+    return isinstance(solve_feasibility(columns, rhs), Infeasible)
+
+
 @dataclass(frozen=True)
 class Tsscpp3AuditReport:
     vertices: tuple
@@ -889,10 +952,12 @@ class Tsscpp3AuditReport:
     facet_incidences: tuple  # (label, incident count, affine dimension)
     relaxation_vertex_count: int
     half_integer_relaxation_vertices_found: bool
+    bounded: bool
 
     @property
     def passed(self) -> bool:
-        return self.matches_magog3
+        # the system is the hull of its vertices only when it is bounded
+        return self.matches_magog3 and self.bounded
 
 
 HALF_INTEGER_RELAXATION_VERTICES = (
@@ -904,8 +969,9 @@ HALF_INTEGER_RELAXATION_VERTICES = (
 def tsscpp3_vertex_audit() -> Tsscpp3AuditReport:
     """Recover the order-3 hull's vertices from its six-inequality
     description by basic-solution enumeration, confirm they are exactly
-    the seven magog matrices, record facet incidence evidence, and verify
-    the weaker relaxation admits the two half-integer vertices."""
+    the seven magog matrices and that the description is bounded (so it is
+    their hull), record facet incidence evidence, and verify the weaker
+    relaxation admits the two half-integer vertices."""
     eqs = _eq_rows_3()
     ineqs = _audit_inequalities_3()
     sols = _basic_feasible_solutions(eqs, ineqs, dim_free=4)
@@ -931,4 +997,5 @@ def tsscpp3_vertex_audit() -> Tsscpp3AuditReport:
         facet_incidences=tuple(incidences),
         relaxation_vertex_count=len(relax),
         half_integer_relaxation_vertices_found=halves_found,
+        bounded=_is_bounded(eqs, ineqs),
     )

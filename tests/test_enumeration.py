@@ -268,6 +268,24 @@ def test_tables_and_counts_enumerate_nothing(monkeypatch):
         assert count(kind, 6) > 0
 
 
+def test_a_bundle_works_out_each_inversion_step_once_per_edge(monkeypatch):
+    from magoglab import enumeration
+
+    calls = {"_inv_step": 0, "_neg_step": 0}
+    for name in calls:
+        def counted(*args, real=getattr(enumeration, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(enumeration, name, counted)
+    distribution_bundle("magog_matrix", 6, ("inv",))
+    edges = calls["_inv_step"]
+    assert edges > 0 and calls["_neg_step"] == 0
+    calls.update(_inv_step=0, _neg_step=0)
+    full = distribution_bundle("magog_matrix", 6)
+    assert calls == {"_inv_step": edges, "_neg_step": edges}
+    assert full["posinv"].counts == distribution("magog_matrix", "posinv", 6).counts
+
+
 def test_boundary_counts_read_off_the_positional_tables():
     for n in range(1, 6):
         bundle = distribution_bundle("magog_matrix", n)

@@ -29,8 +29,21 @@ from magoglab import (
     validate_boolean_triangle,
     verify_vertex_certificates,
 )
+from magoglab import golden, lp, polytope
 from magoglab.enumeration import CeilingExceeded, _iter_square_sign_rows
-from magoglab.polytope import InterpolationError, as_fraction
+from magoglab.lp import Feasible, LPError
+from magoglab.polytope import (
+    DecompositionError,
+    InterpolationError,
+    _audit_inequalities_3,
+    _eq_rows_3,
+    _facet_witness,
+    _is_bounded,
+    _reduce,
+    _solve_square,
+    as_fraction,
+    btp_inequalities,
+)
 
 from conftest import random_membership_point
 
@@ -306,6 +319,24 @@ def test_lp_trivial_decomposition(family):
     assert outcome.terms == ((F(1), verts[17]),)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda x: {j: 2 * w for j, w in x.items()},
+    lambda x: {j: -w if j == min(x) else w for j, w in x.items()},
+])
+def test_corrupted_lp_solution_is_an_internal_error(family, monkeypatch, corrupt):
+    def solve(columns, rhs):
+        outcome = lp.solve_feasibility(columns, rhs)
+        assert isinstance(outcome, Feasible)
+        return Feasible(corrupt(outcome.x))
+
+    monkeypatch.setattr(polytope, "solve_feasibility", solve)
+    verts = family("magog_matrix", 4)
+    point = RationalMatrixPoint.from_rows(
+        [[F(a + b, 2) for a, b in zip(r, s)] for r, s in zip(verts[3].entries, verts[17].entries)])
+    with pytest.raises((LPError, DecompositionError)):
+        lp_membership(point, verts)
+
+
 def test_lp_dimension_mismatch():
     with pytest.raises(ValueError):
         lp_membership(RationalMatrixPoint.from_rows([[1, 0], [0, 1]]), [SignMatrix.identity(3)])
@@ -340,7 +371,6 @@ def test_facet_audit_all_orders_through_8():
 
 
 def test_facet_witness_matches_printed_examples():
-    from magoglab.polytope import _facet_witness
     w = _facet_witness(6, ("lower", 3, 4))
     assert w[2] == (F(1, 2), F(0), F(1, 4))
     w = _facet_witness(6, ("upper", 3, 4))
@@ -349,6 +379,77 @@ def test_facet_witness_matches_printed_examples():
     assert w[1] == (F(3, 4), F(1, 2))
     assert w[3] == (F(1, 2), F(1, 2), F(3, 4), F(1, 2))
     assert w[4] == (F(1, 2), F(1, 2), F(1, 2), F(1, 4), F(1, 2))
+
+
+def dense_slack(ineq, n, rows):
+    """Independent oracle: the slack of one inequality, summed in Fractions
+    over the whole witness."""
+    kind = ineq[0]
+    if kind == "lower":
+        _, i, c = ineq
+        return rows[i - 1][c - (n - i)]
+    if kind == "upper":
+        _, i, c = ineq
+        return 1 - rows[i - 1][c - (n - i)]
+    _, i, j = ineq
+    c = n - j
+    s_main = sum(rows[k - 1][c - (n - k)] for k in range(j, i + 1))
+    s_left = sum(rows[k - 1][(c - 1) - (n - k)] for k in range(j + 1, i + 1))
+    return 1 + s_left - s_main
+
+
+def dense_facet_failures(n):
+    """Every witness against every inequality, stopping at the first
+    offender in btp_inequalities order."""
+    ineqs = btp_inequalities(n)
+    failures = []
+    for ineq in ineqs:
+        witness = _facet_witness(n, ineq)
+        for other in ineqs:
+            s = dense_slack(other, n, witness)
+            if other == ineq and s != 0:
+                failures.append((ineq, "not-tight"))
+                break
+            if other != ineq and s <= 0:
+                failures.append((ineq, "tie-or-violation", other))
+                break
+    return tuple(failures)
+
+
+def test_sparse_facet_audit_agrees_with_the_dense_slacks():
+    for n in range(2, 9):
+        ineqs = btp_inequalities(n)
+        for ineq in ineqs:
+            witness = _facet_witness(n, ineq)
+            slacks = [dense_slack(other, n, witness) for other in ineqs]
+            assert [s == 0 for s in slacks] == [other == ineq for other in ineqs]
+            assert min(slacks) == 0
+        report = btp_facet_audit(n)
+        assert report.failures == dense_facet_failures(n) == ()
+        assert report.certified == len(ineqs)
+
+
+@pytest.mark.parametrize("target, cell, quarters, expected", [
+    # the diagonal witness's tight cell (4, 4) put back to 1/2 leaves its
+    # own inequality slack
+    (("diagonal", 4, 2), (4, 4), 2, (("diagonal", 4, 2), "not-tight")),
+    # raising the lower witness's neighbour to 1 ties its upper bound
+    (("lower", 3, 4), (3, 5), 4, (("lower", 3, 4), "tie-or-violation", ("upper", 3, 5))),
+])
+def test_facet_audit_reports_the_dense_failure_on_a_broken_witness(monkeypatch, target, cell, quarters, expected):
+    real = polytope._facet_bumps
+
+    def broken(n, ineq):
+        bumps = real(n, ineq)
+        if ineq == target:
+            bumps[cell] = quarters
+        return bumps
+
+    monkeypatch.setattr(polytope, "_facet_bumps", broken)
+    report = btp_facet_audit(6)
+    assert report.failures == dense_facet_failures(6) == (expected,)
+    assert report.certified == report.expected - 1
+    assert not report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +518,38 @@ def test_relaxation_walk_counts():
 
 def test_tsscpp3_dilate_counts():
     assert [lattice_points_in_dilate("tsscpp3", t) for t in range(3)] == [1, 7, 25]
+
+
+def test_tsscpp3_dilates_follow_the_golden_polynomial():
+    poly = RationalPolynomial(golden.TABLE7_EHRHART[3])
+    counts = [lattice_points_in_dilate("tsscpp3", t) for t in range(7)]
+    assert counts == [poly(t) for t in range(7)]
+    assert counts[6] == 462
+
+
+def test_tsscpp3_filter_agrees_with_the_lp(family):
+    # a candidate passes the six scaled inequalities exactly when the LP
+    # writes it (divided by t) as a convex combination of the 7 vertices
+    verts = family("magog_matrix", 3)
+    ineqs = _audit_inequalities_3()
+    for t in range(1, 4):
+        members = 0
+        for cand in _iter_square_sign_rows(3, t):
+            flat = [v for row in cand for v in row]
+            passes = all(sum(a * x for a, x in zip(row, flat)) >= t * rhs for _, row, rhs in ineqs)
+            point = RationalMatrixPoint.from_rows([[F(v, t) for v in row] for row in cand])
+            assert passes == isinstance(lp_membership(point, verts), ConvexDecomposition)
+            members += passes
+        assert members == lattice_points_in_dilate("tsscpp3", t)
+
+
+def test_tsscpp3_dilates_build_no_vertex_list_and_call_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the order-3 dilate count must not use this")
+
+    for name in ("_raw_rows", "lp_membership", "solve_feasibility", "check_necessary_inequalities"):
+        monkeypatch.setattr(polytope, name, refuse)
+    assert lattice_points_in_dilate("tsscpp3", 5) == 266
 
 
 def test_dilate_ceilings():
@@ -497,11 +630,35 @@ def test_tsscpp3_vertex_audit():
     assert report.half_integer_relaxation_vertices_found
 
 
+def test_tsscpp3_audit_certifies_boundedness():
+    report = tsscpp3_vertex_audit()
+    assert report.bounded and report.passed
+    eqs, ineqs = _eq_rows_3(), _audit_inequalities_3()
+    # every five of the six inequalities leave a recession direction, which
+    # the LP finds (the stacked rows still have rank 9)
+    for k in range(6):
+        rest = ineqs[:k] + ineqs[k + 1:]
+        assert len(_reduce([r for r, _ in eqs] + [r for _, r, _ in rest], 9)) == 9
+        assert not _is_bounded(eqs, rest)
+    # with two inequalities the rank test alone fails
+    assert not _is_bounded(eqs, ineqs[:2])
+
+
 def test_ehrhart_btp5_stretch():
     from magoglab import golden
     samples = [(t, lattice_points_in_dilate("btp", t, n=5, allow_large=True)) for t in range(11)]
     poly = ehrhart_interpolate(samples)
     assert poly.coefficients == golden.TABLE9_EHRHART[5]
+
+
+def test_elimination_runs_over_integers():
+    rows = [[F(1, 2), F(1, 3), F(5, 6)], [F(2), F(-1, 4), F(7, 4)]]
+    assert _reduce(rows, 2) == [0, 1]
+    assert all(type(v) is int for row in rows for v in row)
+    assert [F(row[2], row[k]) for k, row in enumerate(rows)] == [1, 1]
+    assert _solve_square([[F(1, 2), F(1, 3), F(5, 6)], [2, F(-1, 4), F(7, 4)]]) == [1, 1]
+    assert _solve_square([[1, 1, 1], [2, 2, 3]]) is None
+    assert _solve_square([[1, 1, 2], [2, 2, 4]]) is None
 
 
 def test_affine_dimension_values(family):
