@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain validation failure (bad object, point
-outside a polytope, failed check), 2 I/O or parse error, 3 internal
-assertion failure.  MAGOGLAB_CEILING_OVERRIDE=1 unlocks the large-n
-resource guards.
+outside a polytope, failed check, work above CEILINGS), 2 I/O or parse
+error, 3 internal error (any unexpected exception).  The CLI refuses work
+above that one table before it writes to stdout, and
+MAGOGLAB_CEILING_OVERRIDE=1 lifts it; library functions have no ceilings.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from fractions import Fraction
 
 from . import enumeration, golden, polytope, serialize
 from .core import SignMatrix, ValidationFailure, classify, magog_triangle_to_matrix, matrix_to_magog_triangle
-from .enumeration import CeilingExceeded, DEFAULT_CEILING
-from .lp import LPError
-from .polytope import DecompositionError
+from .enumeration import CeilingExceeded
 
 KIND_FLAGS = {
     "magog-matrix": "magog_matrix",
@@ -39,12 +38,32 @@ STAT_FLAGS = {
 }
 
 
-def _env_override() -> bool:
-    return os.environ.get("MAGOGLAB_CEILING_OVERRIDE", "") not in ("", "0")
+# The largest n, n_max and tmax each command accepts: about the most that
+# finishes in a minute and 1 GiB on 2 cores, save for a stream, whose output
+# is the work (10.9M lines, 268M for square-sign, at n=8).  Commands sized by
+# their input file and the tables suite (bounded by its golden data) have none.
+CEILINGS = {
+    "enumerate": {"n": 8},
+    "enumerate --count": {"n": 14},
+    "stats": {"n": 13},
+    "polytope membership --polytope tsscpp": {"n": 7},
+    "polytope certify": {"n": 6},
+    "polytope facets": {"n": 300},
+    "ehrhart --polytope btp": {"n": 6, "tmax": 12},
+    "ehrhart --polytope tsscpp3": {"tmax": 32},
+    "check --suite theorems": {"n_max": 11},
+    "check --suite conjectures": {"n_max": 13},
+}
 
 
-def _ceiling() -> int:
-    return 64 if _env_override() else DEFAULT_CEILING
+def _check_ceiling(command: str, **values: int) -> None:
+    """Raise CeilingExceeded when a value lies above the command's CEILINGS
+    entry, unless MAGOGLAB_CEILING_OVERRIDE=1 (read nowhere else)."""
+    limits = CEILINGS[command]
+    if os.environ.get("MAGOGLAB_CEILING_OVERRIDE", "") in ("", "0") and any(
+            values[key] > limit for key, limit in limits.items()):
+        accepted = ", ".join(f"{key} <= {limit}" for key, limit in limits.items())
+        raise CeilingExceeded(f"{command} accepts {accepted}; MAGOGLAB_CEILING_OVERRIDE=1 lifts the ceiling")
 
 
 def _emit(text: str):
@@ -54,9 +73,11 @@ def _emit(text: str):
 def _cmd_enumerate(args) -> int:
     kind = KIND_FLAGS[args.kind]
     if args.count:
-        _emit(str(enumeration.count(kind, args.n, ceiling=_ceiling())))
+        _check_ceiling("enumerate --count", n=args.n)
+        _emit(str(enumeration.count(kind, args.n)))
         return 0
-    for obj in enumeration.enumerate_objects(kind, args.n, ceiling=_ceiling()):
+    _check_ceiling("enumerate", n=args.n)
+    for obj in enumeration.enumerate_objects(kind, args.n):
         _emit(serialize.dumps(obj))
     return 0
 
@@ -64,7 +85,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_stats(args) -> int:
     kind = "magog_matrix" if args.kind == "magog" else "asm"
     stat = STAT_FLAGS[args.stat]
-    table = enumeration.distribution(kind, stat, args.n, ceiling=_ceiling())
+    _check_ceiling("stats", n=args.n)
+    table = enumeration.distribution(kind, stat, args.n)
     if args.format == "csv":
         for value, count in table.items():
             _emit(f"{value},{count}")
@@ -119,40 +141,35 @@ def _load_matrix_point(path) -> polytope.RationalMatrixPoint:
     raise ValidationFailure("expected a matrix-shaped document")
 
 
+def _emit_violations(report) -> int:
+    violations = [[cid, list(idx)] for cid, idx in report.violations]
+    _emit(json.dumps({"member": False, "violations": violations}, separators=(",", ":")))
+    return 1
+
+
 def _cmd_polytope(args) -> int:
+    if args.action in ("decompose", "facets") and args.polytope != "btp":
+        raise ValidationFailure(f"polytope {args.action} supports only --polytope btp")
+    if args.action in ("membership", "decompose") and args.input is None:
+        raise ValidationFailure(f"{args.action} requires --input")
     if args.action == "membership":
-        if args.input is None:
-            raise ValidationFailure("membership requires --input")
         if args.polytope == "btp":
-            point = _load_triangle_point(args.input)
-            report = polytope.btp_contains(point)
+            report = polytope.btp_contains(_load_triangle_point(args.input))
             if report.valid:
                 _emit(json.dumps({"member": True}, separators=(",", ":")))
                 return 0
-            _emit(json.dumps({
-                "member": False,
-                "violations": [[cid, list(idx)] for cid, idx in report.violations],
-            }, separators=(",", ":")))
-            return 1
+            return _emit_violations(report)
         point = _load_matrix_point(args.input)
-        vertices = list(enumeration.enumerate_objects("magog_matrix", point.n, ceiling=_ceiling()))
+        _check_ceiling("polytope membership --polytope tsscpp", n=point.n)
+        vertices = list(enumeration.enumerate_objects("magog_matrix", point.n))
         outcome = polytope.lp_membership(point, vertices)
-        if isinstance(outcome, polytope.ConvexDecomposition):
-            _emit(serialize.dumps(outcome))
-            return 0
         _emit(serialize.dumps(outcome))
-        return 1
+        return 0 if isinstance(outcome, polytope.ConvexDecomposition) else 1
     if args.action == "decompose":
-        if args.input is None:
-            raise ValidationFailure("decompose requires --input")
         point = _load_triangle_point(args.input)
         report = polytope.btp_contains(point)
         if not report.valid:
-            _emit(json.dumps({
-                "member": False,
-                "violations": [[cid, list(idx)] for cid, idx in report.violations],
-            }, separators=(",", ":")))
-            return 1
+            return _emit_violations(report)
         if args.step:
             step = polytope.btp_split(point)
             total = step.step_up + step.step_down
@@ -168,35 +185,27 @@ def _cmd_polytope(args) -> int:
             return 0
         _emit(serialize.dumps(polytope.btp_decompose(point)))
         return 0
+    _check_ceiling(f"polytope {args.action}", n=args.n)
     if args.action == "certify":
-        report = polytope.verify_vertex_certificates(args.n, args.polytope, ceiling=_ceiling())
-        _emit(report.line())
-        return 0 if report.passed else 1
-    if args.action == "facets":
+        report = polytope.verify_vertex_certificates(args.n, args.polytope)
+    else:
         report = polytope.btp_facet_audit(args.n)
-        _emit(report.line())
-        return 0 if report.passed else 1
-    raise ValidationFailure(f"unknown polytope action {args.action!r}")
-
-
-def _ehrhart_degree(args) -> int:
-    """Dimension of the polytope, hence the degree of its Ehrhart polynomial."""
-    if args.polytope == "tsscpp3":
-        return 4  # (n-1)^2 at n=3
-    return args.n * (args.n - 1) // 2
+    _emit(report.line())
+    return 0 if report.passed else 1
 
 
 def _cmd_ehrhart(args) -> int:
-    allow = _env_override()
     n = args.n
-    # every ceiling bounds t, so checking --tmax refuses before the first sample
-    polytope.check_dilate(args.polytope, args.tmax, n=n, allow_large=allow)
-    degree = _ehrhart_degree(args) if args.interpolate else None
+    # checking --tmax refuses before the first sample
+    polytope.check_dilate(args.polytope, args.tmax, n=n)
+    _check_ceiling(f"ehrhart --polytope {args.polytope}", n=n, tmax=args.tmax)
+    # the degree of the Ehrhart polynomial is the dimension, (n-1)^2 = 4 for tsscpp3
+    degree = (4 if args.polytope == "tsscpp3" else n * (n - 1) // 2) if args.interpolate else None
     if degree is not None and args.tmax < degree:
         raise ValidationFailure(f"--interpolate needs --tmax >= {degree}, the dimension of the polytope")
     samples = []
     for t in range(args.tmax + 1):
-        c = polytope.lattice_points_in_dilate(args.polytope, t, n=n, allow_large=allow)
+        c = polytope.lattice_points_in_dilate(args.polytope, t, n=n)
         samples.append((t, c))
         _emit(f"{t},{c}")
     if args.interpolate:
@@ -212,8 +221,6 @@ def _cmd_ehrhart(args) -> int:
 
 def _table_rows(n_max: int, wanted: set | None = None):
     """Computed-vs-golden cell stream for the reproduction report."""
-    ceiling = _ceiling()
-
     def want(*tables):
         return wanted is None or any(t in wanted for t in tables)
 
@@ -221,34 +228,30 @@ def _table_rows(n_max: int, wanted: set | None = None):
         if n not in golden.TABLE1:
             continue
         if want("table1", "table3", "table5"):
-            bundle = enumeration.distribution_bundle("magog_matrix", n, ceiling=ceiling)
+            bundle = enumeration.distribution_bundle("magog_matrix", n)
             yield ("table1", n, "neg_ones", bundle["neg_ones"].counts, golden.TABLE1[n])
             for stat in ("first_row_one", "first_col_one", "last_row_one"):
                 yield ("table3", n, stat, bundle[stat].counts, golden.TABLE3[n][stat])
             yield ("table5", n, "posinv", bundle["posinv"].counts, golden.TABLE5[n]["posinv"])
             yield ("table5", n, "inv", bundle["inv"].counts, golden.TABLE5[n]["inv"])
         if want("table2", "table4", "table6"):
-            asm = enumeration.distribution_bundle("asm", n, ceiling=ceiling)
+            asm = enumeration.distribution_bundle("asm", n)
             yield ("table2", n, "neg_ones", asm["neg_ones"].counts, golden.TABLE2[n])
             for stat in ("first_row_one", "first_col_one", "last_row_one"):
                 yield ("table4", n, stat, asm[stat].counts, golden.TABLE4[n])
             yield ("table6", n, "posinv", asm["posinv"].counts, golden.TABLE6[n]["posinv"])
             yield ("table6", n, "inv", asm["inv"].counts, golden.TABLE6[n]["inv"])
+    hulls = (("table7", "magog_matrix", golden.TABLE7_DIMENSION, golden.TABLE7_VERTICES),
+             ("table8", "asm", golden.TABLE8_DIMENSION, golden.TABLE8_VERTICES),
+             ("table9", "boolean_triangle", golden.TABLE9_DIMENSION, golden.TABLE9_VERTICES))
     for n in range(2, min(n_max, 5) + 1):
-        if want("table7"):
-            mats = list(enumeration.enumerate_objects("magog_matrix", n, ceiling=ceiling))
-            yield ("table7", n, "dimension", polytope.affine_dimension(mats), golden.TABLE7_DIMENSION[n])
-            yield ("table7", n, "vertices", len(mats), golden.TABLE7_VERTICES[n])
-        if want("table8"):
-            asms = list(enumeration.enumerate_objects("asm", n, ceiling=ceiling))
-            yield ("table8", n, "dimension", polytope.affine_dimension(asms), golden.TABLE8_DIMENSION[n])
-            yield ("table8", n, "vertices", len(asms), golden.TABLE8_VERTICES[n])
-        if want("table9"):
-            tris = list(enumeration.enumerate_objects("boolean_triangle", n, ceiling=ceiling))
-            yield ("table9", n, "dimension", polytope.affine_dimension(tris), golden.TABLE9_DIMENSION[n])
-            yield ("table9", n, "vertices", len(tris), golden.TABLE9_VERTICES[n])
-            if n in golden.TABLE9_FACETS:
-                yield ("table9", n, "facets", polytope.btp_facet_audit(n).certified, golden.TABLE9_FACETS[n])
+        for table, kind, dimension, vertices in hulls:
+            if want(table):
+                objs = list(enumeration.enumerate_objects(kind, n))
+                yield (table, n, "dimension", polytope.affine_dimension(objs), dimension[n])
+                yield (table, n, "vertices", len(objs), vertices[n])
+        if want("table9") and n in golden.TABLE9_FACETS:
+            yield ("table9", n, "facets", polytope.btp_facet_audit(n).certified, golden.TABLE9_FACETS[n])
     if want("table9"):
         for n in (2, 3, 4):
             if n > n_max or n not in golden.TABLE9_EHRHART:
@@ -268,12 +271,14 @@ def _table_rows(n_max: int, wanted: set | None = None):
 
 def _cmd_check(args) -> int:
     if args.suite == "theorems":
-        report = enumeration.theorem_suite(args.n_max, ceiling=_ceiling())
+        _check_ceiling("check --suite theorems", n_max=args.n_max)
+        report = enumeration.theorem_suite(args.n_max)
         for line in report.lines():
             _emit(line)
         return 0 if report.passed else 1
     if args.suite == "conjectures":
-        report = enumeration.conjecture_suite(args.n_max, ceiling=_ceiling())
+        _check_ceiling("check --suite conjectures", n_max=args.n_max)
+        report = enumeration.conjecture_suite(args.n_max)
         for check in report.checks:
             mark = "agrees" if check.passed else "DISAGREES"
             _emit(f"[{mark}] n={check.n} {check.claim}: conjectured {check.expected}, computed {check.computed}")
@@ -293,16 +298,11 @@ def _cmd_check(args) -> int:
     for table, n, label, computed, expected in _table_rows(args.n_max, wanted):
         if wanted is not None and table not in wanted:
             continue
-        comp = tuple(computed) if isinstance(computed, tuple) else computed
-        exp = tuple(expected) if isinstance(expected, tuple) else expected
-        ok = comp == exp
+        ok = computed == expected
         if not ok:
             mismatches += 1
-        _emit(f"{table} n={n} {label}: {'ok' if ok else f'MISMATCH computed={comp} golden={exp}'}")
-        if isinstance(comp, tuple):
-            cells = ",".join(str(v) for v in comp)
-        else:
-            cells = str(comp)
+        _emit(f"{table} n={n} {label}: {'ok' if ok else f'MISMATCH computed={computed} golden={expected}'}")
+        cells = ",".join(map(str, computed)) if isinstance(computed, tuple) else str(computed)
         out_rows.setdefault(table, []).append(f"{n},{label},{cells}")
     not_computed = ("f-vector interior entries", "diameter", "starred volumes",
                     "tsscpp ehrhart for n>=4", "btp ehrhart for n>=5")
@@ -376,15 +376,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DecompositionError, LPError, AssertionError) as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
-        return 3
     except (OSError, json.JSONDecodeError, serialize.DocumentError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except (ValidationFailure, CeilingExceeded, ValueError, TypeError) as exc:
+    except (ValidationFailure, CeilingExceeded, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except Exception as exc:
+        # the CLI hands the library only ints and Fractions, so anything
+        # else (a TypeError included) is a bug, not bad input
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -39,8 +39,6 @@ from .core import (
     classify,
 )
 
-DEFAULT_CEILING = 8
-
 KINDS = (
     "magog_triangle",
     "magog_matrix",
@@ -52,14 +50,12 @@ KINDS = (
 
 
 class CeilingExceeded(RuntimeError):
-    """Requested order lies above the configured resource ceiling."""
+    """Raised by the CLI for work above its ceiling table; the library has none."""
 
 
-def _guard(n: int, ceiling: int):
+def _guard(n: int):
     if n < 1:
         raise ValueError("order must be positive")
-    if n > ceiling:
-        raise CeilingExceeded(f"n={n} exceeds ceiling {ceiling}; raise the ceiling to proceed")
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +279,11 @@ def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
 # public streaming interface
 
 
-def enumerate_objects(kind: str, n: int, ceiling: int = DEFAULT_CEILING):
+def enumerate_objects(kind: str, n: int):
     """Stream every object of the family exactly once, in canonical order."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    _guard(n, ceiling)
+    _guard(n)
     raw = _raw_rows(kind, n)
     if kind == "magog_triangle":
         return (MagogTriangle(n, t) for t in raw)
@@ -296,13 +292,13 @@ def enumerate_objects(kind: str, n: int, ceiling: int = DEFAULT_CEILING):
     return (SignMatrix(n, t) for t in raw)
 
 
-def count(kind: str, n: int, ceiling: int = DEFAULT_CEILING) -> int:
+def count(kind: str, n: int) -> int:
     """Stream length of enumerate_objects(kind, n), without enumerating:
     boolean triangles are counted as cell-state paths and every other kind
     (square sign matrices through the sign window) as row-graph paths."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    _guard(n, ceiling)
+    _guard(n)
     if kind == "boolean_triangle":
         return _count_boolean_rows(n)
     return _path_sums(n, _ROW_RULES[kind])[0]
@@ -398,13 +394,12 @@ def _inversion_step(wanted):
     return step
 
 
-def distribution(kind: str, statistic: str, n: int, ceiling: int = DEFAULT_CEILING) -> DistributionTable:
+def distribution(kind: str, statistic: str, n: int) -> DistributionTable:
     """Distribution of a statistic over magog matrices, ASMs or square sign matrices."""
-    return distribution_bundle(kind, n, (statistic,), ceiling)[statistic]
+    return distribution_bundle(kind, n, (statistic,))[statistic]
 
 
-def distribution_bundle(kind: str, n: int, statistics=STATISTICS,
-                        ceiling: int = DEFAULT_CEILING) -> dict[str, DistributionTable]:
+def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, DistributionTable]:
     """All requested distributions from one forward pass over the row
     graph of the kind, without enumerating: every statistic is a sum of
     steps along the path (_STAT_STEP, _inversion_step)."""
@@ -413,7 +408,7 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS,
     for s in statistics:
         if s not in STATISTICS:
             raise ValueError(f"unknown statistic {s!r}; expected one of {STATISTICS}")
-    _guard(n, ceiling)
+    _guard(n)
     stats = tuple(dict.fromkeys(statistics))
     inversion = [s for s in _INVERSION_STATS if s in stats]
     others = [s for s in stats if s in _STAT_STEP]
@@ -428,11 +423,11 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS,
     return out
 
 
-def boundary_count(n: int, i: int, j: int, ceiling: int = DEFAULT_CEILING) -> int:
+def boundary_count(n: int, i: int, j: int) -> int:
     """Number of magog matrices of order n with a one in row i, column j."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("position out of range")
-    _guard(n, ceiling)
+    _guard(n)
     # the paths on whose step to row i column j enters the row
     _, (tally,) = _path_sums(n, "magog", [lambda n, r, prev, row: (r == i and j in row and j not in prev,)], 1)
     return tally.get(1, 0)
@@ -474,7 +469,23 @@ class SuiteReport:
         return out
 
 
-def theorem_suite(n_max: int, ceiling: int = DEFAULT_CEILING) -> SuiteReport:
+def _iter_132_avoiders(n: int) -> Iterator[Permutation]:
+    """The 132-avoiding permutations of 1..n in lexicographic order.  A 132
+    in a prefix stays in every extension, so only 132-free prefixes grow;
+    ``blocked`` holds the used values and those that would close a 132,
+    the ones strictly between an earlier value and the least before it."""
+    stack = [((), n + 1, 0)]
+    while stack:
+        prefix, low, blocked = stack.pop()
+        if len(prefix) == n:
+            yield Permutation(prefix)
+        for x in range(n, 0, -1):
+            if not blocked >> x & 1:
+                gap = (1 << x) - (1 << low + 1) if low < x else 0
+                stack.append((prefix + (x,), min(low, x), blocked | 1 << x | gap))
+
+
+def theorem_suite(n_max: int) -> SuiteReport:
     """Brute-force verification of the proved counting identities:
     the Catalan count of negative-one-free magog matrices and their
     identification with 132-avoiding permutation matrices, the five
@@ -488,20 +499,19 @@ def theorem_suite(n_max: int, ceiling: int = DEFAULT_CEILING) -> SuiteReport:
         checks.append(SuiteCheck(claim, n, expected, computed, expected == computed))
 
     for n in range(1, n_max + 1):
-        magog = distribution_bundle("magog_matrix", n, ceiling=ceiling)
+        magog = distribution_bundle("magog_matrix", n)
         neg, inv, posinv = magog["neg_ones"], magog["inv"], magog["posinv"]
         first_row, first_col, last_row = magog["first_row_one"], magog["first_col_one"], magog["last_row_one"]
-        asm_neg = distribution_bundle("asm", n, ("neg_ones",), ceiling)["neg_ones"]
-        sign_neg = distribution_bundle("square_sign", n, ("neg_ones",), ceiling)["neg_ones"]
+        asm_neg = distribution_bundle("asm", n, ("neg_ones",))["neg_ones"]
+        sign_neg = distribution_bundle("square_sign", n, ("neg_ones",))["neg_ones"]
         binom2 = n * (n - 1) // 2
 
         # negative-one-free magog matrices are the 132-avoiding permutations
         add("catalan count of negative-one-free magog matrices", n, catalan(n), neg.get(0))
-        perms = map(Permutation, itertools.permutations(range(1, n + 1)))
-        avoiders = [p.matrix() for p in perms if is_132_avoiding(p)]
+        avoiders_magog = [classify(p.matrix()).magog for p in _iter_132_avoiders(n) if is_132_avoiding(p)]
         # -1-free sign matrices are permutation matrices: all avoiders magog + equal counts = equal sets
         add("negative-one-free magog = 132-avoiding permutation matrices", n, True,
-            len(avoiders) == neg.get(0) and all(classify(m).magog for m in avoiders))
+            len(avoiders_magog) == neg.get(0) and all(avoiders_magog))
 
         # boundary ones; positions outside a small matrix count zero
         add("unique magog matrix with a one at (1,1)", n, 1, first_row.get(1))
@@ -539,7 +549,7 @@ def theorem_suite(n_max: int, ceiling: int = DEFAULT_CEILING) -> SuiteReport:
     return SuiteReport("theorem suite", tuple(checks))
 
 
-def conjecture_suite(n_max: int, ceiling: int = DEFAULT_CEILING) -> SuiteReport:
+def conjecture_suite(n_max: int) -> SuiteReport:
     """Compare the four conjectured inversion enumerations against brute
     force.  Agreement within the tested range is evidence, not proof, so a
     caller should report rather than hard-fail on a mismatch."""
@@ -547,7 +557,7 @@ def conjecture_suite(n_max: int, ceiling: int = DEFAULT_CEILING) -> SuiteReport:
         raise ValueError("n_max must be at least 3")
     checks: list[SuiteCheck] = []
     for n in range(3, n_max + 1):
-        bundle = distribution_bundle("magog_matrix", n, ("inv", "posinv"), ceiling)
+        bundle = distribution_bundle("magog_matrix", n, ("inv", "posinv"))
         inv, posinv = bundle["inv"], bundle["posinv"]
         binom2 = n * (n - 1) // 2
         f2 = 2 * math.comb(n - 1, 2) + 4 * math.comb(n - 1, 3) + 3 * math.comb(n - 1, 4)

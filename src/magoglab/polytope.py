@@ -35,8 +35,6 @@ from .core import (
     validate_magog,
 )
 from .enumeration import (
-    DEFAULT_CEILING,
-    CeilingExceeded,
     _count_boolean_rows,
     _guard,
     _iter_square_sign_rows,
@@ -276,10 +274,10 @@ class CertificateReport:
         return f"{self.polytope}(n={self.n}): {self.separated}/{self.candidates} vertex certificates separate"
 
 
-def verify_vertex_certificates(n: int, polytope: str = "tsscpp", ceiling: int = DEFAULT_CEILING) -> CertificateReport:
+def verify_vertex_certificates(n: int, polytope: str = "tsscpp") -> CertificateReport:
     """Check, for every vertex candidate, strict separation from all other
     candidates under the certificate its public constructor returns."""
-    _guard(n, ceiling)
+    _guard(n)
     if polytope == "tsscpp":
         certs = [magog_separating_hyperplane(SignMatrix(n, rows)) for rows in _raw_rows("magog_matrix", n)]
     elif polytope == "btp":
@@ -615,41 +613,30 @@ def btp_facet_audit(n: int) -> FacetAuditReport:
 # ---------------------------------------------------------------------------
 # lattice points and Ehrhart interpolation
 
-BTP_DILATE_N_CEILING = 5
-BTP_DILATE_T_CEILING = 10
-TSSCPP3_DILATE_T_CEILING = 6
 
-
-def check_dilate(polytope: str, t: int, n: int | None = None, allow_large: bool = False) -> int:
+def check_dilate(polytope: str, t: int, n: int | None = None) -> int:
     """The order of the polytope whose t-th dilate lattice_points_in_dilate
     counts.  Raises what that call would raise for these arguments before
-    any counting; every ceiling is an upper bound on t, so a check at the
-    largest t clears the whole range 0..t."""
+    any counting, and a check at the largest t clears the whole range
+    0..t."""
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
     if polytope == "btp":
         if n is None:
             raise ValueError("btp requires the order n")
-        if n < 1:
-            raise ValueError("order must be positive")
-        if not allow_large and (n > BTP_DILATE_N_CEILING or t > BTP_DILATE_T_CEILING):
-            raise CeilingExceeded(f"btp dilate ceiling is n<={BTP_DILATE_N_CEILING}, t<={BTP_DILATE_T_CEILING}")
+        _guard(n)
         return n
     if polytope in ("tsscpp3", "tsscpp"):
         if polytope == "tsscpp3" and n not in (None, 3):
             raise ValueError("tsscpp3 is fixed at order 3")
         order = 3 if n is None else n
         if order not in (3, 4):
-            raise ValueError("tsscpp dilate counting supports n = 3 and (opt-in) n = 4")
-        if order == 4 and not allow_large:
-            raise CeilingExceeded("tsscpp dilates at n=4 are opt-in; pass allow_large")
-        if order == 3 and not allow_large and t > TSSCPP3_DILATE_T_CEILING:
-            raise CeilingExceeded(f"tsscpp3 dilate ceiling is t<={TSSCPP3_DILATE_T_CEILING}")
+            raise ValueError("tsscpp dilate counting supports n = 3 and n = 4")
         return order
     raise ValueError("polytope must be 'btp', 'tsscpp3', or 'tsscpp'")
 
 
-def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_large: bool = False) -> int:
+def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None) -> int:
     """Number of integer points in the t-th dilate.
 
     'btp' counts integer triangles with entries in [0, t] satisfying the
@@ -659,10 +646,9 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, allow_
     satisfy the order-3 hull's six-inequality description scaled by t, in
     integers and with no LP (tsscpp3_vertex_audit certifies that
     description).  'tsscpp' at n=4 decides each candidate by the LP
-    oracle against the 42-vertex list, gated behind allow_large because
-    the candidate space explodes with t.
+    oracle against the 42-vertex list, one LP per candidate.
     """
-    order = check_dilate(polytope, t, n, allow_large)
+    order = check_dilate(polytope, t, n)
     if polytope == "btp":
         return _count_boolean_rows(order, t)
     return _tsscpp_dilate_count(order, t)

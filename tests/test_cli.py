@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from magoglab import serialize
-from magoglab.cli import main
+from magoglab import enumeration, polytope, serialize
+from magoglab.cli import CEILINGS, main
 from magoglab.core import BooleanTriangle, MagogTriangle, SignMatrix
 from magoglab.polytope import RationalTrianglePoint
 
@@ -144,6 +144,29 @@ def test_certify_and_facets(capsys):
     assert code == 0 and "15/15" in out
 
 
+@pytest.mark.parametrize("action", ["facets", "decompose"])
+def test_btp_only_actions_refuse_the_tsscpp_polytope(tmp_path, capsys, action):
+    path = tmp_path / "t.json"
+    path.write_text(serialize.dumps(RationalTrianglePoint.from_rows(4, [["1/2"], ["1/2", "1/2"], [0, 0, 0]])),
+                    encoding="utf-8")
+    code = main(["polytope", action, "--polytope", "tsscpp", "--n", "4", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: polytope {action} supports only --polytope btp\n"
+
+
+@pytest.mark.parametrize("exc", [TypeError, KeyError])
+def test_unexpected_exceptions_are_internal_errors(capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc("broken")
+
+    monkeypatch.setattr(enumeration, "count", broken)
+    code = main(["enumerate", "--kind", "magog-matrix", "--n", "3", "--count"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"internal error: {exc.__name__}:") and captured.err.count("\n") == 1
+
+
 def test_ehrhart_command(capsys):
     code, out = run(capsys, "ehrhart", "--polytope", "btp", "--n", "3", "--tmax", "3", "--interpolate")
     assert code == 0
@@ -188,13 +211,14 @@ def test_ehrhart_rejects_negative_tmax(capsys, argv):
     assert captured.err == "error: dilation factor must be nonnegative\n"
 
 
-@pytest.mark.parametrize("argv", [["--polytope", "btp", "--n", "3", "--tmax", "11"],
-                                  ["--polytope", "tsscpp3", "--tmax", "7"]])
-def test_ehrhart_refuses_a_dilate_ceiling_before_any_sample(capsys, argv):
+@pytest.mark.parametrize("argv", [["--polytope", "btp", "--n", "3", "--tmax", "13"],
+                                  ["--polytope", "tsscpp3", "--tmax", "33"]])
+def test_ehrhart_refuses_a_dilate_ceiling_before_any_sample(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MAGOGLAB_CEILING_OVERRIDE", raising=False)
     code = main(["ehrhart"] + argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error:") and "dilate ceiling" in captured.err
+    assert captured.err.startswith("error:") and "MAGOGLAB_CEILING_OVERRIDE" in captured.err
 
 
 # stdout sha256 of `enumerate --kind boolean-triangle --n k`, taken from the
@@ -358,11 +382,70 @@ def test_cli_output_deterministic(capsys):
     assert out1 == out2
 
 
+def _membership_argv(v, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(serialize.dumps(SignMatrix.identity(v["n"])), encoding="utf-8")
+    return ["polytope", "membership", "--polytope", "tsscpp", "--input", path]
+
+
+# a command one past each CEILINGS value, the entry's other values at their limits
+CEILING_ARGV = {
+    "enumerate": lambda v, _: ["enumerate", "--kind", "square-sign", "--n", v["n"]],
+    "enumerate --count": lambda v, _: ["enumerate", "--kind", "magog-matrix", "--n", v["n"], "--count"],
+    "stats": lambda v, _: ["stats", "--kind", "magog", "--stat", "inv", "--n", v["n"]],
+    "polytope membership --polytope tsscpp": _membership_argv,
+    "polytope certify": lambda v, _: ["polytope", "certify", "--polytope", "tsscpp", "--n", v["n"]],
+    "polytope facets": lambda v, _: ["polytope", "facets", "--n", v["n"]],
+    "ehrhart --polytope btp": lambda v, _: ["ehrhart", "--polytope", "btp", "--n", v["n"], "--tmax", v["tmax"]],
+    "ehrhart --polytope tsscpp3": lambda v, _: ["ehrhart", "--polytope", "tsscpp3", "--tmax", v["tmax"]],
+    "check --suite theorems": lambda v, _: ["check", "--suite", "theorems", "--n-max", v["n_max"]],
+    "check --suite conjectures": lambda v, _: ["check", "--suite", "conjectures", "--n-max", v["n_max"]],
+}
+
+
+def _ceiling_id(entry):
+    command, key = entry
+    return "-".join(word.lstrip("-") for word in command.split()) + "-" + key
+
+
+@pytest.mark.parametrize("entry", [(c, k) for c, limits in CEILINGS.items() for k in limits], ids=_ceiling_id)
+def test_ceiling_guard(tmp_path, capsys, monkeypatch, entry):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused command must not start its work")
+
+    for module, name in ((enumeration, "enumerate_objects"), (enumeration, "count"),
+                         (enumeration, "distribution"), (enumeration, "theorem_suite"),
+                         (enumeration, "conjecture_suite"), (polytope, "verify_vertex_certificates"),
+                         (polytope, "btp_facet_audit"), (polytope, "lattice_points_in_dilate")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.delenv("MAGOGLAB_CEILING_OVERRIDE", raising=False)
+    command, key = entry
+    values = dict(CEILINGS[command])
+    values[key] += 1
+    code = main([str(a) for a in CEILING_ARGV[command](values, tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "MAGOGLAB_CEILING_OVERRIDE" in captured.err
+
+
 def test_ceiling_override_env(capsys, monkeypatch):
-    code, _ = run(capsys, "enumerate", "--kind", "magog-matrix", "--n", "9", "--count")
-    assert code == 1
     monkeypatch.setenv("MAGOGLAB_CEILING_OVERRIDE", "1")
-    # still a big computation; just confirm the guard itself is lifted for
-    # a small case routed through the same path
-    code, out = run(capsys, "enumerate", "--kind", "magog-matrix", "--n", "3", "--count")
-    assert code == 0 and out == "7\n"
+    code, out = run(capsys, "ehrhart", "--polytope", "btp", "--n", "7", "--tmax", "0")
+    assert code == 0 and out == "0,1\n"
+
+
+def test_conjecture_suite_through_11_from_the_cli(capsys):
+    code, out = run(capsys, "check", "--suite", "conjectures", "--n-max", "11")
+    assert code == 0
+    assert out.splitlines()[-1] == "conjecture suite: 36/36 agree"
+
+
+def test_square_sign_count_at_order_12(capsys):
+    code, out = run(capsys, "enumerate", "--kind", "square-sign", "--n", "12", "--count")
+    assert code == 0 and out == "73786976294838206464\n"
+
+
+def test_tsscpp3_dilates_through_12(capsys):
+    code, out = run(capsys, "ehrhart", "--polytope", "tsscpp3", "--tmax", "12")
+    assert code == 0 and out.splitlines()[-1] == "12,4550"

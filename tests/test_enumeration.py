@@ -5,8 +5,8 @@ import pytest
 
 from magoglab import (
     BooleanTriangle,
-    CeilingExceeded,
     MagogTriangle,
+    Permutation,
     SignMatrix,
     boundary_count,
     classify,
@@ -16,6 +16,7 @@ from magoglab import (
     distribution_bundle,
     enumerate_objects,
     inversion_stats,
+    is_132_avoiding,
     magog_triangle_to_matrix,
     matrix_to_magog_triangle,
     product_formula,
@@ -23,7 +24,7 @@ from magoglab import (
     validate_boolean_triangle,
 )
 from magoglab import golden
-from magoglab.enumeration import STATISTICS
+from magoglab.enumeration import STATISTICS, _iter_132_avoiders
 
 
 def brute_force_boolean_triangles(n):
@@ -70,7 +71,7 @@ def test_product_formula_values():
 
 def test_square_sign_count_is_power_of_two():
     for n in range(1, 12):
-        assert count("square_sign", n, ceiling=11) == 2 ** math.comb(n, 2)
+        assert count("square_sign", n) == 2 ** math.comb(n, 2)
 
 
 def test_enumerate_magog_3_matches_the_eight(family):
@@ -141,12 +142,6 @@ def test_round_trip_exhaustive_through_n5(family):
             assert magog_triangle_to_matrix(matrix_to_magog_triangle(m)) == m
 
 
-def test_ceiling_guard():
-    with pytest.raises(CeilingExceeded):
-        count("magog_matrix", 9)
-    assert count("magog_matrix", 2, ceiling=9) == 2
-
-
 TRIANGLE_KINDS = ("magog_triangle", "magog_matrix", "asm", "gapless")
 
 
@@ -163,9 +158,9 @@ def test_path_count_matches_product_formula_through_12():
     for n in range(1, 13):
         expected = product_formula(n)
         for kind in ("magog_triangle", "magog_matrix", "asm"):
-            assert count(kind, n, ceiling=12) == expected
+            assert count(kind, n) == expected
         if n <= 10:  # the cell-state count takes about 4 s at n=12
-            assert count("boolean_triangle", n, ceiling=10) == expected
+            assert count("boolean_triangle", n) == expected
 
 
 def test_triangle_streams_match_classified_square_sign(family):
@@ -379,6 +374,12 @@ def test_psi_image_law(family):
         assert triangle_ok == validate_magog(m).valid
 
 
+def test_132_avoider_walk_matches_the_permutation_filter():
+    for n in range(9):
+        perms = map(Permutation, itertools.permutations(range(1, n + 1)))
+        assert list(_iter_132_avoiders(n)) == [p for p in perms if is_132_avoiding(p)]
+
+
 def test_theorem_suite_small():
     report = theorem_suite(4)
     assert report.passed, [c.line() for c in report.failures()]
@@ -390,7 +391,7 @@ def test_conjecture_suite_small():
 
 
 def test_conjecture_suite_through_11():
-    report = conjecture_suite(11, ceiling=11)
+    report = conjecture_suite(11)
     assert len(report.checks) == 36
     assert report.passed, [c.line() for c in report.failures()]
 

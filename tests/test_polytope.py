@@ -30,7 +30,7 @@ from magoglab import (
     verify_vertex_certificates,
 )
 from magoglab import golden, lp, polytope
-from magoglab.enumeration import CeilingExceeded, _iter_square_sign_rows
+from magoglab.enumeration import _iter_square_sign_rows
 from magoglab.lp import Feasible, LPError
 from magoglab.polytope import (
     DecompositionError,
@@ -552,29 +552,17 @@ def test_tsscpp3_dilates_build_no_vertex_list_and_call_no_lp(monkeypatch):
     assert lattice_points_in_dilate("tsscpp3", 5) == 266
 
 
-def test_dilate_ceilings():
-    with pytest.raises(CeilingExceeded):
-        lattice_points_in_dilate("btp", 11, n=3)
-    with pytest.raises(CeilingExceeded):
-        lattice_points_in_dilate("btp", 1, n=6)
-    with pytest.raises(CeilingExceeded):
-        lattice_points_in_dilate("tsscpp3", 7)
-    with pytest.raises(CeilingExceeded):
-        lattice_points_in_dilate("tsscpp", 1, n=4)
-    assert lattice_points_in_dilate("btp", 0, n=6, allow_large=True) == 1
-
-
 def test_tsscpp_dilate_opt_in_order_4(family):
     # at t=1 the only lattice points of the dilate are the 42 vertices;
     # at t=2 the count must match the degree-9 counting polynomial of the
     # order-4 hull, transcribed independently of this code path
-    assert lattice_points_in_dilate("tsscpp", 0, n=4, allow_large=True) == 1
-    assert lattice_points_in_dilate("tsscpp", 1, n=4, allow_large=True) == 42
+    assert lattice_points_in_dilate("tsscpp", 0, n=4) == 1
+    assert lattice_points_in_dilate("tsscpp", 1, n=4) == 42
     coeffs = [F(1), F(1691, 360), F(32693, 3360), F(1055983, 90720), F(5647, 640),
               F(18899, 4320), F(1357, 960), F(1237, 4320), F(443, 13440), F(149, 90720)]
     value = sum(c * 2 ** k for k, c in enumerate(coeffs))
     assert value == 560
-    assert lattice_points_in_dilate("tsscpp", 2, n=4, allow_large=True) == 560
+    assert lattice_points_in_dilate("tsscpp", 2, n=4) == 560
 
 
 def test_ehrhart_btp3():
@@ -646,7 +634,7 @@ def test_tsscpp3_audit_certifies_boundedness():
 
 def test_ehrhart_btp5_stretch():
     from magoglab import golden
-    samples = [(t, lattice_points_in_dilate("btp", t, n=5, allow_large=True)) for t in range(11)]
+    samples = [(t, lattice_points_in_dilate("btp", t, n=5)) for t in range(11)]
     poly = ehrhart_interpolate(samples)
     assert poly.coefficients == golden.TABLE9_EHRHART[5]
 
