@@ -221,19 +221,22 @@ def _prefix_matrices(rows):
     return col, rowp
 
 
+def _matrix_row(n: int, prev, row) -> tuple[int, ...]:
+    """Matrix row i from triangle rows i-1 (``prev``, empty for i=1) and i:
+    the indicator of ``row`` minus the indicator of ``prev`` over 1..n."""
+    ind = [0] * n
+    for v in row:
+        ind[v - 1] = 1
+    for v in prev:
+        ind[v - 1] -= 1
+    return tuple(ind)
+
+
 def _triangle_to_matrix_rows(tri) -> tuple[tuple[int, ...], ...]:
-    """Matrix rows from triangle rows: row i is the indicator of triangle
-    row i minus the indicator of triangle row i-1."""
+    """Matrix rows from triangle rows, one _matrix_row per pair of
+    consecutive rows."""
     n = len(tri)
-    prev = [0] * n
-    out = []
-    for row in tri:
-        ind = [0] * n
-        for v in row:
-            ind[v - 1] = 1
-        out.append(tuple(ind[j] - prev[j] for j in range(n)))
-        prev = ind
-    return tuple(out)
+    return tuple(_matrix_row(n, prev, row) for prev, row in zip(((),) + tuple(tri), tri))
 
 
 def _square_sign_violations(rows, collect_all=False):

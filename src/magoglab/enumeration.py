@@ -6,11 +6,14 @@ monotone triangles (the partial-sum position triangles of ASMs) and the
 gapless triangles (both at once) are paths through one graph whose nodes
 are triangle rows and whose edges are a window rule between consecutive
 rows (_next_rows); magog matrices, ASMs and gapless matrices come from
-their triangles by inverting the partial-sum map.  Square sign matrices
-are paths through the same graph under the sign window, but stream
-directly in row-major order over entries.  Boolean triangles are walked
-cell by cell under one diagonal rule on the column prefix sums
-(_boolean_moves), which also counts the btp dilates.
+their triangles by inverting the partial-sum map, one matrix row per edge
+(core._matrix_row).  Square sign matrices are paths through the same graph
+under the sign window, but stream row by row over states of column prefix
+sums (_sign_moves), which keeps their entry order and also walks the
+dilates of their relaxation.  Boolean triangles are walked cell by cell
+under one diagonal rule on the column prefix sums (_boolean_moves), which
+also counts the btp dilates.  Every stream expands each state's successor
+rows once per call, so its cost per object is a walk over rows, not cells.
 
 Canonical orders: triangles stream in lexicographic order read row 1 to
 row n, left to right; square sign matrices in row-major lexicographic
@@ -32,7 +35,7 @@ from .core import (
     MagogTriangle,
     Permutation,
     SignMatrix,
-    _triangle_to_matrix_rows,
+    _matrix_row,
     is_132_avoiding,
     max_negative_ones_bound,
     max_negative_ones_matrix,
@@ -104,21 +107,24 @@ def _next_rows(n: int, prev: tuple, rule: str) -> tuple:
     return tuple(out)
 
 
-def _iter_triangle_rows(n: int, rule: str) -> Iterator[tuple]:
+def _iter_triangle_rows(n: int, rule: str, matrix: bool = False) -> Iterator[tuple]:
     """Triangles whose consecutive rows pass ``rule``, in row-lex order: a
     depth-first walk over successor lists kept for this call only.  The
-    bottom row is forced to 1..n."""
-    successors: dict[tuple, tuple] = {}
+    bottom row is forced to 1..n.  With ``matrix`` each successor is kept
+    with its matrix row (core._matrix_row, once per edge) and the walk
+    yields the matrices, _triangle_to_matrix_rows of the triangles."""
+    successors: dict[tuple, list] = {}
 
-    def walk(tri: tuple, prev: tuple):
-        if len(tri) == n:
-            yield tri
+    def walk(out: tuple, prev: tuple):
+        if len(out) == n:
+            yield out
             return
         nxt = successors.get(prev)
         if nxt is None:
-            nxt = successors[prev] = _next_rows(n, prev, rule)
-        for row in nxt:
-            yield from walk(tri + (row,), row)
+            nxt = successors[prev] = [(row, _matrix_row(n, prev, row) if matrix else row)
+                                      for row in _next_rows(n, prev, rule)]
+        for row, emitted in nxt:
+            yield from walk(out + (emitted,), row)
 
     return walk((), ())
 
@@ -218,50 +224,57 @@ def _count_boolean_rows(n: int, t: int = 1) -> int:
     return sum(layer.values())
 
 
+def _sign_moves(n: int, t: int, i: int, pref: tuple) -> list:
+    """(row, next state) for each row i of a square sign matrix of order n
+    dilated by t, in lex order, after rows whose column prefix sums are
+    ``pref``.
+
+    Entries keep the column prefixes in [0, t] and the row prefixes >= 0,
+    and the last row is forced (each column prefix must close at t).  The
+    in-row bound, on what the columns right of j can still add (each from
+    minus its prefix to t minus it), closes every row at sum t.
+    """
+    rows = [((), 0)]
+    for j, q in enumerate(pref):
+        right = sum(pref[j + 1:])
+        room = (n - j - 1) * t - right
+        lo = t - q if i == n else -q
+        rows = [(row + (a,), r + a) for row, r in rows for a in range(lo, t - q + 1)
+                if 0 <= r + a <= t + right and r + a + room >= t]
+    return [(row, tuple(p + a for p, a in zip(pref, row))) for row, _ in rows]
+
+
 def _iter_square_sign_rows(n: int, t: int = 1) -> Iterator[tuple]:
-    """Square sign matrices in row-major lexicographic entry order.
+    """Square sign matrices in row-major lexicographic entry order: a
+    depth-first walk of _sign_moves over the states (row, column prefix
+    sums), each expanded once per call.  A state at row 2 is the first row
+    itself and is reached once, so only later states keep their lists.
 
     With t > 1 the walk yields the integer points of the t-th dilate of
     the square-sign relaxation: row and column sums t, column prefixes in
-    [0, t], row prefixes >= 0.  The last row is forced (each column prefix
-    must close at t), and the in-row bound (what the columns to the right
-    can still add) closes every row at sum t with no dead ends.
+    [0, t], row prefixes >= 0.
     """
-    colpref = [0] * n
-    rows: list[tuple[int, ...]] = []
+    successors: dict[tuple, list] = {}
 
-    def row_dfs(i: int, j: int, row: list[int], rsum: int, rest: int):
-        # rest: sum of the column prefixes from column j rightwards
-        if j == n:
-            rows.append(tuple(row))
-            yield from mat_dfs(i + 1)
-            rows.pop()
-            return
-        q0 = colpref[j]
-        right = rest - q0
-        lo, hi = (t - q0, t - q0) if i == n else (-q0, t - q0)
-        for a in range(lo, hi + 1):
-            r = rsum + a
-            # the columns right of j can still add -right .. (n-j-1)t - right
-            if r < 0 or r - right > t or r + (n - j - 1) * t - right < t:
-                continue
-            colpref[j] = q0 + a
-            row.append(a)
-            yield from row_dfs(i, j + 1, row, r, right)
-            row.pop()
-        colpref[j] = q0
-
-    def mat_dfs(i: int):
+    def walk(mat: tuple, pref: tuple):
+        i = len(mat) + 1
         if i > n:
-            yield tuple(rows)
+            yield mat
             return
-        yield from row_dfs(i, 0, [], 0, (i - 1) * t)
+        nxt = successors.get((i, pref))
+        if nxt is None:
+            nxt = _sign_moves(n, t, i, pref)
+            if i > 2:
+                successors[(i, pref)] = nxt
+        for row, q in nxt:
+            yield from walk(mat + (row,), q)
 
-    yield from mat_dfs(1)
+    return walk((), (0,) * n)
 
 
 # the kinds that are paths through the row graph and the rule of their
-# edges; square sign matrices stream in entry order instead
+# edges; square sign matrices are counted on it but stream by column prefix
+# state (_iter_square_sign_rows), whose order is that of their entries
 _ROW_RULES = {"magog_triangle": "magog", "magog_matrix": "magog", "asm": "monotone", "gapless": "gapless",
               "square_sign": "sign"}
 
@@ -271,8 +284,7 @@ def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
         return _iter_square_sign_rows(n)
     if kind == "boolean_triangle":
         return _iter_boolean_rows(n)
-    tris = _iter_triangle_rows(n, _ROW_RULES[kind])
-    return tris if kind == "magog_triangle" else map(_triangle_to_matrix_rows, tris)
+    return _iter_triangle_rows(n, _ROW_RULES[kind], matrix=kind != "magog_triangle")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ serialize is byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -42,8 +43,33 @@ def to_document(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+# the document kind and rows field (also the attribute holding the rows) of
+# the kinds whose text dumps joins from cached row text
+_ROWS_FIELD = {
+    SignMatrix: ("matrix", "entries"),
+    MagogTriangle: ("magog-triangle", "rows"),
+    BooleanTriangle: ("boolean-triangle", "rows"),
+}
+
+
+@functools.lru_cache(maxsize=1 << 12, typed=True)
+def _row_text(*values) -> str:
+    """JSON text of a list of values.  Each value is its own argument of a
+    typed cache, so a row of bools never gets the text of an equal int row."""
+    return _ENCODER.encode(values)
+
+
 def dumps(obj) -> str:
-    return json.dumps(to_document(obj), separators=(",", ":"))
+    """Compact JSON text of to_document(obj), its fields in the same order."""
+    fields = _ROWS_FIELD.get(type(obj))
+    if fields is None:
+        return _ENCODER.encode(to_document(obj))
+    kind, key = fields
+    n = _row_text(obj.n)[1:-1]
+    rows = ",".join([_row_text(*row) for row in getattr(obj, key)])
+    return f'{{"kind":"{kind}","n":{n},"{key}":[{rows}]}}'
 
 
 class DocumentError(ValueError):

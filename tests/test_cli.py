@@ -5,7 +5,7 @@ import os
 import pytest
 
 from magoglab import enumeration, polytope, serialize
-from magoglab.cli import CEILINGS, main
+from magoglab.cli import CEILINGS, KIND_FLAGS, main
 from magoglab.core import BooleanTriangle, MagogTriangle, SignMatrix
 from magoglab.polytope import RationalTrianglePoint
 
@@ -240,6 +240,59 @@ def test_boolean_triangle_stream_is_pinned(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == BOOLEAN_STREAM_PINS[n]
 
 
+# stdout sha256 of `enumerate --kind K --n N` for the other kinds, taken from
+# the cell-by-cell square-sign walk and the per-object triangle-to-matrix map
+STREAM_PINS = {
+    "magog-matrix": {
+        1: "cd2d3d7335b8a846bfe5f79aba43e90581c42ff0da5fc0bcef765656889f35c1",
+        2: "0942d242ac66dbf7ae4d5500082db45528fc9ebc0f6c397e204723cfbd2b1b11",
+        3: "9f58e5fce231551dbd7e0fc7297e0f41ecc355e9a9bf2222a4c57ad3758a158d",
+        4: "2629648b9ed703661f56eef3fe1cfcbab7c10db202497631e6468f36cac805e0",
+        5: "ac6df25b10ebc2bcfe90ab568f34bc662946b47c42486122eee9c5592e98a399",
+        6: "68d8d27c4ecdbe65eb25284f4dd3f73e7cc872c8baa7ee13585fcf6faa630f2e",
+    },
+    "magog-triangle": {
+        1: "f0c0f5de67b2f3273852c9fca10401f7a667be3c2b8fa9065f1d3c741fdd3999",
+        2: "ddd70029d4b4ac64c90628febbbc248becca8060d35c16e5f7eff21cd2638445",
+        3: "c61739f6048bfd40c9bf8835dfd27c329c1c0e33ae8ef60bd29b7955add222ad",
+        4: "60f14f9beaf91074e7b5e1a1bac63db90741f43f4bb31160ab3341facdd74576",
+        5: "60d723edf707900525526a604bce222162fed6c663f03957a208427e276b0d35",
+        6: "afd5a9ca41671326f267f21620eba192f44b1713a4a0f9ec4a73091c792db194",
+    },
+    "asm": {
+        1: "cd2d3d7335b8a846bfe5f79aba43e90581c42ff0da5fc0bcef765656889f35c1",
+        2: "0942d242ac66dbf7ae4d5500082db45528fc9ebc0f6c397e204723cfbd2b1b11",
+        3: "07b3297b29d8936a71b22b3f6bcb9fdddb35e5349660991769ccdf12859c4080",
+        4: "c649cc5773b2ac54a045b039d48b1674b0714ddefeeeddae441b589de9fbad27",
+        5: "ecf9794d0651dd685404007e6495967e737ab91325ceb4d32f875e7026e18d06",
+        6: "6d67ba8268a7be345cebc83aaf57b2563f90ab14bc000e50805d2be425b4fafa",
+    },
+    "gapless": {
+        1: "cd2d3d7335b8a846bfe5f79aba43e90581c42ff0da5fc0bcef765656889f35c1",
+        2: "0942d242ac66dbf7ae4d5500082db45528fc9ebc0f6c397e204723cfbd2b1b11",
+        3: "0dde06d1f9d9f22d1da3cf06d4454f0b50e6ac7e582abf5e3f3c0a6ecce7f172",
+        4: "8adf5accd5bdbfdb6ca0c85e839e2987fc1130bf2d617ba07a879ed5c3581e77",
+        5: "cfc64d6888c5d5c2d770b3fffef3abe551d087e89bead414dc5e0191d02a641d",
+        6: "336540dedb75cdf37931da465b32910d06252483e28a3397733b89ae7df9d7f5",
+    },
+    "square-sign": {
+        1: "cd2d3d7335b8a846bfe5f79aba43e90581c42ff0da5fc0bcef765656889f35c1",
+        2: "d13a209d24543a1e3e6dad9ce6afccfc4f642e09f99da20d524f9133cf49f432",
+        3: "65ebd6733ed33ee41613468c5d4a81537161e1003025aca86a8dcee0e00e0324",
+        4: "eb856a09581c8834917d52cb21a5462821809d729592c986ab665e85672ef868",
+        5: "c562d83db7c4f0bfadc8ff7918e7eb69713a6d10e17f839b0638a75daad92d92",
+        6: "8866e7267742b5e3641a8d18f33d05fc1f5c29564f105c14ad26a660a6c5f5e2",
+    },
+}
+
+
+@pytest.mark.parametrize("kind, n", [(k, n) for k, pins in STREAM_PINS.items() for n in pins])
+def test_stream_is_pinned(capsys, kind, n):
+    code, out = run(capsys, "enumerate", "--kind", kind, "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STREAM_PINS[kind][n]
+
+
 # stdout sha256 of `polytope membership --polytope tsscpp`, taken from the
 # Fraction simplex: the integer pivots must reach the same bases
 MEMBERSHIP_PINS = {
@@ -376,6 +429,35 @@ def test_serialization_round_trip_byte_identity():
         assert text == again
 
 
+def test_dumps_is_the_compact_json_of_the_document():
+    from fractions import Fraction as F
+
+    from magoglab.polytope import ConvexDecomposition, NotInHull, RationalMatrixPoint
+
+    def expected(obj):
+        return json.dumps(serialize.to_document(obj), separators=(",", ":"))
+
+    bool_matrix = SignMatrix(2, ((True, False), (False, True)))
+    objects = [obj for kind in enumeration.KINDS for n in range(1, 6) for obj in enumeration.enumerate_objects(kind, n)]
+    objects += [
+        RationalTrianglePoint.from_rows(3, [["1/2"], ["1/3", 1]]),
+        RationalMatrixPoint.from_rows([["1/2", "1/2"], ["1/2", "1/2"]]),
+        ConvexDecomposition((
+            (F(1, 3), SignMatrix.identity(2)),
+            (F(2, 3), SignMatrix.antidiagonal(2)),
+        )),
+        NotInHull(coefficients=(F(1), F(-7, 2)), offset=F(1)),
+        # equal rows of ints and of bools must not share cached text
+        SignMatrix(2, ((1, 0), (0, 1))),
+        bool_matrix,
+        BooleanTriangle(3, ((0,), (1, 0))),
+        BooleanTriangle(3, ((False,), (True, False))),
+    ]
+    for obj in objects:
+        assert serialize.dumps(obj) == expected(obj)
+    assert serialize.dumps(bool_matrix) == '{"kind":"matrix","n":2,"entries":[[true,false],[false,true]]}'
+
+
 def test_cli_output_deterministic(capsys):
     _, out1 = run(capsys, "enumerate", "--kind", "asm", "--n", "4")
     _, out2 = run(capsys, "enumerate", "--kind", "asm", "--n", "4")
@@ -391,6 +473,7 @@ def _membership_argv(v, tmp_path):
 # a command one past each CEILINGS value, the entry's other values at their limits
 CEILING_ARGV = {
     "enumerate": lambda v, _: ["enumerate", "--kind", "square-sign", "--n", v["n"]],
+    "enumerate --kind gapless": lambda v, _: ["enumerate", "--kind", "gapless", "--n", v["n"]],
     "enumerate --count": lambda v, _: ["enumerate", "--kind", "magog-matrix", "--n", v["n"], "--count"],
     "stats": lambda v, _: ["stats", "--kind", "magog", "--stat", "inv", "--n", v["n"]],
     "polytope membership --polytope tsscpp": _membership_argv,
@@ -427,6 +510,16 @@ def test_ceiling_guard(tmp_path, capsys, monkeypatch, entry):
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "MAGOGLAB_CEILING_OVERRIDE" in captured.err
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FLAGS))
+def test_each_stream_has_the_ceiling_of_its_kind(capsys, monkeypatch, kind):
+    monkeypatch.setattr(enumeration, "enumerate_objects", lambda kind, n: iter(()))
+    monkeypatch.delenv("MAGOGLAB_CEILING_OVERRIDE", raising=False)
+    limit = CEILINGS.get(f"enumerate --kind {kind}", CEILINGS["enumerate"])["n"]
+    assert limit == (8 if kind == "gapless" else 7)
+    assert run(capsys, "enumerate", "--kind", kind, "--n", str(limit)) == (0, "")
+    assert run(capsys, "enumerate", "--kind", kind, "--n", str(limit + 1)) == (1, "")
 
 
 def test_ceiling_override_env(capsys, monkeypatch):

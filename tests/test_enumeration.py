@@ -415,3 +415,59 @@ def test_distribution_rows_against_golden(family):
         assert asm["posinv"].counts == golden.TABLE6[n]["posinv"]
         for stat in ("first_row_one", "first_col_one", "last_row_one"):
             assert asm[stat].counts == golden.TABLE4[n]
+
+
+def cellwise_square_sign_rows(n, t=1):
+    """The square-sign walk one entry at a time (row-major, entries
+    increasing), kept as the oracle of the row-state walk: the bounds are
+    those of _sign_moves, applied cell by cell through nested generators."""
+    colpref = [0] * n
+    rows = []
+
+    def row_dfs(i, j, row, rsum, rest):
+        # rest: sum of the column prefixes from column j rightwards
+        if j == n:
+            rows.append(tuple(row))
+            yield from mat_dfs(i + 1)
+            rows.pop()
+            return
+        q0 = colpref[j]
+        right = rest - q0
+        lo, hi = (t - q0, t - q0) if i == n else (-q0, t - q0)
+        for a in range(lo, hi + 1):
+            r = rsum + a
+            # the columns right of j can still add -right .. (n-j-1)t - right
+            if r < 0 or r - right > t or r + (n - j - 1) * t - right < t:
+                continue
+            colpref[j] = q0 + a
+            row.append(a)
+            yield from row_dfs(i, j + 1, row, r, right)
+            row.pop()
+        colpref[j] = q0
+
+    def mat_dfs(i):
+        if i > n:
+            yield tuple(rows)
+            return
+        yield from row_dfs(i, 0, [], 0, (i - 1) * t)
+
+    yield from mat_dfs(1)
+
+
+@pytest.mark.parametrize("n, t", [(n, 1) for n in range(1, 7)] + [(3, t) for t in range(7)]
+                         + [(4, t) for t in range(4)])
+def test_square_sign_row_states_match_the_cellwise_walk(n, t):
+    from magoglab.enumeration import _iter_square_sign_rows
+
+    assert list(_iter_square_sign_rows(n, t)) == list(cellwise_square_sign_rows(n, t))
+
+
+@pytest.mark.parametrize("rule", ["magog", "monotone", "gapless"])
+def test_per_edge_matrix_rows_match_the_triangle_map(rule):
+    from magoglab.core import _triangle_to_matrix_rows
+    from magoglab.enumeration import _iter_triangle_rows
+
+    for n in range(1, 7):
+        tris = list(_iter_triangle_rows(n, rule))
+        mats = list(_iter_triangle_rows(n, rule, matrix=True))
+        assert mats == [_triangle_to_matrix_rows(tri) for tri in tris]
