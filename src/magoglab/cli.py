@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import enumeration, golden, polytope, serialize
-from .core import SignMatrix, ValidationFailure, classify, magog_triangle_to_matrix, matrix_to_magog_triangle
+from .core import (MagogTriangle, SignMatrix, ValidationFailure, classify, magog_triangle_to_matrix,
+                   matrix_to_magog_triangle)
 from .enumeration import CeilingExceeded
 
 KIND_FLAGS = {
@@ -112,6 +113,8 @@ def _cmd_map(args) -> int:
             raise ValidationFailure("map --from matrix expects an integer matrix document")
         _emit(serialize.dumps(matrix_to_magog_triangle(obj)))
     else:
+        if not isinstance(obj, MagogTriangle):
+            raise ValidationFailure("map --from triangle expects a magog-triangle document")
         _emit(serialize.dumps(magog_triangle_to_matrix(obj)))
     return 0
 

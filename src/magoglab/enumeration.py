@@ -1,30 +1,29 @@
 """Exhaustive, order-deterministic enumeration of the object families,
 their statistics tables, and brute-force verification suites.
 
-Generation goes through triangles wherever possible.  Magog triangles,
-monotone triangles (the partial-sum position triangles of ASMs) and the
-gapless triangles (both at once) are paths through one graph whose nodes
-are triangle rows and whose edges are a window rule between consecutive
-rows (_next_rows); magog matrices, ASMs and gapless matrices come from
-their triangles by inverting the partial-sum map, one matrix row per edge
-(core._matrix_row).  Square sign matrices are paths through the same graph
-under the sign window, but stream row by row over states of column prefix
-sums (_sign_moves), which keeps their entry order and also walks the
-dilates of their relaxation.  Boolean triangles are walked cell by cell
-under one diagonal rule on the column prefix sums (_boolean_moves), which
-also counts the btp dilates.  Every stream expands each state's successor
-rows once per call, so its cost per object is a walk over rows, not cells.
+Every family is a move rule over states: for each step, what a state may
+emit and where that leads.  One depth-first walk (_walk) streams every
+family, and one forward pass (_path_sums, the transfer-matrix method)
+counts them and tallies their statistics, so no count enumerates.  Magog,
+monotone (ASM) and gapless triangles step row by row through one graph of
+triangle rows under a window rule (_next_rows); their matrices emit one
+matrix row per edge (core._matrix_row), and square sign matrices are
+counted on it under the sign window.  Square sign matrices stream row by
+row over states of column prefix sums (_sign_moves), which keeps their
+entry order and walks the dilates of their relaxation.  Boolean triangles
+step over column prefix sums under one diagonal rule (_boolean_moves), a
+row per step for the walk and a cell per step for the count, which also
+counts the btp dilates.
 
 Canonical orders: triangles stream in lexicographic order read row 1 to
 row n, left to right; square sign matrices in row-major lexicographic
-order of entries with -1 < 0 < 1.  Counts, statistics tables and
-boundary counts are path sums over these graphs (the transfer-matrix
-method) and never enumerate.
+order of entries with -1 < 0 < 1.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,7 +61,76 @@ def _guard(n: int):
 
 
 # ---------------------------------------------------------------------------
-# raw generators (tuples of row tuples)
+# the walk and the path sum
+
+
+def _walk(depth: int, start, moves) -> Iterator[tuple]:
+    """Every path of ``depth`` steps from ``start``, as the tuple of what its
+    steps emit, depth first in the order the moves are listed.
+
+    ``moves(i)`` is step i's move function, state -> iterable of
+    (emitted, next state).  Each state's list is built once per call and
+    kept from step 3 on: a step-2 state is the first step itself and is
+    reached once."""
+    step_moves = [moves(i) for i in range(1, depth + 1)]
+    kept = [{} for _ in step_moves]
+
+    def walk(out: tuple, state):
+        i = len(out)
+        if i == depth:
+            yield out
+            return
+        if i < 2:
+            nxt = step_moves[i](state)
+        else:
+            nxt = kept[i].get(state)
+            if nxt is None:
+                nxt = kept[i][state] = list(step_moves[i](state))
+        for emitted, q in nxt:
+            yield from walk(out + (emitted,), q)
+
+    return walk((), start)
+
+
+def _path_sums(depth: int, start, moves, steps=()):
+    """The number of paths of _walk(depth, start, moves), or with ``steps``
+    one tally per value they give: each step(depth, i, state, next state)
+    returns a tuple of values per edge, and tally k counts the paths by the
+    sum along them of the k-th of all those values, as a dict value -> count.
+
+    A forward pass: a layer maps each state to the paths ending there (an
+    int, or with steps its tallies) and is pushed to the next step edge by
+    edge, so only two layers are held.  With steps, every path must end at
+    one state."""
+    layer = {start: 1}
+    for i in range(1, depth + 1):
+        move = moves(i)
+        nxt: dict = {}
+        for state, ways in layer.items():
+            if not steps:
+                for _, q in move(state):
+                    nxt[q] = nxt.get(q, 0) + ways
+                continue
+            for _, q in move(state):
+                into = nxt.setdefault(q, [])
+                k = 0
+                for step in steps:
+                    for d in step(depth, i, state, q):
+                        if k == len(into):
+                            into.append({})
+                        # step 1 leaves the start, where every tally is {0: 1}
+                        for v, c in (ways[k] if i > 1 else {0: 1}).items():
+                            into[k][v + d] = into[k].get(v + d, 0) + c
+                        k += 1
+        layer = nxt
+    if not steps:
+        return sum(layer.values())
+    (tallies,) = layer.values()
+    return tallies
+
+
+# ---------------------------------------------------------------------------
+# move rules
 
 
 def _next_rows(n: int, prev: tuple, rule: str) -> tuple:
@@ -107,63 +175,25 @@ def _next_rows(n: int, prev: tuple, rule: str) -> tuple:
     return tuple(out)
 
 
+def _row_moves(n: int, rule: str, matrix: bool = False):
+    """moves(i) of the row graph (n, rule): the state is the last row, and
+    each edge emits the next row, or with ``matrix`` its matrix row."""
+    def move(prev: tuple) -> list:
+        rows = _next_rows(n, prev, rule)
+        return ((_matrix_row(n, prev, row), row) for row in rows) if matrix else zip(rows, rows)
+    return lambda i: move
+
+
 def _iter_triangle_rows(n: int, rule: str, matrix: bool = False) -> Iterator[tuple]:
-    """Triangles whose consecutive rows pass ``rule``, in row-lex order: a
-    depth-first walk over successor lists kept for this call only.  The
-    bottom row is forced to 1..n.  With ``matrix`` each successor is kept
-    with its matrix row (core._matrix_row, once per edge) and the walk
-    yields the matrices, _triangle_to_matrix_rows of the triangles."""
-    successors: dict[tuple, list] = {}
-
-    def walk(out: tuple, prev: tuple):
-        if len(out) == n:
-            yield out
-            return
-        nxt = successors.get(prev)
-        if nxt is None:
-            nxt = successors[prev] = [(row, _matrix_row(n, prev, row) if matrix else row)
-                                      for row in _next_rows(n, prev, rule)]
-        for row, emitted in nxt:
-            yield from walk(out + (emitted,), row)
-
-    return walk((), ())
+    """Triangles whose consecutive rows pass ``rule``, in row-lex order (the
+    bottom row is forced to 1..n), or with ``matrix`` their matrices,
+    _triangle_to_matrix_rows of the triangles."""
+    return _walk(n, (), _row_moves(n, rule, matrix))
 
 
-def _path_sums(n: int, rule: str, steps=(), width: int = 0) -> tuple:
-    """The number of row-graph paths (n, rule), the length of
-    _iter_triangle_rows(n, rule), and ``width`` tallies: each step function
-    step(n, i, prev, row) returns a tuple of values per edge, and tally k
-    counts the paths by the sum along them of the k-th of all those
-    values, as a dict value -> count.
-
-    A forward pass (the transfer-matrix method): one layer maps each row to
-    the number of paths ending there and one such dict per value, and is
-    pushed to the next row edge by edge, so only two layers are held.
-    Every path ends at row 1..n."""
-    layer = {(): [1, *({0: 1} for _ in range(width))]}
-    for i in range(1, n + 1):
-        nxt: dict[tuple, list] = {}
-        for prev, (ways, *tallies) in layer.items():
-            for row in _next_rows(n, prev, rule):
-                into = nxt.get(row)
-                if into is None:
-                    into = nxt[row] = [0, *({} for _ in range(width))]
-                into[0] += ways
-                k = 0
-                for step in steps:
-                    for d in step(n, i, prev, row):
-                        k += 1
-                        acc = into[k]
-                        for v, c in tallies[k - 1].items():
-                            acc[v + d] = acc.get(v + d, 0) + c
-        layer = nxt
-    ((ways, *tallies),) = layer.values()
-    return ways, tallies
-
-
-def _boolean_moves(n: int, t: int, i: int, c: int, pref: tuple) -> list:
-    """(v, next state) for each value v of cell (i, c), increasing, in a
-    boolean triangle of order n dilated by t.
+def _boolean_moves(n: int, t: int, i: int, c: int):
+    """The move of cell (i, c) in a boolean triangle of order n dilated by
+    t: state -> (v, next state) for each value v, increasing.
 
     Cells are placed in row-major order; row i covers columns n-i..n-1.
     The state ``pref`` holds the column prefix sums so far (pref[c] for
@@ -175,53 +205,38 @@ def _boolean_moves(n: int, t: int, i: int, c: int, pref: tuple) -> list:
     cell reads column c-1 again, so the next state drops it (sets it to
     0), which merges states with the same completions.
     """
-    s = pref[c]
-    if i <= n - c:
-        hi, head = t, pref[:c]
-    else:
-        hi = min(t, t + pref[c - 1] - s)
-        head = pref[:c - 1] + (0 if i == n - 1 else pref[c - 1],)
-    return [(v, head + (s + v,) + pref[c + 1:]) for v in range(hi + 1)]
+    def move(pref: tuple) -> list:
+        s = pref[c]
+        if i <= n - c:
+            hi, head = t, pref[:c]
+        else:
+            hi = min(t, t + pref[c - 1] - s)
+            head = pref[:c - 1] + (0 if i == n - 1 else pref[c - 1],)
+        return [(v, head + (s + v,) + pref[c + 1:]) for v in range(hi + 1)]
+    return move
+
+
+def _boolean_row_moves(n: int, i: int, pref: tuple) -> list:
+    """(row, next state) for each row i of a boolean triangle of order n, in
+    lex order: the cells of the row expanded together."""
+    out = [((), pref)]
+    for c in range(n - i, n):
+        move = _boolean_moves(n, 1, i, c)
+        out = [(row + (v,), q) for row, p in out for v, q in move(p)]
+    return out
 
 
 def _iter_boolean_rows(n: int) -> Iterator[tuple]:
-    """Boolean triangles in row-lex order: a depth-first walk of
-    _boolean_moves at t=1.  The cells of a row are expanded together, once
-    per state at the start of the row, into successor lists kept for this
-    call only."""
-    successors: dict[tuple, list] = {}
-
-    def walk(tri: tuple, pref: tuple):
-        i = len(tri) + 1
-        if i == n:
-            yield tri
-            return
-        nxt = successors.get((i, pref))
-        if nxt is None:
-            nxt = [((), pref)]
-            for c in range(n - i, n):
-                nxt = [(row + (v,), q) for row, p in nxt for v, q in _boolean_moves(n, 1, i, c, p)]
-            successors[(i, pref)] = nxt
-        for row, q in nxt:
-            yield from walk(tri + (row,), q)
-
-    return walk((), (0,) * n)
+    """Boolean triangles in row-lex order: rows 1..n-1, one per step."""
+    return _walk(n - 1, (0,) * n, lambda i: functools.partial(_boolean_row_moves, n, i))
 
 
 def _count_boolean_rows(n: int, t: int = 1) -> int:
     """Integer points of the t-th dilate of the boolean triangle polytope
     (at t=1 the length of _iter_boolean_rows(n)): the paths of
-    _boolean_moves counted per (cell, state), one cell at a time, so only
-    the states of the current cell are held."""
-    layer = {(0,) * n: 1}
-    for i in range(1, n):
-        for c in range(n - i, n):
-            nxt: dict[tuple, int] = {}
-            for pref, ways in layer.items():
-                for _, q in _boolean_moves(n, t, i, c, pref):
-                    nxt[q] = nxt.get(q, 0) + ways
-            layer = nxt
-    return sum(layer.values())
+    _boolean_moves, one cell per step."""
+    cells = [(i, c) for i in range(1, n) for c in range(n - i, n)]
+    return _path_sums(len(cells), (0,) * n, lambda k: _boolean_moves(n, t, *cells[k - 1]))
 
 
 def _sign_moves(n: int, t: int, i: int, pref: tuple) -> list:
@@ -245,31 +260,11 @@ def _sign_moves(n: int, t: int, i: int, pref: tuple) -> list:
 
 
 def _iter_square_sign_rows(n: int, t: int = 1) -> Iterator[tuple]:
-    """Square sign matrices in row-major lexicographic entry order: a
-    depth-first walk of _sign_moves over the states (row, column prefix
-    sums), each expanded once per call.  A state at row 2 is the first row
-    itself and is reached once, so only later states keep their lists.
-
-    With t > 1 the walk yields the integer points of the t-th dilate of
-    the square-sign relaxation: row and column sums t, column prefixes in
-    [0, t], row prefixes >= 0.
-    """
-    successors: dict[tuple, list] = {}
-
-    def walk(mat: tuple, pref: tuple):
-        i = len(mat) + 1
-        if i > n:
-            yield mat
-            return
-        nxt = successors.get((i, pref))
-        if nxt is None:
-            nxt = _sign_moves(n, t, i, pref)
-            if i > 2:
-                successors[(i, pref)] = nxt
-        for row, q in nxt:
-            yield from walk(mat + (row,), q)
-
-    return walk((), (0,) * n)
+    """Square sign matrices in row-major lexicographic entry order, one row
+    per step; with t > 1 the integer points of the t-th dilate of the
+    square-sign relaxation: row and column sums t, column prefixes in
+    [0, t], row prefixes >= 0."""
+    return _walk(n, (0,) * n, lambda i: functools.partial(_sign_moves, n, t, i))
 
 
 # the kinds that are paths through the row graph and the rule of their
@@ -313,7 +308,7 @@ def count(kind: str, n: int) -> int:
     _guard(n)
     if kind == "boolean_triangle":
         return _count_boolean_rows(n)
-    return _path_sums(n, _ROW_RULES[kind])[0]
+    return _path_sums(n, (), _row_moves(n, _ROW_RULES[kind]))
 
 
 def product_formula(n: int) -> int:
@@ -425,7 +420,7 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, D
     inversion = [s for s in _INVERSION_STATS if s in stats]
     others = [s for s in stats if s in _STAT_STEP]
     steps = ([_inversion_step(inversion)] if inversion else []) + [_STAT_STEP[s] for s in others]
-    _, tallies = _path_sums(n, _ROW_RULES[kind], steps, len(stats))
+    tallies = _path_sums(n, (), _row_moves(n, _ROW_RULES[kind]), steps)
     by_stat = dict(zip(inversion + others, tallies))
     out = {}
     for s in stats:
@@ -441,7 +436,8 @@ def boundary_count(n: int, i: int, j: int) -> int:
         raise ValueError("position out of range")
     _guard(n)
     # the paths on whose step to row i column j enters the row
-    _, (tally,) = _path_sums(n, "magog", [lambda n, r, prev, row: (r == i and j in row and j not in prev,)], 1)
+    (tally,) = _path_sums(n, (), _row_moves(n, "magog"),
+                          [lambda n, r, prev, row: (r == i and j in row and j not in prev,)])
     return tally.get(1, 0)
 
 

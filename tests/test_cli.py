@@ -59,6 +59,20 @@ def test_map_round_trip(tmp_path, capsys):
     assert serialize.loads(out2) == m
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "matrix", "n": 2, "entries": [[1, 0], [0, 1]]},
+    {"kind": "rational-triangle", "n": 3, "rows": [["1/2"], ["1/3", "2/3"]]},
+    {"kind": "boolean-triangle", "n": 3, "rows": [[0], [1, 0]]},
+], ids=["matrix", "rational-triangle", "boolean-triangle"])
+def test_map_from_triangle_refuses_other_documents(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["map", "--from", "triangle", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: map --from triangle expects a magog-triangle document\n"
+
+
 def test_classify_command(tmp_path, capsys):
     m = SignMatrix.from_rows([[0, 0, 1], [1, 1, -1], [0, 0, 1]])
     path = tmp_path / "m.json"

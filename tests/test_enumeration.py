@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magoglab import (
     BooleanTriangle,
@@ -248,7 +250,7 @@ def test_tables_and_counts_enumerate_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated")
 
-    for name in ("_raw_rows", "_iter_triangle_rows", "_iter_square_sign_rows", "_iter_boolean_rows"):
+    for name in ("_walk", "_raw_rows", "_iter_triangle_rows", "_iter_square_sign_rows", "_iter_boolean_rows"):
         monkeypatch.setattr(enumeration, name, refuse)
     for name in ("_inv", "_neg_count"):
         monkeypatch.setattr(core, name, refuse)
@@ -471,3 +473,28 @@ def test_per_edge_matrix_rows_match_the_triangle_map(rule):
         tris = list(_iter_triangle_rows(n, rule))
         mats = list(_iter_triangle_rows(n, rule, matrix=True))
         assert mats == [_triangle_to_matrix_rows(tri) for tri in tris]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), rule=st.sampled_from(["magog", "monotone", "sign", "gapless"]))
+def test_random_row_graph_paths_are_objects_of_their_rule(data, n, rule):
+    """Past the exhaustive orders (n <= 7): a path of the row graph drawn one
+    row at a time, by an index into _next_rows, is an object of its rule's
+    family."""
+    from magoglab.core import _triangle_to_matrix_rows
+    from magoglab.enumeration import _next_rows
+
+    tri = ()
+    for _ in range(n):
+        options = _next_rows(n, tri[-1] if tri else (), rule)
+        assert options  # no dead ends
+        tri += (options[data.draw(st.integers(0, len(options) - 1))],)
+    m = SignMatrix(n, _triangle_to_matrix_rows(tri))
+    c = classify(m)
+    assert c.square_sign
+    if rule in ("magog", "gapless"):
+        t = MagogTriangle(n, tri)
+        assert magog_triangle_to_matrix(t) == m and matrix_to_magog_triangle(m) == t
+        assert c.magog
+    if rule in ("monotone", "gapless"):
+        assert c.asm
