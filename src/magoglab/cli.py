@@ -17,8 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import enumeration, golden, polytope, serialize
-from .core import (MagogTriangle, SignMatrix, ValidationFailure, classify, magog_triangle_to_matrix,
-                   matrix_to_magog_triangle)
+from .core import (BooleanTriangle, MagogTriangle, SignMatrix, ValidationFailure, classify,
+                   magog_triangle_to_matrix, matrix_to_magog_triangle)
 from .enumeration import CeilingExceeded
 
 KIND_FLAGS = {
@@ -134,9 +134,9 @@ def _load_triangle_point(path) -> polytope.RationalTrianglePoint:
     obj = serialize.load_path(path)
     if isinstance(obj, polytope.RationalTrianglePoint):
         return obj
-    if hasattr(obj, "rows"):
+    if isinstance(obj, BooleanTriangle):
         return polytope.RationalTrianglePoint.from_rows(obj.n, obj.rows)
-    raise ValidationFailure("expected a triangle-shaped document")
+    raise ValidationFailure("expected a rational-triangle or boolean-triangle document")
 
 
 def _load_matrix_point(path) -> polytope.RationalMatrixPoint:

@@ -169,6 +169,23 @@ class BooleanTriangle:
         return frozenset(out)
 
 
+# the field that holds the rows, after n, of each kind _trusted builds
+_ROWS_ATTR = {SignMatrix: "entries", MagogTriangle: "rows", BooleanTriangle: "rows"}
+
+
+def _trusted(cls, n: int, rows):
+    """A SignMatrix, MagogTriangle or BooleanTriangle holding ``n`` and
+    ``rows`` (a tuple of int tuples), built without the checks of its
+    constructor.  Only for rows a move rule of the enumeration engine
+    emitted, which keep every invariant those checks test; the test suite
+    rebuilds every streamed object at n <= 6 through its constructor."""
+    obj = object.__new__(cls)
+    fields = obj.__dict__
+    fields["n"] = n
+    fields[_ROWS_ATTR[cls]] = rows
+    return obj
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of 1..n; its matrix has a 1 at (i, pi_i)."""

@@ -35,6 +35,8 @@ from .core import (
     Permutation,
     SignMatrix,
     _matrix_row,
+    _special_violations,
+    _trusted,
     is_132_avoiding,
     max_negative_ones_bound,
     max_negative_ones_matrix,
@@ -71,25 +73,41 @@ def _walk(depth: int, start, moves) -> Iterator[tuple]:
     ``moves(i)`` is step i's move function, state -> iterable of
     (emitted, next state).  Each state's list is built once per call and
     kept from step 3 on: a step-2 state is the first step itself and is
-    reached once."""
+    reached once.
+
+    The walk holds one iterator over the moves of each step on the
+    current path, so every path leaves one generator frame, and the moves
+    of the last step are read straight off their list."""
     step_moves = [moves(i) for i in range(1, depth + 1)]
     kept = [{} for _ in step_moves]
-
-    def walk(out: tuple, state):
-        i = len(out)
-        if i == depth:
-            yield out
-            return
-        if i < 2:
-            nxt = step_moves[i](state)
+    if depth == 0:
+        yield ()
+        return
+    # stack[k-1]: the moves of step k not yet taken, and what steps < k emitted
+    stack = [(iter(step_moves[0](start)), ())]
+    while stack:
+        it, out = stack[-1]
+        k = len(stack)
+        for emitted, q in it:
+            path = out + (emitted,)
+            if k == depth:
+                # a walk of one step; deeper ones end in the loop below
+                yield path
+                continue
+            if k < 2:
+                nxt = step_moves[k](q)
+            else:
+                nxt = kept[k].get(q)
+                if nxt is None:
+                    nxt = kept[k][q] = list(step_moves[k](q))
+            if k == depth - 1:
+                for last, _ in nxt:
+                    yield path + (last,)
+                continue
+            stack.append((iter(nxt), path))
+            break
         else:
-            nxt = kept[i].get(state)
-            if nxt is None:
-                nxt = kept[i][state] = list(step_moves[i](state))
-        for emitted, q in nxt:
-            yield from walk(out + (emitted,), q)
-
-    return walk((), start)
+            stack.pop()
 
 
 def _path_sums(depth: int, start, moves, steps=()):
@@ -274,6 +292,10 @@ _ROW_RULES = {"magog_triangle": "magog", "magog_matrix": "magog", "asm": "monoto
               "square_sign": "sign"}
 
 
+# the class of each kind's objects that is not a SignMatrix
+_STREAM_CLASS = {"magog_triangle": MagogTriangle, "boolean_triangle": BooleanTriangle}
+
+
 def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
     if kind == "square_sign":
         return _iter_square_sign_rows(n)
@@ -291,12 +313,8 @@ def enumerate_objects(kind: str, n: int):
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     _guard(n)
-    raw = _raw_rows(kind, n)
-    if kind == "magog_triangle":
-        return (MagogTriangle(n, t) for t in raw)
-    if kind == "boolean_triangle":
-        return (BooleanTriangle(n, t) for t in raw)
-    return (SignMatrix(n, t) for t in raw)
+    cls = _STREAM_CLASS.get(kind, SignMatrix)
+    return map(functools.partial(_trusted, cls, n), _raw_rows(kind, n))
 
 
 def count(kind: str, n: int) -> int:
@@ -516,7 +534,10 @@ def theorem_suite(n_max: int) -> SuiteReport:
 
         # negative-one-free magog matrices are the 132-avoiding permutations
         add("catalan count of negative-one-free magog matrices", n, catalan(n), neg.get(0))
-        avoiders_magog = [classify(p.matrix()).magog for p in _iter_132_avoiders(n) if is_132_avoiding(p)]
+        # a permutation matrix is a square sign matrix, so it is magog iff
+        # it passes every special inequality
+        avoiders_magog = [not _special_violations([[int(v == j) for j in range(1, n + 1)] for v in p.values])
+                          for p in _iter_132_avoiders(n) if is_132_avoiding(p)]
         # -1-free sign matrices are permutation matrices: all avoiders magog + equal counts = equal sets
         add("negative-one-free magog = 132-avoiding permutation matrices", n, True,
             len(avoiders_magog) == neg.get(0) and all(avoiders_magog))

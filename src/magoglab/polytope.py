@@ -31,6 +31,7 @@ from .core import (
     _diagonal_violations,
     _prefix_matrices,
     _special_from_prefixes,
+    _trusted,
     column_one_positions,
     validate_magog,
 )
@@ -279,9 +280,11 @@ def verify_vertex_certificates(n: int, polytope: str = "tsscpp") -> CertificateR
     candidates under the certificate its public constructor returns."""
     _guard(n)
     if polytope == "tsscpp":
-        certs = [magog_separating_hyperplane(SignMatrix(n, rows)) for rows in _raw_rows("magog_matrix", n)]
+        certs = [magog_separating_hyperplane(_trusted(SignMatrix, n, rows))
+                 for rows in _raw_rows("magog_matrix", n)]
     elif polytope == "btp":
-        certs = [boolean_separating_hyperplane(BooleanTriangle(n, rows)) for rows in _raw_rows("boolean_triangle", n)]
+        certs = [boolean_separating_hyperplane(_trusted(BooleanTriangle, n, rows))
+                 for rows in _raw_rows("boolean_triangle", n)]
     else:
         raise ValueError("polytope must be 'tsscpp' or 'btp'")
     failures = []

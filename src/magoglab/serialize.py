@@ -148,6 +148,8 @@ def from_document(doc: dict):
             (as_fraction(_scalar(_field(t, "weight"))), from_document(_field(t, "vertex")))
             for t in _list(doc, "terms")
         )
+        if not terms:
+            raise DocumentError("a decomposition document needs at least one term")
         return ConvexDecomposition(terms)
     kind = doc.get("kind")
     if kind == "matrix":

@@ -119,6 +119,23 @@ def test_btp_membership_and_decompose(tmp_path, capsys):
     assert json.loads(out)["violations"] == [["diagonal", [3, 1]]]
 
 
+@pytest.mark.parametrize("command", [["polytope", "membership", "--polytope", "btp"], ["polytope", "decompose"]],
+                         ids=["membership", "decompose"])
+def test_btp_commands_take_only_rational_and_boolean_triangles(tmp_path, capsys, command):
+    path = tmp_path / "t.json"
+    magog_triangle = {"kind": "magog-triangle", "n": 3, "rows": [[1], [1, 2], [1, 2, 3]]}
+    path.write_text(json.dumps(magog_triangle), encoding="utf-8")
+    code = main(command + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: expected a rational-triangle or boolean-triangle document\n"
+
+    path.write_text(serialize.dumps(BooleanTriangle.from_rows(3, [[1], [1, 0]])), encoding="utf-8")
+    code = main(command + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+
+
 def test_missing_input_file_is_io_error(capsys):
     code, _ = run(capsys, "classify", "--input", "/nonexistent/nope.json")
     assert code == 2
@@ -351,11 +368,13 @@ MALFORMED_DOCUMENTS = {
     "magog-triangle-order": {"kind": "magog-triangle", "n": 9, "rows": [[1]]},
     "boolean-triangle-order": {"kind": "boolean-triangle", "n": 4, "rows": [[0], [0, 1]]},
     "rational-triangle-row-length": {"kind": "rational-triangle", "n": 3, "rows": [["1/2"], ["0"]]},
+    "decomposition-without-terms": {"terms": []},
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
-@pytest.mark.parametrize("command", [["classify"], ["polytope", "membership", "--polytope", "tsscpp"]])
+@pytest.mark.parametrize("command", [["classify"], ["polytope", "membership", "--polytope", "tsscpp"],
+                                     ["map", "--from", "matrix"]])
 def test_malformed_documents_are_parse_errors(tmp_path, capsys, name, command):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]), encoding="utf-8")

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from magoglab import serialize
 from magoglab import (
     BooleanTriangle,
     MagogTriangle,
@@ -158,6 +159,19 @@ def test_triangle_invariants_rejected_at_construction():
         MagogTriangle.from_rows([[1], [2, 2], [1, 2, 3]])
     with pytest.raises(ValidationFailure, match="diagonal-step"):
         MagogTriangle.from_rows([[1], [2, 3], [1, 2, 3]])
+
+
+def test_public_constructors_and_documents_still_check_their_input():
+    # only rows a move rule of the enumeration engine emitted skip these
+    # checks (core._trusted)
+    with pytest.raises(ValueError, match="outside"):
+        SignMatrix(2, ((2, 0), (0, 1)))
+    with pytest.raises(ValidationFailure, match="diagonal-step"):
+        MagogTriangle(3, ((1,), (1, 3), (1, 2, 3)))
+    with pytest.raises(ValueError, match="outside"):
+        BooleanTriangle(3, ((2,), (0, 1)))
+    with pytest.raises(ValidationFailure, match="diagonal-step"):
+        serialize.loads('{"kind":"magog-triangle","n":3,"rows":[[1],[1,3],[1,2,3]]}')
 
 
 def test_psi_raw_extraction_total_on_square_sign():

@@ -23,10 +23,15 @@ from magoglab import (
     matrix_to_magog_triangle,
     product_formula,
     theorem_suite,
+    validate_asm,
     validate_boolean_triangle,
+    validate_magog,
+    validate_square_sign,
 )
-from magoglab import golden
-from magoglab.enumeration import STATISTICS, _iter_132_avoiders
+from magoglab import golden, serialize
+from magoglab.core import _triangle_to_matrix_rows, _trusted
+from magoglab.enumeration import (KINDS, STATISTICS, _ROW_RULES, _boolean_row_moves, _iter_132_avoiders,
+                                  _next_rows)
 
 
 def brute_force_boolean_triangles(n):
@@ -109,20 +114,32 @@ def test_enumeration_is_deterministic():
         assert a == b
 
 
+# per kind: its objects rebuilt from plain int tuples through the public,
+# checking constructor of their class, and the validators they pass
+STREAM_CHECKS = {
+    "magog_triangle": (lambda t: MagogTriangle.from_rows(t.rows),
+                       (lambda t: validate_magog(magog_triangle_to_matrix(t)),)),
+    "magog_matrix": (lambda m: SignMatrix.from_rows(m.entries), (validate_magog,)),
+    "square_sign": (lambda m: SignMatrix.from_rows(m.entries), (validate_square_sign,)),
+    "asm": (lambda m: SignMatrix.from_rows(m.entries), (validate_asm,)),
+    "boolean_triangle": (lambda b: BooleanTriangle.from_rows(b.n, b.rows), (validate_boolean_triangle,)),
+    "gapless": (lambda m: SignMatrix.from_rows(m.entries), (validate_magog, validate_asm)),
+}
+
+
 def test_enumeration_yields_valid_typed_objects(family):
-    for t in family("magog_triangle", 4):
-        assert isinstance(t, MagogTriangle)
-    for b in family("boolean_triangle", 4):
-        assert isinstance(b, BooleanTriangle)
-        assert validate_boolean_triangle(b).valid
-    for m in family("magog_matrix", 4):
-        assert isinstance(m, SignMatrix)
-        assert classify(m).magog
-    for m in family("asm", 4):
-        assert classify(m).asm
-    for m in family("gapless", 4):
-        c = classify(m)
-        assert c.magog and c.asm
+    """Streams build their objects without the constructor's checks
+    (core._trusted): every streamed object at n <= 6 must equal its twin
+    built through them, and pass its kind's validators."""
+    assert sorted(STREAM_CHECKS) == sorted(KINDS)
+    for kind, (twin_of, validators) in STREAM_CHECKS.items():
+        for n in range(1, 7):
+            for obj in family(kind, n):
+                twin = twin_of(obj)
+                assert twin == obj and hash(twin) == hash(obj), (kind, obj)
+                # the serializer tells int rows from bool rows, which compare equal
+                assert serialize.dumps(twin) == serialize.dumps(obj), (kind, obj)
+                assert all(validate(obj).valid for validate in validators), (kind, obj)
 
 
 def test_triangle_lex_order(family):
@@ -475,20 +492,24 @@ def test_per_edge_matrix_rows_match_the_triangle_map(rule):
         assert mats == [_triangle_to_matrix_rows(tri) for tri in tris]
 
 
+def draw_row_path(data, n, rule):
+    """A path of the row graph of order n under ``rule``, drawn one row at a
+    time by an index into _next_rows."""
+    tri = ()
+    for _ in range(n):
+        options = _next_rows(n, tri[-1] if tri else (), rule)
+        assert options  # no dead ends
+        tri += (options[data.draw(st.integers(0, len(options) - 1))],)
+    return tri
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 10), rule=st.sampled_from(["magog", "monotone", "sign", "gapless"]))
 def test_random_row_graph_paths_are_objects_of_their_rule(data, n, rule):
     """Past the exhaustive orders (n <= 7): a path of the row graph drawn one
     row at a time, by an index into _next_rows, is an object of its rule's
     family."""
-    from magoglab.core import _triangle_to_matrix_rows
-    from magoglab.enumeration import _next_rows
-
-    tri = ()
-    for _ in range(n):
-        options = _next_rows(n, tri[-1] if tri else (), rule)
-        assert options  # no dead ends
-        tri += (options[data.draw(st.integers(0, len(options) - 1))],)
+    tri = draw_row_path(data, n, rule)
     m = SignMatrix(n, _triangle_to_matrix_rows(tri))
     c = classify(m)
     assert c.square_sign
@@ -498,3 +519,27 @@ def test_random_row_graph_paths_are_objects_of_their_rule(data, n, rule):
         assert c.magog
     if rule in ("monotone", "gapless"):
         assert c.asm
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), kind=st.sampled_from(KINDS))
+def test_serialize_round_trips_trusted_objects_of_random_paths(data, n, kind):
+    """loads(dumps(obj)) == obj for an object built as the streams build
+    theirs (core._trusted) from a random path of its kind's move rule: the
+    loaded twin passed every check of the public constructor.  Matrix kinds
+    are drawn on the row graph (square sign matrices under the sign window),
+    boolean triangles a row at a time over column prefix sums."""
+    if kind == "boolean_triangle":
+        rows, pref = (), (0,) * n
+        for i in range(1, n):
+            options = _boolean_row_moves(n, i, pref)
+            row, pref = options[data.draw(st.integers(0, len(options) - 1))]
+            rows += (row,)
+        obj = _trusted(BooleanTriangle, n, rows)
+    else:
+        tri = draw_row_path(data, n, _ROW_RULES[kind])
+        obj = (_trusted(MagogTriangle, n, tri) if kind == "magog_triangle"
+               else _trusted(SignMatrix, n, _triangle_to_matrix_rows(tri)))
+    text = serialize.dumps(obj)
+    assert serialize.loads(text) == obj
+    assert serialize.dumps(serialize.loads(text)) == text
