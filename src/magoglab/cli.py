@@ -110,7 +110,7 @@ def _cmd_map(args) -> int:
     obj = serialize.load_path(args.input)
     if args.source == "matrix":
         if not isinstance(obj, SignMatrix):
-            raise ValidationFailure("map --from matrix expects an integer matrix document")
+            raise ValidationFailure("map --from matrix expects a matrix document with entries in {-1,0,1}")
         _emit(serialize.dumps(matrix_to_magog_triangle(obj)))
     else:
         if not isinstance(obj, MagogTriangle):
@@ -122,7 +122,7 @@ def _cmd_map(args) -> int:
 def _cmd_classify(args) -> int:
     obj = serialize.load_path(args.input)
     if not isinstance(obj, SignMatrix):
-        raise ValidationFailure("classify expects an integer matrix document")
+        raise ValidationFailure("classify expects a matrix document with entries in {-1,0,1}")
     c = classify(obj)
     _emit(json.dumps(
         {"square_sign": c.square_sign, "magog": c.magog, "asm": c.asm},

@@ -9,6 +9,12 @@ bound the row prefix sums by one.  Magog matrices correspond one-to-one to
 magog triangles through column partial sums (record, per row, the columns
 whose prefix sum is one), and that map is invertible.
 
+Prefix sums are formed in one place: _column_prefixes (of a matrix, or of
+a triangle whose rows are aligned right) and _prefix_matrices (row
+prefixes too).  Each public check forms them once.  Every constraint
+family is a generator that reads them and yields its violations in a fixed
+order; a report keeps all of them, or only the first.
+
 All indices in violation reports are 1-based to match the usual (i,j)
 naming of the inequalities.  All objects are immutable after construction
 and every function here is pure.
@@ -16,6 +22,8 @@ and every function here is pure.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 
@@ -226,16 +234,24 @@ class InversionStats:
 # raw-row helpers, shared with the enumeration engine
 
 
+def _column_prefixes(rows):
+    """Column prefix sums, 0-based [i][j], of a matrix or of a
+    triangle-shaped array whose rows are aligned right (boolean-triangle row
+    i sits in columns n-i..n-1): [i-1][c-1] sums column c through row i, and
+    a column reads 0 above its first entry."""
+    width = len(rows[-1]) if rows else 0
+    run = [0] * width
+    out = []
+    for row in rows:
+        skip = width - len(row)
+        run = [*run[:skip], *map(operator.add, run[skip:], row)]
+        out.append(run)
+    return out
+
+
 def _prefix_matrices(rows):
-    """(column-prefix, row-prefix) matrices, both 0-based [i][j]."""
-    n = len(rows)
-    col = [[0] * n for _ in range(n)]
-    rowp = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            col[i][j] = rows[i][j] + (col[i - 1][j] if i else 0)
-            rowp[i][j] = rows[i][j] + (rowp[i][j - 1] if j else 0)
-    return col, rowp
+    """(column-prefix, row-prefix) matrices of a square matrix, both 0-based [i][j]."""
+    return _column_prefixes(rows), [list(itertools.accumulate(row)) for row in rows]
 
 
 def _matrix_row(n: int, prev, row) -> tuple[int, ...]:
@@ -256,101 +272,55 @@ def _triangle_to_matrix_rows(tri) -> tuple[tuple[int, ...], ...]:
     return tuple(_matrix_row(n, prev, row) for prev, row in zip(((),) + tuple(tri), tri))
 
 
-def _square_sign_violations(rows, collect_all=False):
-    n = len(rows)
-    out = []
-    for j in range(n):
-        s = 0
-        for i in range(n):
-            s += rows[i][j]
-            if s < 0 or s > 1:
-                out.append(("column-prefix", (i + 1, j + 1)))
-                if not collect_all:
-                    return out
-        if s != 1:
-            out.append(("column-sum", (j + 1,)))
-            if not collect_all:
-                return out
-    for i in range(n):
-        s = 0
-        for j in range(n):
-            s += rows[i][j]
+def _square_sign_violations(col, rowp):
+    """Per column its prefixes in {0,1} and its unit sum, then per row its
+    prefixes >= 0 and its unit sum."""
+    for j, prefixes in enumerate(zip(*col), start=1):
+        for i, s in enumerate(prefixes, start=1):
+            if not 0 <= s <= 1:
+                yield ("column-prefix", (i, j))
+        if prefixes[-1] != 1:
+            yield ("column-sum", (j,))
+    for i, prefixes in enumerate(rowp, start=1):
+        for j, s in enumerate(prefixes, start=1):
             if s < 0:
-                out.append(("row-prefix", (i + 1, j + 1)))
-                if not collect_all:
-                    return out
-        if s != 1:
-            out.append(("row-sum", (i + 1,)))
-            if not collect_all:
-                return out
-    return out
+                yield ("row-prefix", (i, j))
+        if prefixes[-1] != 1:
+            yield ("row-sum", (i,))
 
 
-def _special_violations(rows, collect_all=False):
+def _special_violations(col, rowp):
     """Violated (i,j)-special inequalities, 1 <= i,j <= n-2."""
-    return _special_from_prefixes(*_prefix_matrices(rows), collect_all)
-
-
-def _special_from_prefixes(col, rowp, collect_all=False):
-    """The same check on prefix matrices already in hand."""
     n = len(col)
-    out = []
     for i in range(1, n - 1):
         for j in range(1, n - 1):
             # row i+1 prefix through column j, plus column j+1 prefix
             # through row i+1, minus column j prefix through row i
-            lhs = rowp[i][j - 1] + col[i][j] - col[i - 1][j - 1]
-            if lhs < 0:
-                out.append(("special", (i, j)))
-                if not collect_all:
-                    return out
-    return out
+            if rowp[i][j - 1] + col[i][j] - col[i - 1][j - 1] < 0:
+                yield ("special", (i, j))
 
 
-def _column_prefixes(n, rows):
-    """Column prefix sums of a triangle-shaped array, keyed (row, column)
-    with both 1-based as in :meth:`BooleanTriangle.ones`."""
-    pref = {}
-    run = {}
-    for i, row in enumerate(rows, start=1):
-        for k, v in enumerate(row):
-            c = n - i + k
-            run[c] = run.get(c, 0) + v
-            pref[(i, c)] = run[c]
-    return pref
-
-
-def _diagonal_violations(n, rows, collect_all=False):
-    """Violated (i,j)-diagonal inequalities of a triangle-shaped array,
-    1 <= j < i <= n-1:  1 + sum_{k=j+1..i} b[k][n-j-1] >= sum_{k=j..i} b[k][n-j]."""
-    pref = _column_prefixes(n, rows)
-    out = []
+def _diagonal_violations(n, col):
+    """Violated (i,j)-diagonal inequalities of a triangle-shaped array, given
+    its column prefixes, 1 <= j < i <= n-1:
+    1 + sum_{k=j+1..i} b[k][n-j-1] >= sum_{k=j..i} b[k][n-j]."""
     for i in range(2, n):
         for j in range(1, i):
-            c = n - j
-            if pref[(i, c)] > 1 + pref[(i, c - 1)]:
-                out.append(("diagonal", (i, j)))
-                if not collect_all:
-                    return out
-    return out
+            if col[i - 1][n - j - 1] > 1 + col[i - 1][n - j - 2]:
+                yield ("diagonal", (i, j))
 
 
-def _asm_extra_violations(rows, collect_all=False):
-    n = len(rows)
-    out = []
-    for i in range(n):
-        s = 0
-        for j in range(n):
-            s += rows[i][j]
+def _asm_extra_violations(rowp):
+    """Row prefix sums above one."""
+    for i, prefixes in enumerate(rowp, start=1):
+        for j, s in enumerate(prefixes, start=1):
             if s > 1:
-                out.append(("row-prefix-upper", (i + 1, j + 1)))
-                if not collect_all:
-                    return out
-    return out
+                yield ("row-prefix-upper", (i, j))
 
 
-def _is_square_sign(rows) -> bool:
-    return not _square_sign_violations(rows)
+def _report(violations, collect_all: bool) -> ValidationReport:
+    """A report of all the violations, or of the first."""
+    return ValidationReport.of(violations if collect_all else itertools.islice(violations, 1))
 
 
 def _neg_count(rows) -> int:
@@ -378,47 +348,61 @@ def _inv(rows) -> int:
 
 def validate_square_sign(m: SignMatrix, collect_all: bool = False) -> ValidationReport:
     """Check unit row/column sums, column prefixes in {0,1}, row prefixes >= 0."""
-    return ValidationReport.of(_square_sign_violations(m.entries, collect_all))
+    return _report(_square_sign_violations(*_prefix_matrices(m.entries)), collect_all)
 
 
 def validate_magog(m: SignMatrix, collect_all: bool = False) -> ValidationReport:
     """Square sign conditions plus every (i,j)-special inequality."""
-    viols = _square_sign_violations(m.entries, collect_all)
-    if viols and not collect_all:
-        return ValidationReport.of(viols)
-    viols += _special_violations(m.entries, collect_all)
-    return ValidationReport.of(viols)
+    col, rowp = _prefix_matrices(m.entries)
+    return _report(itertools.chain(_square_sign_violations(col, rowp), _special_violations(col, rowp)),
+                   collect_all)
 
 
 def validate_asm(m: SignMatrix, collect_all: bool = False) -> ValidationReport:
     """Square sign conditions plus row prefix sums bounded by one."""
-    viols = _square_sign_violations(m.entries, collect_all)
-    if viols and not collect_all:
-        return ValidationReport.of(viols)
-    viols += _asm_extra_violations(m.entries, collect_all)
-    return ValidationReport.of(viols)
+    col, rowp = _prefix_matrices(m.entries)
+    return _report(itertools.chain(_square_sign_violations(col, rowp), _asm_extra_violations(rowp)),
+                   collect_all)
 
 
 def classify(m: SignMatrix) -> Classification:
     """Which of the three families the matrix belongs to."""
-    sq = _is_square_sign(m.entries)
-    if not sq:
+    col, rowp = _prefix_matrices(m.entries)
+    if any(_square_sign_violations(col, rowp)):
         return Classification(False, False, False)
-    return Classification(
-        True,
-        not _special_violations(m.entries),
-        not _asm_extra_violations(m.entries),
-    )
+    return Classification(True, not any(_special_violations(col, rowp)), not any(_asm_extra_violations(rowp)))
 
 
 def validate_boolean_triangle(b: BooleanTriangle, collect_all: bool = False) -> ValidationReport:
     """Check every (i,j)-inequality
     1 + sum_{k=j+1..i} b[k][n-j-1] >= sum_{k=j..i} b[k][n-j]."""
-    return ValidationReport.of(_diagonal_violations(b.n, b.rows, collect_all))
+    return _report(_diagonal_violations(b.n, _column_prefixes(b.rows)), collect_all)
 
 
 # ---------------------------------------------------------------------------
 # the bijection between magog matrices and magog triangles
+
+
+def _checked_column_prefixes(m: SignMatrix, magog: bool = False):
+    """Column prefixes of ``m``, after one check on the same prefixes that
+    it is a square sign matrix (and a magog matrix, when asked); raises
+    ValidationFailure otherwise."""
+    col, rowp = _prefix_matrices(m.entries)
+    violations = _square_sign_violations(col, rowp)
+    if magog:
+        violations = itertools.chain(violations, _special_violations(col, rowp))
+    report = _report(violations, False)
+    if not report.valid:
+        kind = "magog" if magog else "square sign"
+        raise ValidationFailure(f"not a {kind} matrix: {report.first()}", report)
+    return col
+
+
+def _column_ones(m: SignMatrix, magog: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Row i lists, increasing, the columns whose prefix through row i is
+    one; checked prefixes are all 0 or 1."""
+    col = _checked_column_prefixes(m, magog)
+    return tuple(tuple(j for j, v in enumerate(row, start=1) if v) for row in col)
 
 
 def column_partial_sums(m: SignMatrix) -> SignMatrix:
@@ -426,36 +410,20 @@ def column_partial_sums(m: SignMatrix) -> SignMatrix:
 
     Requires a valid square sign matrix (so all prefixes are 0 or 1).
     """
-    report = validate_square_sign(m)
-    if not report.valid:
-        raise ValidationFailure(f"not a square sign matrix: {report.first()}", report)
-    n = m.n
-    out = []
-    prev = (0,) * n
-    for i in range(n):
-        cur = tuple(prev[j] + m.entries[i][j] for j in range(n))
-        out.append(cur)
-        prev = cur
-    return SignMatrix(n, tuple(out))
+    return SignMatrix(m.n, tuple(map(tuple, _checked_column_prefixes(m))))
 
 
 def column_one_positions(m: SignMatrix) -> tuple[tuple[int, ...], ...]:
     """Row i of the result lists, increasing, the columns whose prefix sum
     through row i equals one.  Defined for every square sign matrix; the
     result is a magog triangle exactly when the matrix is magog."""
-    ps = column_partial_sums(m)
-    return tuple(
-        tuple(j + 1 for j in range(m.n) if ps.entries[i][j] == 1) for i in range(m.n)
-    )
+    return _column_ones(m)
 
 
 def matrix_to_magog_triangle(m: SignMatrix) -> MagogTriangle:
     """Map a magog matrix to its magog triangle (record per row of the
     column-partial-sum matrix the positions of the ones)."""
-    report = validate_magog(m)
-    if not report.valid:
-        raise ValidationFailure(f"not a magog matrix: {report.first()}", report)
-    return MagogTriangle(m.n, column_one_positions(m))
+    return MagogTriangle(m.n, _column_ones(m, magog=True))
 
 
 def magog_triangle_to_matrix(t: MagogTriangle) -> SignMatrix:

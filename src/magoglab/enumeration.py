@@ -35,6 +35,7 @@ from .core import (
     Permutation,
     SignMatrix,
     _matrix_row,
+    _prefix_matrices,
     _special_violations,
     _trusted,
     is_132_avoiding,
@@ -536,8 +537,9 @@ def theorem_suite(n_max: int) -> SuiteReport:
         add("catalan count of negative-one-free magog matrices", n, catalan(n), neg.get(0))
         # a permutation matrix is a square sign matrix, so it is magog iff
         # it passes every special inequality
-        avoiders_magog = [not _special_violations([[int(v == j) for j in range(1, n + 1)] for v in p.values])
-                          for p in _iter_132_avoiders(n) if is_132_avoiding(p)]
+        avoider_rows = ([[int(v == j) for j in range(1, n + 1)] for v in p.values]
+                        for p in _iter_132_avoiders(n) if is_132_avoiding(p))
+        avoiders_magog = [not any(_special_violations(*_prefix_matrices(rows))) for rows in avoider_rows]
         # -1-free sign matrices are permutation matrices: all avoiders magog + equal counts = equal sets
         add("negative-one-free magog = 132-avoiding permutation matrices", n, True,
             len(avoiders_magog) == neg.get(0) and all(avoiders_magog))

@@ -27,13 +27,13 @@ from .core import (
     SignMatrix,
     ValidationFailure,
     ValidationReport,
+    _column_ones,
     _column_prefixes,
     _diagonal_violations,
     _prefix_matrices,
-    _special_from_prefixes,
+    _special_violations,
     _trusted,
-    column_one_positions,
-    validate_magog,
+    validate_magog,  # unused here; perfbench/spans.py times it as polytope.validate_magog
 )
 from .enumeration import (
     _count_boolean_rows,
@@ -186,7 +186,7 @@ def check_necessary_inequalities(p: RationalMatrixPoint) -> ValidationReport:
                 out.append(("column-prefix", (i + 1, j + 1)))
             if rowp[i][j] < 0:
                 out.append(("row-prefix", (i + 1, j + 1)))
-    out += _special_from_prefixes(col, rowp, collect_all=True)
+    out += _special_violations(col, rowp)
     for i in range(1, n - 1):
         for j in range(1, n - 1):
             if i + j >= n - 1 and rowp[i][j - 1] + col[i][j] < 1:
@@ -239,12 +239,9 @@ def magog_separating_hyperplane(a: SignMatrix) -> SeparationCertificate:
     column prefixes over the positions (rows 1..n-1) where this matrix's
     prefix is one.  The candidate scores C(n,2); any other magog matrix
     scores at most C(n,2) - 1."""
-    report = validate_magog(a)
-    if not report.valid:
-        raise ValidationFailure(f"not a magog matrix: {report.first()}", report)
     n = a.n
     support = frozenset(
-        (i, j) for i, cols in enumerate(column_one_positions(a)[:-1], start=1) for j in cols
+        (i, j) for i, cols in enumerate(_column_ones(a, magog=True)[:-1], start=1) for j in cols
     )
     binom2 = n * (n - 1) // 2
     if len(support) != binom2:
@@ -320,7 +317,7 @@ def btp_contains(p: RationalTrianglePoint) -> ValidationReport:
                 out.append(("lower-bound", (i, c)))
             if v > 1:
                 out.append(("upper-bound", (i, c)))
-    out += _diagonal_violations(n, p.rows, collect_all=True)
+    out += _diagonal_violations(n, _column_prefixes(p.rows))
     return ValidationReport.of(out)
 
 
@@ -332,10 +329,10 @@ def _fractional_measure(n, rows) -> int:
     """Count of non-integral entries plus non-integral diagonal partial-sum
     differences; strictly decreases along both split branches."""
     m = sum(1 for row in rows for v in row if not _is_int(v))
-    pref = _column_prefixes(n, rows)
+    col = _column_prefixes(rows)
     for c in range(2, n):
         for i in range(n - c + 1, n):
-            if not _is_int(pref[(i, c)] - pref[(i, c - 1)]):
+            if not _is_int(col[i - 1][c - 1] - col[i - 1][c - 2]):
                 m += 1
     return m
 
@@ -365,16 +362,15 @@ def btp_split(p: RationalTrianglePoint) -> SplitStep:
     """
     n = p.n
     rows = p.rows
-    pref = _column_prefixes(n, rows)
+    col = _column_prefixes(rows)
 
     plus, minus = [], []
     for idx, row in enumerate(rows):
         i = idx + 1
         for k, v in enumerate(row):
             c = n - i + k
-            prev = pref.get((i - 1, c), ZERO) if i - 1 >= n - c else ZERO
-            before = _is_int(prev)
-            after = _is_int(pref[(i, c)])
+            before = _is_int(col[idx - 1][c - 1]) if idx else True
+            after = _is_int(col[idx][c - 1])
             if before and not after:
                 plus.append((idx, k, v))
             elif not before and after:
@@ -384,13 +380,13 @@ def btp_split(p: RationalTrianglePoint) -> SplitStep:
         raise DecompositionError("split requested on an integral point")
 
     def unbalanced(i, c):
-        return not _is_int(pref[(i, c)])
+        return not _is_int(col[i - 1][c - 1])
 
     up_cands = [ONE - v for _, _, v in plus] + [v for _, _, v in minus]
     down_cands = [v for _, _, v in plus] + [ONE - v for _, _, v in minus]
     for c in range(2, n):
         for i in range(n - c + 1, n):
-            diff = pref[(i, c)] - pref[(i, c - 1)]
+            diff = col[i - 1][c - 1] - col[i - 1][c - 2]
             if unbalanced(i, c) and not unbalanced(i, c - 1):
                 up_cands.append(ONE - diff)
             elif not unbalanced(i, c) and unbalanced(i, c - 1):

@@ -133,14 +133,11 @@ def _rows(doc, kind: str) -> tuple[int, list]:
     return n, [[_scalar(v) for v in row] for row in rows]
 
 
-def _entries_integral(rows) -> bool:
-    return all(isinstance(v, int) for row in rows for v in row)
-
-
 def from_document(doc: dict):
     """Inverse of to_document.  Integer payloads come back as the typed
-    integer objects; any string entry promotes the whole object to its
-    rational form.  A document of no known shape raises DocumentError."""
+    integer objects; any string entry, or a matrix entry outside {-1,0,1},
+    promotes the whole object to its rational form.  A document of no known
+    shape raises DocumentError."""
     if not isinstance(doc, dict):
         raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
     if "terms" in doc:
@@ -154,7 +151,7 @@ def from_document(doc: dict):
     kind = doc.get("kind")
     if kind == "matrix":
         rows = _rows(doc, kind)[1]
-        if _entries_integral(rows):
+        if all(isinstance(v, int) and v in (-1, 0, 1) for row in rows for v in row):
             return SignMatrix.from_rows(rows)
         return RationalMatrixPoint.from_rows(rows)
     if kind == "magog-triangle":

@@ -384,6 +384,34 @@ def test_malformed_documents_are_parse_errors(tmp_path, capsys, name, command):
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
 
+# integers outside {-1,0,1} make a rational matrix point, as the same
+# entries written as strings do
+WIDE_INTEGER_MATRIX = {"kind": "matrix", "n": 2, "entries": [[2, -1], [-1, 2]]}
+
+
+def test_integer_matrix_outside_sign_entries_gets_a_membership_certificate(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    outs = []
+    for entries in (WIDE_INTEGER_MATRIX["entries"], [["2", "-1"], ["-1", "2"]]):
+        path.write_text(json.dumps({"kind": "matrix", "n": 2, "entries": entries}), encoding="utf-8")
+        code = main(["polytope", "membership", "--polytope", "tsscpp", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert isinstance(serialize.loads(captured.out), polytope.NotInHull)
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", [["classify"], ["map", "--from", "matrix"]], ids=["classify", "map"])
+def test_integer_matrix_outside_sign_entries_is_refused_by_sign_matrix_commands(tmp_path, capsys, command):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(WIDE_INTEGER_MATRIX), encoding="utf-8")
+    code = main(command + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {' '.join(command)} expects a matrix document with entries in {{-1,0,1}}\n"
+
+
 def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -1,8 +1,11 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magoglab import serialize
+from magoglab import core, serialize
 from magoglab import (
     BooleanTriangle,
     MagogTriangle,
@@ -12,9 +15,11 @@ from magoglab import (
     classify,
     column_one_positions,
     column_partial_sums,
+    enumerate_objects,
     inversion_profile,
     inversion_stats,
     is_132_avoiding,
+    magog_separating_hyperplane,
     magog_triangle_to_matrix,
     matrix_to_magog_triangle,
     max_negative_ones_bound,
@@ -24,6 +29,7 @@ from magoglab import (
     validate_magog,
     validate_square_sign,
 )
+from magoglab.core import ValidationReport
 
 # the eight 3x3 square sign matrices; all but the last are ASMs, all but
 # the second to last are magog matrices
@@ -290,3 +296,63 @@ def test_boolean_triangle_shape_checks():
         BooleanTriangle.from_rows(4, [[1], [1, 1]])
     with pytest.raises(ValueError):
         BooleanTriangle.from_rows(3, [[2], [0, 0]])
+
+
+@pytest.mark.parametrize("call", [matrix_to_magog_triangle, column_one_positions, column_partial_sums,
+                                  classify, magog_separating_hyperplane],
+                         ids=lambda f: f.__name__)
+def test_one_prefix_pass_per_call(monkeypatch, call):
+    """Each call checks the square sign conditions once, on the prefixes it
+    then reads its answer off."""
+    real = core._square_sign_violations
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_square_sign_violations", counted)
+    call(SignMatrix.from_rows(BIJECTION_DEMO_MATRIX))
+    assert len(calls) == 1
+
+
+@functools.cache
+def square_sign_matrices(n):
+    return list(enumerate_objects("square_sign", n))
+
+
+@st.composite
+def sign_rows(draw):
+    """Rows of an n x n {-1,0,1} matrix, n <= 6: uniform entries, or (n <= 5)
+    a square sign matrix with up to two entries redrawn, so that the three
+    families are told apart and not only refused."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((-1, 0, 1))
+    if n > 5 or draw(st.booleans()):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = [list(r) for r in draw(st.sampled_from(square_sign_matrices(n))).entries]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(entry)
+    return rows
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rows=sign_rows())
+def test_default_report_is_the_first_violation_and_classify_agrees(rows):
+    m = SignMatrix.from_rows(rows)
+    valid = []
+    for validate in (validate_square_sign, validate_magog, validate_asm):
+        full = validate(m, collect_all=True)
+        assert validate(m) == ValidationReport.of(full.violations[:1])
+        valid.append(full.valid)
+    c = classify(m)
+    assert [c.square_sign, c.magog, c.asm] == valid
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_default_boolean_triangle_report_is_the_first_violation(data, n):
+    rows = [data.draw(st.lists(st.integers(0, 1), min_size=i, max_size=i)) for i in range(1, n)]
+    b = BooleanTriangle.from_rows(n, rows)
+    full = validate_boolean_triangle(b, collect_all=True)
+    assert validate_boolean_triangle(b) == ValidationReport.of(full.violations[:1])

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magoglab import (
     BooleanTriangle,
@@ -39,6 +41,7 @@ from magoglab.polytope import (
     _eq_rows_3,
     _facet_witness,
     _is_bounded,
+    _quarter_terms,
     _reduce,
     _solve_square,
     as_fraction,
@@ -655,3 +658,20 @@ def test_affine_dimension_values(family):
     assert affine_dimension(family("boolean_triangle", 4)) == 6
     assert affine_dimension([SignMatrix.identity(3)]) == 0
     assert affine_dimension(family("magog_matrix", 2)) == 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6))
+def test_btp_contains_violations_are_the_negative_slacks(data, n):
+    """btp_contains reads the diagonal inequalities off right-aligned column
+    prefixes; its violations must be, as a set, the defining inequalities
+    whose slack (by _quarter_terms, cell by cell) is negative."""
+    entry = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=6)
+    rows = [data.draw(st.lists(entry, min_size=i, max_size=i)) for i in range(1, n)]
+    label = {"lower": "lower-bound", "upper": "upper-bound", "diagonal": "diagonal"}
+    negative = set()
+    for ineq in btp_inequalities(n):
+        constant, terms = _quarter_terms(n, ineq)
+        if constant + sum(4 * coef * rows[i - 1][c - (n - i)] for (i, c), coef in terms) < 0:
+            negative.add((label[ineq[0]], ineq[1:]))
+    assert set(btp_contains(RationalTrianglePoint.from_rows(n, rows)).violations) == negative
