@@ -185,8 +185,10 @@ def _trusted(cls, n: int, rows):
     """A SignMatrix, MagogTriangle or BooleanTriangle holding ``n`` and
     ``rows`` (a tuple of int tuples), built without the checks of its
     constructor.  Only for rows a move rule of the enumeration engine
-    emitted, which keep every invariant those checks test; the test suite
-    rebuilds every streamed object at n <= 6 through its constructor."""
+    emitted, or the magog triangle of a matrix that passed the magog check,
+    which keep every invariant those checks test; the test suite rebuilds
+    every streamed object at n <= 6, and every mapped triangle at n <= 5,
+    through its constructor."""
     obj = object.__new__(cls)
     fields = obj.__dict__
     fields["n"] = n
@@ -423,7 +425,7 @@ def column_one_positions(m: SignMatrix) -> tuple[tuple[int, ...], ...]:
 def matrix_to_magog_triangle(m: SignMatrix) -> MagogTriangle:
     """Map a magog matrix to its magog triangle (record per row of the
     column-partial-sum matrix the positions of the ones)."""
-    return MagogTriangle(m.n, _column_ones(m, magog=True))
+    return _trusted(MagogTriangle, m.n, _column_ones(m, magog=True))
 
 
 def magog_triangle_to_matrix(t: MagogTriangle) -> SignMatrix:

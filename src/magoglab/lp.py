@@ -9,16 +9,26 @@ test.  With delta = |det B| for the current basis B (the previous pivot,
 positive because the ratio test only pivots on d > 0), the solver keeps
 delta * B^{-1} and delta * x_B, whose entries are minors and so
 integers.  A pivot on row r with pivot p replaces every other row k by
-(p * a - d_k * c) // delta, an exact division.  The artificial basis
-starts as diag(sign b_i), so the multipliers y come out in the caller's
-coordinates.
+(p * a - d_k * c) // delta, an exact division, and leaves a row with
+d_k = 0 as it is when p = delta.  The artificial basis starts as
+diag(sign b_i), so the multipliers y come out in the caller's
+coordinates.  delta * y is one more row of the same tableau: it starts
+as sign b and takes the same update, its entry in the entering column
+being delta * (y.A_q - c_q).
 
 Bland's smallest-index rule is used for both the entering and leaving
-choices, which rules out cycling, so termination is unconditional.  On
-infeasible systems the simplex multipliers of the optimal phase-one basis
-form a Farkas certificate y with y.A_j <= 0 for every column and y.b > 0.
-Either outcome is verified in integers against every column before it is
-returned, and a failed check raises LPError.
+choices, which rules out cycling, so termination is unconditional.  The
+entering column is found on a DAG of the columns (_ColumnDag): a column
+may be given as items (numbers, or tuples of numbers, such as the rows
+of a vertex), and columns that share leading items, or whose remaining
+items form equal subtrees, share their paths.  Each distinct item is
+priced at most once per pivot, and a depth-first search in index order
+returns exactly the smallest j with y.A_j > 0, so the pivots are those
+of a scan over the list.  On infeasible systems the simplex multipliers of the
+optimal phase-one basis form a Farkas certificate y with y.A_j <= 0 for
+every column and y.b > 0.  Either outcome is verified in integers
+against the columns as given, every column for a certificate, before it
+is returned, and a failed check raises LPError.
 """
 
 from __future__ import annotations
@@ -26,6 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+_INT = {int}
 
 
 class LPError(RuntimeError):
@@ -46,9 +59,10 @@ class Feasible:
     x: dict
 
 
-def _integer_column(column, m):
+def _integer_column(column, m, offset=0):
     """Scale a column by the lcm s of its denominators and split s * column
-    into (+1 positions, -1 positions, other (position, value) pairs).
+    into (+1 positions, -1 positions, other (position, value) pairs), the
+    positions counted from ``offset``.
 
     Columns made of 0/1/-1 entries admit a multiplication-free dot
     product, which dominates the pricing cost on large vertex lists.
@@ -57,18 +71,19 @@ def _integer_column(column, m):
     if len(column) != m:
         raise ValueError("column length does not match rhs")
     scale = 1
-    if not all(type(v) is int for v in column):
+    if not _INT.issuperset(map(type, column)):
         column = [Fraction(v) for v in column]
         scale = math.lcm(*(v.denominator for v in column))
         column = [v.numerator * (scale // v.denominator) for v in column]
     pos, neg, other = [], [], []
-    for i, v in enumerate(column):
-        if v == 1:
-            pos.append(i)
-        elif v == -1:
-            neg.append(i)
-        elif v != 0:
-            other.append((i, v))
+    for i, v in enumerate(column, offset):
+        if v:
+            if v == 1:
+                pos.append(i)
+            elif v == -1:
+                neg.append(i)
+            else:
+                other.append((i, v))
     return scale, (tuple(pos), tuple(neg), tuple(other))
 
 
@@ -84,42 +99,181 @@ def _dot(y, support) -> int:
     return s
 
 
+def _values(item) -> tuple:
+    return item if isinstance(item, tuple) else (item,)
+
+
+class _ColumnDag:
+    """The columns as paths of a DAG, in index order, for Bland pricing.
+
+    A column is a sequence of items, each a number or a tuple of numbers;
+    the column is their concatenation.  The trie of the item sequences is
+    built in index order, each column sharing the path of the one before
+    it up to their first differing item, so its leaves, read depth first,
+    are the columns in index order; adjacent equal columns end at one leaf
+    that counts them.  Nodes are interned by (children, count), so equal
+    subtrees are stored once (the ordered form of a minimal acyclic
+    automaton, Daciuk et al. 2000), and edge labels by (level, item), each
+    holding its item's integer support at the item's offset.  Node k has
+    ``counts[k]`` columns below it and the edges ``edges[k]``, in index
+    order, each a triple (label, child, child's count); children come
+    before their parents, and the root is the last node.
+    """
+
+    def __init__(self, columns, m):
+        self.supports, self.scales = [], []
+        self.edges, self.counts = [], []
+        widths = [len(_values(item)) for item in (columns[0] if columns else ())]
+        if columns and sum(widths) != m:
+            raise ValueError("column length does not match rhs")
+        depth = len(widths)
+        offsets = [sum(widths[:d]) for d in range(depth)]
+        label_ids = [{} for _ in range(depth)]
+        registry = {}
+
+        # the open path of the last column: the label into the node at each
+        # depth, that node's finished edges as (label, child, child's count)
+        # and the columns below them as those counts say (at the leaf: the
+        # last column and the equal ones just before it)
+        path = [None] * (depth + 1)
+        edges = [[] for _ in range(depth + 1)]
+        counts = [0] * (depth + 1)
+
+        def close(d):
+            # intern the finished node at depth d and hang it from its parent
+            key = (tuple(edges[d]), counts[d])
+            node = registry.get(key)
+            if node is None:
+                node = registry[key] = len(self.counts)
+                self.edges.append(key[0])
+                self.counts.append(key[1])
+            edges[d], counts[d] = [], 0
+            if d:
+                edges[d - 1].append((path[d], node, self.counts[node]))
+                counts[d - 1] += self.counts[node]
+
+        prev = None
+        for column in columns:
+            if len(column) != depth:
+                raise ValueError("column length does not match rhs")
+            p = 0
+            if prev is not None:
+                while p < depth and column[p] == prev[p]:
+                    p += 1
+                for d in range(depth, p, -1):
+                    close(d)
+            for d in range(p, depth):
+                label = label_ids[d].get(column[d])
+                if label is None:
+                    scale, support = _integer_column(_values(column[d]), widths[d], offsets[d])
+                    label = label_ids[d][column[d]] = len(self.supports)
+                    self.supports.append(support)
+                    self.scales.append(scale)
+                path[d + 1] = label
+            counts[depth] += 1
+            prev = column
+        for d in range(depth, -1, -1):
+            close(d)
+        if self.counts[-1] != len(columns):
+            raise LPError("column DAG does not count every column")
+        self.leaf_best = [None if e else 0 for e in self.edges]
+
+    def first_positive(self, y):
+        """Bland's entering column: the smallest j with y.A_j > 0 and the
+        labels on its path, or (-1, None).
+
+        Depth first over the DAG in index order, like the scan over the
+        columns it replaces, stopping at the first positive column.  A label
+        is priced when an edge first needs it; a node whose subtree has been
+        searched keeps the largest y.A over the column suffixes below it
+        (best; 0 at a leaf), so a shared subtree is searched at most once
+        per call and a child is entered only when that bound allows a
+        positive column below it.
+        """
+        supports, scales, all_edges = self.supports, self.scales, self.edges
+        val = [None] * len(supports)
+        best = self.leaf_best[:]
+        # j counts the columns passed so far; per node above the current
+        # one: (node, part of y.A above it, largest suffix so far, the rest
+        # of its edges, the label of the edge taken)
+        stack = []
+        k, part, j, top = len(all_edges) - 1, 0, 0, None
+        rest = iter(all_edges[k])
+        while True:
+            for l, c, count in rest:
+                v = val[l]
+                if v is None:
+                    v = _dot(y, supports[l])
+                    if scales[l] != 1:
+                        v = Fraction(v, scales[l])
+                    val[l] = v
+                b = best[c]
+                if b is None or part + v + b > 0:
+                    break
+                j += count
+                if top is None or v + b > top:
+                    top = v + b
+            else:
+                best[k] = below = top
+                if not stack:
+                    return -1, None
+                k, part, top, rest, l = stack.pop()
+                if top is None or val[l] + below > top:
+                    top = val[l] + below
+                continue
+            stack.append((k, part, top, rest, l))
+            if not all_edges[c]:
+                # a leaf, where best is 0: this column is positive
+                return j, [f[4] for f in stack]
+            k, part, top = c, part + v, None
+            rest = iter(all_edges[c])
+
+    def support(self, path):
+        """The integer support of the column whose path has these labels:
+        the items scaled to the lcm of their scales."""
+        scale = math.lcm(*(self.scales[l] for l in path))
+        pos, neg, other = [], [], []
+        for l in path:
+            f = scale // self.scales[l]
+            p, n, o = self.supports[l]
+            if f == 1:
+                pos += p
+                neg += n
+                other += o
+            else:
+                other += [(i, f) for i in p] + [(i, -f) for i in n] + [(i, v * f) for i, v in o]
+        return tuple(pos), tuple(neg), tuple(other)
+
+
 def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
     """Decide whether rhs lies in the cone {A x : x >= 0} spanned by the
-    given columns (each a sequence of length len(rhs))."""
+    given columns.  A column is a sequence of numbers, or of items that are
+    numbers or tuples of numbers, concatenated to length len(rhs)."""
     m = len(rhs)
     b = [Fraction(v) for v in rhs]
     rhs_scale = math.lcm(*(v.denominator for v in b))
     b = [v.numerator * (rhs_scale // v.denominator) for v in b]
     signs = [1 if v >= 0 else -1 for v in b]
-    scales, supports = [], []
-    for column in columns:
-        scale, support = _integer_column(column, m)
-        scales.append(scale)
-        supports.append(support)
-    n_real = len(supports)
+    columns = list(columns)
+    dag = _ColumnDag(columns, m)
+    n_real = len(columns)
+
+    def integer_column(j):
+        return _integer_column([v for item in columns[j] for v in _values(item)], m)
 
     # artificial i (0..m-1) is column n_real + i, equal to signs[i] * e_i;
     # the basis starts as the artificial one, so delta * B^{-1} = diag(signs)
+    # and delta * y = signs, y = c_B B^{-1} the simplex multipliers
     basis = [n_real + i for i in range(m)]
     binv = [[signs[i] if i == j else 0 for j in range(m)] for i in range(m)]
     xb = [abs(v) for v in b]
+    y = list(signs)
     delta = 1
 
     while True:
-        # delta * y, with y = c_B B^{-1} the simplex multipliers
-        y = [0] * m
-        for k, bj in enumerate(basis):
-            if bj >= n_real:
-                y = [a + c for a, c in zip(y, binv[k])]
-
         # Bland's rule: the first column whose reduced cost c_j - y.A_j is
         # negative; a basic column has reduced cost 0, so none is skipped
-        entering = -1
-        for j, support in enumerate(supports):
-            if _dot(y, support) > 0:
-                entering = j
-                break
+        entering, path = dag.first_positive(y)
         if entering < 0:
             for i in range(m):
                 if delta - signs[i] * y[i] < 0:
@@ -128,19 +282,24 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
 
         if entering < 0:
             if sum(xb[k] for k, bj in enumerate(basis) if bj >= n_real) == 0:
+                # checked against the columns as given, not as the DAG holds them
                 x = {bj: xb[k] for k, bj in enumerate(basis) if bj < n_real and xb[k] != 0}
-                _verify_solution(x, supports, b, delta)
-                return Feasible({j: Fraction(v * scales[j], delta * rhs_scale) for j, v in x.items()})
-            _verify_certificate(y, supports, b)
+                given = {j: integer_column(j) for j in x}
+                _verify_solution(x, {j: support for j, (_, support) in given.items()}, b, delta)
+                return Feasible({j: Fraction(v * given[j][0], delta * rhs_scale) for j, v in x.items()})
+            _verify_certificate(y, [integer_column(j)[1] for j in range(n_real)], b)
             return Infeasible(tuple(Fraction(v, delta) for v in y))
 
-        # direction delta * B^{-1} A_entering
+        # direction delta * B^{-1} A_entering, and delta * (y.A_entering -
+        # c_entering), the entering column's entry in the y row
         if entering < n_real:
-            support = supports[entering]
+            support = dag.support(path)
             d = [_dot(row, support) for row in binv]
+            fy = _dot(y, support)
         else:
             i = entering - n_real
             d = [row[i] * signs[i] for row in binv]
+            fy = signs[i] * y[i] - delta
 
         # ratio test xb_k / d_k, ties to the smallest basic index
         leaving = -1
@@ -155,13 +314,17 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
         if leaving < 0:
             raise LPError("unbounded direction in a bounded-below phase-one problem")
 
+        # a row with d_k = 0 is unchanged when the pivot equals delta
         piv = d[leaving]
         rowl, xl = binv[leaving], xb[leaving]
+        same = piv == delta
         for k in range(m):
-            if k != leaving:
-                f = d[k]
+            f = d[k]
+            if k != leaving and not (same and f == 0):
                 binv[k] = [(piv * a - f * c) // delta for a, c in zip(binv[k], rowl)]
                 xb[k] = (piv * xb[k] - f * xl) // delta
+        if not (same and fy == 0):
+            y = [(piv * a - fy * c) // delta for a, c in zip(y, rowl)]
         delta = piv
         basis[leaving] = entering
 

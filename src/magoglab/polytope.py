@@ -456,12 +456,12 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
     vertices = list(vertices)
     if not vertices:
         raise ValueError("vertex list is empty")
-    shape = _shape(point)
-    for v in vertices:
-        if _shape(v) != shape:
-            raise ValueError("vertex shape does not match the point's shape")
+    if _shape(vertices[0]) != _shape(point):
+        raise ValueError("vertex shape does not match the point's shape")
     target = [as_fraction(x) for x in _flatten(point)]
-    outcome = solve_feasibility([(*_flatten(v), 1) for v in vertices], target + [ONE])
+    # one column per vertex, its rows as items: the solver refuses a later
+    # vertex whose row widths differ from the first's
+    outcome = solve_feasibility([(*_rows_of(v), 1) for v in vertices], target + [ONE])
     if isinstance(outcome, Feasible):
         # solve_feasibility has checked A x = b in integers, the convexity
         # row included, so the weights reproduce the point

@@ -135,9 +135,9 @@ def _rows(doc, kind: str) -> tuple[int, list]:
 
 def from_document(doc: dict):
     """Inverse of to_document.  Integer payloads come back as the typed
-    integer objects; any string entry, or a matrix entry outside {-1,0,1},
-    promotes the whole object to its rational form.  A document of no known
-    shape raises DocumentError."""
+    integer objects; any string entry, a matrix entry outside {-1,0,1} or a
+    boolean-triangle entry outside {0,1} promotes the whole object to its
+    rational form.  A document of no known shape raises DocumentError."""
     if not isinstance(doc, dict):
         raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
     if "terms" in doc:
@@ -157,7 +157,10 @@ def from_document(doc: dict):
     if kind == "magog-triangle":
         return MagogTriangle.from_rows(_rows(doc, kind)[1])
     if kind == "boolean-triangle":
-        return BooleanTriangle.from_rows(*_rows(doc, kind))
+        n, rows = _rows(doc, kind)
+        if all(isinstance(v, int) and v in (0, 1) for row in rows for v in row):
+            return BooleanTriangle.from_rows(n, rows)
+        return RationalTrianglePoint.from_rows(n, rows)
     if kind == "rational-triangle":
         return RationalTrianglePoint.from_rows(*_rows(doc, kind))
     if kind == "not-in-hull":

@@ -412,6 +412,22 @@ def test_integer_matrix_outside_sign_entries_is_refused_by_sign_matrix_commands(
     assert captured.err == f"error: {' '.join(command)} expects a matrix document with entries in {{-1,0,1}}\n"
 
 
+@pytest.mark.parametrize("command", [["polytope", "membership", "--polytope", "btp"], ["polytope", "decompose"]],
+                         ids=["membership", "decompose"])
+def test_boolean_triangle_outside_zero_one_is_a_rational_point(tmp_path, capsys, command):
+    # integers outside {0,1} make a rational triangle point, as the same
+    # entries written as strings do
+    path = tmp_path / "t.json"
+    outs = []
+    for kind, rows in (("boolean-triangle", [[2], [0, 1]]), ("rational-triangle", [["2"], ["0", "1"]])):
+        path.write_text(json.dumps({"kind": kind, "n": 3, "rows": rows}), encoding="utf-8")
+        code = main(command + ["--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        outs.append(captured.out)
+    assert outs == ['{"member":false,"violations":[["upper-bound",[1,2]],["diagonal",[2,1]]]}\n'] * 2
+
+
 def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")

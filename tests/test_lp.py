@@ -6,7 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magoglab import NotInHull, SignMatrix, classify, lp, lp_membership, validate_magog
+from magoglab import (
+    BooleanTriangle,
+    ConvexDecomposition,
+    NotInHull,
+    RationalMatrixPoint,
+    RationalTrianglePoint,
+    SignMatrix,
+    classify,
+    lp,
+    lp_membership,
+    validate_boolean_triangle,
+    validate_magog,
+)
 from magoglab.lp import Feasible, Infeasible, LPError, solve_feasibility
 
 
@@ -60,6 +72,13 @@ def test_degenerate_duplicate_columns():
 def test_column_length_mismatch():
     with pytest.raises(ValueError):
         solve_feasibility([[1, 0]], [1, 0, 0])
+    # columns of items: every item must be as wide as the first column's
+    with pytest.raises(ValueError):
+        solve_feasibility([((1, 0), 1), ((1,), (0, 1))], [1, 0, 1])
+    with pytest.raises(ValueError):
+        solve_feasibility([((1, 0), 1), ((1, 0), 1, 0)], [1, 0, 1])
+    with pytest.raises(ValueError):
+        solve_feasibility([((1, 0), 1)], [1, 0])
 
 
 SMALL_ENTRIES = (0, 1, -1, 2, F(1, 2), F(-3, 4))
@@ -101,6 +120,57 @@ def test_verification_rejects_wrong_results():
         lp._verify_solution({0: -2}, [support], [-2, 2], 1)  # x < 0
 
 
+def _combination(weights, row_lists):
+    """Rows of the convex combination of the row lists with these positive
+    weights."""
+    total = sum(weights)
+    return [[sum(F(w, total) * rows[i][j] for w, rows in zip(weights, row_lists)) for j in range(len(row))]
+            for i, row in enumerate(row_lists[0])]
+
+
+def _outside(rng, bad, vertices, entries):
+    """A point that puts weight above 1 - 1/entries on ``bad``, a 0/1 point
+    (in column-prefix coordinates for matrices) that is not a vertex.  The
+    cube facet through ``bad`` cuts it off from every vertex by 1, and no
+    vertex sits more than ``entries`` below it, so the point is outside."""
+    others = rng.sample(vertices, rng.randint(0, 3))
+    weights = [rng.randint(1, 9) for _ in others]
+    return _combination([entries * sum(weights) or 1] + weights, [bad] + others)
+
+
+def membership_batch(family, seed=20261019):
+    """Seeded lp_membership calls against vertex lists whose rows share long
+    prefixes: the 429 boolean triangles of order 5 and the 42 magog
+    matrices of order 4.  Each round draws a member and a non-member of
+    each hull; magog non-members lean on square sign matrices that are not
+    magog, whose column prefixes are 0/1 like a magog matrix's."""
+    rng = random.Random(seed)
+    boolean = [v.rows for v in family("boolean_triangle", 5)]
+    magog = [v.entries for v in family("magog_matrix", 4)]
+    square = [m.entries for m in family("square_sign", 4) if not classify(m).magog]
+    for _ in range(3):
+        chosen = rng.sample(boolean, rng.randint(1, 5))
+        yield RationalTrianglePoint.from_rows(5, _combination([rng.randint(1, 9) for _ in chosen], chosen)), 5
+        while True:
+            bad = tuple(tuple(rng.randint(0, 1) for _ in range(i)) for i in range(1, 5))
+            if not validate_boolean_triangle(BooleanTriangle(5, bad)).valid:
+                break
+        yield RationalTrianglePoint.from_rows(5, _outside(rng, bad, boolean, 10)), 5
+        chosen = rng.sample(magog, rng.randint(1, 5))
+        yield RationalMatrixPoint.from_rows(_combination([rng.randint(1, 9) for _ in chosen], chosen)), 4
+        yield RationalMatrixPoint.from_rows(_outside(rng, rng.choice(square), magog, 16)), 4
+
+
+def test_membership_batch_is_pinned(family):
+    # vertex lists with shared row prefixes, so the pricing walks a column
+    # DAG with real sharing; the digest was taken from the list scan
+    vertices = {5: family("boolean_triangle", 5), 4: family("magog_matrix", 4)}
+    outs = [lp_membership(point, vertices[n]) for point, n in membership_batch(family)]
+    assert [isinstance(o, ConvexDecomposition) for o in outs] == [True, False, True, False] * 3
+    digest = hashlib.sha256("\n".join(map(repr, outs)).encode()).hexdigest()
+    assert digest == "0ed4a55bdf62f9a83781f537b4478af4f3499abc9ed705b8402d86aae3b438b9"
+
+
 @st.composite
 def sign_systems(draw):
     m = draw(st.integers(1, 5))
@@ -121,6 +191,70 @@ def test_results_carry_exact_certificates(system):
     else:
         assert all(sum(a * b for a, b in zip(out.y, col)) <= 0 for col in cols)
         assert sum(a * b for a, b in zip(out.y, rhs)) > 0
+
+
+DAG_ENTRIES = (0, 1, -1, 2, F(1, 2))
+
+
+@st.composite
+def item_columns(draw):
+    """Columns of items with shared prefixes: each level is a number or a
+    tuple of one to three numbers (a width-1 level may mix the two), its
+    items drawn from a small pool; the list holds adjacent and non-adjacent
+    duplicates in no particular order."""
+    levels = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, 3))
+        entry = st.sampled_from(DAG_ENTRIES)
+        kinds = [st.tuples(*[entry] * width)] + ([entry] if width == 1 else [])
+        levels.append(draw(st.lists(st.one_of(*kinds), min_size=1, max_size=3)))
+    column = st.tuples(*[st.sampled_from(pool) for pool in levels])
+    columns = draw(st.lists(column, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        if columns:
+            at = draw(st.integers(0, len(columns) - 1))
+            columns.insert(draw(st.sampled_from((at, at + 1, len(columns)))), columns[at])
+    m = sum(len(item) if isinstance(item, tuple) else 1 for item in (columns[0] if columns else ()))
+    return columns, m
+
+
+def _flat(column):
+    return [v for item in column for v in (item if isinstance(item, tuple) else (item,))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(item_columns(), st.data())
+def test_dag_pricing_is_the_linear_scan(system, data):
+    columns, m = system
+    assume(columns)
+    dag = lp._ColumnDag(columns, m)
+    for _ in range(4):
+        y = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        first = next((j for j, col in enumerate(columns) if sum(a * v for a, v in zip(y, _flat(col))) > 0), -1)
+        j, path = dag.first_positive(y)
+        assert j == first
+        if j >= 0:
+            scale, support = lp._integer_column(_flat(columns[j]), m)
+            assert lp._dot(y, dag.support(path)) == lp._dot(y, support) > 0
+            assert [sorted(part) for part in dag.support(path)] == [sorted(part) for part in support]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(item_columns(), st.data())
+def test_item_columns_solve_as_their_flat_form(system, data):
+    columns, m = system
+    rhs = data.draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=m, max_size=m))
+    assert repr(solve_feasibility(columns, rhs)) == repr(solve_feasibility([_flat(c) for c in columns], rhs))
+
+
+def test_lp_membership_refuses_a_later_vertex_of_another_shape(family):
+    vertices = family("magog_matrix", 3) + [SignMatrix.identity(4)]
+    point = RationalMatrixPoint.from_rows(vertices[0].entries)
+    with pytest.raises(ValueError):
+        lp_membership(point, vertices)
+    triangles = family("boolean_triangle", 4) + [[[0], [0, 0], [0, 0, 0, 0]]]
+    with pytest.raises(ValueError):
+        lp_membership(RationalTrianglePoint.from_rows(4, triangles[0].rows), triangles)
 
 
 SIGN_MATRICES_4 = st.lists(st.lists(st.sampled_from((-1, 0, 1)), min_size=4, max_size=4),
