@@ -11,9 +11,10 @@ matrix row per edge (core._matrix_row), and square sign matrices are
 counted on it under the sign window.  Square sign matrices stream row by
 row over states of column prefix sums (_sign_moves), which keeps their
 entry order and walks the dilates of their relaxation.  Boolean triangles
-step over column prefix sums under one diagonal rule (_boolean_moves), a
+step over column differences under one diagonal rule (_boolean_moves), a
 row per step for the walk and a cell per step for the count, which also
-counts the btp dilates.
+counts the btp dilates; each difference is floored where its diagonal cap
+can no longer bind, which keeps every count exact.
 
 Canonical orders: triangles stream in lexicographic order read row 1 to
 row n, left to right; square sign matrices in row-major lexicographic
@@ -215,23 +216,34 @@ def _boolean_moves(n: int, t: int, i: int, c: int):
     t: state -> (v, next state) for each value v, increasing.
 
     Cells are placed in row-major order; row i covers columns n-i..n-1.
-    The state ``pref`` holds the column prefix sums so far (pref[c] for
-    column c).  Entries lie in [0, t].  Once column c-1, which starts a
-    row later and sits left of c, has reached row i, the diagonal
-    inequality P_c(i) <= t + P_{c-1}(i) lowers the top to
+    Entries lie in [0, t].  Once column c-1, which starts a row later and
+    sits left of c, has reached row i, the diagonal inequality
+    P_c(i) <= t + P_{c-1}(i) on the column prefix sums lowers the top to
     t + P_{c-1} - P_c; that never falls below 0, so every prefix extends
-    by zeros and the walk has no dead ends.  In the last row no later
-    cell reads column c-1 again, so the next state drops it (sets it to
-    0), which merges states with the same completions.
+    by zeros and the walk has no dead ends.
+
+    The state ``d`` holds the column differences d[c] = P_c - P_{c-1}
+    (d[0] = 0), so the top is min(t, t - d[c]).  Only column c's own cap
+    reads d[c], each later entry of column c raises it by at most t (those
+    of column c-1 lower it), and the cap is t whenever d[c] <= 0.  So a
+    column with R checks still to come reads "cap t" at all of them from
+    any d[c] <= -t*(R-1), and the next state floors d[c] there: such
+    states have the same completions and merge.  Column c has its checks in rows i+1..n-1 after cell
+    (i, c), and column c+1 in rows i..n-1 after it.  In the last row
+    column c is done, and the next state sets d[c] to 0.
     """
-    def move(pref: tuple) -> list:
-        s = pref[c]
-        if i <= n - c:
-            hi, head = t, pref[:c]
-        else:
-            hi = min(t, t + pref[c - 1] - s)
-            head = pref[:c - 1] + (0 if i == n - 1 else pref[c - 1],)
-        return [(v, head + (s + v,) + pref[c + 1:]) for v in range(hi + 1)]
+    last = i == n - 1
+    floor_c, floor_next = -t * (n - 2 - i), -t * (n - 1 - i)
+
+    def move(d: tuple) -> list:
+        s = d[c]
+        hi = t if i <= n - c else min(t, t - s)
+        head = d[:c]
+        if c + 1 == n:
+            return [(v, head + (0 if last else max(s + v, floor_c),)) for v in range(hi + 1)]
+        s1, tail = d[c + 1], d[c + 2:]
+        return [(v, head + (0 if last else max(s + v, floor_c), max(s1 - v, floor_next)) + tail)
+                for v in range(hi + 1)]
     return move
 
 

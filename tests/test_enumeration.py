@@ -531,7 +531,7 @@ def test_serialize_round_trips_trusted_objects_of_random_paths(data, n, kind):
     theirs (core._trusted) from a random path of its kind's move rule: the
     loaded twin passed every check of the public constructor.  Matrix kinds
     are drawn on the row graph (square sign matrices under the sign window),
-    boolean triangles a row at a time over column prefix sums."""
+    boolean triangles a row at a time over floored column differences."""
     if kind == "boolean_triangle":
         rows, pref = (), (0,) * n
         for i in range(1, n):

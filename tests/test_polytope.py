@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -488,10 +489,33 @@ def brute_force_btp_dilate(n, t):
 
 
 def test_btp_dilate_against_brute_force():
+    # n=4 with t<=4 and n=5 with t<=2 fail if a floor of the dilate walk's
+    # column differences is one row too tight
     for n in (2, 3):
         for t in range(4):
             assert lattice_points_in_dilate("btp", t, n=n) == brute_force_btp_dilate(n, t)
-    assert lattice_points_in_dilate("btp", 2, n=4) == brute_force_btp_dilate(4, 2)
+    for n, tmax in ((4, 4), (5, 2)):
+        for t in range(tmax + 1):
+            assert lattice_points_in_dilate("btp", t, n=n) == brute_force_btp_dilate(n, t)
+
+
+# h*-vector of btp(6), degree 14 and palindromic: interpolated from closed
+# counts to t=7 and interior counts to t=8 (Ehrhart-Macdonald reciprocity),
+# both taken on unfloored column prefix sums
+BTP6_H_STAR_HALF = (1, 7420, 2396881, 133015746, 2244986257, 14933917995,
+                    44631434616, 63875759960)
+BTP6_H_STAR = BTP6_H_STAR_HALF + BTP6_H_STAR_HALF[-2::-1]
+
+
+def test_btp6_dilates_follow_the_h_star_vector():
+    """L(t) = sum_k h*_k C(t+d-k, d) with d = 15 for btp(6), at t<=6, where
+    the floors of the dilate walk bind at many cells."""
+    d = 15
+    assert len(BTP6_H_STAR) == 15
+    assert sum(BTP6_H_STAR) == 187767277792
+    counts = [lattice_points_in_dilate("btp", t, n=6) for t in range(7)]
+    assert counts == [sum(h * math.comb(t + d - k, d) for k, h in enumerate(BTP6_H_STAR))
+                      for t in range(7)]
 
 
 def test_btp_dilate_base_cases(family):
