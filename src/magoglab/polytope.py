@@ -9,15 +9,14 @@ boolean-triangle hull has a complete inequality description (entry bounds
 plus the diagonal partial-sum inequalities), which makes membership a
 direct check and supports a constructive convex decomposition.  The order-3
 magog hull has a six-inequality description, certified complete by
-tsscpp3_vertex_audit, which filters its dilates.  For n >= 4 no inequality
-description of the magog hull is known, so membership there is decided by
-an exact LP against the enumerated vertex list, with a Farkas functional
-returned as the non-membership certificate.
+tsscpp3_vertex_audit; an integer double-description routine computes the
+order-4 hull's facets from its vertex list.  Both filter dilates.  For
+n >= 4 membership is decided by an exact LP against the enumerated vertex
+list, with a Farkas functional returned as the non-membership certificate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -640,12 +639,10 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None) -> int
 
     'btp' counts integer triangles with entries in [0, t] satisfying the
     scaled diagonal inequalities as paths of the boolean triangles'
-    cell-state walk at t, without listing them.  'tsscpp3' enumerates the
-    integer points of the scaled 3 x 3 relaxation and keeps those that
-    satisfy the order-3 hull's six-inequality description scaled by t, in
-    integers and with no LP (tsscpp3_vertex_audit certifies that
-    description).  'tsscpp' at n=4 decides each candidate by the LP
-    oracle against the 42-vertex list, one LP per candidate.
+    cell-state walk at t, without listing them.  'tsscpp3' and 'tsscpp'
+    (n = 3, 4) keep the integer points of the scaled relaxation that satisfy
+    the unit hull's inequalities scaled by t, with no LP: the six that
+    tsscpp3_vertex_audit certifies, or the order-4 facets.
     """
     order = check_dilate(polytope, t, n)
     if polytope == "btp":
@@ -654,31 +651,35 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None) -> int
 
 
 def _tsscpp_dilate_count(n: int, t: int) -> int:
-    """Candidates from the scaled relaxation.  At n=3 a candidate x counts
-    when row.x >= t*rhs for each of the six inequalities of
-    _audit_inequalities_3.  At n=4 it is prefiltered through the known
-    necessary inequalities of the unit hull (applied to the point divided
-    by t), then decided by the LP oracle."""
-    if n == 3:
-        scaled = [(row, t * rhs) for _, row, rhs in _audit_inequalities_3()]
-        count = 0
-        for cand in _iter_square_sign_rows(3, t):
-            flat = [v for row in cand for v in row]
-            if all(sum(a * x for a, x in zip(row, flat)) >= b for row, b in scaled):
-                count += 1
-        return count
-    if t == 0:
-        return 1
-    vertices = list(_raw_rows("magog_matrix", n))
+    """Scaled-relaxation candidates with row.x >= t*rhs for each (row, rhs)
+    of the unit hull: _audit_inequalities_3 at n=3, else _magog_facets."""
+    ineqs = _magog_facets(n) if n == 4 else [(row, rhs) for _, row, rhs in _audit_inequalities_3()]
+    scaled = [(row, t * rhs) for row, rhs in ineqs]
     count = 0
     for cand in _iter_square_sign_rows(n, t):
-        point = RationalMatrixPoint.from_rows(
-            [[Fraction(v, t) for v in row] for row in cand])
-        if not check_necessary_inequalities(point).valid:
-            continue
-        if isinstance(lp_membership(point, vertices), ConvexDecomposition):
+        flat = [v for row in cand for v in row]
+        if all(sum(a * x for a, x in zip(row, flat)) >= b for row, b in scaled):
             count += 1
     return count
+
+
+def _magog_facets(n: int) -> list[tuple[list[int], int]]:
+    """The facets row.x >= rhs of the n x n magog matrices' hull, x row-major.
+    Unit row and column sums fix the entries outside the top-left block y,
+    a lattice-preserving chart where the hull is full-dimensional: they are
+    the extreme rays (a, a0) of {a.y + a0 >= 0 at every vertex}, each checked
+    valid and tight on a (d-1)-dimensional set."""
+    m = n - 1
+    vertices = list(_raw_rows("magog_matrix", n))
+    charts = [[v for row in rows[:m] for v in row[:m]] + [1] for rows in vertices]
+    facets = []
+    for ray, _ in _extreme_rays(charts):
+        values = [sum(a * x for a, x in zip(ray, y)) for y in charts]
+        if min(values) < 0 or affine_dimension([v for v, c in zip(vertices, values) if c == 0]) != m * m - 1:
+            raise DecompositionError(f"{ray} is not a facet of the order-{n} hull")
+        row = [ray[m * i + j] if i < m and j < m else 0 for i in range(n) for j in range(n)]
+        facets.append((row, -ray[-1]))
+    return facets
 
 
 class InterpolationError(ValueError):
@@ -826,45 +827,66 @@ def affine_dimension(points) -> int:
     return len(_reduce(diffs, len(base)))
 
 
+def _primitive(v: list[int]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _extreme_rays(rows) -> list[tuple[tuple[int, ...], int]] | None:
+    """Extreme rays of {x : r.x >= 0 for every integer row r}, each a
+    primitive integer vector with the bitset of its tight rows (bit k for
+    rows[k]); None when the rows have rank below their length.  Double
+    description (Motzkin et al. 1953; Fukuda and Prodon 1996): start from
+    the rays of a basis B of the rows, the columns of B^-1; each row keeps
+    the rays on its nonnegative side and adds the tight combination of each
+    adjacent pair across it (no third ray is tight wherever both are)."""
+    d = len(rows[0])
+    basis = _reduce([list(col) for col in zip(*rows)], len(rows))
+    if len(basis) < d:
+        return None
+    # the basis rows beside the identity reduce to D | C with C.B = D diagonal
+    aug = [[*rows[k]] + [int(j == i) for j in range(d)] for i, k in enumerate(basis)]
+    _reduce(aug, d)
+    scale = math.lcm(*(abs(r[i]) for i, r in enumerate(aug)))
+    rays = [(_primitive([r[d + i] * scale // r[j] for j, r in enumerate(aug)]),
+             sum(1 << b for b in basis if b != k)) for i, k in enumerate(basis)]
+    for k, row in enumerate(rows):
+        signed = [(sum(a * x for a, x in zip(row, ray)), ray, tight) for ray, tight in rays]
+        kept = [(ray, tight if v else tight | 1 << k) for v, ray, tight in signed if v >= 0]
+        pos = [s for s in signed if s[0] > 0]
+        neg = [s for s in signed if s[0] < 0]
+        for vp, p, tp in pos:
+            for vn, q, tq in neg:
+                common = tp & tq
+                if common.bit_count() < d - 2 or any(
+                        t & common == common and t not in (tp, tq) for _, _, t in signed):
+                    continue
+                kept.append((_primitive([vp * b - vn * a for a, b in zip(p, q)]), common | 1 << k))
+        rays = kept
+    return rays
+
+
 # ---------------------------------------------------------------------------
 # the complete n=3 vertex audit
 
 
+def _form(*cells) -> list[int]:
+    """Row over the 3x3 cells, row-major: how often each (i, j) is named."""
+    return [cells.count((i, j)) for i in range(1, 4) for j in range(1, 4)]
+
+
 def _eq_rows_3():
     """Row/column sum equalities of the 3x3 system, as coefficient rows."""
-    eqs = []
-    for i in range(3):
-        row = [0] * 9
-        for j in range(3):
-            row[3 * i + j] = 1
-        eqs.append((row, 1))
-    for j in range(3):
-        row = [0] * 9
-        for i in range(3):
-            row[3 * i + j] = 1
-        eqs.append((row, 1))
-    return eqs
+    rows = [_form(*((i, j) for j in range(1, 4))) for i in range(1, 4)]
+    cols = [_form(*((i, j) for i in range(1, 4))) for j in range(1, 4)]
+    return [(row, 1) for row in rows + cols]
 
 
 def _audit_inequalities_3():
     """The six inequalities of the complete order-3 hull description:
     five entry nonnegativities and a_12 + a_21 + a_22 >= 1."""
-    def unit(i, j):
-        row = [0] * 9
-        row[3 * (i - 1) + (j - 1)] = 1
-        return row
-
-    ineqs = [
-        ("a11>=0", unit(1, 1), 0),
-        ("a12>=0", unit(1, 2), 0),
-        ("a13>=0", unit(1, 3), 0),
-        ("a31>=0", unit(3, 1), 0),
-        ("a32>=0", unit(3, 2), 0),
-    ]
-    hook = [0] * 9
-    for (i, j) in ((1, 2), (2, 1), (2, 2)):
-        hook[3 * (i - 1) + (j - 1)] = 1
-    ineqs.append(("a12+a21+a22>=1", hook, 1))
+    ineqs = [(f"a{i}{j}>=0", _form((i, j)), 0) for i, j in ((1, 1), (1, 2), (1, 3), (3, 1), (3, 2))]
+    ineqs.append(("a12+a21+a22>=1", _form((1, 2), (2, 1), (2, 2)), 1))
     return ineqs
 
 
@@ -872,62 +894,30 @@ def _relaxation_inequalities_3():
     """The scaled-down (order 3) relaxation: column prefixes in [0,1]
     for rows 1..2, row prefixes >= 0 for columns 1..2, and the single
     (1,1)-special inequality."""
-    def coeffs(pairs):
-        row = [0] * 9
-        for (i, j), w in pairs:
-            row[3 * (i - 1) + (j - 1)] += w
-        return row
-
     out = []
     for j in range(1, 4):
         for i in range(1, 3):
-            pref = [((i2, j), 1) for i2 in range(1, i + 1)]
-            out.append((f"colpref({i},{j})>=0", coeffs(pref), 0))
-            out.append((f"colpref({i},{j})<=1", [-v for v in coeffs(pref)], -1))
+            pref = _form(*((i2, j) for i2 in range(1, i + 1)))
+            out.append((f"colpref({i},{j})>=0", pref, 0))
+            out.append((f"colpref({i},{j})<=1", [-v for v in pref], -1))
     for i in range(1, 4):
         for j in range(1, 3):
-            pref = [((i, j2), 1) for j2 in range(1, j + 1)]
-            out.append((f"rowpref({i},{j})>=0", coeffs(pref), 0))
-    special = coeffs([((2, 1), 1), ((1, 2), 1), ((2, 2), 1), ((1, 1), -1)])
+            out.append((f"rowpref({i},{j})>=0", _form(*((i, j2) for j2 in range(1, j + 1))), 0))
+    special = [a - b for a, b in zip(_form((2, 1), (1, 2), (2, 2)), _form((1, 1)))]
     out.append(("special(1,1)>=0", special, 0))
     return out
 
 
-def _basic_feasible_solutions(eqs, ineqs, dim_free: int):
-    """Vertices of {eqs hold, ineqs >= rhs}: all unique solutions of the
-    equality system plus dim_free tight inequalities that satisfy every
-    inequality."""
-    found = {}
-    for combo in itertools.combinations(range(len(ineqs)), dim_free):
-        aug = [row + [rhs] for row, rhs in eqs]
-        for idx in combo:
-            _, row, rhs = ineqs[idx]
-            aug.append(list(row) + [rhs])
-        sol = _solve_square(aug)
-        if sol is None:
-            continue
-        good = all(
-            sum(r * v for r, v in zip(row, sol)) >= rhs for _, row, rhs in ineqs
-        )
-        if good:
-            found[tuple(sol)] = True
-    return list(found)
-
-
-def _is_bounded(eqs, ineqs) -> bool:
-    """{eqs hold, ineqs >= rhs} has no recession direction d != 0, that is
-    no d with eqs.d = 0 and ineqs.d >= 0.  The stacked rows have rank 9, so
-    such a d would leave some s_k = ineq_k.d > 0; after scaling to
-    sum s_k = 1, the LP over d = d+ - d- and s finds none."""
-    a = [row for row, _ in eqs]
-    g = [row for _, row, _ in ineqs]
-    if len(_reduce(a + g, 9)) != 9:
-        return False
-    columns = [[sign * r[j] for r in a + g] + [0] for sign in (1, -1) for j in range(9)]
-    for k in range(len(g)):
-        columns.append([0] * len(a) + [-1 if k2 == k else 0 for k2 in range(len(g))] + [1])
-    rhs = [0] * (len(a) + len(g)) + [1]
-    return isinstance(solve_feasibility(columns, rhs), Infeasible)
+def _vertices_3(ineqs) -> tuple[list, bool]:
+    """The vertices of {unit row and column sums, ineqs >= rhs} over the 3x3
+    cells, and whether it is bounded, from the extreme rays (x, x0) of
+    row.x >= rhs*x0 (both ways for a sum) and x0 >= 0.  A ray with x0 > 0 is
+    the vertex x/x0; one with x0 = 0, or a rank below 10, means unbounded."""
+    rows = [[s * v for v in (*row, -rhs)] for row, rhs in _eq_rows_3() for s in (1, -1)]
+    rows += [[*row, -rhs] for _, row, rhs in ineqs] + [[0] * 9 + [1]]
+    rays = _extreme_rays(rows)
+    vertices = [tuple(Fraction(v, ray[-1]) for v in ray[:-1]) for ray, _ in rays or () if ray[-1]]
+    return vertices, rays is not None and len(vertices) == len(rays)
 
 
 @dataclass(frozen=True)
@@ -953,16 +943,15 @@ HALF_INTEGER_RELAXATION_VERTICES = (
 
 def tsscpp3_vertex_audit() -> Tsscpp3AuditReport:
     """Recover the order-3 hull's vertices from its six-inequality
-    description by basic-solution enumeration, confirm they are exactly
+    description by the double-description method, confirm they are exactly
     the seven magog matrices and that the description is bounded (so it is
     their hull), record facet incidence evidence, and verify the weaker
     relaxation admits the two half-integer vertices."""
-    eqs = _eq_rows_3()
     ineqs = _audit_inequalities_3()
-    sols = _basic_feasible_solutions(eqs, ineqs, dim_free=4)
+    sols, bounded = _vertices_3(ineqs)
 
     magog3 = {tuple(Fraction(v) for row in rows for v in row) for rows in _raw_rows("magog_matrix", 3)}
-    matches = set(map(tuple, sols)) == magog3
+    matches = set(sols) == magog3
 
     incidences = []
     for label, row, rhs in ineqs:
@@ -971,10 +960,9 @@ def tsscpp3_vertex_audit() -> Tsscpp3AuditReport:
         dim = affine_dimension(mats) if mats else -1
         incidences.append((label, len(incident), dim))
 
-    relax = _basic_feasible_solutions(eqs, _relaxation_inequalities_3(), dim_free=4)
-    relax_set = set(map(tuple, relax))
+    relax = set(_vertices_3(_relaxation_inequalities_3())[0])
     halves_found = all(
-        tuple(v for row in m for v in row) in relax_set for m in HALF_INTEGER_RELAXATION_VERTICES
+        tuple(v for row in m for v in row) in relax for m in HALF_INTEGER_RELAXATION_VERTICES
     )
     return Tsscpp3AuditReport(
         vertices=tuple(sorted(sols)),
@@ -982,5 +970,5 @@ def tsscpp3_vertex_audit() -> Tsscpp3AuditReport:
         facet_incidences=tuple(incidences),
         relaxation_vertex_count=len(relax),
         half_integer_relaxation_vertices_found=halves_found,
-        bounded=_is_bounded(eqs, ineqs),
+        bounded=bounded,
     )

@@ -147,6 +147,8 @@ def from_document(doc: dict):
         )
         if not terms:
             raise DocumentError("a decomposition document needs at least one term")
+        if any(isinstance(v, (ConvexDecomposition, NotInHull)) for _, v in terms):
+            raise DocumentError("a term's vertex must be a matrix or triangle document")
         return ConvexDecomposition(terms)
     kind = doc.get("kind")
     if kind == "matrix":
@@ -171,14 +173,24 @@ def from_document(doc: dict):
     raise DocumentError(f"unrecognized document kind {kind!r}")
 
 
+def _parse(load, source):
+    """JSON parsed by load.  Undecodable bytes, nesting past the recursion
+    limit and integers past the digit limit raise DocumentError; both limits
+    are process-wide, so they are left as they are."""
+    try:
+        return load(source)
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"input is not UTF-8: {exc}") from None
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise DocumentError(str(exc)) from None
+
+
 def loads(text: str):
-    return from_document(json.loads(text))
+    return from_document(_parse(json.loads, text))
 
 
 def load_path(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise DocumentError(f"input is not UTF-8: {exc}") from None
-    return from_document(doc)
+        return from_document(_parse(json.load, fh))

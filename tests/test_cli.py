@@ -369,15 +369,27 @@ MALFORMED_DOCUMENTS = {
     "boolean-triangle-order": {"kind": "boolean-triangle", "n": 4, "rows": [[0], [0, 1]]},
     "rational-triangle-row-length": {"kind": "rational-triangle", "n": 3, "rows": [["1/2"], ["0"]]},
     "decomposition-without-terms": {"terms": []},
+    "decomposition-vertex": {"terms": [{"weight": "1", "vertex": {"terms": [
+        {"weight": "1", "vertex": {"kind": "matrix", "n": 1, "entries": [[1]]}}]}}]},
+    "not-in-hull-vertex": {"terms": [{"weight": "1", "vertex": {
+        "kind": "not-in-hull", "coefficients": ["1"], "offset": "0"}}]},
+}
+
+# texts past the parser's recursion limit and the interpreter's integer
+# digit limit, which json.dumps could not write either
+MALFORMED_TEXTS = {name: json.dumps(doc) for name, doc in MALFORMED_DOCUMENTS.items()} | {
+    "deep-array": "[" * 100000 + "]" * 100000,
+    "long-integer-entry": '{"kind":"matrix","n":1,"entries":[[' + "1" * 5000 + "]]}",
+    "long-integer-order": '{"kind":"matrix","n":' + "1" * 5000 + ',"entries":[[1]]}',
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+@pytest.mark.parametrize("name", sorted(MALFORMED_TEXTS))
 @pytest.mark.parametrize("command", [["classify"], ["polytope", "membership", "--polytope", "tsscpp"],
                                      ["map", "--from", "matrix"]])
 def test_malformed_documents_are_parse_errors(tmp_path, capsys, name, command):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(MALFORMED_DOCUMENTS[name]), encoding="utf-8")
+    path.write_text(MALFORMED_TEXTS[name], encoding="utf-8")
     code = main(command + ["--input", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

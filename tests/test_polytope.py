@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magoglab import (
@@ -40,11 +40,13 @@ from magoglab.polytope import (
     InterpolationError,
     _audit_inequalities_3,
     _eq_rows_3,
+    _extreme_rays,
     _facet_witness,
-    _is_bounded,
+    _magog_facets,
     _quarter_terms,
     _reduce,
     _solve_square,
+    _vertices_3,
     as_fraction,
     btp_inequalities,
 )
@@ -581,15 +583,91 @@ def test_tsscpp3_dilates_build_no_vertex_list_and_call_no_lp(monkeypatch):
 
 def test_tsscpp_dilate_opt_in_order_4(family):
     # at t=1 the only lattice points of the dilate are the 42 vertices;
-    # at t=2 the count must match the degree-9 counting polynomial of the
+    # at t=2..4 the count must match the degree-9 counting polynomial of the
     # order-4 hull, transcribed independently of this code path
     assert lattice_points_in_dilate("tsscpp", 0, n=4) == 1
     assert lattice_points_in_dilate("tsscpp", 1, n=4) == 42
     coeffs = [F(1), F(1691, 360), F(32693, 3360), F(1055983, 90720), F(5647, 640),
               F(18899, 4320), F(1357, 960), F(1237, 4320), F(443, 13440), F(149, 90720)]
-    value = sum(c * 2 ** k for k, c in enumerate(coeffs))
-    assert value == 560
+    values = [sum(c * t ** k for k, c in enumerate(coeffs)) for t in (2, 3, 4)]
+    assert values == [560, 4100, 20731]
+    assert [lattice_points_in_dilate("tsscpp", t, n=4) for t in (2, 3, 4)] == values
+
+
+def test_tsscpp4_facet_filter_agrees_with_the_lp(family):
+    # a candidate passes the order-4 facets exactly when the LP writes it
+    # (divided by t) as a convex combination of the 42 vertices
+    verts = family("magog_matrix", 4)
+    facets = _magog_facets(4)
+    for t in range(1, 3):
+        members = 0
+        for cand in _iter_square_sign_rows(4, t):
+            flat = [v for row in cand for v in row]
+            passes = all(sum(a * x for a, x in zip(row, flat)) >= t * rhs for row, rhs in facets)
+            point = RationalMatrixPoint.from_rows([[F(v, t) for v in row] for row in cand])
+            assert passes == isinstance(lp_membership(point, verts), ConvexDecomposition)
+            members += passes
+        assert members == lattice_points_in_dilate("tsscpp", t, n=4)
+
+
+def test_order_4_dilates_and_the_audit_call_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the order-4 dilate count and the audit must not use this")
+
+    for name in ("lp_membership", "solve_feasibility", "check_necessary_inequalities"):
+        monkeypatch.setattr(polytope, name, refuse)
+    monkeypatch.setattr(lp, "solve_feasibility", refuse)
     assert lattice_points_in_dilate("tsscpp", 2, n=4) == 560
+    assert tsscpp3_vertex_audit().passed
+
+
+def test_magog_facets(family):
+    # the facet counts at n = 3, 4, 5; at n=3 the computed facets cut the
+    # same sets of vertices as the six inequalities of the audited description
+    assert [len(_magog_facets(n)) for n in (3, 4, 5)] == [6, 17, 45]
+    flats = [[v for row in m.entries for v in row] for m in family("magog_matrix", 3)]
+
+    def tight_sets(ineqs):
+        return {frozenset(k for k, x in enumerate(flats) if sum(a * v for a, v in zip(row, x)) == rhs)
+                for row, rhs in ineqs}
+
+    assert tight_sets(_magog_facets(3)) == tight_sets((row, rhs) for _, row, rhs in _audit_inequalities_3())
+
+
+@st.composite
+def _point_sets(draw):
+    """Full-dimensional integer point sets in dimension 2-4.  A small box
+    and up to 12 points make degenerate sets (many points on one facet)
+    common."""
+    d = draw(st.integers(2, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=12, unique=True))
+    assume(affine_dimension([(p,) for p in points]) == d)
+    return points
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+# a degenerate set on which combining non-adjacent rays yields a non-facet
+@example(points=[(0, -1, 0, 1), (0, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 0), (0, -1, -1, 1),
+                 (-1, 1, -1, 1), (-1, -1, 0, -1), (1, -1, 1, 0)])
+@given(points=_point_sets())
+def test_extreme_rays_are_the_facets_of_a_point_set(points):
+    """On a full-dimensional integer point set, the extreme rays (a, a0) of
+    {a.p + a0 >= 0 at every point} are its hull's facets: valid everywhere,
+    tight on an affinely (d-1)-dimensional subset, and a point is a vertex
+    (outside the hull of the others, by the LP) exactly when the normals of
+    its tight facets have rank d."""
+    d = len(points[0])
+    rays = _extreme_rays([[*p, 1] for p in points])
+    for ray, tight in rays:
+        values = [sum(a * x for a, x in zip(ray, (*p, 1))) for p in points]
+        assert min(values) >= 0 and math.gcd(*ray) == 1
+        assert tight == sum(1 << k for k, v in enumerate(values) if v == 0)
+        assert affine_dimension([(p,) for k, p in enumerate(points) if tight >> k & 1]) == d - 1
+    for k, p in enumerate(points):
+        normals = [list(ray[:-1]) for ray, tight in rays if tight >> k & 1]
+        others = [(q,) for q in points if q != p]
+        outside = isinstance(lp_membership((p,), others), NotInHull)
+        assert (len(_reduce(normals, d)) == d) == outside
 
 
 def test_ehrhart_btp3():
@@ -649,14 +727,14 @@ def test_tsscpp3_audit_certifies_boundedness():
     report = tsscpp3_vertex_audit()
     assert report.bounded and report.passed
     eqs, ineqs = _eq_rows_3(), _audit_inequalities_3()
-    # every five of the six inequalities leave a recession direction, which
-    # the LP finds (the stacked rows still have rank 9)
+    # every five of the six inequalities leave a recession direction, an
+    # extreme ray with x0 = 0 (the stacked rows still have rank 9)
     for k in range(6):
         rest = ineqs[:k] + ineqs[k + 1:]
         assert len(_reduce([r for r, _ in eqs] + [r for _, r, _ in rest], 9)) == 9
-        assert not _is_bounded(eqs, rest)
+        assert not _vertices_3(rest)[1]
     # with two inequalities the rank test alone fails
-    assert not _is_bounded(eqs, ineqs[:2])
+    assert not _vertices_3(ineqs[:2])[1]
 
 
 def test_ehrhart_btp5_stretch():
