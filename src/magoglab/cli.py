@@ -21,23 +21,9 @@ from .core import (BooleanTriangle, MagogTriangle, SignMatrix, ValidationFailure
                    magog_triangle_to_matrix, matrix_to_magog_triangle)
 from .enumeration import CeilingExceeded
 
-KIND_FLAGS = {
-    "magog-matrix": "magog_matrix",
-    "magog-triangle": "magog_triangle",
-    "square-sign": "square_sign",
-    "asm": "asm",
-    "boolean-triangle": "boolean_triangle",
-    "gapless": "gapless",
-}
-
-STAT_FLAGS = {
-    "neg-ones": "neg_ones",
-    "inv": "inv",
-    "posinv": "posinv",
-    "first-row-one": "first_row_one",
-    "first-col-one": "first_col_one",
-    "last-row-one": "last_row_one",
-}
+# each flag is the library's name with hyphens for underscores
+KIND_FLAGS = {kind.replace("_", "-"): kind for kind in enumeration.KINDS}
+STAT_FLAGS = {stat.replace("_", "-"): stat for stat in enumeration.STATISTICS}
 
 
 # The largest n, n_max and tmax each command accepts: about the most that
@@ -106,46 +92,31 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _load(path, kinds, message):
+    """The object of the document at ``path``, as loaded, when it is one of
+    ``kinds``; ValidationFailure(message) otherwise."""
+    obj = serialize.load_path(path)
+    if not isinstance(obj, kinds):
+        raise ValidationFailure(message)
+    return obj
+
+
 def _cmd_map(args) -> int:
-    obj = serialize.load_path(args.input)
     if args.source == "matrix":
-        if not isinstance(obj, SignMatrix):
-            raise ValidationFailure("map --from matrix expects a matrix document with entries in {-1,0,1}")
+        obj = _load(args.input, SignMatrix, "map --from matrix expects a matrix document with entries in {-1,0,1}")
         _emit(serialize.dumps(matrix_to_magog_triangle(obj)))
     else:
-        if not isinstance(obj, MagogTriangle):
-            raise ValidationFailure("map --from triangle expects a magog-triangle document")
+        obj = _load(args.input, MagogTriangle, "map --from triangle expects a magog-triangle document")
         _emit(serialize.dumps(magog_triangle_to_matrix(obj)))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    obj = serialize.load_path(args.input)
-    if not isinstance(obj, SignMatrix):
-        raise ValidationFailure("classify expects a matrix document with entries in {-1,0,1}")
-    c = classify(obj)
+    c = classify(_load(args.input, SignMatrix, "classify expects a matrix document with entries in {-1,0,1}"))
     _emit(json.dumps(
         {"square_sign": c.square_sign, "magog": c.magog, "asm": c.asm},
         separators=(",", ":")))
     return 0
-
-
-def _load_triangle_point(path) -> polytope.RationalTrianglePoint:
-    obj = serialize.load_path(path)
-    if isinstance(obj, polytope.RationalTrianglePoint):
-        return obj
-    if isinstance(obj, BooleanTriangle):
-        return polytope.RationalTrianglePoint.from_rows(obj.n, obj.rows)
-    raise ValidationFailure("expected a rational-triangle or boolean-triangle document")
-
-
-def _load_matrix_point(path) -> polytope.RationalMatrixPoint:
-    obj = serialize.load_path(path)
-    if isinstance(obj, polytope.RationalMatrixPoint):
-        return obj
-    if isinstance(obj, SignMatrix):
-        return polytope.RationalMatrixPoint.from_rows(obj.entries)
-    raise ValidationFailure("expected a matrix-shaped document")
 
 
 def _emit_violations(report) -> int:
@@ -157,48 +128,46 @@ def _emit_violations(report) -> int:
 def _cmd_polytope(args) -> int:
     if args.action in ("decompose", "facets") and args.polytope != "btp":
         raise ValidationFailure(f"polytope {args.action} supports only --polytope btp")
-    if args.action in ("membership", "decompose") and args.input is None:
+    if args.action in ("certify", "facets"):
+        _check_ceiling(f"polytope {args.action}", n=args.n)
+        if args.action == "certify":
+            report = polytope.verify_vertex_certificates(args.n, args.polytope)
+        else:
+            report = polytope.btp_facet_audit(args.n)
+        _emit(report.line())
+        return 0 if report.passed else 1
+    if args.input is None:
         raise ValidationFailure(f"{args.action} requires --input")
-    if args.action == "membership":
-        if args.polytope == "btp":
-            report = polytope.btp_contains(_load_triangle_point(args.input))
-            if report.valid:
-                _emit(json.dumps({"member": True}, separators=(",", ":")))
-                return 0
-            return _emit_violations(report)
-        point = _load_matrix_point(args.input)
+    # the library reads rational and integer points alike
+    if args.polytope == "tsscpp":
+        point = _load(args.input, (polytope.RationalMatrixPoint, SignMatrix), "expected a matrix-shaped document")
         _check_ceiling("polytope membership --polytope tsscpp", n=point.n)
         vertices = list(enumeration.enumerate_objects("magog_matrix", point.n))
         outcome = polytope.lp_membership(point, vertices)
         _emit(serialize.dumps(outcome))
         return 0 if isinstance(outcome, polytope.ConvexDecomposition) else 1
-    if args.action == "decompose":
-        point = _load_triangle_point(args.input)
-        report = polytope.btp_contains(point)
-        if not report.valid:
-            return _emit_violations(report)
-        if args.step:
-            step = polytope.btp_split(point)
-            total = step.step_up + step.step_down
-            _emit(json.dumps({
-                "step_up": str(step.step_up),
-                "step_down": str(step.step_down),
-                "weights": [str(step.step_down / total), str(step.step_up / total)],
-                "children": [
-                    serialize.to_document(polytope.RationalTrianglePoint(point.n, step.child_up)),
-                    serialize.to_document(polytope.RationalTrianglePoint(point.n, step.child_down)),
-                ],
-            }, separators=(",", ":")))
-            return 0
-        _emit(serialize.dumps(polytope.btp_decompose(point)))
-        return 0
-    _check_ceiling(f"polytope {args.action}", n=args.n)
-    if args.action == "certify":
-        report = polytope.verify_vertex_certificates(args.n, args.polytope)
+    point = _load(args.input, (polytope.RationalTrianglePoint, BooleanTriangle),
+                  "expected a rational-triangle or boolean-triangle document")
+    report = polytope.btp_contains(point)
+    if not report.valid:
+        return _emit_violations(report)
+    if args.action == "membership":
+        _emit(json.dumps({"member": True}, separators=(",", ":")))
+    elif args.step:
+        step = polytope.btp_split(point)
+        total = step.step_up + step.step_down
+        _emit(json.dumps({
+            "step_up": str(step.step_up),
+            "step_down": str(step.step_down),
+            "weights": [str(step.step_down / total), str(step.step_up / total)],
+            "children": [
+                serialize.to_document(polytope.RationalTrianglePoint(point.n, step.child_up)),
+                serialize.to_document(polytope.RationalTrianglePoint(point.n, step.child_down)),
+            ],
+        }, separators=(",", ":")))
     else:
-        report = polytope.btp_facet_audit(args.n)
-    _emit(report.line())
-    return 0 if report.passed else 1
+        _emit(serialize.dumps(polytope.btp_decompose(point)))
+    return 0
 
 
 def _cmd_ehrhart(args) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import reprlib
 from dataclasses import dataclass
 
 
@@ -123,7 +124,7 @@ class MagogTriangle:
         for i, row in enumerate(rows, start=1):
             for k, v in enumerate(row, start=1):
                 if not 1 <= v <= n:
-                    raise ValidationFailure(f"entry-range violated at ({i},{k}): {v}")
+                    raise ValidationFailure(f"entry-range violated at ({i},{k}): {reprlib.repr(v)}")
                 if k > 1 and row[k - 2] >= v:
                     raise ValidationFailure(f"row-increase violated at ({i},{k})")
         for i in range(1, n):
@@ -302,14 +303,24 @@ def _special_violations(col, rowp):
                 yield ("special", (i, j))
 
 
+def _diagonal_differences(n, col):
+    """(i, j, c, d) for 1 <= j < i <= n-1 in that order, from the column
+    prefixes P of a triangle-shaped array: c = n-j and d = P_c(i) - P_{c-1}(i),
+    so that the (i,j)-diagonal inequality
+    1 + sum_{k=j+1..i} b[k][n-j-1] >= sum_{k=j..i} b[k][n-j] reads d <= 1."""
+    for i in range(2, n):
+        prefixes = col[i - 1]
+        for j in range(1, i):
+            c = n - j
+            yield i, j, c, prefixes[c - 1] - prefixes[c - 2]
+
+
 def _diagonal_violations(n, col):
     """Violated (i,j)-diagonal inequalities of a triangle-shaped array, given
-    its column prefixes, 1 <= j < i <= n-1:
-    1 + sum_{k=j+1..i} b[k][n-j-1] >= sum_{k=j..i} b[k][n-j]."""
-    for i in range(2, n):
-        for j in range(1, i):
-            if col[i - 1][n - j - 1] > 1 + col[i - 1][n - j - 2]:
-                yield ("diagonal", (i, j))
+    its column prefixes."""
+    for i, j, _, d in _diagonal_differences(n, col):
+        if d > 1:
+            yield ("diagonal", (i, j))
 
 
 def _asm_extra_violations(rowp):

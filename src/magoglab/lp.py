@@ -59,6 +59,16 @@ class Feasible:
     x: dict
 
 
+def _scaled(values) -> tuple[int, list[int]]:
+    """(s, s * values) for the lcm s of the values' denominators; integers
+    come back as they are, with s = 1."""
+    if _INT.issuperset(map(type, values)):
+        return 1, list(values)
+    values = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _integer_column(column, m, offset=0):
     """Scale a column by the lcm s of its denominators and split s * column
     into (+1 positions, -1 positions, other (position, value) pairs), the
@@ -70,11 +80,7 @@ def _integer_column(column, m, offset=0):
     """
     if len(column) != m:
         raise ValueError("column length does not match rhs")
-    scale = 1
-    if not _INT.issuperset(map(type, column)):
-        column = [Fraction(v) for v in column]
-        scale = math.lcm(*(v.denominator for v in column))
-        column = [v.numerator * (scale // v.denominator) for v in column]
+    scale, column = _scaled(column)
     pos, neg, other = [], [], []
     for i, v in enumerate(column, offset):
         if v:
@@ -250,9 +256,7 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
     given columns.  A column is a sequence of numbers, or of items that are
     numbers or tuples of numbers, concatenated to length len(rhs)."""
     m = len(rhs)
-    b = [Fraction(v) for v in rhs]
-    rhs_scale = math.lcm(*(v.denominator for v in b))
-    b = [v.numerator * (rhs_scale // v.denominator) for v in b]
+    rhs_scale, b = _scaled(rhs)
     signs = [1 if v >= 0 else -1 for v in b]
     columns = list(columns)
     dag = _ColumnDag(columns, m)

@@ -28,6 +28,7 @@ from .core import (
     ValidationReport,
     _column_ones,
     _column_prefixes,
+    _diagonal_differences,
     _diagonal_violations,
     _prefix_matrices,
     _special_violations,
@@ -40,7 +41,7 @@ from .enumeration import (
     _iter_square_sign_rows,
     _raw_rows,
 )
-from .lp import Feasible, Infeasible, solve_feasibility
+from .lp import Feasible, Infeasible, _scaled, solve_feasibility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -128,6 +129,8 @@ class ConvexDecomposition:
             raise ValueError("weights must be positive")
         if sum(w for w, _ in self.terms) != 1:
             raise ValueError("weights must sum to one exactly")
+        if len({_shape(v) for _, v in self.terms}) != 1:
+            raise ValueError("vertices must all have the same shape")
         seen = [_rows_of(v) for _, v in self.terms]
         if len(set(seen)) != len(seen):
             raise ValueError("vertices must be pairwise distinct")
@@ -303,9 +306,10 @@ def verify_vertex_certificates(n: int, polytope: str = "tsscpp") -> CertificateR
 # the boolean triangle polytope: membership and decomposition
 
 
-def btp_contains(p: RationalTrianglePoint) -> ValidationReport:
-    """Complete membership test for the boolean-triangle hull: entries in
-    [0,1] plus every (i,j)-diagonal inequality."""
+def btp_contains(p: RationalTrianglePoint | BooleanTriangle) -> ValidationReport:
+    """Complete membership test for the boolean-triangle hull of a rational
+    or boolean triangle: entries in [0,1] plus every (i,j)-diagonal
+    inequality."""
     n = p.n
     out = []
     for idx, row in enumerate(p.rows):
@@ -328,12 +332,7 @@ def _fractional_measure(n, rows) -> int:
     """Count of non-integral entries plus non-integral diagonal partial-sum
     differences; strictly decreases along both split branches."""
     m = sum(1 for row in rows for v in row if not _is_int(v))
-    col = _column_prefixes(rows)
-    for c in range(2, n):
-        for i in range(n - c + 1, n):
-            if not _is_int(col[i - 1][c - 1] - col[i - 1][c - 2]):
-                m += 1
-    return m
+    return m + sum(1 for *_, d in _diagonal_differences(n, _column_prefixes(rows)) if not _is_int(d))
 
 
 @dataclass(frozen=True)
@@ -348,7 +347,7 @@ class SplitStep:
     child_down: tuple
 
 
-def btp_split(p: RationalTrianglePoint) -> SplitStep:
+def btp_split(p: RationalTrianglePoint | BooleanTriangle) -> SplitStep:
     """Label the entries that open ((+)) and close ((-)) fractional runs of
     the column prefix sums, then shift the labelled entries by the largest
     steps that keep both children inside the polytope.
@@ -357,7 +356,9 @@ def btp_split(p: RationalTrianglePoint) -> SplitStep:
     1-p over the diagonal differences p whose positive column is
     unbalanced (fractional prefix) while the subtracted one is balanced;
     step_down swaps the roles.  Both steps are strictly positive and each
-    child gains at least one more integral entry or difference.
+    child gains at least one more integral entry or difference.  The point
+    is a rational or boolean triangle with a fractional entry; an integral
+    one raises ValidationFailure.
     """
     n = p.n
     rows = p.rows
@@ -376,20 +377,16 @@ def btp_split(p: RationalTrianglePoint) -> SplitStep:
                 minus.append((idx, k, v))
 
     if not plus and not minus:
-        raise DecompositionError("split requested on an integral point")
-
-    def unbalanced(i, c):
-        return not _is_int(col[i - 1][c - 1])
+        raise ValidationFailure("split requested on an integral point")
 
     up_cands = [ONE - v for _, _, v in plus] + [v for _, _, v in minus]
     down_cands = [v for _, _, v in plus] + [ONE - v for _, _, v in minus]
-    for c in range(2, n):
-        for i in range(n - c + 1, n):
-            diff = col[i - 1][c - 1] - col[i - 1][c - 2]
-            if unbalanced(i, c) and not unbalanced(i, c - 1):
-                up_cands.append(ONE - diff)
-            elif not unbalanced(i, c) and unbalanced(i, c - 1):
-                down_cands.append(ONE - diff)
+    for i, _, c, diff in _diagonal_differences(n, col):
+        balanced, balanced_before = _is_int(col[i - 1][c - 1]), _is_int(col[i - 1][c - 2])
+        if balanced_before and not balanced:
+            up_cands.append(ONE - diff)
+        elif balanced and not balanced_before:
+            down_cands.append(ONE - diff)
 
     step_up = min(up_cands)
     step_down = min(down_cands)
@@ -407,9 +404,10 @@ def btp_split(p: RationalTrianglePoint) -> SplitStep:
     return SplitStep(step_up, step_down, shifted(step_up), shifted(-step_down))
 
 
-def btp_decompose(p: RationalTrianglePoint) -> ConvexDecomposition:
-    """Write a point of the boolean-triangle hull as an exact convex
-    combination of boolean triangles via repeated splitting."""
+def btp_decompose(p: RationalTrianglePoint | BooleanTriangle) -> ConvexDecomposition:
+    """Write a point of the boolean-triangle hull, a rational or boolean
+    triangle, as an exact convex combination of boolean triangles via
+    repeated splitting."""
     report = btp_contains(p)
     if not report.valid:
         raise ValidationFailure(f"point is outside the hull: {report.first()}", report)
@@ -450,7 +448,8 @@ def btp_decompose(p: RationalTrianglePoint) -> ConvexDecomposition:
 
 def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
     """Exact membership of a point in the convex hull of an explicit vertex
-    list, via phase-one simplex.  Returns a reproducing decomposition or a
+    list, via phase-one simplex.  The point is a rational point or an integer
+    object of the vertices' shape.  Returns a reproducing decomposition or a
     verified separating functional."""
     vertices = list(vertices)
     if not vertices:
@@ -764,15 +763,6 @@ def ehrhart_interpolate(samples, degree: int | None = None) -> RationalPolynomia
 # exact linear algebra
 
 
-def _integer_row(row) -> list[int]:
-    """The row scaled by the lcm of its denominators."""
-    if all(type(v) is int for v in row):
-        return list(row)
-    row = [as_fraction(v) for v in row]
-    scale = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (scale // v.denominator) for v in row]
-
-
 def _reduce(rows, cols: int) -> list[int]:
     """Fraction-free Gauss-Jordan elimination, in place, over the first
     ``cols`` columns of ``rows`` (later columns ride along).  Each row is
@@ -781,7 +771,7 @@ def _reduce(rows, cols: int) -> list[int]:
     by the gcd of its entries.  Returns the pivot columns: row r ends up
     with a nonzero integer at pivots[r] and zero in every other pivot
     column.  Stops as soon as every row holds a pivot."""
-    rows[:] = [_integer_row(r) for r in rows]
+    rows[:] = [_scaled(r)[1] for r in rows]
     m = len(rows)
     pivots: list[int] = []
     for c in range(cols):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import reprlib
 from fractions import Fraction
 
 from .core import BooleanTriangle, MagogTriangle, SignMatrix
@@ -95,19 +96,19 @@ def _scalar(v):
     """An integer or a rational string, passed on unchanged; booleans are
     not integers here."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise DocumentError(f"{v!r} is neither an integer nor a rational string")
+        raise DocumentError(f"{reprlib.repr(v)} is neither an integer nor a rational string")
     if isinstance(v, str):
         try:
             Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"{v!r} is not a rational") from None
+            raise DocumentError(f"{reprlib.repr(v)} is not a rational") from None
     return v
 
 
 def _order(doc) -> int:
     n = _field(doc, "n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DocumentError(f"order {n!r} is not a positive integer")
+        raise DocumentError(f"order {reprlib.repr(n)} is not a positive integer")
     return n
 
 
@@ -137,7 +138,9 @@ def from_document(doc: dict):
     """Inverse of to_document.  Integer payloads come back as the typed
     integer objects; any string entry, a matrix entry outside {-1,0,1} or a
     boolean-triangle entry outside {0,1} promotes the whole object to its
-    rational form.  A document of no known shape raises DocumentError."""
+    rational form.  A document of no known shape, a magog triangle with an
+    entry that is not an integer, or terms that make no ConvexDecomposition
+    raise DocumentError."""
     if not isinstance(doc, dict):
         raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
     if "terms" in doc:
@@ -145,11 +148,12 @@ def from_document(doc: dict):
             (as_fraction(_scalar(_field(t, "weight"))), from_document(_field(t, "vertex")))
             for t in _list(doc, "terms")
         )
-        if not terms:
-            raise DocumentError("a decomposition document needs at least one term")
         if any(isinstance(v, (ConvexDecomposition, NotInHull)) for _, v in terms):
             raise DocumentError("a term's vertex must be a matrix or triangle document")
-        return ConvexDecomposition(terms)
+        try:
+            return ConvexDecomposition(terms)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
     kind = doc.get("kind")
     if kind == "matrix":
         rows = _rows(doc, kind)[1]
@@ -157,7 +161,10 @@ def from_document(doc: dict):
             return SignMatrix.from_rows(rows)
         return RationalMatrixPoint.from_rows(rows)
     if kind == "magog-triangle":
-        return MagogTriangle.from_rows(_rows(doc, kind)[1])
+        rows = _rows(doc, kind)[1]
+        if not all(isinstance(v, int) for row in rows for v in row):
+            raise DocumentError("magog-triangle entries must be integers")
+        return MagogTriangle.from_rows(rows)
     if kind == "boolean-triangle":
         n, rows = _rows(doc, kind)
         if all(isinstance(v, int) and v in (0, 1) for row in rows for v in row):
@@ -170,7 +177,7 @@ def from_document(doc: dict):
             coefficients=tuple(as_fraction(_scalar(c)) for c in _list(doc, "coefficients")),
             offset=as_fraction(_scalar(_field(doc, "offset"))),
         )
-    raise DocumentError(f"unrecognized document kind {kind!r}")
+    raise DocumentError(f"unrecognized document kind {reprlib.repr(kind)}")
 
 
 def _parse(load, source):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +73,15 @@ def test_map_from_triangle_refuses_other_documents(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: map --from triangle expects a magog-triangle document\n"
+
+
+def test_map_from_triangle_quotes_a_long_entry_in_short(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text('{"kind":"magog-triangle","n":1,"rows":[[' + "1" * 4000 + "]]}", encoding="utf-8")
+    code = main(["map", "--from", "triangle", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: entry-range violated at (1,1): ") and len(captured.err) <= 200
 
 
 def test_classify_command(tmp_path, capsys):
@@ -166,6 +177,19 @@ def test_decompose_step_reports_worked_example(tmp_path, capsys):
     assert code == 0
     dec = serialize.loads(out)
     assert sum(w for w, _ in dec.terms) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "boolean-triangle", "n": 3, "rows": [[0], [0, 0]]},
+    {"kind": "rational-triangle", "n": 3, "rows": [["1"], ["1", "0"]]},
+], ids=["boolean-triangle", "integral-rational-triangle"])
+def test_decompose_step_on_a_vertex_is_a_domain_error(tmp_path, capsys, doc):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["polytope", "decompose", "--input", str(path), "--step"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: split requested on an integral point\n"
 
 
 def test_certify_and_facets(capsys):
@@ -373,6 +397,12 @@ MALFORMED_DOCUMENTS = {
         {"weight": "1", "vertex": {"kind": "matrix", "n": 1, "entries": [[1]]}}]}}]},
     "not-in-hull-vertex": {"terms": [{"weight": "1", "vertex": {
         "kind": "not-in-hull", "coefficients": ["1"], "offset": "0"}}]},
+    "decomposition-weights-below-one": {"terms": [
+        {"weight": "1/3", "vertex": {"kind": "matrix", "n": 1, "entries": [[1]]}}]},
+    "decomposition-mixed-shapes": {"terms": [
+        {"weight": "1/2", "vertex": {"kind": "matrix", "n": 2, "entries": [[1, 0], [0, 1]]}},
+        {"weight": "1/2", "vertex": {"kind": "boolean-triangle", "n": 3, "rows": [[0], [0, 1]]}}]},
+    "magog-triangle-rational-entry": {"kind": "magog-triangle", "n": 2, "rows": [["1/2"], [1, 2]]},
 }
 
 # texts past the parser's recursion limit and the interpreter's integer
@@ -381,6 +411,8 @@ MALFORMED_TEXTS = {name: json.dumps(doc) for name, doc in MALFORMED_DOCUMENTS.it
     "deep-array": "[" * 100000 + "]" * 100000,
     "long-integer-entry": '{"kind":"matrix","n":1,"entries":[[' + "1" * 5000 + "]]}",
     "long-integer-order": '{"kind":"matrix","n":' + "1" * 5000 + ',"entries":[[1]]}',
+    "long-rational-entry": '{"kind":"matrix","n":1,"entries":[["' + "1" * 5000 + '"]]}',
+    "long-negative-order": '{"kind":"matrix","n":-' + "1" * 4000 + ',"entries":[[1]]}',
 }
 
 
@@ -394,6 +426,30 @@ def test_malformed_documents_are_parse_errors(tmp_path, capsys, name, command):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+    # a rejected value is quoted in short
+    assert len(captured.err.encode()) <= 200
+
+
+def test_exit_codes_reach_the_process(tmp_path):
+    # python -m magoglab.cli ends in sys.exit(main()): each exit code is the
+    # process's, stdout holds only results and stderr one line on failure
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enumeration.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "MAGOGLAB_CEILING_OVERRIDE"}
+    env["PYTHONPATH"] = src
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS["magog-triangle-rational-entry"]), encoding="utf-8")
+    limit = CEILINGS["enumerate"]["n"]
+    cases = [
+        (["enumerate", "--kind", "magog-matrix", "--n", "4", "--count"], 0, "42\n", ""),
+        (["enumerate", "--kind", "magog-matrix", "--n", str(limit + 1)], 1, "",
+         f"error: enumerate accepts n <= {limit}; MAGOGLAB_CEILING_OVERRIDE=1 lifts the ceiling\n"),
+        (["map", "--from", "triangle", "--input", str(path)], 2, "",
+         "input error: magog-triangle entries must be integers\n"),
+    ]
+    for argv, code, out, err in cases:
+        proc = subprocess.run([sys.executable, "-m", "magoglab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
 
 # integers outside {-1,0,1} make a rational matrix point, as the same

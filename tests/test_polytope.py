@@ -356,6 +356,8 @@ def test_convex_decomposition_validation():
         ConvexDecomposition(((F(1, 2), a), (F(1, 2), a)))
     with pytest.raises(ValueError):
         ConvexDecomposition(((F(3, 2), a), (F(-1, 2), b)))
+    with pytest.raises(ValueError, match="same shape"):
+        ConvexDecomposition(((F(1, 2), SignMatrix.identity(2)), (F(1, 2), b)))
 
 
 # ---------------------------------------------------------------------------
