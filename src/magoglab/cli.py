@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain validation failure (bad object, point
-outside a polytope, failed check, work above CEILINGS), 2 I/O or parse
-error, 3 internal error (any unexpected exception).  The CLI refuses work
-above that one table before it writes to stdout, and
-MAGOGLAB_CEILING_OVERRIDE=1 lifts it; library functions have no ceilings.
+Exit codes: 0 success, 1 a ValidationFailure (bad argument or object,
+point outside a polytope, work above CEILINGS) or a failed check, 2 an
+OSError or DocumentError (I/O or parse error), 3 internal error (any other
+exception, a stray ValueError included).  The CLI refuses work above that
+one table before it writes to stdout, and MAGOGLAB_CEILING_OVERRIDE=1
+lifts it; library functions have no ceilings.
 """
 
 from __future__ import annotations
@@ -353,15 +354,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, serialize.DocumentError) as exc:
+    except (OSError, serialize.DocumentError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except (ValidationFailure, CeilingExceeded, ValueError) as exc:
+    except ValidationFailure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:
-        # the CLI hands the library only ints and Fractions, so anything
-        # else (a TypeError included) is a bug, not bad input
+        # every check of a caller's argument raises ValidationFailure, so
+        # anything else (a ValueError or TypeError included) is a bug
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
 

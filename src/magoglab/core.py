@@ -29,11 +29,18 @@ from dataclasses import dataclass
 
 
 class ValidationFailure(ValueError):
-    """An operation received input that breaks a named structural constraint."""
+    """A caller's argument or object breaks a stated constraint; the CLI
+    reports it with exit 1."""
 
     def __init__(self, message: str, report: "ValidationReport | None" = None):
         super().__init__(message)
         self.report = report
+
+
+def _guard(n: int):
+    """ValidationFailure unless the order n is at least 1."""
+    if n < 1:
+        raise ValidationFailure("order must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,14 +86,13 @@ class SignMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order must be positive")
+        _guard(self.n)
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise ValueError(f"entries must form an {self.n}x{self.n} matrix")
+            raise ValidationFailure(f"entries must form an {self.n}x{self.n} matrix")
         for row in self.entries:
             for v in row:
                 if v not in (-1, 0, 1):
-                    raise ValueError(f"entry {v!r} outside {{-1,0,1}}")
+                    raise ValidationFailure(f"entry {v!r} outside {{-1,0,1}}")
 
     @staticmethod
     def from_rows(rows) -> "SignMatrix":
@@ -117,10 +123,9 @@ class MagogTriangle:
 
     def __post_init__(self):
         n, rows = self.n, self.rows
-        if n < 1:
-            raise ValueError("order must be positive")
+        _guard(n)
         if len(rows) != n or any(len(r) != i + 1 for i, r in enumerate(rows)):
-            raise ValueError("row i must hold exactly i entries")
+            raise ValidationFailure("row i must hold exactly i entries")
         for i, row in enumerate(rows, start=1):
             for k, v in enumerate(row, start=1):
                 if not 1 <= v <= n:
@@ -155,14 +160,13 @@ class BooleanTriangle:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order must be positive")
+        _guard(self.n)
         if len(self.rows) != self.n - 1 or any(len(r) != i + 1 for i, r in enumerate(self.rows)):
-            raise ValueError("boolean triangle of order n needs rows of lengths 1..n-1")
+            raise ValidationFailure("boolean triangle of order n needs rows of lengths 1..n-1")
         for row in self.rows:
             for v in row:
                 if v not in (0, 1):
-                    raise ValueError(f"entry {v!r} outside {{0,1}}")
+                    raise ValidationFailure(f"entry {v!r} outside {{0,1}}")
 
     @staticmethod
     def from_rows(n: int, rows) -> "BooleanTriangle":
@@ -206,7 +210,7 @@ class Permutation:
     def __post_init__(self):
         n = len(self.values)
         if sorted(self.values) != list(range(1, n + 1)):
-            raise ValueError("values must be a permutation of 1..n")
+            raise ValidationFailure("values must be a permutation of 1..n")
 
     @property
     def n(self) -> int:
@@ -460,7 +464,7 @@ def inversion_profile(m: SignMatrix, k: int, l: int) -> int:
     """Inversions involving the (k,l) entry and entries strictly southwest
     of it: a_kl * sum_{i>k, j<l} a_ij.  1-based."""
     if not (1 <= k <= m.n and 1 <= l <= m.n):
-        raise ValueError("indices out of range")
+        raise ValidationFailure("indices out of range")
     v = m.entries[k - 1][l - 1]
     if v == 0:
         return 0
@@ -498,8 +502,7 @@ def max_negative_ones_matrix(n: int) -> SignMatrix:
     (a trailing zero is appended when n is even); each row above gains one
     more zero at each end; the bottom half is the half-turn image.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
+    _guard(n)
     half = (n + 1) // 2
     odd = n if n % 2 == 1 else n - 1
     top = []

@@ -35,6 +35,8 @@ from .core import (
     MagogTriangle,
     Permutation,
     SignMatrix,
+    ValidationFailure,
+    _guard,
     _matrix_row,
     _prefix_matrices,
     _special_violations,
@@ -55,13 +57,8 @@ KINDS = (
 )
 
 
-class CeilingExceeded(RuntimeError):
+class CeilingExceeded(ValidationFailure):
     """Raised by the CLI for work above its ceiling table; the library has none."""
-
-
-def _guard(n: int):
-    if n < 1:
-        raise ValueError("order must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +321,7 @@ def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
 def enumerate_objects(kind: str, n: int):
     """Stream every object of the family exactly once, in canonical order."""
     if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+        raise ValidationFailure(f"unknown kind {kind!r}; expected one of {KINDS}")
     _guard(n)
     cls = _STREAM_CLASS.get(kind, SignMatrix)
     return map(functools.partial(_trusted, cls, n), _raw_rows(kind, n))
@@ -335,7 +332,7 @@ def count(kind: str, n: int) -> int:
     boolean triangles are counted as cell-state paths and every other kind
     (square sign matrices through the sign window) as row-graph paths."""
     if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise ValidationFailure(f"unknown kind {kind!r}")
     _guard(n)
     if kind == "boolean_triangle":
         return _count_boolean_rows(n)
@@ -348,8 +345,7 @@ def product_formula(n: int) -> int:
     Gives 1, 2, 7, 42, 429, 7436, 218348, ... and matches the magog, ASM,
     and boolean triangle counts.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
+    _guard(n)
     num = 1
     den = 1
     for j in range(n):
@@ -442,10 +438,10 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, D
     graph of the kind, without enumerating: every statistic is a sum of
     steps along the path (_STAT_STEP, _inversion_step)."""
     if kind not in _TABLE_KINDS:
-        raise ValueError(f"distributions are defined for {', '.join(_TABLE_KINDS)}")
+        raise ValidationFailure(f"distributions are defined for {', '.join(_TABLE_KINDS)}")
     for s in statistics:
         if s not in STATISTICS:
-            raise ValueError(f"unknown statistic {s!r}; expected one of {STATISTICS}")
+            raise ValidationFailure(f"unknown statistic {s!r}; expected one of {STATISTICS}")
     _guard(n)
     stats = tuple(dict.fromkeys(statistics))
     inversion = [s for s in _INVERSION_STATS if s in stats]
@@ -464,7 +460,7 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, D
 def boundary_count(n: int, i: int, j: int) -> int:
     """Number of magog matrices of order n with a one in row i, column j."""
     if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("position out of range")
+        raise ValidationFailure("position out of range")
     _guard(n)
     # the paths on whose step to row i column j enters the row
     (tally,) = _path_sums(n, (), _row_moves(n, "magog"),
@@ -531,7 +527,7 @@ def theorem_suite(n_max: int) -> SuiteReport:
     boundary-one identities, the five inversion identities, the shared
     maximum for the number of negative ones, and the square sign count."""
     if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+        raise ValidationFailure("n_max must be at least 2")
     checks: list[SuiteCheck] = []
 
     def add(claim, n, expected, computed):
@@ -597,7 +593,7 @@ def conjecture_suite(n_max: int) -> SuiteReport:
     force.  Agreement within the tested range is evidence, not proof, so a
     caller should report rather than hard-fail on a mismatch."""
     if n_max < 3:
-        raise ValueError("n_max must be at least 3")
+        raise ValidationFailure("n_max must be at least 3")
     checks: list[SuiteCheck] = []
     for n in range(3, n_max + 1):
         bundle = distribution_bundle("magog_matrix", n, ("inv", "posinv"))

@@ -30,6 +30,7 @@ from .core import (
     _column_prefixes,
     _diagonal_differences,
     _diagonal_violations,
+    _guard,
     _prefix_matrices,
     _special_violations,
     _trusted,
@@ -37,7 +38,6 @@ from .core import (
 )
 from .enumeration import (
     _count_boolean_rows,
-    _guard,
     _iter_square_sign_rows,
     _raw_rows,
 )
@@ -75,7 +75,7 @@ class RationalMatrixPoint:
 
     def __post_init__(self):
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise ValueError("entries must be square of order n")
+            raise ValidationFailure("entries must be square of order n")
 
     @staticmethod
     def from_rows(rows) -> "RationalMatrixPoint":
@@ -92,7 +92,7 @@ class RationalTrianglePoint:
 
     def __post_init__(self):
         if len(self.rows) != self.n - 1 or any(len(r) != i + 1 for i, r in enumerate(self.rows)):
-            raise ValueError("rows must have lengths 1..n-1")
+            raise ValidationFailure("rows must have lengths 1..n-1")
 
     @staticmethod
     def from_rows(n: int, rows) -> "RationalTrianglePoint":
@@ -124,16 +124,16 @@ class ConvexDecomposition:
 
     def __post_init__(self):
         if not self.terms:
-            raise ValueError("a decomposition needs at least one term")
+            raise ValidationFailure("a decomposition needs at least one term")
         if any(w <= 0 for w, _ in self.terms):
-            raise ValueError("weights must be positive")
+            raise ValidationFailure("weights must be positive")
         if sum(w for w, _ in self.terms) != 1:
-            raise ValueError("weights must sum to one exactly")
+            raise ValidationFailure("weights must sum to one exactly")
         if len({_shape(v) for _, v in self.terms}) != 1:
-            raise ValueError("vertices must all have the same shape")
+            raise ValidationFailure("vertices must all have the same shape")
         seen = [_rows_of(v) for _, v in self.terms]
         if len(set(seen)) != len(seen):
-            raise ValueError("vertices must be pairwise distinct")
+            raise ValidationFailure("vertices must be pairwise distinct")
 
     def reconstruct(self) -> tuple[tuple[Fraction, ...], ...]:
         shape = _shape(self.terms[0][1])
@@ -285,7 +285,7 @@ def verify_vertex_certificates(n: int, polytope: str = "tsscpp") -> CertificateR
         certs = [boolean_separating_hyperplane(_trusted(BooleanTriangle, n, rows))
                  for rows in _raw_rows("boolean_triangle", n)]
     else:
-        raise ValueError("polytope must be 'tsscpp' or 'btp'")
+        raise ValidationFailure("polytope must be 'tsscpp' or 'btp'")
     failures = []
     separated = 0
     for k, cert in enumerate(certs):
@@ -453,9 +453,9 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
     verified separating functional."""
     vertices = list(vertices)
     if not vertices:
-        raise ValueError("vertex list is empty")
+        raise ValidationFailure("vertex list is empty")
     if _shape(vertices[0]) != _shape(point):
-        raise ValueError("vertex shape does not match the point's shape")
+        raise ValidationFailure("vertex shape does not match the point's shape")
     target = [as_fraction(x) for x in _flatten(point)]
     # one column per vertex, its rows as items: the solver refuses a later
     # vertex whose row widths differ from the first's
@@ -466,7 +466,7 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
         terms = tuple((w, vertices[j]) for j, w in sorted(outcome.x.items()))
         try:
             return ConvexDecomposition(terms)
-        except ValueError as exc:
+        except ValidationFailure as exc:
             raise DecompositionError(f"feasible basis is not a convex decomposition: {exc}") from exc
     assert isinstance(outcome, Infeasible)
     # solve_feasibility has checked y.(v, 1) <= 0 on every vertex v
@@ -577,7 +577,7 @@ def btp_facet_audit(n: int) -> FacetAuditReport:
     inequalities that contain them.  A failure names the first offending
     inequality in btp_inequalities order."""
     if n < 2:
-        raise ValueError("order must be at least 2")
+        raise ValidationFailure("order must be at least 2")
     ineqs = btp_inequalities(n)
     expected = (n - 1) * (3 * n - 2) // 2
     if len(ineqs) != expected:
@@ -617,20 +617,20 @@ def check_dilate(polytope: str, t: int, n: int | None = None) -> int:
     any counting, and a check at the largest t clears the whole range
     0..t."""
     if t < 0:
-        raise ValueError("dilation factor must be nonnegative")
+        raise ValidationFailure("dilation factor must be nonnegative")
     if polytope == "btp":
         if n is None:
-            raise ValueError("btp requires the order n")
+            raise ValidationFailure("btp requires the order n")
         _guard(n)
         return n
     if polytope in ("tsscpp3", "tsscpp"):
         if polytope == "tsscpp3" and n not in (None, 3):
-            raise ValueError("tsscpp3 is fixed at order 3")
+            raise ValidationFailure("tsscpp3 is fixed at order 3")
         order = 3 if n is None else n
         if order not in (3, 4):
-            raise ValueError("tsscpp dilate counting supports n = 3 and n = 4")
+            raise ValidationFailure("tsscpp dilate counting supports n = 3 and n = 4")
         return order
-    raise ValueError("polytope must be 'btp', 'tsscpp3', or 'tsscpp'")
+    raise ValidationFailure("polytope must be 'btp', 'tsscpp3', or 'tsscpp'")
 
 
 def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None) -> int:
@@ -693,7 +693,7 @@ class RationalPolynomial:
 
     def __post_init__(self):
         if len(self.coefficients) > 1 and self.coefficients[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
+            raise ValidationFailure("leading coefficient must be nonzero")
 
     @property
     def degree(self) -> int:
@@ -720,7 +720,7 @@ class RationalPolynomial:
             else:
                 coef = f"({c})"
             if k == 0:
-                parts.append(str(c) if c.denominator == 1 else f"({c})")
+                parts.append(coef)
             elif k == 1:
                 parts.append(f"{coef}t")
             else:
@@ -811,7 +811,7 @@ def affine_dimension(points) -> int:
     """Rank of the difference set {p - p0} under exact elimination."""
     pts = [[v if type(v) is int else as_fraction(v) for v in _flatten(p)] for p in points]
     if not pts:
-        raise ValueError("need at least one point")
+        raise ValidationFailure("need at least one point")
     base = pts[0]
     diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
     return len(_reduce(diffs, len(base)))

@@ -13,7 +13,7 @@ import json
 import reprlib
 from fractions import Fraction
 
-from .core import BooleanTriangle, MagogTriangle, SignMatrix
+from .core import BooleanTriangle, MagogTriangle, SignMatrix, ValidationFailure
 from .polytope import ConvexDecomposition, NotInHull, RationalMatrixPoint, RationalTrianglePoint, as_fraction
 
 
@@ -74,7 +74,7 @@ def dumps(obj) -> str:
 
 
 class DocumentError(ValueError):
-    """Well-formed JSON that is not a document of any kind above."""
+    """Input that is not JSON, or JSON of no document kind above."""
 
 
 def _field(doc, key: str):
@@ -152,7 +152,7 @@ def from_document(doc: dict):
             raise DocumentError("a term's vertex must be a matrix or triangle document")
         try:
             return ConvexDecomposition(terms)
-        except ValueError as exc:
+        except ValidationFailure as exc:
             raise DocumentError(str(exc)) from None
     kind = doc.get("kind")
     if kind == "matrix":
@@ -181,15 +181,14 @@ def from_document(doc: dict):
 
 
 def _parse(load, source):
-    """JSON parsed by load.  Undecodable bytes, nesting past the recursion
-    limit and integers past the digit limit raise DocumentError; both limits
-    are process-wide, so they are left as they are."""
+    """JSON parsed by load.  Syntax errors, undecodable bytes, nesting past
+    the recursion limit and integers past the digit limit raise
+    DocumentError; both limits are process-wide, so they are left as they
+    are."""
     try:
         return load(source)
     except UnicodeDecodeError as exc:
         raise DocumentError(f"input is not UTF-8: {exc}") from None
-    except json.JSONDecodeError:
-        raise
     except (RecursionError, ValueError) as exc:
         raise DocumentError(str(exc)) from None
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from magoglab import enumeration, polytope, serialize
+from magoglab import enumeration, golden, polytope, serialize
 from magoglab.cli import CEILINGS, KIND_FLAGS, main
 from magoglab.core import BooleanTriangle, MagogTriangle, SignMatrix
 from magoglab.polytope import RationalTrianglePoint
@@ -403,11 +403,17 @@ MALFORMED_DOCUMENTS = {
         {"weight": "1/2", "vertex": {"kind": "matrix", "n": 2, "entries": [[1, 0], [0, 1]]}},
         {"weight": "1/2", "vertex": {"kind": "boolean-triangle", "n": 3, "rows": [[0], [0, 1]]}}]},
     "magog-triangle-rational-entry": {"kind": "magog-triangle", "n": 2, "rows": [["1/2"], [1, 2]]},
+    "term-not-an-object": {"terms": [1]},
+    "terms-not-a-list": {"terms": 5},
+    "matrix-rows-not-lists": {"kind": "matrix", "n": 1, "entries": [1]},
+    "unknown-kind": {"kind": "cube", "n": 2},
+    "no-kind": {"n": 2},
 }
 
-# texts past the parser's recursion limit and the interpreter's integer
-# digit limit, which json.dumps could not write either
+# text that is not JSON, and texts past the parser's recursion limit and the
+# interpreter's integer digit limit, which json.dumps could not write either
 MALFORMED_TEXTS = {name: json.dumps(doc) for name, doc in MALFORMED_DOCUMENTS.items()} | {
+    "truncated-json": '{"kind":',
     "deep-array": "[" * 100000 + "]" * 100000,
     "long-integer-entry": '{"kind":"matrix","n":1,"entries":[[' + "1" * 5000 + "]]}",
     "long-integer-order": '{"kind":"matrix","n":' + "1" * 5000 + ',"entries":[[1]]}',
@@ -428,6 +434,48 @@ def test_malformed_documents_are_parse_errors(tmp_path, capsys, name, command):
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
     # a rejected value is quoted in short
     assert len(captured.err.encode()) <= 200
+
+
+def test_a_json_syntax_error_keeps_the_parser_message(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(MALFORMED_TEXTS["truncated-json"], encoding="utf-8")
+    code = main(["classify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "input error: Expecting value: line 1 column 9 (char 8)\n"
+
+
+# every argument the library refuses, as the CLI reports it
+ARGUMENT_ERRORS = {
+    "enumerate --kind asm --n 0": "order must be positive",
+    "enumerate --kind asm --n 0 --count": "order must be positive",
+    "stats --kind magog --stat inv --n 0": "order must be positive",
+    "polytope certify --polytope btp --n 0": "order must be positive",
+    "ehrhart --polytope btp --n 0 --tmax 3": "order must be positive",
+    "polytope facets --n 1": "order must be at least 2",
+    "ehrhart --polytope btp --tmax 3": "btp requires the order n",
+    "ehrhart --polytope tsscpp3 --n 4 --tmax 2": "tsscpp3 is fixed at order 3",
+    "check --suite theorems --n-max 1": "n_max must be at least 2",
+    "check --suite conjectures --n-max 2": "n_max must be at least 3",
+    "polytope membership --polytope btp": "membership requires --input",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARGUMENT_ERRORS))
+def test_argument_errors_exit_1_on_one_line(capsys, argv):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {ARGUMENT_ERRORS[argv]}\n")
+
+
+def test_a_stray_value_error_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(enumeration, "count", broken)
+    code = main(["enumerate", "--kind", "asm", "--n", "3", "--count"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "internal error: ValueError: boom\n")
 
 
 def test_exit_codes_reach_the_process(tmp_path):
@@ -524,6 +572,15 @@ def test_check_tables_small(tmp_path, capsys):
     assert (tmp_path / "table1.csv").exists()
     content = (tmp_path / "table1.csv").read_text(encoding="utf-8")
     assert content.splitlines()[0] == "3,neg_ones,5,2"
+
+
+def test_check_tables_reports_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setitem(golden.TABLE1, 3, (5, 3))
+    code, out = run(capsys, "check", "--suite", "tables", "--n-max", "3")
+    assert code == 1
+    mismatches = [ln for ln in out.splitlines() if "MISMATCH" in ln]
+    assert mismatches == ["table1 n=3 neg_ones: MISMATCH computed=(5, 2) golden=(5, 3)"]
+    assert out.splitlines()[-1] == "table check: 1 mismatch(es)"
 
 
 @pytest.mark.parametrize("n_max", ["1", "0", "-3"])

@@ -1,11 +1,12 @@
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magoglab import core, serialize
+from magoglab import core, enumeration, polytope, serialize
 from magoglab import (
     BooleanTriangle,
     MagogTriangle,
@@ -356,3 +357,54 @@ def test_default_boolean_triangle_report_is_the_first_violation(data, n):
     b = BooleanTriangle.from_rows(n, rows)
     full = validate_boolean_triangle(b, collect_all=True)
     assert validate_boolean_triangle(b) == ValidationReport.of(full.violations[:1])
+
+
+# each check of a caller's argument, in every module the CLI calls: the CLI
+# reports a ValidationFailure with exit 1 and any other ValueError as a bug
+ARGUMENT_CHECKS = {
+    "sign-matrix-order": lambda: SignMatrix(0, ()),
+    "sign-matrix-shape": lambda: SignMatrix(2, ((1, 0),)),
+    "sign-matrix-entry": lambda: SignMatrix(1, ((2,),)),
+    "magog-triangle-order": lambda: MagogTriangle(0, ()),
+    "magog-triangle-shape": lambda: MagogTriangle(2, ((1,),)),
+    "boolean-triangle-order": lambda: BooleanTriangle(0, ()),
+    "boolean-triangle-shape": lambda: BooleanTriangle(3, ((0,),)),
+    "boolean-triangle-entry": lambda: BooleanTriangle(2, ((2,),)),
+    "permutation": lambda: Permutation((1, 1)),
+    "inversion-profile": lambda: inversion_profile(SignMatrix.identity(2), 3, 1),
+    "max-negative-ones-matrix": lambda: max_negative_ones_matrix(0),
+    "enumerate-kind": lambda: enumeration.enumerate_objects("cube", 3),
+    "enumerate-order": lambda: enumeration.enumerate_objects("asm", 0),
+    "count-kind": lambda: enumeration.count("cube", 3),
+    "count-order": lambda: enumeration.count("asm", 0),
+    "product-formula": lambda: enumeration.product_formula(0),
+    "distribution-kind": lambda: enumeration.distribution_bundle("gapless", 3),
+    "distribution-statistic": lambda: enumeration.distribution_bundle("asm", 3, ("height",)),
+    "distribution-order": lambda: enumeration.distribution("asm", "inv", 0),
+    "boundary-position": lambda: enumeration.boundary_count(3, 4, 1),
+    "theorem-suite": lambda: enumeration.theorem_suite(1),
+    "conjecture-suite": lambda: enumeration.conjecture_suite(2),
+    "rational-matrix-shape": lambda: polytope.RationalMatrixPoint(2, ()),
+    "rational-triangle-shape": lambda: polytope.RationalTrianglePoint(3, ()),
+    "decomposition-empty": lambda: polytope.ConvexDecomposition(()),
+    "decomposition-weights": lambda: polytope.ConvexDecomposition(((Fraction(1, 2), SignMatrix.identity(1)),)),
+    "certificates-order": lambda: polytope.verify_vertex_certificates(0, "btp"),
+    "certificates-polytope": lambda: polytope.verify_vertex_certificates(3, "cube"),
+    "lp-no-vertices": lambda: polytope.lp_membership(SignMatrix.identity(2), []),
+    "lp-shape": lambda: polytope.lp_membership(SignMatrix.identity(2), [SignMatrix.identity(3)]),
+    "facet-audit": lambda: polytope.btp_facet_audit(1),
+    "dilate-t": lambda: polytope.check_dilate("btp", -1, n=3),
+    "dilate-btp-order": lambda: polytope.check_dilate("btp", 2),
+    "dilate-btp-positive": lambda: polytope.lattice_points_in_dilate("btp", 2, n=0),
+    "dilate-tsscpp3-order": lambda: polytope.check_dilate("tsscpp3", 2, n=4),
+    "dilate-tsscpp-order": lambda: polytope.check_dilate("tsscpp", 2, n=5),
+    "dilate-polytope": lambda: polytope.check_dilate("cube", 2, n=3),
+    "polynomial-leading": lambda: polytope.RationalPolynomial((Fraction(1), Fraction(0))),
+    "affine-dimension": lambda: polytope.affine_dimension([]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENT_CHECKS))
+def test_argument_checks_raise_validation_failure(name):
+    with pytest.raises(ValidationFailure):
+        ARGUMENT_CHECKS[name]()

@@ -42,6 +42,7 @@ from magoglab.polytope import (
     _eq_rows_3,
     _extreme_rays,
     _facet_witness,
+    _fractional_measure,
     _magog_facets,
     _quarter_terms,
     _reduce,
@@ -251,6 +252,31 @@ def test_btp_split_reproduces_frozen_step():
     w_up = step.step_down / (step.step_up + step.step_down)
     w_down = step.step_up / (step.step_up + step.step_down)
     assert (w_up, w_down) == (F(1, 3), F(2, 3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6))
+def test_every_btp_split_lowers_the_fractional_measure(family, data, n):
+    """On a convex combination of two or more distinct boolean triangles,
+    a fractional point of the hull, both children of btp_split lie in the
+    hull, have a smaller fractional measure, and recombine to the point
+    with the weights step_down/(step_up+step_down) and step_up/(...)."""
+    vertices = family("boolean_triangle", n)
+    chosen = data.draw(st.lists(st.integers(0, len(vertices) - 1), min_size=2, max_size=5, unique=True))
+    weights = [data.draw(st.integers(1, 12)) for _ in chosen]
+    total = sum(weights)
+    rows = tuple(
+        tuple(sum(F(w, total) * vertices[v].rows[i][k] for w, v in zip(weights, chosen)) for k in range(i + 1))
+        for i in range(n - 1))
+    step = btp_split(RationalTrianglePoint(n, rows))
+    measure = _fractional_measure(n, rows)
+    for child in (step.child_up, step.child_down):
+        assert _fractional_measure(n, child) < measure
+        assert btp_contains(RationalTrianglePoint(n, child)).valid
+    steps = step.step_up + step.step_down
+    w_up, w_down = step.step_down / steps, step.step_up / steps
+    assert tuple(tuple(w_up * a + w_down * b for a, b in zip(up, down))
+                 for up, down in zip(step.child_up, step.child_down)) == rows
 
 
 def test_btp_decompose_boolean_triangle_is_trivial():
@@ -705,6 +731,13 @@ def test_rational_polynomial_basics():
     assert p.normalized_volume() == 1
     with pytest.raises(ValueError):
         RationalPolynomial((F(1), F(0)))
+
+
+def test_rational_polynomial_text_skips_zero_terms_and_subtracts():
+    assert str(RationalPolynomial((F(0), F(0), F(1, 2)))) == "(1/2)t^2"
+    assert str(RationalPolynomial((F(-1), F(0), F(1)))) == "t^2 - 1"
+    # a zero leading coefficient is trimmed from the fit
+    assert ehrhart_interpolate([(0, 1), (1, 2), (2, 3)]).coefficients == (1, 1)
 
 
 def test_as_fraction_rejects_floats():
