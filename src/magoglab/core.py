@@ -319,11 +319,11 @@ def _diagonal_differences(n, col):
             yield i, j, c, prefixes[c - 1] - prefixes[c - 2]
 
 
-def _diagonal_violations(n, col):
+def _diagonal_violations(n, col, scale=1):
     """Violated (i,j)-diagonal inequalities of a triangle-shaped array, given
-    its column prefixes."""
+    its column prefixes; with ``scale``, of the array divided by scale."""
     for i, j, _, d in _diagonal_differences(n, col):
-        if d > 1:
+        if d > scale:
             yield ("diagonal", (i, j))
 
 

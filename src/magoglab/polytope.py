@@ -3,8 +3,9 @@ of the n x n magog matrices and the hull of the order-n boolean triangles.
 
 All arithmetic is exact.  Points and weights are Fractions, floats are
 rejected at the boundary, and the inner loops run over integers: the LP
-and the elimination scale their rows to integers, the facet audit keeps
-slacks in quarter units, and dilates are counted by integer filters.  The
+and the elimination scale their rows to integers, the split decomposition
+runs on the point scaled to integers, the facet audit keeps slacks in
+quarter units, and dilates are counted by integer filters.  The
 boolean-triangle hull has a complete inequality description (entry bounds
 plus the diagonal partial-sum inequalities), which makes membership a
 direct check and supports a constructive convex decomposition.  The order-3
@@ -306,33 +307,47 @@ def verify_vertex_certificates(n: int, polytope: str = "tsscpp") -> CertificateR
 # the boolean triangle polytope: membership and decomposition
 
 
+def _scaled_rows(rows) -> tuple[int, tuple]:
+    """(D, D * rows) for the lcm D of the entries' denominators: the rows of
+    a rational or boolean triangle as ints over one common denominator."""
+    scale, flat = _scaled([v for row in rows for v in row])
+    cells = iter(flat)
+    return scale, tuple(tuple(next(cells) for _ in row) for row in rows)
+
+
+def _hull_violations(n, scale, rows, col):
+    """Violated inequalities of the boolean-triangle hull at rows / scale,
+    given scaled rows and their column prefixes: entries in [0, scale],
+    then every diagonal difference at most scale."""
+    for i, row in enumerate(rows, start=1):
+        for k, v in enumerate(row):
+            if v < 0:
+                yield ("lower-bound", (i, n - i + k))
+            if v > scale:
+                yield ("upper-bound", (i, n - i + k))
+    yield from _diagonal_violations(n, col, scale)
+
+
 def btp_contains(p: RationalTrianglePoint | BooleanTriangle) -> ValidationReport:
     """Complete membership test for the boolean-triangle hull of a rational
     or boolean triangle: entries in [0,1] plus every (i,j)-diagonal
     inequality."""
-    n = p.n
-    out = []
-    for idx, row in enumerate(p.rows):
-        i = idx + 1
-        for k, v in enumerate(row):
-            c = n - i + k
-            if v < 0:
-                out.append(("lower-bound", (i, c)))
-            if v > 1:
-                out.append(("upper-bound", (i, c)))
-    out += _diagonal_violations(n, _column_prefixes(p.rows))
-    return ValidationReport.of(out)
+    scale, rows = _scaled_rows(p.rows)
+    return ValidationReport.of(_hull_violations(p.n, scale, rows, _column_prefixes(rows)))
 
 
-def _is_int(x: Fraction) -> bool:
-    return x.denominator == 1
+def _scaled_measure(n, scale, rows, col) -> int:
+    """Count of scaled entries and scaled diagonal differences that are not
+    multiples of scale, i.e. of non-integral ones at rows / scale."""
+    m = sum(1 for row in rows for v in row if v % scale)
+    return m + sum(1 for *_, d in _diagonal_differences(n, col) if d % scale)
 
 
 def _fractional_measure(n, rows) -> int:
     """Count of non-integral entries plus non-integral diagonal partial-sum
     differences; strictly decreases along both split branches."""
-    m = sum(1 for row in rows for v in row if not _is_int(v))
-    return m + sum(1 for *_, d in _diagonal_differences(n, _column_prefixes(rows)) if not _is_int(d))
+    scale, rows = _scaled_rows(rows)
+    return _scaled_measure(n, scale, rows, _column_prefixes(rows))
 
 
 @dataclass(frozen=True)
@@ -347,30 +362,17 @@ class SplitStep:
     child_down: tuple
 
 
-def btp_split(p: RationalTrianglePoint | BooleanTriangle) -> SplitStep:
-    """Label the entries that open ((+)) and close ((-)) fractional runs of
-    the column prefix sums, then shift the labelled entries by the largest
-    steps that keep both children inside the polytope.
-
-    step_up is bounded by 1-x over (+) entries, y over (-) entries, and
-    1-p over the diagonal differences p whose positive column is
-    unbalanced (fractional prefix) while the subtracted one is balanced;
-    step_down swaps the roles.  Both steps are strictly positive and each
-    child gains at least one more integral entry or difference.  The point
-    is a rational or boolean triangle with a fractional entry; an integral
-    one raises ValidationFailure.
-    """
-    n = p.n
-    rows = p.rows
-    col = _column_prefixes(rows)
-
+def _scaled_split(n, scale, rows, col):
+    """The split of :func:`btp_split` at rows / scale, all in ints scaled by
+    scale: (step_up, step_down, child_up, child_down)."""
     plus, minus = [], []
     for idx, row in enumerate(rows):
-        i = idx + 1
+        above = col[idx - 1] if idx else None
+        here = col[idx]
         for k, v in enumerate(row):
-            c = n - i + k
-            before = _is_int(col[idx - 1][c - 1]) if idx else True
-            after = _is_int(col[idx][c - 1])
+            c = n - idx - 1 + k
+            before = above is None or above[c - 1] % scale == 0
+            after = here[c - 1] % scale == 0
             if before and not after:
                 plus.append((idx, k, v))
             elif not before and after:
@@ -379,14 +381,15 @@ def btp_split(p: RationalTrianglePoint | BooleanTriangle) -> SplitStep:
     if not plus and not minus:
         raise ValidationFailure("split requested on an integral point")
 
-    up_cands = [ONE - v for _, _, v in plus] + [v for _, _, v in minus]
-    down_cands = [v for _, _, v in plus] + [ONE - v for _, _, v in minus]
+    up_cands = [scale - v for _, _, v in plus] + [v for _, _, v in minus]
+    down_cands = [v for _, _, v in plus] + [scale - v for _, _, v in minus]
     for i, _, c, diff in _diagonal_differences(n, col):
-        balanced, balanced_before = _is_int(col[i - 1][c - 1]), _is_int(col[i - 1][c - 2])
+        prefixes = col[i - 1]
+        balanced, balanced_before = prefixes[c - 1] % scale == 0, prefixes[c - 2] % scale == 0
         if balanced_before and not balanced:
-            up_cands.append(ONE - diff)
+            up_cands.append(scale - diff)
         elif balanced and not balanced_before:
-            down_cands.append(ONE - diff)
+            down_cands.append(scale - diff)
 
     step_up = min(up_cands)
     step_down = min(down_cands)
@@ -399,45 +402,106 @@ def btp_split(p: RationalTrianglePoint | BooleanTriangle) -> SplitStep:
             out[idx][k] += delta
         for idx, k, _ in minus:
             out[idx][k] -= delta
-        return tuple(tuple(r) for r in out)
+        return tuple(map(tuple, out))
 
-    return SplitStep(step_up, step_down, shifted(step_up), shifted(-step_down))
+    return step_up, step_down, shifted(step_up), shifted(-step_down)
+
+
+def btp_split(p: RationalTrianglePoint | BooleanTriangle) -> SplitStep:
+    """Label the entries that open ((+)) and close ((-)) fractional runs of
+    the column prefix sums, then shift the labelled entries by the largest
+    steps that keep both children inside the polytope.
+
+    step_up is bounded by 1-x over (+) entries, y over (-) entries, and
+    1-p over the diagonal differences p whose positive column is
+    unbalanced (fractional prefix) while the subtracted one is balanced;
+    step_down swaps the roles.  Both steps are strictly positive and each
+    child gains at least one more integral entry or difference.  The point
+    is a rational or boolean triangle with a fractional entry; an integral
+    one raises ValidationFailure.
+
+    The split runs on the point scaled by the lcm D of its denominators
+    (_scaled_split, the one split rule, which btp_decompose also runs);
+    every step and child entry is a multiple of 1/D, and is divided back by
+    D here.
+    """
+    scale, rows = _scaled_rows(p.rows)
+    up, down, child_up, child_down = _scaled_split(p.n, scale, rows, _column_prefixes(rows))
+
+    def unscaled(child):
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in child)
+
+    return SplitStep(Fraction(up, scale), Fraction(down, scale), unscaled(child_up), unscaled(child_down))
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms, as an int pair."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def btp_decompose(p: RationalTrianglePoint | BooleanTriangle) -> ConvexDecomposition:
     """Write a point of the boolean-triangle hull, a rational or boolean
     triangle, as an exact convex combination of boolean triangles via
-    repeated splitting."""
-    report = btp_contains(p)
+    repeated splitting.
+
+    The search runs in ints: the point is scaled once by the lcm D of its
+    denominators, and every split child keeps D, since each step is a min
+    of D - x, x and D - d.  Children equal as rows are one node, which gets
+    the sum of the weights flowing into it (kept as reduced int pairs).
+    Nodes are split in decreasing fractional measure, one list of nodes per
+    measure.  Each distinct child is checked once, when first met, for
+    lying in the hull and for a measure strictly below its parent's, so
+    every weight has arrived before its node is split, and each distinct
+    node is split once (a node met again after its split would be met
+    anew and fail that check).  The leaves, the integral nodes, are the
+    boolean triangles of the answer, in sorted order, and the answer is
+    checked to reproduce the point exactly."""
+    n = p.n
+    scale, point = _scaled_rows(p.rows)
+    col = _column_prefixes(point)
+    report = ValidationReport.of(_hull_violations(n, scale, point, col))
     if not report.valid:
         raise ValidationFailure(f"point is outside the hull: {report.first()}", report)
-    n = p.n
-    weights: dict[tuple, Fraction] = {}
-    stack = [(ONE, p.rows)]
-    while stack:
-        w, rows = stack.pop()
-        if all(_is_int(v) for row in rows for v in row):
-            key = tuple(tuple(int(v) for v in row) for row in rows)
-            weights[key] = weights.get(key, ZERO) + w
-            continue
-        measure = _fractional_measure(n, rows)
-        step = btp_split(RationalTrianglePoint(n, rows))
-        for child in (step.child_up, step.child_down):
-            if _fractional_measure(n, child) >= measure:
-                raise DecompositionError("integrality measure failed to decrease")
-            child_report = btp_contains(RationalTrianglePoint(n, child))
-            if not child_report.valid:
-                raise DecompositionError(f"split left the polytope: {child_report.first()}")
-        total = step.step_up + step.step_down
-        stack.append((w * step.step_down / total, step.child_up))
-        stack.append((w * step.step_up / total, step.child_down))
+    measure = _scaled_measure(n, scale, point, col)
+    # every node met: rows -> [weight numerator, weight denominator, column
+    # prefixes]; a fractional node leaves it when it is split, so the
+    # integral ones, the leaves, are what remains
+    nodes = {point: [1, 1, col]}
+    by_measure = [[] for _ in range(measure + 1)]
+    by_measure[measure].append(point)
+    for parent_measure in range(measure, 0, -1):
+        for rows in by_measure[parent_measure]:
+            num, den, col = nodes.pop(rows)
+            up, down, child_up, child_down = _scaled_split(n, scale, rows, col)
+            for child, share in ((child_up, down), (child_down, up)):
+                node = nodes.get(child)
+                if node is None:
+                    child_col = _column_prefixes(child)
+                    report = ValidationReport.of(_hull_violations(n, scale, child, child_col))
+                    if not report.valid:
+                        raise DecompositionError(f"split left the polytope: {report.first()}")
+                    child_measure = _scaled_measure(n, scale, child, child_col)
+                    if child_measure >= parent_measure:
+                        raise DecompositionError("integrality measure failed to decrease")
+                    node = nodes[child] = [0, 1, child_col]
+                    by_measure[child_measure].append(child)
+                w_num, w_den = num * share, den * (up + down)
+                node[0], node[1] = _reduced(node[0] * w_den + w_num * node[1], node[1] * w_den)
 
-    terms = []
-    for key in sorted(weights):
-        if weights[key] != 0:
-            terms.append((weights[key], BooleanTriangle(n, key)))
-    decomposition = ConvexDecomposition(tuple(terms))
-    if decomposition.reconstruct() != p.rows:
+    terms = tuple(
+        (Fraction(*nodes[key][:2]), BooleanTriangle(n, tuple(tuple(v // scale for v in row) for row in key)))
+        for key in sorted(nodes))
+    decomposition = ConvexDecomposition(terms)
+    # the weighted vertices sum to the point: in ints over the weights' lcm
+    w_scale, w_ints = _scaled([w for w, _ in terms])
+    acc = [[0] * len(row) for row in point]
+    for c, (_, vertex) in zip(w_ints, terms):
+        for acc_row, row in zip(acc, vertex.rows):
+            for k, v in enumerate(row):
+                if v:
+                    acc_row[k] += c
+    if any(a * scale != w_scale * v for acc_row, row in zip(acc, point) for a, v in zip(acc_row, row)):
         raise DecompositionError("decomposition does not reproduce the input point")
     return decomposition
 

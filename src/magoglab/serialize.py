@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import reprlib
+import sys
 from fractions import Fraction
 
 from .core import BooleanTriangle, MagogTriangle, SignMatrix, ValidationFailure
@@ -18,7 +19,16 @@ from .polytope import ConvexDecomposition, NotInHull, RationalMatrixPoint, Ratio
 
 
 def _rat(v: Fraction) -> str:
-    return str(v)
+    """The rational's text.  A numerator or denominator longer than the
+    interpreter's digit limit for int -> str raises ValidationFailure: the
+    limit is process-wide, so it is left as it is, and an answer that
+    cannot be printed is refused."""
+    try:
+        return str(v)
+    except ValueError:
+        raise ValidationFailure(
+            f"the answer holds a number of more than {sys.get_int_max_str_digits()} digits, "
+            "past the interpreter's limit for printing integers") from None
 
 
 def to_document(obj) -> dict:

@@ -34,3 +34,17 @@ def random_membership_point(rng: random.Random, vertices, max_terms: int = 5) ->
             for j, x in enumerate(r):
                 rows[i][j] += Fraction(w, total) * x
     return RationalTrianglePoint.from_rows(n, rows)
+
+
+# acceptance criterion 7: random points per order, 1000 in all
+CRITERION_7_PLAN = ((3, 400), (4, 350), (5, 230), (6, 20))
+
+
+def criterion_7_points(family):
+    """(vertices, point) for each random point of acceptance criterion 7, in
+    a fixed order."""
+    rng = random.Random(20250808)
+    for n, trials in CRITERION_7_PLAN:
+        verts = family("boolean_triangle", n)
+        for _ in range(trials):
+            yield verts, random_membership_point(rng, verts)

@@ -5,7 +5,6 @@ lines; every expected value here is pinned exactly (integer or rational
 equality, no tolerances anywhere).
 """
 
-import random
 import time
 from fractions import Fraction as F
 
@@ -35,7 +34,7 @@ from magoglab import (
 )
 from magoglab import golden
 
-from conftest import random_membership_point
+from conftest import CRITERION_7_PLAN, criterion_7_points
 
 
 def report(number, text):
@@ -152,18 +151,13 @@ def test_criterion_7_decomposition(family):
     lp_check = lp_membership(point, family("boolean_triangle", 6))
     assert isinstance(lp_check, ConvexDecomposition)
 
-    rng = random.Random(20250808)
-    plan = ((3, 400), (4, 350), (5, 230), (6, 20))
-    assert sum(k for _, k in plan) == 1000
-    for n, trials in plan:
-        verts = family("boolean_triangle", n)
-        for _ in range(trials):
-            pt = random_membership_point(rng, verts)
-            dec = btp_decompose(pt)
-            assert sum(w for w, _ in dec.terms) == 1
-            assert all(validate_boolean_triangle(v).valid for _, v in dec.terms)
-            assert dec.reconstruct() == pt.rows
-            assert isinstance(lp_membership(pt, verts), ConvexDecomposition)
+    assert sum(k for _, k in CRITERION_7_PLAN) == 1000
+    for verts, pt in criterion_7_points(family):
+        dec = btp_decompose(pt)
+        assert sum(w for w, _ in dec.terms) == 1
+        assert all(validate_boolean_triangle(v).valid for _, v in dec.terms)
+        assert dec.reconstruct() == pt.rows
+        assert isinstance(lp_membership(pt, verts), ConvexDecomposition)
     dt = time.monotonic() - t0
     assert dt < 300, f"decomposition property suite took {dt:.1f}s"
     report(7, f"worked example exact; 1000 random points reproduced and LP-confirmed in {dt:.1f}s")

@@ -192,6 +192,21 @@ def test_decompose_step_on_a_vertex_is_a_domain_error(tmp_path, capsys, doc):
     assert captured.err == "error: split requested on an integral point\n"
 
 
+def test_decompose_past_the_digit_limit_is_a_domain_error(tmp_path, capsys):
+    # each entry parses (under 4300 digits), but a weight of the answer has more
+    a, b = 10 ** 1500 + 7, 10 ** 1400 + 3
+    doc = {"kind": "rational-triangle", "n": 3, "rows": [[f"1/{a}"], [f"1/{b}", f"1/{a}"]]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["polytope", "decompose", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: the answer holds a number of more than {sys.get_int_max_str_digits()} "
+                            "digits, past the interpreter's limit for printing integers\n")
+    for argv in (["membership", "--polytope", "btp"], ["decompose", "--step"]):
+        assert run(capsys, "polytope", *argv, "--input", str(path))[0] == 0
+
+
 def test_certify_and_facets(capsys):
     code, out = run(capsys, "polytope", "certify", "--polytope", "btp", "--n", "3")
     assert code == 0 and "7/7" in out

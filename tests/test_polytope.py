@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -32,7 +33,7 @@ from magoglab import (
     validate_boolean_triangle,
     verify_vertex_certificates,
 )
-from magoglab import golden, lp, polytope
+from magoglab import golden, lp, polytope, serialize
 from magoglab.enumeration import _iter_square_sign_rows
 from magoglab.lp import Feasible, LPError
 from magoglab.polytope import (
@@ -52,7 +53,7 @@ from magoglab.polytope import (
     btp_inequalities,
 )
 
-from conftest import random_membership_point
+from conftest import criterion_7_points, random_membership_point
 
 HALF_INTEGER_POINT_A = [["1/2", 0, "1/2"], ["1/2", 0, "1/2"], [0, 1, 0]]
 HALF_INTEGER_POINT_B = [["1/2", "1/2", 0], [0, 0, 1], ["1/2", "1/2", 0]]
@@ -254,6 +255,18 @@ def test_btp_split_reproduces_frozen_step():
     assert (w_up, w_down) == (F(1, 3), F(2, 3))
 
 
+def _draw_combination(data, vertices, min_terms):
+    """Rows of a convex combination of min_terms to 5 distinct vertices,
+    with weights in 1..12 over their sum."""
+    chosen = data.draw(st.lists(st.integers(0, len(vertices) - 1), min_size=min_terms, max_size=5, unique=True))
+    weights = [data.draw(st.integers(1, 12)) for _ in chosen]
+    total = sum(weights)
+    n = vertices[0].n
+    return tuple(
+        tuple(sum(F(w, total) * vertices[v].rows[i][k] for w, v in zip(weights, chosen)) for k in range(i + 1))
+        for i in range(n - 1))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(2, 6))
 def test_every_btp_split_lowers_the_fractional_measure(family, data, n):
@@ -261,13 +274,7 @@ def test_every_btp_split_lowers_the_fractional_measure(family, data, n):
     a fractional point of the hull, both children of btp_split lie in the
     hull, have a smaller fractional measure, and recombine to the point
     with the weights step_down/(step_up+step_down) and step_up/(...)."""
-    vertices = family("boolean_triangle", n)
-    chosen = data.draw(st.lists(st.integers(0, len(vertices) - 1), min_size=2, max_size=5, unique=True))
-    weights = [data.draw(st.integers(1, 12)) for _ in chosen]
-    total = sum(weights)
-    rows = tuple(
-        tuple(sum(F(w, total) * vertices[v].rows[i][k] for w, v in zip(weights, chosen)) for k in range(i + 1))
-        for i in range(n - 1))
+    rows = _draw_combination(data, family("boolean_triangle", n), 2)
     step = btp_split(RationalTrianglePoint(n, rows))
     measure = _fractional_measure(n, rows)
     for child in (step.child_up, step.child_down):
@@ -277,6 +284,78 @@ def test_every_btp_split_lowers_the_fractional_measure(family, data, n):
     w_up, w_down = step.step_down / steps, step.step_up / steps
     assert tuple(tuple(w_up * a + w_down * b for a, b in zip(up, down))
                  for up, down in zip(step.child_up, step.child_down)) == rows
+
+
+def _split_tree(p):
+    """The split tree of p walked node by node, with no merging of equal
+    nodes: (the leaves' summed weights as sorted terms, the rows of every
+    split node in walk order)."""
+    weights, splits = {}, []
+    stack = [(F(1), p.rows)]
+    while stack:
+        w, rows = stack.pop()
+        if all(v.denominator == 1 for row in rows for v in row):
+            key = tuple(tuple(int(v) for v in row) for row in rows)
+            weights[key] = weights.get(key, 0) + w
+            continue
+        step = btp_split(RationalTrianglePoint(p.n, rows))
+        splits.append(rows)
+        total = step.step_up + step.step_down
+        stack.append((w * step.step_down / total, step.child_up))
+        stack.append((w * step.step_up / total, step.child_down))
+    return tuple((weights[k], BooleanTriangle(p.n, k)) for k in sorted(weights)), splits
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_btp_decompose_is_the_split_tree(family, data, n):
+    """Merging equal nodes changes only the order in which a leaf's weights
+    are summed: the terms are those of the unmerged tree."""
+    point = RationalTrianglePoint(n, _draw_combination(data, family("boolean_triangle", n), 1))
+    assert btp_decompose(point).terms == _split_tree(point)[0]
+
+
+# a mix of five order-7 boolean triangles whose split tree makes 255 splits
+# on 115 distinct fractional nodes
+ORDER_7_MIX = (
+    (2, [[0], [0, 0], [0, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 0]]),
+    (5, [[0], [1, 1], [1, 0, 1], [0, 0, 1, 0], [1, 1, 1, 0, 0], [1, 1, 0, 0, 1, 1]]),
+    (2, [[1], [1, 1], [1, 1, 0], [0, 0, 0, 0], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 1]]),
+    (8, [[1], [1, 0], [1, 1, 0], [1, 0, 0, 0], [1, 0, 1, 0, 0], [1, 1, 0, 0, 0, 0]]),
+    (8, [[1], [1, 0], [1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 1]]),
+)
+
+
+def test_btp_decompose_splits_each_distinct_node_once(monkeypatch):
+    total = sum(w for w, _ in ORDER_7_MIX)
+    vertices = [(F(w, total), BooleanTriangle.from_rows(7, rows)) for w, rows in ORDER_7_MIX]
+    assert all(validate_boolean_triangle(v).valid for _, v in vertices)
+    point = RationalTrianglePoint(7, tuple(
+        tuple(sum(w * v.rows[i][k] for w, v in vertices) for k in range(i + 1)) for i in range(6)))
+    terms, splits = _split_tree(point)
+    calls = []
+    split = polytope._scaled_split
+
+    def counted(n, scale, rows, col):
+        calls.append(rows)
+        return split(n, scale, rows, col)
+
+    monkeypatch.setattr(polytope, "_scaled_split", counted)
+    assert btp_decompose(point).terms == terms
+    assert len(calls) == len(set(calls)) == len(set(splits)) == 115
+    assert len(splits) == 255
+
+
+# sha256 of the dumps of btp_decompose on the 1000 criterion-7 points, one
+# line each, as the unmerged split tree in Fraction arithmetic printed them
+CRITERION_7_DECOMPOSITIONS_SHA256 = "925a331d10a0bfd2e6f8ab885af0fdd8276d09d114860b45c29c2a61bd8e9dad"
+
+
+def test_criterion_7_decompositions_are_pinned(family):
+    digest = hashlib.sha256()
+    for _, point in criterion_7_points(family):
+        digest.update(serialize.dumps(btp_decompose(point)).encode() + b"\n")
+    assert digest.hexdigest() == CRITERION_7_DECOMPOSITIONS_SHA256
 
 
 def test_btp_decompose_boolean_triangle_is_trivial():
