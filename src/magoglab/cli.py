@@ -32,12 +32,14 @@ STAT_FLAGS = {stat.replace("_", "-"): stat for stat in enumeration.STATISTICS}
 # kind, else the "enumerate" one: at n=8 the magog-family and boolean streams
 # write 10.9M lines and square-sign 268M, gapless 9.1M at n=9.  Commands sized
 # by their input file and the tables suite (bounded by its golden data) have none.
+# A tsscpp membership LP at n=7 can run for minutes there: a mix of three order-7
+# magog matrices took 146 s.
 CEILINGS = {
     "enumerate": {"n": 7},
     "enumerate --kind gapless": {"n": 8},
     "enumerate --count": {"n": 14},
     "stats": {"n": 13},
-    "polytope membership --polytope tsscpp": {"n": 7},
+    "polytope membership --polytope tsscpp": {"n": 6},
     "polytope certify": {"n": 6},
     "polytope facets": {"n": 300},
     "ehrhart --polytope btp": {"n": 6, "tmax": 12},
@@ -143,18 +145,27 @@ def _cmd_polytope(args) -> int:
     if args.polytope == "tsscpp":
         point = _load(args.input, (polytope.RationalMatrixPoint, SignMatrix), "expected a matrix-shaped document")
         _check_ceiling("polytope membership --polytope tsscpp", n=point.n)
-        vertices = list(enumeration.enumerate_objects("magog_matrix", point.n))
-        outcome = polytope.lp_membership(point, vertices)
+        outcome = polytope.lp_membership(point, polytope.MagogVertices(point.n))
         _emit(serialize.dumps(outcome))
         return 0 if isinstance(outcome, polytope.ConvexDecomposition) else 1
     point = _load(args.input, (polytope.RationalTrianglePoint, BooleanTriangle),
                   "expected a rational-triangle or boolean-triangle document")
+    if args.action == "decompose" and not args.step:
+        # btp_decompose checks the point itself, and its refusal carries the report
+        try:
+            decomposition = polytope.btp_decompose(point)
+        except ValidationFailure as exc:
+            if exc.report is None:
+                raise
+            return _emit_violations(exc.report)
+        _emit(serialize.dumps(decomposition))
+        return 0
     report = polytope.btp_contains(point)
     if not report.valid:
         return _emit_violations(report)
     if args.action == "membership":
         _emit(json.dumps({"member": True}, separators=(",", ":")))
-    elif args.step:
+    else:
         step = polytope.btp_split(point)
         total = step.step_up + step.step_down
         _emit(json.dumps({
@@ -166,8 +177,6 @@ def _cmd_polytope(args) -> int:
                 serialize.to_document(polytope.RationalTrianglePoint(point.n, step.child_down)),
             ],
         }, separators=(",", ":")))
-    else:
-        _emit(serialize.dumps(polytope.btp_decompose(point)))
     return 0
 
 

@@ -146,6 +146,23 @@ def _path_sums(depth: int, start, moves, steps=()):
     return tallies
 
 
+def _path_max(depth: int, start, moves, weight) -> int:
+    """The largest sum of weight(i, emitted) over the steps i of a path of
+    _walk(depth, start, moves): the forward pass of _path_sums in the
+    max-plus semiring, one value per state."""
+    layer = {start: 0}
+    for i in range(1, depth + 1):
+        move = moves(i)
+        nxt: dict = {}
+        for state, value in layer.items():
+            for emitted, q in move(state):
+                v = value + weight(i, emitted)
+                if q not in nxt or v > nxt[q]:
+                    nxt[q] = v
+        layer = nxt
+    return max(layer.values())
+
+
 # ---------------------------------------------------------------------------
 # move rules
 

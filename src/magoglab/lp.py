@@ -24,11 +24,19 @@ of a vertex), and columns that share leading items, or whose remaining
 items form equal subtrees, share their paths.  Each distinct item is
 priced at most once per pivot, and a depth-first search in index order
 returns exactly the smallest j with y.A_j > 0, so the pivots are those
-of a scan over the list.  On infeasible systems the simplex multipliers of the
-optimal phase-one basis form a Farkas certificate y with y.A_j <= 0 for
-every column and y.b > 0.  Either outcome is verified in integers
-against the columns as given, every column for a certificate, before it
-is returned, and a failed check raises LPError.
+of a scan over the columns in index order.  On infeasible systems the
+simplex multipliers of the optimal phase-one basis form a Farkas
+certificate y with y.A_j <= 0 for every column and y.b > 0.
+
+The columns come as a list, whose DAG is the trie of its item sequences,
+or as a ColumnPaths: a DAG prebuilt from the paths of a move rule, such
+as the magog row graph, with no column listed.  Either outcome is
+verified in integers before it is returned, and a failed check raises
+LPError.  A solution is checked on the basic columns as given, which a
+ColumnPaths rebuilds through its caller's checks; a certificate is
+checked on every column of a list, and for a ColumnPaths on the largest
+y.A_j, which its caller computes by a max-plus pass over the move rules,
+apart from the DAG.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 
 _INT = {int}
@@ -113,29 +122,27 @@ class _ColumnDag:
     """The columns as paths of a DAG, in index order, for Bland pricing.
 
     A column is a sequence of items, each a number or a tuple of numbers;
-    the column is their concatenation.  The trie of the item sequences is
-    built in index order, each column sharing the path of the one before
-    it up to their first differing item, so its leaves, read depth first,
-    are the columns in index order; adjacent equal columns end at one leaf
-    that counts them.  Nodes are interned by (children, count), so equal
+    the column is their concatenation.  Node k has ``counts[k]`` columns
+    below it and the edges ``edges[k]``, in index order, each a triple
+    (label, child, child's count), so its leaves, read depth first, are the
+    columns in index order; children come before their parents, and the
+    root is the last node.  Nodes are interned by (edges, count), so equal
     subtrees are stored once (the ordered form of a minimal acyclic
     automaton, Daciuk et al. 2000), and edge labels by (level, item), each
-    holding its item's integer support at the item's offset.  Node k has
-    ``counts[k]`` columns below it and the edges ``edges[k]``, in index
-    order, each a triple (label, child, child's count); children come
-    before their parents, and the root is the last node.
+    holding its item, the item's integer support at the item's offset and
+    its scale.  It is made in one of two ways: __init__, the trie of a
+    column list, or of_paths, the paths of a move rule.
     """
 
     def __init__(self, columns, m):
-        self.supports, self.scales = [], []
-        self.edges, self.counts = [], []
+        """The trie of the item sequences, built in index order, each column
+        sharing the path of the one before it up to their first differing
+        item; adjacent equal columns end at one leaf that counts them."""
         widths = [len(_values(item)) for item in (columns[0] if columns else ())]
         if columns and sum(widths) != m:
             raise ValueError("column length does not match rhs")
+        self._start(widths)
         depth = len(widths)
-        offsets = [sum(widths[:d]) for d in range(depth)]
-        label_ids = [{} for _ in range(depth)]
-        registry = {}
 
         # the open path of the last column: the label into the node at each
         # depth, that node's finished edges as (label, child, child's count)
@@ -147,16 +154,12 @@ class _ColumnDag:
 
         def close(d):
             # intern the finished node at depth d and hang it from its parent
-            key = (tuple(edges[d]), counts[d])
-            node = registry.get(key)
-            if node is None:
-                node = registry[key] = len(self.counts)
-                self.edges.append(key[0])
-                self.counts.append(key[1])
+            node = self._node(tuple(edges[d]), counts[d])
             edges[d], counts[d] = [], 0
             if d:
                 edges[d - 1].append((path[d], node, self.counts[node]))
                 counts[d - 1] += self.counts[node]
+            return node
 
         prev = None
         for column in columns:
@@ -169,20 +172,86 @@ class _ColumnDag:
                 for d in range(depth, p, -1):
                     close(d)
             for d in range(p, depth):
-                label = label_ids[d].get(column[d])
-                if label is None:
-                    scale, support = _integer_column(_values(column[d]), widths[d], offsets[d])
-                    label = label_ids[d][column[d]] = len(self.supports)
-                    self.supports.append(support)
-                    self.scales.append(scale)
-                path[d + 1] = label
+                path[d + 1] = self._label(d, column[d])
             counts[depth] += 1
             prev = column
         for d in range(depth, -1, -1):
-            close(d)
-        if self.counts[-1] != len(columns):
+            root = close(d)
+        if self.counts[root] != len(columns):
             raise LPError("column DAG does not count every column")
+        self._finish(root)
+
+    def _start(self, widths):
+        self.widths = widths
+        self.offsets = [sum(widths[:d]) for d in range(len(widths))]
+        self.items, self.supports, self.scales = [], [], []
+        self.edges, self.counts = [], []
+        self._label_ids = [{} for _ in widths]
+        self._registry = {}
+
+    def _label(self, d, item):
+        """The label of ``item`` at level d, made when first met."""
+        label = self._label_ids[d].get(item)
+        if label is None:
+            scale, support = _integer_column(_values(item), self.widths[d], self.offsets[d])
+            label = self._label_ids[d][item] = len(self.supports)
+            self.items.append(item)
+            self.supports.append(support)
+            self.scales.append(scale)
+        return label
+
+    def _node(self, edges, count):
+        """The node with these edges and this many columns below it."""
+        key = (edges, count)
+        node = self._registry.get(key)
+        if node is None:
+            node = self._registry[key] = len(self.counts)
+            self.edges.append(edges)
+            self.counts.append(count)
+        return node
+
+    def _finish(self, root):
+        if root != len(self.counts) - 1:
+            raise LPError("the root of the column DAG is not its last node")
         self.leaf_best = [None if e else 0 for e in self.edges]
+
+    @classmethod
+    def of_paths(cls, depth, start, moves, m):
+        """The paths of ``depth`` steps from ``start`` under a move rule,
+        ``moves(i)`` mapping a state to its (item, next state) pairs in
+        order (the rules of magoglab.enumeration), as the columns of their
+        items, in the order a depth-first walk meets them.
+
+        Each state a step reaches is a node (states with equal paths below
+        them share one), each move an edge labelled with its item; every
+        state after the last step is a leaf, and a state with no path below
+        it is left out.  No column is listed: the counts
+        come from one backward pass over the states."""
+        # forward: the states of each step, each with its list of moves
+        layers = [{start: None}]
+        for i in range(1, depth + 1):
+            move, reached = moves(i), {}
+            for state in layers[-1]:
+                out = layers[-1][state] = list(move(state))
+                for _, q in out:
+                    reached[q] = None
+            layers.append(reached)
+        widths = [len(_values(next(item for out in layer.values() for item, _ in out)))
+                  for layer in layers[:-1]]
+        if sum(widths) != m:
+            raise ValueError("column length does not match rhs")
+        dag = cls.__new__(cls)
+        dag._start(widths)
+        node = dict.fromkeys(layers[-1], dag._node((), 1))
+        for d in range(depth - 1, -1, -1):
+            above = {}
+            for state, out in layers[d].items():
+                edges = tuple((dag._label(d, item), node[q], dag.counts[node[q]])
+                              for item, q in out if dag.counts[node[q]])
+                above[state] = dag._node(edges, sum(e[2] for e in edges))
+            node = above
+        dag._finish(node[start])
+        return dag
 
     def first_positive(self, y):
         """Bland's entering column: the smallest j with y.A_j > 0 and the
@@ -250,20 +319,55 @@ class _ColumnDag:
                 other += [(i, f) for i in p] + [(i, -f) for i in n] + [(i, v * f) for i, v in o]
         return tuple(pos), tuple(neg), tuple(other)
 
+    def column(self, j):
+        """The items on the path of column j, read down by the counts."""
+        if not 0 <= j < self.counts[-1]:
+            raise IndexError("column index out of range")
+        k, items = len(self.edges) - 1, []
+        while self.edges[k]:
+            for l, c, count in self.edges[k]:
+                if j < count:
+                    break
+                j -= count
+            items.append(self.items[l])
+            k = c
+        return tuple(items)
+
+
+class ColumnPaths:
+    """Columns held as the paths of a prebuilt DAG (_ColumnDag.of_paths),
+    in index order, with the caller's own routes for checking an outcome:
+    ``column(j)`` rebuilds column j as items, through the caller's checks,
+    and ``max_value(y)`` is the largest y.A_j over every column for an
+    integer y, computed without the DAG.  len() is the number of columns."""
+
+    def __init__(self, dag: _ColumnDag, column: Callable[[int], tuple], max_value: Callable[[list], int]):
+        self.dag, self.column, self.max_value = dag, column, max_value
+
+    def __len__(self) -> int:
+        return self.dag.counts[-1]
+
 
 def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
     """Decide whether rhs lies in the cone {A x : x >= 0} spanned by the
-    given columns.  A column is a sequence of numbers, or of items that are
-    numbers or tuples of numbers, concatenated to length len(rhs)."""
+    columns: a list, each column a sequence of numbers, or of items that
+    are numbers or tuples of numbers, concatenated to length len(rhs); or a
+    ColumnPaths, whose DAG is used as it is and whose routes check the
+    outcome."""
     m = len(rhs)
     rhs_scale, b = _scaled(rhs)
     signs = [1 if v >= 0 else -1 for v in b]
-    columns = list(columns)
-    dag = _ColumnDag(columns, m)
-    n_real = len(columns)
+    if isinstance(columns, ColumnPaths):
+        dag, column = columns.dag, columns.column
+        if sum(dag.widths) != m:
+            raise ValueError("column length does not match rhs")
+    else:
+        columns = list(columns)
+        dag, column = _ColumnDag(columns, m), columns.__getitem__
+    n_real = dag.counts[-1]
 
     def integer_column(j):
-        return _integer_column([v for item in columns[j] for v in _values(item)], m)
+        return _integer_column([v for item in column(j) for v in _values(item)], m)
 
     # artificial i (0..m-1) is column n_real + i, equal to signs[i] * e_i;
     # the basis starts as the artificial one, so delta * B^{-1} = diag(signs)
@@ -286,12 +390,16 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
 
         if entering < 0:
             if sum(xb[k] for k, bj in enumerate(basis) if bj >= n_real) == 0:
-                # checked against the columns as given, not as the DAG holds them
+                # checked against the columns as given (ColumnPaths rebuilds
+                # them through its own checks), not as the DAG holds them
                 x = {bj: xb[k] for k, bj in enumerate(basis) if bj < n_real and xb[k] != 0}
                 given = {j: integer_column(j) for j in x}
                 _verify_solution(x, {j: support for j, (_, support) in given.items()}, b, delta)
                 return Feasible({j: Fraction(v * given[j][0], delta * rhs_scale) for j, v in x.items()})
-            _verify_certificate(y, [integer_column(j)[1] for j in range(n_real)], b)
+            if isinstance(columns, ColumnPaths):
+                _verify_functional(y, columns.max_value(y), b)
+            else:
+                _verify_certificate(y, [integer_column(j)[1] for j in range(n_real)], b)
             return Infeasible(tuple(Fraction(v, delta) for v in y))
 
         # direction delta * B^{-1} A_entering, and delta * (y.A_entering -
@@ -352,7 +460,12 @@ def _verify_solution(x, supports, b, delta):
 
 def _verify_certificate(y, supports, b):
     """y.A_j <= 0 for every column and y.b > 0, in scaled integers."""
-    if any(_dot(y, support) > 0 for support in supports):
+    _verify_functional(y, max((_dot(y, support) for support in supports), default=0), b)
+
+
+def _verify_functional(y, top, b):
+    """top, the largest y.A_j over every column, is <= 0 and y.b > 0."""
+    if top > 0:
         raise LPError("Farkas certificate is positive on a column")
     if sum(a * c for a, c in zip(y, b)) <= 0:
         raise LPError("Farkas certificate is not positive on the right-hand side")

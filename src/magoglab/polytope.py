@@ -12,13 +12,15 @@ direct check and supports a constructive convex decomposition.  The order-3
 magog hull has a six-inequality description, certified complete by
 tsscpp3_vertex_audit; an integer double-description routine computes the
 order-4 hull's facets from its vertex list.  Both filter dilates.  For
-n >= 4 membership is decided by an exact LP against the enumerated vertex
-list, with a Farkas functional returned as the non-membership certificate.
+n >= 4 membership is decided by an exact LP whose columns are the paths of
+the magog row graph (MagogVertices), with no vertex list, and a Farkas
+functional returned as the non-membership certificate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,14 +37,16 @@ from .core import (
     _prefix_matrices,
     _special_violations,
     _trusted,
-    validate_magog,  # unused here; perfbench/spans.py times it as polytope.validate_magog
+    validate_magog,
 )
 from .enumeration import (
     _count_boolean_rows,
     _iter_square_sign_rows,
+    _path_max,
     _raw_rows,
+    _row_moves,
 )
-from .lp import Feasible, Infeasible, _scaled, solve_feasibility
+from .lp import ColumnPaths, Feasible, Infeasible, _ColumnDag, _scaled, solve_feasibility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -510,20 +514,78 @@ def btp_decompose(p: RationalTrianglePoint | BooleanTriangle) -> ConvexDecomposi
 # LP membership oracle
 
 
+def _convexity_step(state):
+    """The last step of every path of MagogVertices: the convexity item 1."""
+    return ((1, None),)
+
+
+class MagogVertices:
+    """The n x n magog matrices, the vertices of the tsscpp hull, in
+    enumerate_objects order, held as the paths of the magog row graph and
+    not as a list.
+
+    The hull LP reads them as a column DAG built from the move rules
+    (_row_moves): a node per (step, triangle row) state, an edge per move
+    labelled with its matrix row, and one more step, on every path, that
+    emits the convexity item 1.  ``vertices[j]`` reads matrix j down that
+    DAG by its counts and builds it through the checking SignMatrix
+    constructor and validate_magog."""
+
+    def __init__(self, n: int):
+        _guard(n)
+        self.n = n
+        rows = _row_moves(n, "magog", matrix=True)
+        self._dag = _ColumnDag.of_paths(n + 1, (), lambda i: rows(i) if i <= n else _convexity_step, n * n + 1)
+
+    def __len__(self) -> int:
+        return self._dag.counts[-1]
+
+    def __getitem__(self, j: int) -> SignMatrix:
+        *rows, one = self._dag.column(j)
+        try:
+            matrix = SignMatrix(self.n, tuple(rows))
+        except ValidationFailure as exc:
+            raise DecompositionError(f"row-graph column {j} is not a sign matrix: {exc}") from exc
+        if one != 1 or not validate_magog(matrix).valid:
+            raise DecompositionError(f"row-graph column {j} is not a magog matrix")
+        return matrix
+
+    def hull_columns(self) -> ColumnPaths:
+        """The columns (A, 1) of the hull LP, one per magog matrix A: a
+        solution is checked on the matrices rebuilt by ``self[j]``, a
+        certificate by a max-plus pass over the row graph."""
+        return ColumnPaths(self._dag, lambda j: (*self[j].entries, 1), self._max_value)
+
+    def _max_value(self, y) -> int:
+        """The largest y.(A, 1) over the magog matrices A, for integer y:
+        one max-plus pass over the move rules (_path_max), apart from the
+        DAG."""
+        n = self.n
+        parts = [y[k * n:(k + 1) * n] for k in range(n)]
+        top = _path_max(n, (), _row_moves(n, "magog", matrix=True),
+                        lambda i, row: sum(map(operator.mul, parts[i - 1], row)))
+        return top + y[-1]
+
+
 def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
-    """Exact membership of a point in the convex hull of an explicit vertex
-    list, via phase-one simplex.  The point is a rational point or an integer
-    object of the vertices' shape.  Returns a reproducing decomposition or a
+    """Exact membership of a point in the convex hull of the vertices, via
+    phase-one simplex.  The vertices are an explicit list, or
+    MagogVertices(n) for the tsscpp hull, which the LP reads as the paths
+    of the row graph.  The point is a rational point or an integer object
+    of the vertices' shape.  Returns a reproducing decomposition or a
     verified separating functional."""
-    vertices = list(vertices)
-    if not vertices:
-        raise ValidationFailure("vertex list is empty")
+    paths = isinstance(vertices, MagogVertices)
+    if not paths:
+        vertices = list(vertices)
+        if not vertices:
+            raise ValidationFailure("vertex list is empty")
     if _shape(vertices[0]) != _shape(point):
         raise ValidationFailure("vertex shape does not match the point's shape")
     target = [as_fraction(x) for x in _flatten(point)]
     # one column per vertex, its rows as items: the solver refuses a later
     # vertex whose row widths differ from the first's
-    outcome = solve_feasibility([(*_rows_of(v), 1) for v in vertices], target + [ONE])
+    columns = vertices.hull_columns() if paths else [(*_rows_of(v), 1) for v in vertices]
+    outcome = solve_feasibility(columns, target + [ONE])
     if isinstance(outcome, Feasible):
         # solve_feasibility has checked A x = b in integers, the convexity
         # row included, so the weights reproduce the point

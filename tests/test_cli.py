@@ -130,6 +130,22 @@ def test_btp_membership_and_decompose(tmp_path, capsys):
     assert json.loads(out)["violations"] == [["diagonal", [3, 1]]]
 
 
+def test_decompose_checks_the_hull_once(tmp_path, capsys, monkeypatch):
+    # btp_decompose checks the point, and its refusal carries the violations
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose needs no second hull check")
+
+    monkeypatch.setattr(polytope, "btp_contains", refuse)
+    path = tmp_path / "t.json"
+    path.write_text(serialize.dumps(RationalTrianglePoint.from_rows(4, [[1], [1, 1], [1, 0, 1]])), encoding="utf-8")
+    code, out = run(capsys, "polytope", "decompose", "--input", str(path))
+    assert code == 1
+    assert out == '{"member":false,"violations":[["diagonal",[3,1]]]}\n'
+    path.write_text(serialize.dumps(RationalTrianglePoint.from_rows(3, [["1/2"], ["1/2", "1/2"]])), encoding="utf-8")
+    code, out = run(capsys, "polytope", "decompose", "--input", str(path))
+    assert code == 0 and sum(w for w, _ in serialize.loads(out).terms) == 1
+
+
 @pytest.mark.parametrize("command", [["polytope", "membership", "--polytope", "btp"], ["polytope", "decompose"]],
                          ids=["membership", "decompose"])
 def test_btp_commands_take_only_rational_and_boolean_triangles(tmp_path, capsys, command):
@@ -716,7 +732,8 @@ def test_ceiling_guard(tmp_path, capsys, monkeypatch, entry):
     for module, name in ((enumeration, "enumerate_objects"), (enumeration, "count"),
                          (enumeration, "distribution"), (enumeration, "theorem_suite"),
                          (enumeration, "conjecture_suite"), (polytope, "verify_vertex_certificates"),
-                         (polytope, "btp_facet_audit"), (polytope, "lattice_points_in_dilate")):
+                         (polytope, "btp_facet_audit"), (polytope, "lattice_points_in_dilate"),
+                         (polytope, "MagogVertices"), (polytope, "lp_membership")):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.delenv("MAGOGLAB_CEILING_OVERRIDE", raising=False)
     command, key = entry

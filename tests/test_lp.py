@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from magoglab import (
     BooleanTriangle,
     ConvexDecomposition,
+    MagogVertices,
     NotInHull,
     RationalMatrixPoint,
     RationalTrianglePoint,
@@ -16,6 +17,9 @@ from magoglab import (
     classify,
     lp,
     lp_membership,
+    magog_separating_hyperplane,
+    product_formula,
+    serialize,
     validate_boolean_triangle,
     validate_magog,
 )
@@ -273,3 +277,78 @@ def test_lp_membership_certifies_non_magog_sign_matrices(family, data):
     assert isinstance(cert, NotInHull)
     assert cert.value_at(point) > 0
     assert all(cert.value_at(v) <= 0 for v in vertices)
+
+
+def test_row_graph_columns_are_the_enumeration(family):
+    for n in range(1, 7):
+        vertices = MagogVertices(n)
+        columns = vertices.hull_columns()
+        listed = family("magog_matrix", n)
+        assert len(vertices) == len(columns) == len(listed)
+        assert [vertices[j] for j in range(len(listed))] == listed
+        assert [columns.column(j) for j in range(len(listed))] == [(*m.entries, 1) for m in listed]
+        with pytest.raises(IndexError):
+            vertices[len(listed)]
+    for n in range(7, 11):
+        assert len(MagogVertices(n)) == product_formula(n)
+
+
+def magog_batch(family, seed=20261020):
+    """Seeded tsscpp points at n=3..5: members (mixes of one to five magog
+    matrices), non-members (sign matrices that are not magog, and points
+    cut off by a cube facet), mixes of a magog matrix with a non-magog sign
+    matrix, and vertices."""
+    rng = random.Random(seed)
+    for n in (3, 4, 5):
+        magog = [v.entries for v in family("magog_matrix", n)]
+        others = [m.entries for m in family("square_sign", n) if not classify(m).magog]
+        for _ in range(3):
+            chosen = rng.sample(magog, rng.randint(1, 5))
+            yield RationalMatrixPoint.from_rows(_combination([rng.randint(1, 9) for _ in chosen], chosen))
+            yield SignMatrix.from_rows(rng.choice(others))
+            yield RationalMatrixPoint.from_rows(_outside(rng, rng.choice(others), magog, 2 * n * n))
+            mix = [rng.choice(magog), rng.choice(others)]
+            yield RationalMatrixPoint.from_rows(_combination([rng.randint(1, 9) for _ in mix], mix))
+            yield SignMatrix.from_rows(rng.choice(magog))
+
+
+def test_row_graph_path_answers_as_the_vertex_list(family):
+    outcomes = set()
+    for point in magog_batch(family):
+        listed = lp_membership(point, family("magog_matrix", point.n))
+        assert serialize.dumps(lp_membership(point, MagogVertices(point.n))) == serialize.dumps(listed)
+        outcomes.add(type(listed))
+    assert outcomes == {ConvexDecomposition, NotInHull}
+
+
+def test_max_plus_pass_checks_certificates(family):
+    rng = random.Random(4)
+    for n in (3, 4):
+        listed = family("magog_matrix", n)
+        columns = MagogVertices(n).hull_columns()
+        for _ in range(20):
+            y = [rng.randint(-3, 3) for _ in range(n * n + 1)]
+            assert columns.max_value(y) == max(
+                sum(a * v for a, v in zip(y, (*(v for row in m.entries for v in row), 1))) for m in listed)
+
+    # twice the separating functional of one vertex, less 2 C(n,2) - 1: 1
+    # on that vertex and negative on every other
+    n = 4
+    listed = family("magog_matrix", n)
+    vertex = listed[17]
+    cert = magog_separating_hyperplane(vertex)
+    y = [0] * (n * n) + [1 - n * (n - 1)]
+    for i, j in cert.support:
+        for above in range(i):
+            y[above * n + j - 1] += 2
+    values = [2 * cert.evaluate(m) + y[-1] for m in listed]
+    assert [j for j, v in enumerate(values) if v > 0] == [17]
+    columns = MagogVertices(n).hull_columns()
+    assert columns.max_value(y) == 1
+    b = [0] * (n * n) + [1]
+    with pytest.raises(LPError):
+        lp._verify_functional(y, columns.max_value(y), b)  # positive on one column
+    y = [0] * (n * n) + [-1]
+    assert columns.max_value(y) == -1
+    with pytest.raises(LPError):
+        lp._verify_functional(y, columns.max_value(y), b)  # not positive on b

@@ -8,10 +8,15 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_tracer_installs_and_restores_every_wrapped_name():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_installs_and_restores_every_wrapped_name():
+    spans = _spans()
     from magoglab import cli, polytope
 
     originals = (polytope.validate_magog, cli.matrix_to_magog_triangle)
@@ -21,3 +26,22 @@ def test_tracer_installs_and_restores_every_wrapped_name():
     finally:
         restore()
     assert (polytope.validate_magog, cli.matrix_to_magog_triangle) == originals
+
+
+def test_traced_tsscpp_membership_runs(tmp_path, capsys):
+    # the tracer takes len() of the columns solve_feasibility is given
+    spans = _spans()
+    from magoglab import SignMatrix, cli, serialize
+
+    path = tmp_path / "p.json"
+    path.write_text(serialize.dumps(SignMatrix.identity(4)), encoding="utf-8")
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        code = tracer.run_job(0, "cli", lambda: cli.main(
+            ["polytope", "membership", "--polytope", "tsscpp", "--input", str(path)]))
+    finally:
+        restore()
+    assert code == 0 and capsys.readouterr().out.startswith('{"terms":')
+    assert spans.layer_metrics(tracer)["lp.solve.columns"] == 42
+    assert spans.layer_metrics(tracer)["polytope.lp_membership.calls"] == 1
