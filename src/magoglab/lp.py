@@ -9,8 +9,10 @@ test.  With delta = |det B| for the current basis B (the previous pivot,
 positive because the ratio test only pivots on d > 0), the solver keeps
 delta * B^{-1} and delta * x_B, whose entries are minors and so
 integers.  A pivot on row r with pivot p replaces every other row k by
-(p * a - d_k * c) // delta, an exact division, and leaves a row with
-d_k = 0 as it is when p = delta.  The artificial basis starts as
+(p * a - d_k * c) // delta, an exact division.  When p = delta, as in
+most pivots on 0/1 columns, that is a - d_k * c // delta, so only the
+entries where row r is nonzero change, and a row with d_k = 0 not at
+all.  The artificial basis starts as
 diag(sign b_i), so the multipliers y come out in the caller's
 coordinates.  delta * y is one more row of the same tableau: it starts
 as sign b and takes the same update, its entry in the entering column
@@ -30,8 +32,10 @@ certificate y with y.A_j <= 0 for every column and y.b > 0.
 
 The columns come as a list, whose DAG is the trie of its item sequences,
 or as a ColumnPaths: a DAG prebuilt from the paths of a move rule, such
-as the magog row graph, with no column listed.  Either outcome is
-verified in integers before it is returned, and a failed check raises
+as the magog row graph, with no column listed.  A list's trie is built
+on every call; a ColumnPaths is used as it is, so its caller may build
+it once and reuse it.  Either outcome is verified in integers on every
+call before it is returned, and a failed check raises
 LPError.  A solution is checked on the basic columns as given, which a
 ColumnPaths rebuilds through its caller's checks; a certificate is
 checked on every column of a list, and for a ColumnPaths on the largest
@@ -107,10 +111,12 @@ def _dot(y, support) -> int:
     s = 0
     for i in pos:
         s += y[i]
-    for i in neg:
-        s -= y[i]
-    for i, v in other:
-        s += y[i] * v
+    if neg:
+        for i in neg:
+            s -= y[i]
+    if other:
+        for i, v in other:
+            s += y[i] * v
     return s
 
 
@@ -426,16 +432,30 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
         if leaving < 0:
             raise LPError("unbounded direction in a bounded-below phase-one problem")
 
-        # a row with d_k = 0 is unchanged when the pivot equals delta
+        # each row r becomes (piv * r - f * rowl) / delta, divided exactly;
+        # when the pivot equals delta that is r - f * rowl / delta (each
+        # f * c / delta an integer, as r and the new row are), which leaves
+        # a row with f = 0, and every entry where rowl is 0, as it is
         piv = d[leaving]
         rowl, xl = binv[leaving], xb[leaving]
-        same = piv == delta
-        for k in range(m):
-            f = d[k]
-            if k != leaving and not (same and f == 0):
-                binv[k] = [(piv * a - f * c) // delta for a, c in zip(binv[k], rowl)]
-                xb[k] = (piv * xb[k] - f * xl) // delta
-        if not (same and fy == 0):
+        if piv == delta:
+            nonzero = [(i, c) for i, c in enumerate(rowl) if c]
+            for k in range(m):
+                f = d[k]
+                if f and k != leaving:
+                    row = binv[k]
+                    for i, c in nonzero:
+                        row[i] -= f * c // delta
+                    xb[k] -= f * xl // delta
+            if fy:
+                for i, c in nonzero:
+                    y[i] -= fy * c // delta
+        else:
+            for k in range(m):
+                f = d[k]
+                if k != leaving:
+                    binv[k] = [(piv * a - f * c) // delta for a, c in zip(binv[k], rowl)]
+                    xb[k] = (piv * xb[k] - f * xl) // delta
             y = [(piv * a - fy * c) // delta for a, c in zip(y, rowl)]
         delta = piv
         basis[leaving] = entering

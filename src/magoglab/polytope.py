@@ -19,6 +19,7 @@ functional returned as the non-membership certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -519,6 +520,14 @@ def _convexity_step(state):
     return ((1, None),)
 
 
+@functools.lru_cache(maxsize=4)
+def _magog_dag(n: int) -> _ColumnDag:
+    """The column DAG of MagogVertices(n), which depends on n alone: built
+    on first use and kept for the last four orders asked for."""
+    rows = _row_moves(n, "magog", matrix=True)
+    return _ColumnDag.of_paths(n + 1, (), lambda i: rows(i) if i <= n else _convexity_step, n * n + 1)
+
+
 class MagogVertices:
     """The n x n magog matrices, the vertices of the tsscpp hull, in
     enumerate_objects order, held as the paths of the magog row graph and
@@ -527,15 +536,17 @@ class MagogVertices:
     The hull LP reads them as a column DAG built from the move rules
     (_row_moves): a node per (step, triangle row) state, an edge per move
     labelled with its matrix row, and one more step, on every path, that
-    emits the convexity item 1.  ``vertices[j]`` reads matrix j down that
-    DAG by its counts and builds it through the checking SignMatrix
-    constructor and validate_magog."""
+    emits the convexity item 1.  The DAG is built once per n in a process,
+    on the first MagogVertices(n), and shared by every later one while n
+    is among the last four orders asked for.
+    ``vertices[j]`` reads matrix j down that DAG by its counts and builds
+    it, on every read, through the checking SignMatrix constructor and
+    validate_magog."""
 
     def __init__(self, n: int):
         _guard(n)
         self.n = n
-        rows = _row_moves(n, "magog", matrix=True)
-        self._dag = _ColumnDag.of_paths(n + 1, (), lambda i: rows(i) if i <= n else _convexity_step, n * n + 1)
+        self._dag = _magog_dag(n)
 
     def __len__(self) -> int:
         return self._dag.counts[-1]
@@ -550,11 +561,19 @@ class MagogVertices:
             raise DecompositionError(f"row-graph column {j} is not a magog matrix")
         return matrix
 
-    def hull_columns(self) -> ColumnPaths:
+    def hull_columns(self, rebuilt=None) -> ColumnPaths:
         """The columns (A, 1) of the hull LP, one per magog matrix A: a
-        solution is checked on the matrices rebuilt by ``self[j]``, a
+        solution is checked on the matrices rebuilt by ``self[j]``, each
+        also put in the dict ``rebuilt`` by j when one is given, and a
         certificate by a max-plus pass over the row graph."""
-        return ColumnPaths(self._dag, lambda j: (*self[j].entries, 1), self._max_value)
+        if rebuilt is None:
+            rebuilt = {}
+
+        def column(j):
+            matrix = rebuilt[j] = self[j]
+            return (*matrix.entries, 1)
+
+        return ColumnPaths(self._dag, column, self._max_value)
 
     def _max_value(self, y) -> int:
         """The largest y.(A, 1) over the magog matrices A, for integer y:
@@ -573,23 +592,32 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
     MagogVertices(n) for the tsscpp hull, which the LP reads as the paths
     of the row graph.  The point is a rational point or an integer object
     of the vertices' shape.  Returns a reproducing decomposition or a
-    verified separating functional."""
+    verified separating functional.
+
+    A list's column DAG is built on every call; MagogVertices(n) shares
+    the DAG built once per n.  Every call checks its outcome in integers:
+    a decomposition on its basic columns as given (each basic magog matrix
+    rebuilt and checked once, and taken as the term), a certificate on
+    every vertex."""
     paths = isinstance(vertices, MagogVertices)
     if not paths:
         vertices = list(vertices)
         if not vertices:
             raise ValidationFailure("vertex list is empty")
-    if _shape(vertices[0]) != _shape(point):
+    shape = (vertices.n,) * vertices.n if paths else _shape(vertices[0])
+    if shape != _shape(point):
         raise ValidationFailure("vertex shape does not match the point's shape")
     target = [as_fraction(x) for x in _flatten(point)]
     # one column per vertex, its rows as items: the solver refuses a later
     # vertex whose row widths differ from the first's
-    columns = vertices.hull_columns() if paths else [(*_rows_of(v), 1) for v in vertices]
+    rebuilt = {}
+    columns = vertices.hull_columns(rebuilt) if paths else [(*_rows_of(v), 1) for v in vertices]
     outcome = solve_feasibility(columns, target + [ONE])
     if isinstance(outcome, Feasible):
         # solve_feasibility has checked A x = b in integers, the convexity
         # row included, so the weights reproduce the point
-        terms = tuple((w, vertices[j]) for j, w in sorted(outcome.x.items()))
+        vertex = rebuilt if paths else vertices
+        terms = tuple((w, vertex[j]) for j, w in sorted(outcome.x.items()))
         try:
             return ConvexDecomposition(terms)
         except ValidationFailure as exc:

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +21,7 @@ from magoglab import (
     lp,
     lp_membership,
     magog_separating_hyperplane,
+    polytope,
     product_formula,
     serialize,
     validate_boolean_triangle,
@@ -352,3 +356,71 @@ def test_max_plus_pass_checks_certificates(family):
     assert columns.max_value(y) == -1
     with pytest.raises(LPError):
         lp._verify_functional(y, columns.max_value(y), b)  # not positive on b
+
+
+@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+def test_row_graph_answers_hold_with_the_dag_memo(family, monkeypatch, warm):
+    # cold: every MagogVertices builds its DAG on a cleared memo; warm: all
+    # but the first of each order take it from the memo
+    memo = polytope._magog_dag
+    memo.cache_clear()
+    if not warm:
+        monkeypatch.setattr(polytope, "_magog_dag", lambda n: (memo.cache_clear(), memo(n))[1])
+    test_row_graph_path_answers_as_the_vertex_list(family)
+    hits = memo.cache_info().hits
+    assert hits >= 40 if warm else hits == 0
+    memo.cache_clear()
+
+
+def test_a_list_changed_in_place_is_solved_afresh(family):
+    # a column changed in place: (1/2, 1/2) leaves the segment
+    cols = [[0, 1, 1], [1, 0, 1]]
+    rhs = [F(1, 2), F(1, 2), 1]
+    assert isinstance(solve_feasibility(cols, rhs), Feasible)
+    cols[1][0] = 2
+    assert repr(solve_feasibility(cols, rhs)) == repr(solve_feasibility([list(c) for c in cols], rhs))
+    assert isinstance(solve_feasibility(cols, rhs), Infeasible)
+
+    # a vertex list whose member point is a vertex: replacing that vertex
+    # or dropping it puts the point outside
+    vertices = list(family("boolean_triangle", 5))
+    point = RationalTrianglePoint.from_rows(5, vertices[100].rows)
+    assert isinstance(lp_membership(point, vertices), ConvexDecomposition)
+    for change in (lambda: vertices.__setitem__(100, vertices[101]), lambda: vertices.pop(100)):
+        change()
+        outcome = lp_membership(point, vertices)
+        assert isinstance(outcome, NotInHull)
+        assert serialize.dumps(outcome) == serialize.dumps(lp_membership(point, list(vertices)))
+
+
+def test_equal_columns_give_one_outcome():
+    forms = ([[0, 1, 1], [1, 0, 1], [1, 1, 1]],
+             [[F(0), F(1), F(1)], [F(1), F(0), F(1)], [F(1), F(1), F(1)]],
+             [(0, 1, 1), (1, 0, 1), (1, 1, 1)],
+             ((0, F(1), 1), [1, 0, F(1)], (1, 1, 1)))
+    for rhs in ([F(1, 2), F(1, 3), 1], [F(2), F(-1), 1]):
+        assert len({repr(solve_feasibility(cols, rhs)) for cols in forms}) == 1
+
+
+def test_a_wrong_certificate_on_a_list_raises(monkeypatch):
+    cols = [[1, 0], [0, 1]]
+    # a pricing that finds no entering column stops at the artificial basis,
+    # whose y = sign(b) = (1, -1) is positive on the first column alone
+    monkeypatch.setattr(lp._ColumnDag, "first_positive", lambda self, y: (-1, None))
+    with pytest.raises(LPError, match="positive on a column"):
+        solve_feasibility(cols, [1, -1])
+
+
+def test_magog_vertices_of_one_order_share_one_dag():
+    assert MagogVertices(4)._dag is MagogVertices(4)._dag
+    assert MagogVertices(5)._dag is not MagogVertices(4)._dag
+
+
+def test_importing_the_cli_builds_no_column_dag():
+    code = ("import magoglab.cli\n"
+            "from magoglab import polytope\n"
+            "assert polytope._magog_dag.cache_info().currsize == 0\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
