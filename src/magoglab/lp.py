@@ -30,17 +30,16 @@ of a scan over the columns in index order.  On infeasible systems the
 simplex multipliers of the optimal phase-one basis form a Farkas
 certificate y with y.A_j <= 0 for every column and y.b > 0.
 
-The columns come as a list, whose DAG is the trie of its item sequences,
-or as a ColumnPaths: a DAG prebuilt from the paths of a move rule, such
-as the magog row graph, with no column listed.  A list's trie is built
-on every call; a ColumnPaths is used as it is, so its caller may build
-it once and reuse it.  Either outcome is verified in integers on every
-call before it is returned, and a failed check raises
-LPError.  A solution is checked on the basic columns as given, which a
-ColumnPaths rebuilds through its caller's checks; a certificate is
-checked on every column of a list, and for a ColumnPaths on the largest
-y.A_j, which its caller computes by a max-plus pass over the move rules,
-apart from the DAG.
+Every column DAG is built by _ColumnDag.of_paths from a move rule, and
+held with its source's own routes for checking an outcome (ColumnPaths).
+A list's rule moves from a run of adjacent columns that agree on their
+first d items to the runs within it that agree on item d, so its DAG is
+its trie with equal subtrees merged, built on every call; the magog row
+graph (polytope.MagogVertices) lists no column and is built once per
+order.  Either outcome is verified in integers before it is returned,
+and a failed check raises LPError: a solution on its basic columns as
+the source gives them, a certificate by the source's max_value, apart
+from the DAG (a scan over a list, a max-plus pass over the magog rules).
 """
 
 from __future__ import annotations
@@ -82,15 +81,21 @@ def _scaled(values) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _integer_column(column, m, offset=0):
-    """Scale a column by the lcm s of its denominators and split s * column
-    into (+1 positions, -1 positions, other (position, value) pairs), the
+def _values(item) -> tuple:
+    return item if isinstance(item, tuple) else (item,)
+
+
+def _integer_column(items, m, offset=0):
+    """Scale the column that concatenates ``items`` (numbers or tuples of
+    numbers) by the lcm s of its denominators and split s * column into
+    (+1 positions, -1 positions, other (position, value) pairs), the
     positions counted from ``offset``.
 
     Columns made of 0/1/-1 entries admit a multiplication-free dot
     product, which dominates the pricing cost on large vertex lists.
     Returns (s, support).
     """
+    column = [v for item in items for v in _values(item)]
     if len(column) != m:
         raise ValueError("column length does not match rhs")
     scale, column = _scaled(column)
@@ -120,144 +125,102 @@ def _dot(y, support) -> int:
     return s
 
 
-def _values(item) -> tuple:
-    return item if isinstance(item, tuple) else (item,)
-
-
 class _ColumnDag:
     """The columns as paths of a DAG, in index order, for Bland pricing.
 
     A column is a sequence of items, each a number or a tuple of numbers;
-    the column is their concatenation.  Node k has ``counts[k]`` columns
-    below it and the edges ``edges[k]``, in index order, each a triple
-    (label, child, child's count), so its leaves, read depth first, are the
-    columns in index order; children come before their parents, and the
-    root is the last node.  Nodes are interned by (edges, count), so equal
-    subtrees are stored once (the ordered form of a minimal acyclic
-    automaton, Daciuk et al. 2000), and edge labels by (level, item), each
-    holding its item, the item's integer support at the item's offset and
-    its scale.  It is made in one of two ways: __init__, the trie of a
-    column list, or of_paths, the paths of a move rule.
+    the column is their concatenation, of length m.  Node k has
+    ``counts[k]`` columns below it and the edges ``edges[k]``, in index
+    order, each a triple (label, child, child's count), so its leaves, read
+    depth first, are the columns in index order; children come before their
+    parents, and the root is the last node.  Nodes are interned by (edges,
+    count), so equal subtrees are stored once (the ordered form of a minimal
+    acyclic automaton, Daciuk et al. 2000), and edge labels by (level,
+    item), each holding its item, the item's integer support at the item's
+    offset and its scale.  Every DAG is built by of_paths.
     """
 
-    def __init__(self, columns, m):
-        """The trie of the item sequences, built in index order, each column
-        sharing the path of the one before it up to their first differing
-        item; adjacent equal columns end at one leaf that counts them."""
-        widths = [len(_values(item)) for item in (columns[0] if columns else ())]
-        if columns and sum(widths) != m:
-            raise ValueError("column length does not match rhs")
-        self._start(widths)
-        depth = len(widths)
-
-        # the open path of the last column: the label into the node at each
-        # depth, that node's finished edges as (label, child, child's count)
-        # and the columns below them as those counts say (at the leaf: the
-        # last column and the equal ones just before it)
-        path = [None] * (depth + 1)
-        edges = [[] for _ in range(depth + 1)]
-        counts = [0] * (depth + 1)
-
-        def close(d):
-            # intern the finished node at depth d and hang it from its parent
-            node = self._node(tuple(edges[d]), counts[d])
-            edges[d], counts[d] = [], 0
-            if d:
-                edges[d - 1].append((path[d], node, self.counts[node]))
-                counts[d - 1] += self.counts[node]
-            return node
-
-        prev = None
-        for column in columns:
-            if len(column) != depth:
-                raise ValueError("column length does not match rhs")
-            p = 0
-            if prev is not None:
-                while p < depth and column[p] == prev[p]:
-                    p += 1
-                for d in range(depth, p, -1):
-                    close(d)
-            for d in range(p, depth):
-                path[d + 1] = self._label(d, column[d])
-            counts[depth] += 1
-            prev = column
-        for d in range(depth, -1, -1):
-            root = close(d)
-        if self.counts[root] != len(columns):
-            raise LPError("column DAG does not count every column")
-        self._finish(root)
-
-    def _start(self, widths):
-        self.widths = widths
-        self.offsets = [sum(widths[:d]) for d in range(len(widths))]
-        self.items, self.supports, self.scales = [], [], []
-        self.edges, self.counts = [], []
-        self._label_ids = [{} for _ in widths]
-        self._registry = {}
-
-    def _label(self, d, item):
-        """The label of ``item`` at level d, made when first met."""
-        label = self._label_ids[d].get(item)
-        if label is None:
-            scale, support = _integer_column(_values(item), self.widths[d], self.offsets[d])
-            label = self._label_ids[d][item] = len(self.supports)
-            self.items.append(item)
-            self.supports.append(support)
-            self.scales.append(scale)
-        return label
-
-    def _node(self, edges, count):
-        """The node with these edges and this many columns below it."""
-        key = (edges, count)
-        node = self._registry.get(key)
-        if node is None:
-            node = self._registry[key] = len(self.counts)
-            self.edges.append(edges)
-            self.counts.append(count)
-        return node
-
-    def _finish(self, root):
-        if root != len(self.counts) - 1:
-            raise LPError("the root of the column DAG is not its last node")
-        self.leaf_best = [None if e else 0 for e in self.edges]
+    def __init__(self, m, items, supports, scales, edges, counts):
+        self.m, self.items, self.supports, self.scales = m, items, supports, scales
+        self.edges, self.counts = edges, counts
+        self.leaf_best = [None if e else 0 for e in edges]
 
     @classmethod
-    def of_paths(cls, depth, start, moves, m):
+    def of_paths(cls, depth, start, moves, m, count=lambda state: 1):
         """The paths of ``depth`` steps from ``start`` under a move rule,
         ``moves(i)`` mapping a state to its (item, next state) pairs in
         order (the rules of magoglab.enumeration), as the columns of their
         items, in the order a depth-first walk meets them.
 
         Each state a step reaches is a node (states with equal paths below
-        them share one), each move an edge labelled with its item; every
-        state after the last step is a leaf, and a state with no path below
-        it is left out.  No column is listed: the counts
-        come from one backward pass over the states."""
-        # forward: the states of each step, each with its list of moves
-        layers = [{start: None}]
-        for i in range(1, depth + 1):
-            move, reached = moves(i), {}
-            for state in layers[-1]:
-                out = layers[-1][state] = list(move(state))
-                for _, q in out:
-                    reached[q] = None
-            layers.append(reached)
-        widths = [len(_values(next(item for out in layer.values() for item, _ in out)))
-                  for layer in layers[:-1]]
-        if sum(widths) != m:
+        them share one), each move an edge labelled with its item; a state
+        after the last step is a leaf of ``count(state)`` equal columns, and
+        a state with no column below it is left out, so a rule with no path
+        gives the DAG of no columns.  No column is listed; the labels'
+        supports are made last, when each step's item width is known."""
+        rules = [moves(i) for i in range(1, depth + 1)]
+        items, all_edges, counts = [], [], []
+        labels = [{} for _ in range(depth)]
+        registry = {}
+        # per step, the node of each state met
+        seen = [{} for _ in range(depth + 1)]
+
+        def node(edges, total):
+            key = (edges, total)
+            k = registry.get(key)
+            if k is None:
+                k = registry[key] = len(counts)
+                all_edges.append(edges)
+                counts.append(total)
+            return k
+
+        def finish(d, out):
+            # the node of a state after d steps from its moves, each into a
+            # state that has its node or that ends a path (a leaf)
+            below, ids = seen[d + 1], labels[d]
+            edges, total = [], 0
+            for item, q in out:
+                k = below.get(q)
+                if k is None:
+                    k = below[q] = node((), count(q))
+                c = counts[k]
+                if c:
+                    label = ids.get(item)
+                    if label is None:
+                        label = ids[item] = len(items)
+                        items.append(item)
+                    edges.append((label, k, c))
+                    total += c
+            return node(tuple(edges), total)
+
+        # depth first: the stack holds (step, state, its moves once listed),
+        # and a state whose moves reach one with no node yet goes under those
+        todo = [(0, start, None)] if depth else []
+        while todo:
+            d, state, out = todo.pop()
+            if out is None:
+                if state in seen[d]:
+                    continue
+                out = list(rules[d](state))
+                if d + 1 < depth:  # else every move ends a path
+                    unmet = [(d + 1, q, None) for _, q in reversed(out) if q not in seen[d + 1]]
+                    if unmet:
+                        todo += [(d, state, out)] + unmet
+                        continue
+            seen[d][state] = finish(d, out)
+        root = seen[0][start] if depth else node((), count(start))
+        if root != len(counts) - 1:
+            raise LPError("the root of the column DAG is not its last node")
+
+        # each step's items are as wide as the first of them
+        widths = [len(_values(next(iter(ids)))) for ids in labels if ids]
+        if counts[root] and sum(widths) != m:
             raise ValueError("column length does not match rhs")
-        dag = cls.__new__(cls)
-        dag._start(widths)
-        node = dict.fromkeys(layers[-1], dag._node((), 1))
-        for d in range(depth - 1, -1, -1):
-            above = {}
-            for state, out in layers[d].items():
-                edges = tuple((dag._label(d, item), node[q], dag.counts[node[q]])
-                              for item, q in out if dag.counts[node[q]])
-                above[state] = dag._node(edges, sum(e[2] for e in edges))
-            node = above
-        dag._finish(node[start])
-        return dag
+        supports, scales = [None] * len(items), [None] * len(items)
+        for d, ids in enumerate(labels):
+            for item, label in ids.items():
+                scales[label], supports[label] = _integer_column((item,), widths[d], sum(widths[:d]))
+        return cls(m, items, supports, scales, all_edges, counts)
 
     def first_positive(self, y):
         """Bland's entering column: the smallest j with y.A_j > 0 and the
@@ -342,10 +305,11 @@ class _ColumnDag:
 
 class ColumnPaths:
     """Columns held as the paths of a prebuilt DAG (_ColumnDag.of_paths),
-    in index order, with the caller's own routes for checking an outcome:
-    ``column(j)`` rebuilds column j as items, through the caller's checks,
-    and ``max_value(y)`` is the largest y.A_j over every column for an
-    integer y, computed without the DAG.  len() is the number of columns."""
+    in index order, with the source's own routes for checking an outcome:
+    ``column(j)`` gives column j as items, apart from the DAG, and
+    ``max_value(y)``, for an integer y, has the sign of the largest y.A_j
+    over every column and is computed without the DAG.  len() is the number
+    of columns."""
 
     def __init__(self, dag: _ColumnDag, column: Callable[[int], tuple], max_value: Callable[[list], int]):
         self.dag, self.column, self.max_value = dag, column, max_value
@@ -354,26 +318,70 @@ class ColumnPaths:
         return self.dag.counts[-1]
 
 
+def _list_paths(columns: list, m: int) -> ColumnPaths:
+    """A column list as the paths of its run rule: a state after d steps
+    is a run of adjacent columns that agree on their first d items, named
+    by its first column, and it moves by item d to the runs within it;
+    after the last step it is the run's length, the equal columns its leaf
+    stands for.  So the DAG is the list's trie with equal subtrees merged.
+    Column j is read from the list, and max_value(y) scans every column in
+    scaled integers: y.A_j times the column's positive scale, which keeps
+    its sign."""
+    depth = len(columns[0]) if columns else 0
+    # diff[j]: the first item where column j differs from column j - 1
+    # (depth when they are equal); -1 past the last column ends every run
+    diff = [0]
+    for prev, column in zip(columns, columns[1:]):
+        if len(column) != depth:
+            raise ValueError("column length does not match rhs")
+        d = 0
+        while d < depth and column[d] == prev[d]:
+            d += 1
+        diff.append(d)
+    diff.append(-1)
+
+    def moves(i):
+        d, last = i - 1, i == depth
+
+        def runs(lo):
+            # the run from column lo ends before the next column differing in
+            # its first d items, and is cut before each differing first in item d
+            out, j = [], lo + 1
+            while True:
+                split = diff[j]
+                if split <= d:
+                    out.append((columns[lo][d], j - lo if last else lo))
+                    if split < d:
+                        return out
+                    lo = j
+                j += 1
+
+        return runs
+
+    def max_value(y):
+        return max((_dot(y, _integer_column(column, m)[1]) for column in columns), default=0)
+
+    dag = _ColumnDag.of_paths(depth, 0 if depth else len(columns), moves, m, lambda count: count)
+    if dag.counts[-1] != len(columns):
+        raise LPError("column DAG does not count every column")
+    return ColumnPaths(dag, columns.__getitem__, max_value)
+
+
 def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
     """Decide whether rhs lies in the cone {A x : x >= 0} spanned by the
     columns: a list, each column a sequence of numbers, or of items that
     are numbers or tuples of numbers, concatenated to length len(rhs); or a
     ColumnPaths, whose DAG is used as it is and whose routes check the
-    outcome."""
+    outcome.  A list is made a ColumnPaths of its run rule on every call."""
     m = len(rhs)
+    if not isinstance(columns, ColumnPaths):
+        columns = _list_paths(list(columns), m)
+    dag = columns.dag
+    if dag.m != m:
+        raise ValueError("column length does not match rhs")
     rhs_scale, b = _scaled(rhs)
     signs = [1 if v >= 0 else -1 for v in b]
-    if isinstance(columns, ColumnPaths):
-        dag, column = columns.dag, columns.column
-        if sum(dag.widths) != m:
-            raise ValueError("column length does not match rhs")
-    else:
-        columns = list(columns)
-        dag, column = _ColumnDag(columns, m), columns.__getitem__
     n_real = dag.counts[-1]
-
-    def integer_column(j):
-        return _integer_column([v for item in column(j) for v in _values(item)], m)
 
     # artificial i (0..m-1) is column n_real + i, equal to signs[i] * e_i;
     # the basis starts as the artificial one, so delta * B^{-1} = diag(signs)
@@ -396,16 +404,12 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
 
         if entering < 0:
             if sum(xb[k] for k, bj in enumerate(basis) if bj >= n_real) == 0:
-                # checked against the columns as given (ColumnPaths rebuilds
-                # them through its own checks), not as the DAG holds them
+                # checked on the columns as the source gives them, not the DAG
                 x = {bj: xb[k] for k, bj in enumerate(basis) if bj < n_real and xb[k] != 0}
-                given = {j: integer_column(j) for j in x}
+                given = {j: _integer_column(columns.column(j), m) for j in x}
                 _verify_solution(x, {j: support for j, (_, support) in given.items()}, b, delta)
                 return Feasible({j: Fraction(v * given[j][0], delta * rhs_scale) for j, v in x.items()})
-            if isinstance(columns, ColumnPaths):
-                _verify_functional(y, columns.max_value(y), b)
-            else:
-                _verify_certificate(y, [integer_column(j)[1] for j in range(n_real)], b)
+            _verify_functional(y, columns.max_value(y), b)
             return Infeasible(tuple(Fraction(v, delta) for v in y))
 
         # direction delta * B^{-1} A_entering, and delta * (y.A_entering -
@@ -476,11 +480,6 @@ def _verify_solution(x, supports, b, delta):
             acc[i] += v * a
     if acc != [delta * v for v in b]:
         raise LPError("basic solution does not satisfy A x = b")
-
-
-def _verify_certificate(y, supports, b):
-    """y.A_j <= 0 for every column and y.b > 0, in scaled integers."""
-    _verify_functional(y, max((_dot(y, support) for support in supports), default=0), b)
 
 
 def _verify_functional(y, top, b):

@@ -594,32 +594,35 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
     of the vertices' shape.  Returns a reproducing decomposition or a
     verified separating functional.
 
-    A list's column DAG is built on every call; MagogVertices(n) shares
-    the DAG built once per n.  Every call checks its outcome in integers:
-    a decomposition on its basic columns as given (each basic magog matrix
+    This picks the LP's column source and nothing more: a list of columns
+    (A, 1), each vertex's rows as items, whose run-rule DAG the LP builds
+    on every call, or MagogVertices(n)'s columns, on the DAG built once
+    per n.  Every call checks its outcome in integers: a decomposition on
+    its basic columns as the source gives them (each basic magog matrix
     rebuilt and checked once, and taken as the term), a certificate on
     every vertex."""
-    paths = isinstance(vertices, MagogVertices)
-    if not paths:
-        vertices = list(vertices)
+    if isinstance(vertices, MagogVertices):
+        shape = (vertices.n,) * vertices.n
+        # a term's vertex is the matrix the solver's check rebuilt
+        vertex = {}
+        columns = vertices.hull_columns(vertex)
+    else:
+        vertex = vertices = list(vertices)
         if not vertices:
             raise ValidationFailure("vertex list is empty")
-    shape = (vertices.n,) * vertices.n if paths else _shape(vertices[0])
+        shape = _shape(vertices[0])
+        # the solver refuses a later vertex whose row widths differ from the
+        # first's
+        columns = [(*_rows_of(v), 1) for v in vertices]
     if shape != _shape(point):
         raise ValidationFailure("vertex shape does not match the point's shape")
     target = [as_fraction(x) for x in _flatten(point)]
-    # one column per vertex, its rows as items: the solver refuses a later
-    # vertex whose row widths differ from the first's
-    rebuilt = {}
-    columns = vertices.hull_columns(rebuilt) if paths else [(*_rows_of(v), 1) for v in vertices]
     outcome = solve_feasibility(columns, target + [ONE])
     if isinstance(outcome, Feasible):
         # solve_feasibility has checked A x = b in integers, the convexity
         # row included, so the weights reproduce the point
-        vertex = rebuilt if paths else vertices
-        terms = tuple((w, vertex[j]) for j, w in sorted(outcome.x.items()))
         try:
-            return ConvexDecomposition(terms)
+            return ConvexDecomposition(tuple((w, vertex[j]) for j, w in sorted(outcome.x.items())))
         except ValidationFailure as exc:
             raise DecompositionError(f"feasible basis is not a convex decomposition: {exc}") from exc
     assert isinstance(outcome, Infeasible)

@@ -117,10 +117,14 @@ def test_pivot_sequence_is_pinned():
 
 def test_verification_rejects_wrong_results():
     _, support = lp._integer_column([1, -1], 2)
+    # a list's max_value scans its columns scaled to integers: the second
+    # column's y.A_j for y = (0, 1) is -1/2, read as -3 at its scale 6
+    columns = lp._list_paths([[1, -1], [F(1, 3), F(-1, 2)]], 2)
+    assert columns.max_value([0, 1]) < 0
     with pytest.raises(LPError):
-        lp._verify_certificate([1, 0], [support], [1, 0])  # positive on the column
+        lp._verify_functional([1, 0], columns.max_value([1, 0]), [1, 0])  # positive on a column
     with pytest.raises(LPError):
-        lp._verify_certificate([1, 1], [support], [0, 0])  # not positive on b
+        lp._verify_functional([1, 1], columns.max_value([1, 1]), [0, 0])  # not positive on b
     lp._verify_solution({0: 2}, [support], [2, -2], 1)
     with pytest.raises(LPError):
         lp._verify_solution({0: 2}, [support], [2, 2], 1)  # A x != b
@@ -235,7 +239,7 @@ def _flat(column):
 def test_dag_pricing_is_the_linear_scan(system, data):
     columns, m = system
     assume(columns)
-    dag = lp._ColumnDag(columns, m)
+    dag = lp._list_paths(columns, m).dag
     for _ in range(4):
         y = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
         first = next((j for j, col in enumerate(columns) if sum(a * v for a, v in zip(y, _flat(col))) > 0), -1)
@@ -253,6 +257,27 @@ def test_item_columns_solve_as_their_flat_form(system, data):
     columns, m = system
     rhs = data.draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=m, max_size=m))
     assert repr(solve_feasibility(columns, rhs)) == repr(solve_feasibility([_flat(c) for c in columns], rhs))
+
+
+def test_a_rule_with_no_path_gives_the_dag_of_no_columns():
+    dag = lp._ColumnDag.of_paths(1, 0, lambda i: (lambda s: []), 0)
+    assert dag.counts[-1] == 0 and dag.first_positive([]) == (-1, None)
+    # the empty list is such a rule: its certificate is y = sign b
+    assert solve_feasibility([], [1, -1]) == Infeasible((F(1), F(-1)))
+    assert solve_feasibility([], [F(1, 2), 0, -3]) == Infeasible((F(1), F(1), F(-1)))
+    assert solve_feasibility([], [0, 0]) == Feasible({})
+
+
+def test_column_dag_sizes_are_pinned(family):
+    # the list DAGs are the tries of the boolean triangles with equal
+    # subtrees merged, and the row-graph DAG has a node per interned state
+    def size(dag):
+        return len(dag.counts), sum(map(len, dag.edges))
+
+    for n, expected in ((4, (9, 34)), (5, (18, 122)), (6, (39, 455))):
+        columns = [(*v.rows, 1) for v in family("boolean_triangle", n)]
+        assert size(lp._list_paths(columns, n * (n - 1) // 2 + 1).dag) == expected
+    assert size(MagogVertices(6)._dag) == (65, 429)
 
 
 def test_lp_membership_refuses_a_later_vertex_of_another_shape(family):

@@ -45,3 +45,22 @@ def test_traced_tsscpp_membership_runs(tmp_path, capsys):
     assert code == 0 and capsys.readouterr().out.startswith('{"terms":')
     assert spans.layer_metrics(tracer)["lp.solve.columns"] == 42
     assert spans.layer_metrics(tracer)["polytope.lp_membership.calls"] == 1
+
+
+def test_traced_library_membership_counts_the_listed_columns(family):
+    # a vertex list reaches solve_feasibility as a list, one column a vertex
+    spans = _spans()
+    from magoglab import ConvexDecomposition, RationalTrianglePoint, polytope
+
+    vertices = family("boolean_triangle", 5)
+    point = RationalTrianglePoint.from_rows(5, vertices[7].rows)
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        outcome = tracer.run_job(0, "lib", lambda: polytope.lp_membership(point, vertices))
+    finally:
+        restore()
+    assert isinstance(outcome, ConvexDecomposition)
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["lp.solve.columns"] == 429
+    assert metrics["polytope.lp_membership.calls"] == 1
