@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -63,6 +64,10 @@ def _emit(text: str):
     sys.stdout.write(text + "\n")
 
 
+# lines per write of a stream: few writes, and never the whole stream held
+_CHUNK_LINES = 128
+
+
 def _cmd_enumerate(args) -> int:
     kind = KIND_FLAGS[args.kind]
     if args.count:
@@ -71,8 +76,11 @@ def _cmd_enumerate(args) -> int:
         return 0
     command = f"enumerate --kind {args.kind}"
     _check_ceiling(command if command in CEILINGS else "enumerate", n=args.n)
-    for obj in enumeration.enumerate_objects(kind, args.n):
-        _emit(serialize.dumps(obj))
+    # each object's rows as their texts, made once per edge of the walk
+    cls, texts = enumeration._stream(kind, args.n, serialize._row_text)
+    write = sys.stdout.write
+    while chunk := list(itertools.islice(texts, _CHUNK_LINES)):
+        write(serialize._rows_documents(cls, args.n, chunk))
     return 0
 
 

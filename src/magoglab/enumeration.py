@@ -16,6 +16,12 @@ row per step for the walk and a cell per step for the count, which also
 counts the btp dilates; each difference is floored where its diagonal cap
 can no longer bind, which keeps every count exact.
 
+enumerate_objects builds each path of the walk into its typed object.
+The CLI's stream builds none: the walk maps each emitted row to its JSON
+text as it lists a state's moves (_walk's ``emit``), so a row is encoded
+once per edge of the move rule, not once per object, and
+serialize._rows_documents joins each path's texts into its line.
+
 Canonical orders: triangles stream in lexicographic order read row 1 to
 row n, left to right; square sign matrices in row-major lexicographic
 order of entries with -1 < 0 < 1.
@@ -65,19 +71,23 @@ class CeilingExceeded(ValidationFailure):
 # the walk and the path sum
 
 
-def _walk(depth: int, start, moves) -> Iterator[tuple]:
+def _walk(depth: int, start, moves, emit=None) -> Iterator[tuple]:
     """Every path of ``depth`` steps from ``start``, as the tuple of what its
     steps emit, depth first in the order the moves are listed.
 
     ``moves(i)`` is step i's move function, state -> iterable of
     (emitted, next state).  Each state's list is built once per call and
     kept from step 3 on: a step-2 state is the first step itself and is
-    reached once.
+    reached once.  With ``emit``, the steps emit emit(emitted) instead,
+    worked out as a state's list is built, so once per edge of the rule
+    and not once per path through it.
 
     The walk holds one iterator over the moves of each step on the
     current path, so every path leaves one generator frame, and the moves
     of the last step are read straight off their list."""
     step_moves = [moves(i) for i in range(1, depth + 1)]
+    if emit is not None:
+        step_moves = [lambda q, m=m: [(emit(e), p) for e, p in m(q)] for m in step_moves]
     kept = [{} for _ in step_moves]
     if depth == 0:
         yield ()
@@ -218,11 +228,11 @@ def _row_moves(n: int, rule: str, matrix: bool = False):
     return lambda i: move
 
 
-def _iter_triangle_rows(n: int, rule: str, matrix: bool = False) -> Iterator[tuple]:
+def _iter_triangle_rows(n: int, rule: str, matrix: bool = False, emit=None) -> Iterator[tuple]:
     """Triangles whose consecutive rows pass ``rule``, in row-lex order (the
     bottom row is forced to 1..n), or with ``matrix`` their matrices,
-    _triangle_to_matrix_rows of the triangles."""
-    return _walk(n, (), _row_moves(n, rule, matrix))
+    _triangle_to_matrix_rows of the triangles; ``emit`` as in _walk."""
+    return _walk(n, (), _row_moves(n, rule, matrix), emit)
 
 
 def _boolean_moves(n: int, t: int, i: int, c: int):
@@ -271,9 +281,10 @@ def _boolean_row_moves(n: int, i: int, pref: tuple) -> list:
     return out
 
 
-def _iter_boolean_rows(n: int) -> Iterator[tuple]:
-    """Boolean triangles in row-lex order: rows 1..n-1, one per step."""
-    return _walk(n - 1, (0,) * n, lambda i: functools.partial(_boolean_row_moves, n, i))
+def _iter_boolean_rows(n: int, emit=None) -> Iterator[tuple]:
+    """Boolean triangles in row-lex order: rows 1..n-1, one per step;
+    ``emit`` as in _walk."""
+    return _walk(n - 1, (0,) * n, lambda i: functools.partial(_boolean_row_moves, n, i), emit)
 
 
 def _count_boolean_rows(n: int, t: int = 1) -> int:
@@ -304,12 +315,12 @@ def _sign_moves(n: int, t: int, i: int, pref: tuple) -> list:
     return [(row, tuple(p + a for p, a in zip(pref, row))) for row, _ in rows]
 
 
-def _iter_square_sign_rows(n: int, t: int = 1) -> Iterator[tuple]:
+def _iter_square_sign_rows(n: int, t: int = 1, emit=None) -> Iterator[tuple]:
     """Square sign matrices in row-major lexicographic entry order, one row
     per step; with t > 1 the integer points of the t-th dilate of the
     square-sign relaxation: row and column sums t, column prefixes in
-    [0, t], row prefixes >= 0."""
-    return _walk(n, (0,) * n, lambda i: functools.partial(_sign_moves, n, t, i))
+    [0, t], row prefixes >= 0.  ``emit`` as in _walk."""
+    return _walk(n, (0,) * n, lambda i: functools.partial(_sign_moves, n, t, i), emit)
 
 
 # the kinds that are paths through the row graph and the rule of their
@@ -323,12 +334,24 @@ _ROW_RULES = {"magog_triangle": "magog", "magog_matrix": "magog", "asm": "monoto
 _STREAM_CLASS = {"magog_triangle": MagogTriangle, "boolean_triangle": BooleanTriangle}
 
 
-def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
+def _raw_rows(kind: str, n: int, emit=None) -> Iterator[tuple]:
+    """The rows of each object of the kind at order n, in canonical order;
+    ``emit`` as in _walk."""
     if kind == "square_sign":
-        return _iter_square_sign_rows(n)
+        return _iter_square_sign_rows(n, emit=emit)
     if kind == "boolean_triangle":
-        return _iter_boolean_rows(n)
-    return _iter_triangle_rows(n, _ROW_RULES[kind], matrix=kind != "magog_triangle")
+        return _iter_boolean_rows(n, emit=emit)
+    return _iter_triangle_rows(n, _ROW_RULES[kind], matrix=kind != "magog_triangle", emit=emit)
+
+
+def _stream(kind: str, n: int, emit=None):
+    """The class of the kind's objects and _raw_rows(kind, n, emit), once
+    the kind and the order pass the checks of enumerate_objects: they run
+    on the call, before a row streams."""
+    if kind not in KINDS:
+        raise ValidationFailure(f"unknown kind {kind!r}; expected one of {KINDS}")
+    _guard(n)
+    return _STREAM_CLASS.get(kind, SignMatrix), _raw_rows(kind, n, emit)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +360,8 @@ def _raw_rows(kind: str, n: int) -> Iterator[tuple]:
 
 def enumerate_objects(kind: str, n: int):
     """Stream every object of the family exactly once, in canonical order."""
-    if kind not in KINDS:
-        raise ValidationFailure(f"unknown kind {kind!r}; expected one of {KINDS}")
-    _guard(n)
-    cls = _STREAM_CLASS.get(kind, SignMatrix)
-    return map(functools.partial(_trusted, cls, n), _raw_rows(kind, n))
+    cls, rows = _stream(kind, n)
+    return map(functools.partial(_trusted, cls, n), rows)
 
 
 def count(kind: str, n: int) -> int:

@@ -4,11 +4,15 @@ Rationals travel as strings in lowest terms ("1/3", "2"); JSON numbers
 appear only for genuinely integer-valued objects (sign matrices and the
 two 0/1 triangle kinds).  Field order is fixed, so serialize -> parse ->
 serialize is byte-identical.
+
+Those three integer kinds have one line format, _rows_documents: the
+document head, then the text of each row.  dumps writes one object with
+it, and the CLI's enumerate writes a chunk of lines per call, from row
+texts that the enumeration walk made once per edge of its move rule.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import reprlib
 import sys
@@ -57,7 +61,7 @@ def to_document(obj) -> dict:
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 # the document kind and rows field (also the attribute holding the rows) of
-# the kinds whose text dumps joins from cached row text
+# the kinds whose text is joined from the text of each row
 _ROWS_FIELD = {
     SignMatrix: ("matrix", "entries"),
     MagogTriangle: ("magog-triangle", "rows"),
@@ -65,22 +69,29 @@ _ROWS_FIELD = {
 }
 
 
-@functools.lru_cache(maxsize=1 << 12, typed=True)
-def _row_text(*values) -> str:
-    """JSON text of a list of values.  Each value is its own argument of a
-    typed cache, so a row of bools never gets the text of an equal int row."""
-    return _ENCODER.encode(values)
+def _row_text(row) -> str:
+    """JSON text of one row of a rows field."""
+    return _ENCODER.encode(row)
+
+
+def _rows_documents(cls, n: int, texts) -> str:
+    """The documents of the _ROWS_FIELD kind ``cls`` and order n whose rows
+    have the texts of each item of ``texts`` (one or more), a line each.
+    Their head is made once and joins them, so a stream of one kind and
+    order makes a chunk of lines in one call."""
+    kind, key = _ROWS_FIELD[cls]
+    head = f'{{"kind":"{kind}","n":{_ENCODER.encode(n)},"{key}":['
+    return head + f"]}}\n{head}".join(map(",".join, texts)) + "]}\n"
 
 
 def dumps(obj) -> str:
     """Compact JSON text of to_document(obj), its fields in the same order."""
-    fields = _ROWS_FIELD.get(type(obj))
-    if fields is None:
+    cls = type(obj)
+    if cls not in _ROWS_FIELD:
         return _ENCODER.encode(to_document(obj))
-    kind, key = fields
-    n = _row_text(obj.n)[1:-1]
-    rows = ",".join([_row_text(*row) for row in getattr(obj, key)])
-    return f'{{"kind":"{kind}","n":{n},"{key}":[{rows}]}}'
+    # the rows' texts, joined, from one encoder call without its outer brackets
+    rows = _ENCODER.encode(getattr(obj, _ROWS_FIELD[cls][1]))[1:-1]
+    return _rows_documents(cls, obj.n, [(rows,)])[:-1]
 
 
 class DocumentError(ValueError):

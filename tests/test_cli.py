@@ -379,6 +379,20 @@ def test_stream_is_pinned(capsys, kind, n):
     assert hashlib.sha256(out.encode()).hexdigest() == STREAM_PINS[kind][n]
 
 
+@pytest.mark.parametrize("kind", sorted(KIND_FLAGS))
+def test_stream_lines_are_the_dumps_of_the_streamed_objects(capsys, kind):
+    # the CLI joins each line from row texts made once per edge of the walk;
+    # the library builds each object, which the suite rebuilds through its
+    # constructor, and dumps it
+    for n in range(1, 7):
+        code, out = run(capsys, "enumerate", "--kind", kind, "--n", str(n))
+        assert code == 0
+        assert out.splitlines() == [serialize.dumps(o) for o in enumeration.enumerate_objects(KIND_FLAGS[kind], n)]
+        if (kind, n) == ("boolean-triangle", 1):
+            # the walk of no steps
+            assert out == '{"kind":"boolean-triangle","n":1,"rows":[]}\n'
+
+
 # stdout sha256 of `polytope membership --polytope tsscpp`, taken from the
 # Fraction simplex: the integer pivots must reach the same bases
 MEMBERSHIP_PINS = {
@@ -729,7 +743,7 @@ def test_ceiling_guard(tmp_path, capsys, monkeypatch, entry):
     def refuse(*args, **kwargs):
         raise AssertionError("a refused command must not start its work")
 
-    for module, name in ((enumeration, "enumerate_objects"), (enumeration, "count"),
+    for module, name in ((enumeration, "enumerate_objects"), (enumeration, "_stream"), (enumeration, "count"),
                          (enumeration, "distribution"), (enumeration, "theorem_suite"),
                          (enumeration, "conjecture_suite"), (polytope, "verify_vertex_certificates"),
                          (polytope, "btp_facet_audit"), (polytope, "lattice_points_in_dilate"),
@@ -748,7 +762,7 @@ def test_ceiling_guard(tmp_path, capsys, monkeypatch, entry):
 
 @pytest.mark.parametrize("kind", sorted(KIND_FLAGS))
 def test_each_stream_has_the_ceiling_of_its_kind(capsys, monkeypatch, kind):
-    monkeypatch.setattr(enumeration, "enumerate_objects", lambda kind, n: iter(()))
+    monkeypatch.setattr(enumeration, "_stream", lambda kind, n, emit=None: (SignMatrix, iter(())))
     monkeypatch.delenv("MAGOGLAB_CEILING_OVERRIDE", raising=False)
     limit = CEILINGS.get(f"enumerate --kind {kind}", CEILINGS["enumerate"])["n"]
     assert limit == (8 if kind == "gapless" else 7)

@@ -303,6 +303,19 @@ def test_a_bundle_works_out_each_inversion_step_once_per_edge(monkeypatch):
     assert full["posinv"].counts == distribution("magog_matrix", "posinv", 6).counts
 
 
+def test_a_stream_maps_each_edge_of_its_rule_once(monkeypatch):
+    from magoglab import enumeration
+
+    edges = []
+    real = enumeration._inv_step
+    monkeypatch.setattr(enumeration, "_inv_step", lambda *args: edges.append(args) or real(*args))
+    distribution_bundle("magog_matrix", 6, ("inv",))
+    mapped = []
+    texts = list(enumeration._raw_rows("magog_matrix", 6, lambda row: mapped.append(row) or str(row)))
+    assert texts == [tuple(map(str, rows)) for rows in enumeration._raw_rows("magog_matrix", 6)]
+    assert len(mapped) == len(edges) < len(texts)
+
+
 def test_boundary_counts_read_off_the_positional_tables():
     for n in range(1, 6):
         bundle = distribution_bundle("magog_matrix", n)

@@ -28,6 +28,24 @@ def test_tracer_installs_and_restores_every_wrapped_name():
     assert (polytope.validate_magog, cli.matrix_to_magog_triangle) == originals
 
 
+def test_traced_stream_prints_the_untraced_stdout(capsys):
+    # the stream bypasses the wrapped enumerate_objects and dumps
+    spans = _spans()
+    from magoglab import cli
+
+    argv = ["enumerate", "--kind", "asm", "--n", "4"]
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        code = tracer.run_job(0, "cli", lambda: cli.main(argv))
+    finally:
+        restore()
+    assert code == 0 and capsys.readouterr().out == untraced
+    assert untraced.count("\n") == 42
+
+
 def test_traced_tsscpp_membership_runs(tmp_path, capsys):
     # the tracer takes len() of the columns solve_feasibility is given
     spans = _spans()
