@@ -3,18 +3,22 @@ their statistics tables, and brute-force verification suites.
 
 Every family is a move rule over states: for each step, what a state may
 emit and where that leads.  One depth-first walk (_walk) streams every
-family, and one forward pass (_path_sums, the transfer-matrix method)
-counts them and tallies their statistics, so no count enumerates.  Magog,
-monotone (ASM) and gapless triangles step row by row through one graph of
-triangle rows under a window rule (_next_rows); their matrices emit one
-matrix row per edge (core._matrix_row), and square sign matrices are
-counted on it under the sign window.  Square sign matrices stream row by
-row over states of column prefix sums (_sign_moves), which keeps their
-entry order and walks the dilates of their relaxation.  Boolean triangles
-step over column differences under one diagonal rule (_boolean_moves), a
-row per step for the walk and a cell per step for the count, which also
-counts the btp dilates; each difference is floored where its diagonal cap
-can no longer bind, which keeps every count exact.
+family, and forward passes (the transfer-matrix method) count them, so no
+count enumerates: _path_sums, edge by edge, counts the row-graph families
+and tallies their statistics.  Magog, monotone (ASM) and gapless
+triangles step row by row through one graph of triangle rows under a
+window rule (_next_rows); their matrices emit one matrix row per edge
+(core._matrix_row), and square sign matrices are counted on it under the
+sign window.  Square sign matrices stream row by row over states of
+column prefix sums (_sign_moves), which keeps their entry order and walks
+the dilates of their relaxation.  Boolean triangles step over column
+differences under one rule per cell (_boolean_cell): its diagonal cap,
+and floors where the cap can no longer bind, which keep every count
+exact.  The walk takes a row of cells per step (_boolean_row_moves over
+_boolean_moves).  The count, which also counts the btp dilates, is its
+own pass over states packed into ints: a cell moves a whole layer, each
+next state taking a range sum over the states that differ from it only in
+the cell's two columns (_boolean_transfer), not one update per edge.
 
 enumerate_objects builds each path of the walk into its typed object.
 The CLI's stream builds none: the walk maps each emitted row to its JSON
@@ -235,39 +239,52 @@ def _iter_triangle_rows(n: int, rule: str, matrix: bool = False, emit=None) -> I
     return _walk(n, (), _row_moves(n, rule, matrix), emit)
 
 
-def _boolean_moves(n: int, t: int, i: int, c: int):
-    """The move of cell (i, c) in a boolean triangle of order n dilated by
-    t: state -> (v, next state) for each value v, increasing.
+def _boolean_cell(n: int, t: int, i: int, c: int) -> tuple:
+    """The rule of cell (i, c) in a boolean triangle of order n dilated by
+    t, over the column differences d[c] = P_c - P_{c-1} of the column
+    prefix sums (d[0] = 0): (lo, hi, floor_c, floor_next).
 
     Cells are placed in row-major order; row i covers columns n-i..n-1.
-    Entries lie in [0, t].  Once column c-1, which starts a row later and
-    sits left of c, has reached row i, the diagonal inequality
-    P_c(i) <= t + P_{c-1}(i) on the column prefix sums lowers the top to
-    t + P_{c-1} - P_c; that never falls below 0, so every prefix extends
-    by zeros and the walk has no dead ends.
+    Entries v lie in [lo, hi] = [0, t], the window's two bounds.  Once
+    column c-1, which starts a row later and sits left of c, has reached
+    row i, the diagonal inequality P_c(i) <= t + P_{c-1}(i) lowers the top
+    to hi - d[c]: the new difference d[c] + v is at most hi.  Before that,
+    at column c's first cell, d[c] is still 0, so the cap reads the same
+    there.  The top never falls below 0, so every prefix extends by zeros
+    and no path dead-ends.
 
-    The state ``d`` holds the column differences d[c] = P_c - P_{c-1}
-    (d[0] = 0), so the top is min(t, t - d[c]).  Only column c's own cap
-    reads d[c], each later entry of column c raises it by at most t (those
-    of column c-1 lower it), and the cap is t whenever d[c] <= 0.  So a
-    column with R checks still to come reads "cap t" at all of them from
-    any d[c] <= -t*(R-1), and the next state floors d[c] there: such
-    states have the same completions and merge.  Column c has its checks in rows i+1..n-1 after cell
-    (i, c), and column c+1 in rows i..n-1 after it.  In the last row
-    column c is done, and the next state sets d[c] to 0.
+    Only column c's own cap reads d[c], each later entry of column c raises
+    it by at most hi (those of column c-1 lower it), and the cap is hi
+    whenever d[c] <= 0.  So a column with R checks still to come reads
+    "cap hi" at all of them from any d[c] <= -hi*(R-1), and the next state
+    floors d[c] there: such states have the same completions and merge.
+    Column c has its checks in rows i+1..n-1 after cell (i, c), so
+    d[c] + v is floored at floor_c, and column c+1 in rows i..n-1, so
+    d[c+1] - v is floored at floor_next.  In the last row column c is
+    done: floor_c is None, and the next state sets d[c] to 0.  Every
+    difference so stays in [-t*(n-2), t].
     """
-    last = i == n - 1
-    floor_c, floor_next = -t * (n - 2 - i), -t * (n - 1 - i)
+    lo, hi = 0, t
+    floor_c = None if i == n - 1 else -hi * (n - 2 - i)
+    return lo, hi, floor_c, -hi * (n - 1 - i)
+
+
+def _boolean_moves(n: int, t: int, i: int, c: int):
+    """The move of cell (i, c) in a boolean triangle of order n dilated by
+    t, by _boolean_cell's rule: state d -> (v, next state) for each entry
+    v, increasing, one edge each.  The row walk reads it at t=1; the count
+    moves whole layers by the same rule (_boolean_transfer)."""
+    lo, hi, floor_c, floor_next = _boolean_cell(n, t, i, c)
 
     def move(d: tuple) -> list:
         s = d[c]
-        hi = t if i <= n - c else min(t, t - s)
+        top = min(hi, hi - s)
         head = d[:c]
         if c + 1 == n:
-            return [(v, head + (0 if last else max(s + v, floor_c),)) for v in range(hi + 1)]
+            return [(v, head + (0 if floor_c is None else max(s + v, floor_c),)) for v in range(lo, top + 1)]
         s1, tail = d[c + 1], d[c + 2:]
-        return [(v, head + (0 if last else max(s + v, floor_c), max(s1 - v, floor_next)) + tail)
-                for v in range(hi + 1)]
+        return [(v, head + (0 if floor_c is None else max(s + v, floor_c), max(s1 - v, floor_next)) + tail)
+                for v in range(lo, top + 1)]
     return move
 
 
@@ -290,9 +307,68 @@ def _iter_boolean_rows(n: int, emit=None) -> Iterator[tuple]:
 def _count_boolean_rows(n: int, t: int = 1) -> int:
     """Integer points of the t-th dilate of the boolean triangle polytope
     (at t=1 the length of _iter_boolean_rows(n)): the paths of
-    _boolean_moves, one cell per step."""
-    cells = [(i, c) for i in range(1, n) for c in range(n - i, n)]
-    return _path_sums(len(cells), (0,) * n, lambda k: _boolean_moves(n, t, *cells[k - 1]))
+    _boolean_cell's rule, counted by a forward pass that moves a whole
+    layer per cell (_boolean_transfer).
+
+    A state is packed into one int, column c in digit c-1 of radix
+    t*(n-1)+1, offset by t*(n-2): every difference lies in [-t*(n-2), t]
+    (_boolean_cell), and column 0's is always 0."""
+    off, radix = t * (n - 2), t * (n - 1) + 1
+    weights = [0] + [radix ** k for k in range(n - 1)]
+    layer = {off * sum(weights): 1}
+    for i in range(1, n):
+        for c in range(n - i, n):
+            layer = _boolean_transfer(layer, _boolean_cell(n, t, i, c), weights[c], radix, off, c + 1 < n)
+    return sum(layer.values())
+
+
+def _boolean_transfer(layer: dict, cell: tuple, w: int, radix: int, off: int, pair: bool) -> dict:
+    """The next layer of _count_boolean_rows after one cell, packed state
+    -> paths ending there; ``w`` is the weight of the cell's column c, and
+    ``pair`` says column c+1 exists.
+
+    The cell adds v to d[c] and takes v from d[c+1], so it moves a state
+    along its line: the states that differ only in d[c] and d[c+1] and
+    agree on d[c] + d[c+1] (at column n-1, only in d[c]).  Before the
+    floors, the target with a = d[c] + v takes every source of its line
+    with d[c] in [a-hi, a-lo], and the diagonal cap holds exactly when
+    a <= hi; so a running sum over the line gives each target its paths in
+    O(1), whatever the number of edges.  The floors of the cell apply to
+    the target afterwards."""
+    lo, hi, floor_c, floor_next = cell
+    span = radix * radix if pair else radix
+    lines: dict = {}
+    for key, ways in layer.items():
+        digits = key // w % span
+        if pair:
+            x = digits % radix
+            # the line: the other columns and the offset sum of c and c+1
+            lines.setdefault(key + (x - digits + digits // radix) * w, {})[x] = ways
+        else:
+            lines.setdefault(key - digits * w, {})[digits] = ways
+    low_c = None if floor_c is None else floor_c + off
+    low_next = floor_next + off
+    w1 = w * radix
+    nxt: dict = {}
+    get = nxt.get
+    for line, src in lines.items():
+        if pair:
+            total = line // w % span
+            rest = line - total * w
+        else:
+            rest = line
+        run = 0
+        # a and the sources are digits, offset by off: the cap is a <= hi + off
+        for a in range(min(src) + lo, min(max(src), off) + hi + 1):
+            run += src.get(a - lo, 0) - src.get(a - hi - 1, 0)
+            if not run:
+                continue
+            key = rest + (off if low_c is None else a if a > low_c else low_c) * w
+            if pair:
+                b = total - a
+                key += (b if b > low_next else low_next) * w1
+            nxt[key] = get(key, 0) + run
+    return nxt
 
 
 def _sign_moves(n: int, t: int, i: int, pref: tuple) -> list:

@@ -263,6 +263,25 @@ def test_ehrhart_command(capsys):
     assert doc["normalized_volume"] == "5"
 
 
+# the stdout of ehrhart --polytope btp --n 5 --tmax 10 --interpolate, byte
+# for byte, as the edge-by-edge dilate count printed it
+BTP5_INTERPOLATE_STDOUT = (
+    "0,1\n1,429\n2,21159\n3,356079\n4,3235393\n5,19766919\n6,91604555\n7,346397420\n"
+    "8,1120857903\n9,3206401947\n10,8300911333\n"
+    '{"degree":10,"coefficients":["1","1943/252","703609/25200","564799/9072","17088191/181440",'
+    '"217183/2160","1651621/21600","61709/1512","884033/60480","8992/2835","4496/14175"],'
+    '"normalized_volume":"1150976","text":"(4496/14175)t^10 + (8992/2835)t^9 + (884033/60480)t^8 + '
+    "(61709/1512)t^7 + (1651621/21600)t^6 + (217183/2160)t^5 + (17088191/181440)t^4 + "
+    '(564799/9072)t^3 + (703609/25200)t^2 + (1943/252)t + 1"}\n'
+)
+
+
+def test_ehrhart_btp5_interpolate_stdout_is_pinned(capsys):
+    code, out = run(capsys, "ehrhart", "--polytope", "btp", "--n", "5", "--tmax", "10", "--interpolate")
+    assert code == 0
+    assert out == BTP5_INTERPOLATE_STDOUT
+
+
 def test_ehrhart_interpolate_uses_the_dimension(capsys):
     # below the dimension the fit would have the wrong degree: refuse
     code = main(["ehrhart", "--polytope", "tsscpp3", "--tmax", "3", "--interpolate"])

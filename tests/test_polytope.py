@@ -34,7 +34,7 @@ from magoglab import (
     verify_vertex_certificates,
 )
 from magoglab import golden, lp, polytope, serialize
-from magoglab.enumeration import _iter_square_sign_rows
+from magoglab.enumeration import _boolean_moves, _count_boolean_rows, _iter_square_sign_rows, _path_sums
 from magoglab.lp import Feasible, LPError
 from magoglab.polytope import (
     DecompositionError,
@@ -625,6 +625,28 @@ def test_btp6_dilates_follow_the_h_star_vector():
     counts = [lattice_points_in_dilate("btp", t, n=6) for t in range(7)]
     assert counts == [sum(h * math.comb(t + d - k, d) for k, h in enumerate(BTP6_H_STAR))
                       for t in range(7)]
+
+
+def _btp_dilate_by_edges(n, t):
+    """The btp dilate count as paths of _boolean_moves, one cell and one
+    edge per step: the second route for the layer transfer."""
+    cells = [(i, c) for i in range(1, n) for c in range(n - i, n)]
+    return _path_sums(len(cells), (0,) * n, lambda k: _boolean_moves(n, t, *cells[k - 1]))
+
+
+def test_btp_dilate_transfer_matches_the_edge_by_edge_pass():
+    for n, tmax in [(n, 4) for n in range(1, 7)] + [(7, 2)]:
+        for t in range(tmax + 1):
+            assert _count_boolean_rows(n, t) == _btp_dilate_by_edges(n, t), (n, t)
+
+
+def test_btp_dilate_transfer_edge_cases():
+    # n=1 has no cell; n=2 has one, both the edge column and the last row
+    for t in range(8):
+        assert _count_boolean_rows(1, t) == 1
+        assert _count_boolean_rows(2, t) == t + 1
+    for n in range(1, 8):
+        assert _count_boolean_rows(n, 0) == 1
 
 
 def test_btp_dilate_base_cases(family):
