@@ -189,21 +189,18 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_ehrhart(args) -> int:
-    n = args.n
     # checking --tmax refuses before the first sample
-    polytope.check_dilate(args.polytope, args.tmax, n=n)
+    n, dimension = polytope.check_dilate(args.polytope, args.tmax, n=args.n)
     _check_ceiling(f"ehrhart --polytope {args.polytope}", n=n, tmax=args.tmax)
-    # the degree of the Ehrhart polynomial is the dimension, (n-1)^2 = 4 for tsscpp3
-    degree = (4 if args.polytope == "tsscpp3" else n * (n - 1) // 2) if args.interpolate else None
-    if degree is not None and args.tmax < degree:
-        raise ValidationFailure(f"--interpolate needs --tmax >= {degree}, the dimension of the polytope")
+    if args.interpolate and args.tmax < dimension:
+        raise ValidationFailure(f"--interpolate needs --tmax >= {dimension}, the dimension of the polytope")
     samples = []
     for t in range(args.tmax + 1):
         c = polytope.lattice_points_in_dilate(args.polytope, t, n=n)
         samples.append((t, c))
         _emit(f"{t},{c}")
     if args.interpolate:
-        poly = polytope.ehrhart_interpolate(samples, degree=degree)
+        poly = polytope.ehrhart_interpolate(samples, degree=dimension)
         _emit(json.dumps({
             "degree": poly.degree,
             "coefficients": [str(c) for c in poly.coefficients],
@@ -246,21 +243,18 @@ def _table_rows(n_max: int, wanted: set | None = None):
                 yield (table, n, "vertices", len(objs), vertices[n])
         if want("table9") and n in golden.TABLE9_FACETS:
             yield ("table9", n, "facets", polytope.btp_facet_audit(n).certified, golden.TABLE9_FACETS[n])
-    if want("table9"):
-        for n in (2, 3, 4):
-            if n > n_max or n not in golden.TABLE9_EHRHART:
+    dilates = (("table9", "btp", (2, 3, 4), golden.TABLE9_EHRHART, golden.TABLE9_VOLUME),
+               ("table7", "tsscpp", (3,), golden.TABLE7_EHRHART, golden.TABLE7_VOLUME))
+    for table, name, orders, polynomials, volumes in dilates:
+        for n in orders:
+            if n > n_max or not want(table):
                 continue
-            dim = golden.TABLE9_DIMENSION[n]
-            samples = [(t, polytope.lattice_points_in_dilate("btp", t, n=n)) for t in range(dim + 1)]
+            _, dimension = polytope.check_dilate(name, 0, n)
+            samples = [(t, polytope.lattice_points_in_dilate(name, t, n=n)) for t in range(dimension + 1)]
             poly = polytope.ehrhart_interpolate(samples)
-            yield ("table9", n, "ehrhart", poly.coefficients, golden.TABLE9_EHRHART[n])
-            if n in golden.TABLE9_VOLUME:
-                yield ("table9", n, "volume", poly.normalized_volume(), Fraction(golden.TABLE9_VOLUME[n]))
-    if n_max >= 3 and want("table7"):
-        samples = [(t, polytope.lattice_points_in_dilate("tsscpp3", t)) for t in range(5)]
-        poly = polytope.ehrhart_interpolate(samples)
-        yield ("table7", 3, "ehrhart", poly.coefficients, golden.TABLE7_EHRHART[3])
-        yield ("table7", 3, "volume", poly.normalized_volume(), Fraction(golden.TABLE7_VOLUME[3]))
+            yield (table, n, "ehrhart", poly.coefficients, polynomials[n])
+            if n in volumes:
+                yield (table, n, "volume", poly.normalized_volume(), Fraction(volumes[n]))
 
 
 def _cmd_check(args) -> int:

@@ -59,10 +59,6 @@ class ValidationReport:
             raise ValueError("valid flag inconsistent with violation list")
 
     @staticmethod
-    def ok() -> "ValidationReport":
-        return ValidationReport(True, ())
-
-    @staticmethod
     def of(violations) -> "ValidationReport":
         vs = tuple(violations)
         return ValidationReport(len(vs) == 0, vs)

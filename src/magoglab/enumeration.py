@@ -420,13 +420,17 @@ def _raw_rows(kind: str, n: int, emit=None) -> Iterator[tuple]:
     return _iter_triangle_rows(n, _ROW_RULES[kind], matrix=kind != "magog_triangle", emit=emit)
 
 
-def _stream(kind: str, n: int, emit=None):
-    """The class of the kind's objects and _raw_rows(kind, n, emit), once
-    the kind and the order pass the checks of enumerate_objects: they run
-    on the call, before a row streams."""
+def _check_kind(kind: str, n: int) -> None:
+    """The checks of enumerate_objects and count: a kind of KINDS, n >= 1."""
     if kind not in KINDS:
         raise ValidationFailure(f"unknown kind {kind!r}; expected one of {KINDS}")
     _guard(n)
+
+
+def _stream(kind: str, n: int, emit=None):
+    """The class of the kind's objects and _raw_rows(kind, n, emit), checked
+    by _check_kind on the call, before a row streams."""
+    _check_kind(kind, n)
     return _STREAM_CLASS.get(kind, SignMatrix), _raw_rows(kind, n, emit)
 
 
@@ -444,9 +448,7 @@ def count(kind: str, n: int) -> int:
     """Stream length of enumerate_objects(kind, n), without enumerating:
     boolean triangles are counted as cell-state paths and every other kind
     (square sign matrices through the sign window) as row-graph paths."""
-    if kind not in KINDS:
-        raise ValidationFailure(f"unknown kind {kind!r}")
-    _guard(n)
+    _check_kind(kind, n)
     if kind == "boolean_triangle":
         return _count_boolean_rows(n)
     return _path_sums(n, (), _row_moves(n, _ROW_RULES[kind]))
@@ -552,11 +554,13 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, D
     steps along the path (_STAT_STEP, _inversion_step)."""
     if kind not in _TABLE_KINDS:
         raise ValidationFailure(f"distributions are defined for {', '.join(_TABLE_KINDS)}")
-    for s in statistics:
+    stats = tuple(dict.fromkeys(statistics))
+    if not stats:
+        raise ValidationFailure("at least one statistic is required")
+    for s in stats:
         if s not in STATISTICS:
             raise ValidationFailure(f"unknown statistic {s!r}; expected one of {STATISTICS}")
     _guard(n)
-    stats = tuple(dict.fromkeys(statistics))
     inversion = [s for s in _INVERSION_STATS if s in stats]
     others = [s for s in stats if s in _STAT_STEP]
     steps = ([_inversion_step(inversion)] if inversion else []) + [_STAT_STEP[s] for s in others]

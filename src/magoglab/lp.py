@@ -49,6 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .core import ValidationFailure
+
 
 _INT = {int}
 
@@ -97,7 +99,7 @@ def _integer_column(items, m, offset=0):
     """
     column = [v for item in items for v in _values(item)]
     if len(column) != m:
-        raise ValueError("column length does not match rhs")
+        raise ValidationFailure("column length does not match rhs")
     scale, column = _scaled(column)
     pos, neg, other = [], [], []
     for i, v in enumerate(column, offset):
@@ -215,7 +217,7 @@ class _ColumnDag:
         # each step's items are as wide as the first of them
         widths = [len(_values(next(iter(ids)))) for ids in labels if ids]
         if counts[root] and sum(widths) != m:
-            raise ValueError("column length does not match rhs")
+            raise ValidationFailure("column length does not match rhs")
         supports, scales = [None] * len(items), [None] * len(items)
         for d, ids in enumerate(labels):
             for item, label in ids.items():
@@ -333,7 +335,7 @@ def _list_paths(columns: list, m: int) -> ColumnPaths:
     diff = [0]
     for prev, column in zip(columns, columns[1:]):
         if len(column) != depth:
-            raise ValueError("column length does not match rhs")
+            raise ValidationFailure("column length does not match rhs")
         d = 0
         while d < depth and column[d] == prev[d]:
             d += 1
@@ -378,7 +380,7 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
         columns = _list_paths(list(columns), m)
     dag = columns.dag
     if dag.m != m:
-        raise ValueError("column length does not match rhs")
+        raise ValidationFailure("column length does not match rhs")
     rhs_scale, b = _scaled(rhs)
     signs = [1 if v >= 0 else -1 for v in b]
     n_real = dag.counts[-1]

@@ -8,13 +8,13 @@ runs on the point scaled to integers, the facet audit keeps slacks in
 quarter units, and dilates are counted by integer filters.  The
 boolean-triangle hull has a complete inequality description (entry bounds
 plus the diagonal partial-sum inequalities), which makes membership a
-direct check and supports a constructive convex decomposition.  The order-3
-magog hull has a six-inequality description, certified complete by
-tsscpp3_vertex_audit; an integer double-description routine computes the
-order-4 hull's facets from its vertex list.  Both filter dilates.  For
-n >= 4 membership is decided by an exact LP whose columns are the paths of
-the magog row graph (MagogVertices), with no vertex list, and a Farkas
-functional returned as the non-membership certificate.
+direct check and supports a constructive convex decomposition.  An integer
+double-description routine computes the magog hull's facets from its
+vertices once per order, and they filter its dilates at n = 3, 4; at n=3
+they are, up to the unit sums, the six inequalities tsscpp3_vertex_audit
+certifies.  For n >= 4 membership is decided by an exact LP whose columns
+are the paths of the magog row graph (MagogVertices), with no vertex list,
+and a Farkas functional returned as the non-membership certificate.
 """
 
 from __future__ import annotations
@@ -768,25 +768,25 @@ def btp_facet_audit(n: int) -> FacetAuditReport:
 # lattice points and Ehrhart interpolation
 
 
-def check_dilate(polytope: str, t: int, n: int | None = None) -> int:
-    """The order of the polytope whose t-th dilate lattice_points_in_dilate
-    counts.  Raises what that call would raise for these arguments before
-    any counting, and a check at the largest t clears the whole range
-    0..t."""
+def check_dilate(polytope: str, t: int, n: int | None = None) -> tuple[int, int]:
+    """The order and the dimension (the Ehrhart degree: C(n, 2) for btp,
+    (n-1)^2 for tsscpp) of the polytope whose t-th dilate
+    lattice_points_in_dilate counts.  Raises what that call would raise
+    before any counting, and a check at the largest t clears 0..t."""
     if t < 0:
         raise ValidationFailure("dilation factor must be nonnegative")
     if polytope == "btp":
         if n is None:
             raise ValidationFailure("btp requires the order n")
         _guard(n)
-        return n
+        return n, n * (n - 1) // 2
     if polytope in ("tsscpp3", "tsscpp"):
         if polytope == "tsscpp3" and n not in (None, 3):
             raise ValidationFailure("tsscpp3 is fixed at order 3")
         order = 3 if n is None else n
         if order not in (3, 4):
             raise ValidationFailure("tsscpp dilate counting supports n = 3 and n = 4")
-        return order
+        return order, (order - 1) ** 2
     raise ValidationFailure("polytope must be 'btp', 'tsscpp3', or 'tsscpp'")
 
 
@@ -797,34 +797,32 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None) -> int
     scaled diagonal inequalities as paths of the boolean triangles'
     cell-state walk at t, without listing them.  'tsscpp3' and 'tsscpp'
     (n = 3, 4) keep the integer points of the scaled relaxation that satisfy
-    the unit hull's inequalities scaled by t, with no LP: the six that
-    tsscpp3_vertex_audit certifies, or the order-4 facets.
+    the unit hull's facets (_magog_facets) scaled by t, with no LP.
     """
-    order = check_dilate(polytope, t, n)
+    order, _ = check_dilate(polytope, t, n)
     if polytope == "btp":
         return _count_boolean_rows(order, t)
     return _tsscpp_dilate_count(order, t)
 
 
 def _tsscpp_dilate_count(n: int, t: int) -> int:
-    """Scaled-relaxation candidates with row.x >= t*rhs for each (row, rhs)
-    of the unit hull: _audit_inequalities_3 at n=3, else _magog_facets."""
-    ineqs = _magog_facets(n) if n == 4 else [(row, rhs) for _, row, rhs in _audit_inequalities_3()]
-    scaled = [(row, t * rhs) for row, rhs in ineqs]
+    """Scaled-relaxation candidates, whose row and column sums are t, with
+    row.x >= t*rhs for each facet (row, rhs) of the unit hull."""
+    scaled = [(row, t * rhs) for row, rhs in _magog_facets(n)]
     count = 0
     for cand in _iter_square_sign_rows(n, t):
         flat = [v for row in cand for v in row]
-        if all(sum(a * x for a, x in zip(row, flat)) >= b for row, b in scaled):
-            count += 1
+        count += all(sum(map(operator.mul, row, flat)) >= b for row, b in scaled)
     return count
 
 
-def _magog_facets(n: int) -> list[tuple[list[int], int]]:
-    """The facets row.x >= rhs of the n x n magog matrices' hull, x row-major.
-    Unit row and column sums fix the entries outside the top-left block y,
-    a lattice-preserving chart where the hull is full-dimensional: they are
-    the extreme rays (a, a0) of {a.y + a0 >= 0 at every vertex}, each checked
-    valid and tight on a (d-1)-dimensional set."""
+@functools.cache
+def _magog_facets(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The facets row.x >= rhs of the n x n magog matrices' hull, x row-major,
+    once per order in a process.  Unit row and column sums fix the entries
+    outside the top-left block y, a lattice-preserving chart where the hull
+    is full-dimensional: they are the extreme rays (a, a0) of {a.y + a0 >= 0
+    at every vertex}, each checked valid and tight on a (d-1)-dim set."""
     m = n - 1
     vertices = list(_raw_rows("magog_matrix", n))
     charts = [[v for row in rows[:m] for v in row[:m]] + [1] for rows in vertices]
@@ -833,9 +831,9 @@ def _magog_facets(n: int) -> list[tuple[list[int], int]]:
         values = [sum(a * x for a, x in zip(ray, y)) for y in charts]
         if min(values) < 0 or affine_dimension([v for v, c in zip(vertices, values) if c == 0]) != m * m - 1:
             raise DecompositionError(f"{ray} is not a facet of the order-{n} hull")
-        row = [ray[m * i + j] if i < m and j < m else 0 for i in range(n) for j in range(n)]
+        row = tuple(ray[m * i + j] if i < m and j < m else 0 for i in range(n) for j in range(n))
         facets.append((row, -ray[-1]))
-    return facets
+    return tuple(facets)
 
 
 class InterpolationError(ValueError):
@@ -892,7 +890,11 @@ def ehrhart_interpolate(samples, degree: int | None = None) -> RationalPolynomia
     polynomial and every remaining sample must evaluate exactly; otherwise
     all samples are used.  Trailing zero coefficients are trimmed.
     """
+    if degree is not None and degree < 0:
+        raise ValidationFailure("degree must be nonnegative")
     pts = sorted((as_fraction(t), as_fraction(c)) for t, c in samples)
+    if not pts:
+        raise InterpolationError("need at least one sample")
     if len({t for t, _ in pts}) != len(pts):
         raise InterpolationError("sample abscissae must be distinct")
     if degree is None:

@@ -663,6 +663,17 @@ def test_check_tables_1_to_6_through_order_7(capsys):
     assert any(ln.startswith("table1") and " n=7" in ln for ln in out.splitlines())
 
 
+# sha256 of the stdout of check --suite tables --n-max 5: every line, the
+# table 7-9 lines in their order included
+TABLES_5_SHA256 = "0a205f3c9a737c63cc01ef2fda8ef6ee045d448d1e0662025dc0554ae8b6887f"
+
+
+def test_check_tables_stdout_is_pinned(capsys):
+    code, out = run(capsys, "check", "--suite", "tables", "--n-max", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_5_SHA256
+
+
 def test_check_tables_selector(capsys):
     code, out = run(capsys, "check", "--suite", "tables", "--n-max", "4", "--tables", "table5")
     assert code == 0

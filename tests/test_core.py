@@ -380,6 +380,7 @@ ARGUMENT_CHECKS = {
     "product-formula": lambda: enumeration.product_formula(0),
     "distribution-kind": lambda: enumeration.distribution_bundle("gapless", 3),
     "distribution-statistic": lambda: enumeration.distribution_bundle("asm", 3, ("height",)),
+    "distribution-no-statistics": lambda: enumeration.distribution_bundle("asm", 3, ()),
     "distribution-order": lambda: enumeration.distribution("asm", "inv", 0),
     "boundary-position": lambda: enumeration.boundary_count(3, 4, 1),
     "theorem-suite": lambda: enumeration.theorem_suite(1),
@@ -392,6 +393,9 @@ ARGUMENT_CHECKS = {
     "certificates-polytope": lambda: polytope.verify_vertex_certificates(3, "cube"),
     "lp-no-vertices": lambda: polytope.lp_membership(SignMatrix.identity(2), []),
     "lp-shape": lambda: polytope.lp_membership(SignMatrix.identity(2), [SignMatrix.identity(3)]),
+    "lp-mixed-shapes": lambda: polytope.lp_membership(
+        BooleanTriangle(3, ((0,), (0, 0))),
+        [BooleanTriangle(3, ((0,), (0, 0))), BooleanTriangle(4, ((0,), (0, 0), (0, 0, 0)))]),
     "facet-audit": lambda: polytope.btp_facet_audit(1),
     "dilate-t": lambda: polytope.check_dilate("btp", -1, n=3),
     "dilate-btp-order": lambda: polytope.check_dilate("btp", 2),

@@ -7,7 +7,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "magoglab"
-MODULES = ("core", "enumeration", "polytope", "serialize", "cli")
+MODULES = ("core", "enumeration", "lp", "polytope", "serialize", "cli")
 
 
 def _value_error_raises(tree):

@@ -701,11 +701,12 @@ def test_tsscpp3_filter_agrees_with_the_lp(family):
         assert members == lattice_points_in_dilate("tsscpp3", t)
 
 
-def test_tsscpp3_dilates_build_no_vertex_list_and_call_no_lp(monkeypatch):
+def test_tsscpp3_dilates_call_no_lp(monkeypatch):
+    # the facets come from the seven vertices, once per process
     def refuse(*args, **kwargs):
         raise AssertionError("the order-3 dilate count must not use this")
 
-    for name in ("_raw_rows", "lp_membership", "solve_feasibility", "check_necessary_inequalities"):
+    for name in ("lp_membership", "solve_feasibility", "check_necessary_inequalities"):
         monkeypatch.setattr(polytope, name, refuse)
     assert lattice_points_in_dilate("tsscpp3", 5) == 266
 
@@ -748,6 +749,38 @@ def test_order_4_dilates_and_the_audit_call_no_lp(monkeypatch):
     monkeypatch.setattr(lp, "solve_feasibility", refuse)
     assert lattice_points_in_dilate("tsscpp", 2, n=4) == 560
     assert tsscpp3_vertex_audit().passed
+
+
+def test_magog_facets_run_the_double_description_once_per_order(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return _extreme_rays(rows)
+
+    _magog_facets.cache_clear()
+    monkeypatch.setattr(polytope, "_extreme_rays", counted)
+    assert [lattice_points_in_dilate("tsscpp", t, n=4) for t in range(3)] == [1, 42, 560]
+    assert calls == [42]
+
+
+@pytest.mark.parametrize("polytope_name, kind, orders", [
+    ("btp", "boolean_triangle", (2, 3, 4, 5)),
+    ("tsscpp", "magog_matrix", (3, 4)),
+])
+def test_check_dilate_gives_the_hull_dimension(family, polytope_name, kind, orders):
+    for n in orders:
+        assert polytope.check_dilate(polytope_name, 0, n) == (n, affine_dimension(family(kind, n)))
+
+
+def test_ehrhart_interpolate_refuses_no_samples():
+    with pytest.raises(InterpolationError):
+        ehrhart_interpolate([])
+
+
+def test_ehrhart_interpolate_refuses_a_negative_degree():
+    with pytest.raises(ValidationFailure):
+        ehrhart_interpolate([(0, 1)], degree=-1)
 
 
 def test_magog_facets(family):

@@ -82,3 +82,22 @@ def test_traced_library_membership_counts_the_listed_columns(family):
     metrics = spans.layer_metrics(tracer)
     assert metrics["lp.solve.columns"] == 429
     assert metrics["polytope.lp_membership.calls"] == 1
+
+
+def test_traced_tables_print_the_untraced_stdout(capsys):
+    # the tracer wraps lattice_points_in_dilate, ehrhart_interpolate and
+    # affine_dimension as attributes of polytope, where the CLI reads them
+    spans = _spans()
+    from magoglab import cli
+
+    argv = ["check", "--suite", "tables", "--n-max", "3", "--tables", "table7,table9"]
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        code = tracer.run_job(0, "cli", lambda: cli.main(argv))
+    finally:
+        restore()
+    assert code == 0 and capsys.readouterr().out == untraced
+    assert spans.layer_metrics(tracer)["polytope.dilate.points"] > 0
