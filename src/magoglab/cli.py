@@ -33,14 +33,14 @@ STAT_FLAGS = {stat.replace("_", "-"): stat for stat in enumeration.STATISTICS}
 # kind, else the "enumerate" one: at n=8 the magog-family and boolean streams
 # write 10.9M lines and square-sign 268M, gapless 9.1M at n=9.  Commands sized
 # by their input file and the tables suite (bounded by its golden data) have none.
-# A tsscpp membership LP at n=7 can run for minutes there: a mix of three order-7
-# magog matrices took 146 s.
+# A tsscpp membership LP of a mix of three order-8 magog matrices, or of that
+# mix pushed off the hull, took 3-5 s there; at n=9 each took 71 s.
 CEILINGS = {
     "enumerate": {"n": 7},
     "enumerate --kind gapless": {"n": 8},
     "enumerate --count": {"n": 14},
     "stats": {"n": 13},
-    "polytope membership --polytope tsscpp": {"n": 6},
+    "polytope membership --polytope tsscpp": {"n": 8},
     "polytope certify": {"n": 6},
     "polytope facets": {"n": 300},
     "ehrhart --polytope btp": {"n": 6, "tmax": 12},

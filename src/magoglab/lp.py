@@ -18,17 +18,24 @@ coordinates.  delta * y is one more row of the same tableau: it starts
 as sign b and takes the same update, its entry in the entering column
 being delta * (y.A_q - c_q).
 
-Bland's smallest-index rule is used for both the entering and leaving
-choices, which rules out cycling, so termination is unconditional.  The
-entering column is found on a DAG of the columns (_ColumnDag): a column
-may be given as items (numbers, or tuples of numbers, such as the rows
-of a vertex), and columns that share leading items, or whose remaining
-items form equal subtrees, share their paths.  Each distinct item is
-priced at most once per pivot, and a depth-first search in index order
-returns exactly the smallest j with y.A_j > 0, so the pivots are those
-of a scan over the columns in index order.  On infeasible systems the
-simplex multipliers of the optimal phase-one basis form a Farkas
-certificate y with y.A_j <= 0 for every column and y.b > 0.
+The entering column is Dantzig's: the first of the columns of largest
+y.A_j > 0, found on a DAG of the columns (_ColumnDag).  A column may be
+given as items (numbers, or tuples of numbers, such as the rows of a
+vertex), and columns that share leading items, or whose remaining items
+form equal subtrees, share their paths.  One backward pass prices each
+distinct item once and gives each node its largest suffix y.A: column
+generation with a longest-path subproblem (Gilmore and Gomory 1961).  An
+artificial column enters only when no real column prices positive.  The
+leaving row is the lexicographic ratio test (Dantzig, Orden and Wolfe
+1955): of the rows that tie on xb_k / d_k, the one whose row of
+delta * B^{-1}, divided by d_k, is lexicographically smallest.  The start
+basis diag(sign b) makes every row (xb_k, delta * B^{-1} row k)
+lexicographically positive; each pivot keeps it so and lowers the
+phase-one row (c_B B^{-1} b, c_B B^{-1}) lexicographically, by a negative
+reduced cost times the leaving row over d_l.  So no basis repeats, and
+termination is unconditional under any entering rule.  On infeasible
+systems the simplex multipliers of the optimal phase-one basis form a
+Farkas certificate y with y.A_j <= 0 for every column and y.b > 0.
 
 Every column DAG is built by _ColumnDag.of_paths from a move rule, and
 held with its source's own routes for checking an outcome (ColumnPaths).
@@ -128,7 +135,7 @@ def _dot(y, support) -> int:
 
 
 class _ColumnDag:
-    """The columns as paths of a DAG, in index order, for Bland pricing.
+    """The columns as paths of a DAG, in index order, for Dantzig pricing.
 
     A column is a sequence of items, each a number or a tuple of numbers;
     the column is their concatenation, of length m.  Node k has
@@ -145,7 +152,12 @@ class _ColumnDag:
     def __init__(self, m, items, supports, scales, edges, counts):
         self.m, self.items, self.supports, self.scales = m, items, supports, scales
         self.edges, self.counts = edges, counts
-        self.leaf_best = [None if e else 0 for e in edges]
+        self.scaled = [l for l, s in enumerate(scales) if s != 1]
+        # the nodes with edges, children first, for pricing: (node, label,
+        # child) for a node of one edge, else (node, None, its (label, child)
+        # pairs)
+        self.inner = [(k, *e[0][:2]) if len(e) == 1 else (k, None, [(l, c) for l, c, _ in e])
+                      for k, e in enumerate(edges) if e]
 
     @classmethod
     def of_paths(cls, depth, start, moves, m, count=lambda state: 1):
@@ -224,55 +236,40 @@ class _ColumnDag:
                 scales[label], supports[label] = _integer_column((item,), widths[d], sum(widths[:d]))
         return cls(m, items, supports, scales, all_edges, counts)
 
-    def first_positive(self, y):
-        """Bland's entering column: the smallest j with y.A_j > 0 and the
-        labels on its path, or (-1, None).
+    def most_positive(self, y):
+        """Dantzig's entering column: the smallest j among the columns of
+        largest y.A_j, when that is positive, and the labels on its path;
+        else (-1, None).
 
-        Depth first over the DAG in index order, like the scan over the
-        columns it replaces, stopping at the first positive column.  A label
-        is priced when an edge first needs it; a node whose subtree has been
-        searched keeps the largest y.A over the column suffixes below it
-        (best; 0 at a leaf), so a shared subtree is searched at most once
-        per call and a child is entered only when that bound allows a
-        positive column below it.
+        One backward pass, children before parents, prices each label once
+        and gives each node its largest suffix y.A (0 at a leaf).  From the
+        root, the first edge of each node that attains its value leads to
+        the first column of largest y.A: every column under an earlier edge
+        has a smaller value.
         """
-        supports, scales, all_edges = self.supports, self.scales, self.edges
-        val = [None] * len(supports)
-        best = self.leaf_best[:]
-        # j counts the columns passed so far; per node above the current
-        # one: (node, part of y.A above it, largest suffix so far, the rest
-        # of its edges, the label of the edge taken)
-        stack = []
-        k, part, j, top = len(all_edges) - 1, 0, 0, None
-        rest = iter(all_edges[k])
-        while True:
-            for l, c, count in rest:
-                v = val[l]
-                if v is None:
-                    v = _dot(y, supports[l])
-                    if scales[l] != 1:
-                        v = Fraction(v, scales[l])
-                    val[l] = v
-                b = best[c]
-                if b is None or part + v + b > 0:
+        all_edges = self.edges
+        val = [_dot(y, support) for support in self.supports]
+        for l in self.scaled:
+            val[l] = Fraction(val[l], self.scales[l])
+        best = [0] * len(all_edges)
+        for k, l, below in self.inner:
+            if l is None:
+                best[k] = max([val[a] + best[c] for a, c in below])
+            else:
+                best[k] = val[l] + best[below]
+        k = len(all_edges) - 1
+        if best[k] <= 0:
+            return -1, None
+        j, path = 0, []
+        while all_edges[k]:
+            top = best[k]
+            for l, c, count in all_edges[k]:
+                if val[l] + best[c] == top:
                     break
                 j += count
-                if top is None or v + b > top:
-                    top = v + b
-            else:
-                best[k] = below = top
-                if not stack:
-                    return -1, None
-                k, part, top, rest, l = stack.pop()
-                if top is None or val[l] + below > top:
-                    top = val[l] + below
-                continue
-            stack.append((k, part, top, rest, l))
-            if not all_edges[c]:
-                # a leaf, where best is 0: this column is positive
-                return j, [f[4] for f in stack]
-            k, part, top = c, part + v, None
-            rest = iter(all_edges[c])
+            path.append(l)
+            k = c
+        return j, path
 
     def support(self, path):
         """The integer support of the column whose path has these labels:
@@ -395,9 +392,9 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
     delta = 1
 
     while True:
-        # Bland's rule: the first column whose reduced cost c_j - y.A_j is
-        # negative; a basic column has reduced cost 0, so none is skipped
-        entering, path = dag.first_positive(y)
+        # Dantzig's rule: the first of the columns whose reduced cost
+        # c_j - y.A_j is most negative; a basic column has reduced cost 0
+        entering, path = dag.most_positive(y)
         if entering < 0:
             for i in range(m):
                 if delta - signs[i] * y[i] < 0:
@@ -425,18 +422,7 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
             d = [row[i] * signs[i] for row in binv]
             fy = signs[i] * y[i] - delta
 
-        # ratio test xb_k / d_k, ties to the smallest basic index
-        leaving = -1
-        for k in range(m):
-            if d[k] <= 0:
-                continue
-            if leaving >= 0:
-                here, best = xb[k] * d[leaving], xb[leaving] * d[k]
-                if here > best or (here == best and basis[k] > basis[leaving]):
-                    continue
-            leaving = k
-        if leaving < 0:
-            raise LPError("unbounded direction in a bounded-below phase-one problem")
+        leaving = _leaving_row(d, xb, binv)
 
         # each row r becomes (piv * r - f * rowl) / delta, divided exactly;
         # when the pivot equals delta that is r - f * rowl / delta (each
@@ -465,6 +451,33 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
             y = [(piv * a - fy * c) // delta for a, c in zip(y, rowl)]
         delta = piv
         basis[leaving] = entering
+
+
+def _leaving_row(d, xb, binv):
+    """The lexicographic ratio test: of the rows k with d_k > 0, the one
+    whose (xb_k, binv[k]) / d_k is lexicographically smallest, compared in
+    integers as (xb_k, binv[k]) * d_l against (xb_l, binv[l]) * d_k up to
+    the first entry where they differ.  The rows of binv are independent,
+    so no two rows tie on every entry."""
+    leaving = -1
+    for k, f in enumerate(d):
+        if f > 0:
+            if leaving >= 0:
+                g = d[leaving]
+                here, best = xb[k] * g, xb[leaving] * f
+                if here == best:
+                    for a, c in zip(binv[k], binv[leaving]):
+                        here, best = a * g, c * f
+                        if here != best:
+                            break
+                    else:
+                        raise LPError("two rows of the basis inverse are proportional")
+                if here > best:
+                    continue
+            leaving = k
+    if leaving < 0:
+        raise LPError("unbounded direction in a bounded-below phase-one problem")
+    return leaving
 
 
 def _verify_solution(x, supports, b, delta):

@@ -847,6 +847,8 @@ class RationalPolynomial:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if not self.coefficients:
+            raise ValidationFailure("a polynomial needs at least one coefficient")
         if len(self.coefficients) > 1 and self.coefficients[-1] == 0:
             raise ValidationFailure("leading coefficient must be nonzero")
 
@@ -967,10 +969,17 @@ def _solve_square(aug) -> list[Fraction] | None:
 
 
 def affine_dimension(points) -> int:
-    """Rank of the difference set {p - p0} under exact elimination."""
-    pts = [[v if type(v) is int else as_fraction(v) for v in _flatten(p)] for p in points]
+    """Rank of the difference set {p - p0} under exact elimination.  A point
+    is a matrix or triangle object, or rows of numbers, read row by row, and
+    every point must have as many entries as the first."""
+    try:
+        pts = [[v if type(v) is int else as_fraction(v) for v in _flatten(p)] for p in points]
+    except TypeError as exc:
+        raise ValidationFailure(f"a point must be rows of exact numbers: {exc}") from exc
     if not pts:
         raise ValidationFailure("need at least one point")
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ValidationFailure("points have different numbers of entries")
     base = pts[0]
     diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
     return len(_reduce(diffs, len(base)))

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from magoglab import enumeration, golden, polytope, serialize
 from magoglab.cli import CEILINGS, KIND_FLAGS, main
-from magoglab.core import BooleanTriangle, MagogTriangle, SignMatrix
+from magoglab.core import BooleanTriangle, MagogTriangle, SignMatrix, validate_magog
 from magoglab.polytope import RationalTrianglePoint
 
 
@@ -412,26 +415,27 @@ def test_stream_lines_are_the_dumps_of_the_streamed_objects(capsys, kind):
             assert out == '{"kind":"boolean-triangle","n":1,"rows":[]}\n'
 
 
-# stdout sha256 of `polytope membership --polytope tsscpp`, taken from the
-# Fraction simplex: the integer pivots must reach the same bases
+# stdout sha256 of `polytope membership --polytope tsscpp`, each outcome
+# checked against a Fraction simplex under the same pivot rules: the integer
+# pivots must reach the same bases
 MEMBERSHIP_PINS = {
     "n4-member": (
         {"kind": "matrix", "n": 4, "entries": [["0", "1/2", "1/3", "1/6"], ["1/2", "-1/6", "1/3", "1/3"],
                                                ["1/2", "1/2", "-1/6", "1/6"], ["0", "1/6", "1/2", "1/3"]]},
-        0, "1359f57e88f4782102e14e544d97f7fc6745c22f197bdde02e2ecc8222aae5e9"),
+        0, "92345a23c6d59604a2225ffecd1cc496a8fdb99c7f02ed980189382049e78e47"),
     "n4-outside-passing": (
         {"kind": "matrix", "n": 4, "entries": [["1/2", "0", "1/2", "0"], ["0", "1/2", "0", "1/2"],
                                                ["1/2", "0", "0", "1/2"], ["0", "1/2", "1/2", "0"]]},
-        1, "5a6a33bbf89646d46c9794c60817dec36b1b824101bfadfa4366fe30502eb4b7"),
+        1, "36695468f3f05662bd253614c4466d02e704d8ec1e15f3a347641ce25707ce00"),
     "n5-member": (
         {"kind": "matrix", "n": 5, "entries": [["0", "2/7", "0", "4/7", "1/7"], ["0", "0", "6/7", "-3/7", "4/7"],
                                                ["4/7", "1/7", "1/7", "2/7", "-1/7"],
                                                ["3/7", "4/7", "-1/7", "4/7", "-3/7"], ["0", "0", "1/7", "0", "6/7"]]},
-        0, "70b6f964263944473bd1bfd2c3362080733e27835b7faa7f462c93bba737ecdc"),
+        0, "6942b837ac02f0ccdbd462e434f4aff6c31414a2c0155bc7da0d4b16d8c9563c"),
     "n5-nonmember": (
         {"kind": "matrix", "n": 5, "entries": [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 1, -1, 0, 1],
                                                [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]},
-        1, "bab5b9c0df73196a6b429c95e5b867a8d63b01c6ce7bdf962d518796a4019b87"),
+        1, "5f5802e6690f9543e722b79f8491ff936c74108cbe501ebe7d860c9f32455380"),
 }
 
 
@@ -443,6 +447,41 @@ def test_tsscpp_membership_output_is_pinned(tmp_path, capsys, name):
     code, out = run(capsys, "polytope", "membership", "--polytope", "tsscpp", "--input", str(path))
     assert code == expected_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_order_7_membership_answers_are_checked_again(tmp_path, capsys):
+    # a seeded mix of three order-7 magog matrices, and the same mix with a
+    # zero of its first row pushed to -1/97 (no ASM row has a negative first
+    # entry) and the unit sums kept; each answer is loaded and checked here
+    n = 7
+    rng = random.Random(20261022)
+    vertices = polytope.MagogVertices(n)
+    chosen = [vertices[rng.randrange(len(vertices))] for _ in range(3)]
+    weights = [rng.randint(1, 9) for _ in chosen]
+    rows = [[sum(Fraction(w, sum(weights)) * m.entries[i][j] for w, m in zip(weights, chosen)) for j in range(n)]
+            for i in range(n)]
+    e = Fraction(1, 97)
+    j = rows[0].index(0)
+    k = next(k for k, v in enumerate(rows[0]) if v > 0)
+    off = [list(row) for row in rows]
+    off[0][j], off[0][k], off[1][j], off[1][k] = off[0][j] - e, off[0][k] + e, off[1][j] + e, off[1][k] - e
+
+    path = tmp_path / "p.json"
+    outcomes = []
+    for point_rows, expected_code in ((rows, 0), (off, 1)):
+        path.write_text(json.dumps({"kind": "matrix", "n": n, "entries": [[str(v) for v in row] for row in point_rows]}),
+                        encoding="utf-8")
+        code, out = run(capsys, "polytope", "membership", "--polytope", "tsscpp", "--input", str(path))
+        assert code == expected_code
+        outcomes.append(serialize.loads(out))
+    member, cert = outcomes
+    assert member.reconstruct() == tuple(map(tuple, rows))
+    assert all(validate_magog(vertex).valid for _, vertex in member.terms)
+    point = polytope.RationalMatrixPoint.from_rows(off)
+    assert cert.value_at(point) > 0
+    scale = math.lcm(*(c.denominator for c in (*cert.coefficients, cert.offset)))
+    y = [int(c * scale) for c in (*cert.coefficients, cert.offset)]
+    assert vertices.hull_columns().max_value(y) <= 0
 
 
 MALFORMED_DOCUMENTS = {

@@ -405,6 +405,9 @@ ARGUMENT_CHECKS = {
     "dilate-polytope": lambda: polytope.check_dilate("cube", 2, n=3),
     "polynomial-leading": lambda: polytope.RationalPolynomial((Fraction(1), Fraction(0))),
     "affine-dimension": lambda: polytope.affine_dimension([]),
+    "affine-dimension-mixed-lengths": lambda: polytope.affine_dimension([(1, 2), (1,)]),
+    "affine-dimension-mixed-shapes": lambda: polytope.affine_dimension([((1, 2),), ((1,),)]),
+    "polynomial-no-coefficients": lambda: polytope.RationalPolynomial(()),
 }
 
 

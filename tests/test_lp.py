@@ -107,12 +107,28 @@ def small_lps(seed=20231018, count=300):
 
 
 def test_pivot_sequence_is_pinned():
-    # Bland's rule fixes the basis each system ends in, hence the exact
-    # values returned; the digest was taken from the Fraction simplex
+    # the pivot rules (Dantzig pricing, the lexicographic ratio test) fix
+    # the basis each system ends in, hence the exact values returned; the
+    # outcomes were checked against a Fraction simplex under the same rules
     outs = [solve_feasibility(cols, rhs) for cols, rhs in small_lps()]
     assert sum(isinstance(o, Feasible) for o in outs) == 112
     digest = hashlib.sha256("\n".join(map(repr, outs)).encode()).hexdigest()
-    assert digest == "0d7984db34b2d5873da52f85ab5ae23483173b61afb8b82ed35fae8e051bae5d"
+    assert digest == "60fe4f2332801de07dac2be8446c13ae6f1051a3d79fa8a9ecc440634e8bece3"
+
+
+def test_ratio_ties_break_lexicographically():
+    # x (0, 1, 1) = (1, 1, 1): the first pivot ties rows 1 and 2 on the
+    # ratio 1.  The smallest basic index would take row 1 and end at
+    # y = (1, -1, 1).  The rows (xb_k, delta B^-1 row k) / d_k are
+    # (1, 0, 1, 0) and (1, 0, 0, 1), so row 2 leaves, and y = c_B B^-1
+    # solves y0 = y1 = 1, y1 + y2 = 0
+    assert lp._leaving_row([0, 1, 1], [1, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 2
+    assert solve_feasibility([[0, 1, 1]], [1, 1, 1]) == Infeasible((F(1), F(1), F(-1)))
+    # a tie at ratio 0 with unequal directions, broken at the second entry
+    # of delta B^-1: (0, 2, 1) / 2 = (0, 1, 1/2) comes before (0, 1, 3) / 1
+    assert lp._leaving_row([2, 1], [0, 0], [[2, 1], [1, 3]]) == 0
+    with pytest.raises(LPError, match="unbounded"):
+        lp._leaving_row([0, -1], [1, 1], [[1, 0], [0, 1]])
 
 
 def test_verification_rejects_wrong_results():
@@ -175,12 +191,13 @@ def membership_batch(family, seed=20261019):
 
 def test_membership_batch_is_pinned(family):
     # vertex lists with shared row prefixes, so the pricing walks a column
-    # DAG with real sharing; the digest was taken from the list scan
+    # DAG with real sharing; the outcomes were checked against a Fraction
+    # simplex that scans the list under the same pivot rules
     vertices = {5: family("boolean_triangle", 5), 4: family("magog_matrix", 4)}
     outs = [lp_membership(point, vertices[n]) for point, n in membership_batch(family)]
     assert [isinstance(o, ConvexDecomposition) for o in outs] == [True, False, True, False] * 3
     digest = hashlib.sha256("\n".join(map(repr, outs)).encode()).hexdigest()
-    assert digest == "0ed4a55bdf62f9a83781f537b4478af4f3499abc9ed705b8402d86aae3b438b9"
+    assert digest == "ac97394d4567ffa624d24c811b2295909cdf79ef6d561bc4c874a3892259cd77"
 
 
 @st.composite
@@ -237,14 +254,17 @@ def _flat(column):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(item_columns(), st.data())
 def test_dag_pricing_is_the_linear_scan(system, data):
+    # Dantzig's rule: the smallest j among the columns of largest y.A_j > 0,
+    # against a scan in Fractions (the items' scales need not be 1)
     columns, m = system
     assume(columns)
     dag = lp._list_paths(columns, m).dag
     for _ in range(4):
         y = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
-        first = next((j for j, col in enumerate(columns) if sum(a * v for a, v in zip(y, _flat(col))) > 0), -1)
-        j, path = dag.first_positive(y)
-        assert j == first
+        values = [sum(a * F(v) for a, v in zip(y, _flat(col))) for col in columns]
+        top = max(values)
+        j, path = dag.most_positive(y)
+        assert j == (values.index(top) if top > 0 else -1)
         if j >= 0:
             scale, support = lp._integer_column(_flat(columns[j]), m)
             assert lp._dot(y, dag.support(path)) == lp._dot(y, support) > 0
@@ -261,7 +281,7 @@ def test_item_columns_solve_as_their_flat_form(system, data):
 
 def test_a_rule_with_no_path_gives_the_dag_of_no_columns():
     dag = lp._ColumnDag.of_paths(1, 0, lambda i: (lambda s: []), 0)
-    assert dag.counts[-1] == 0 and dag.first_positive([]) == (-1, None)
+    assert dag.counts[-1] == 0 and dag.most_positive([]) == (-1, None)
     # the empty list is such a rule: its certificate is y = sign b
     assert solve_feasibility([], [1, -1]) == Infeasible((F(1), F(-1)))
     assert solve_feasibility([], [F(1, 2), 0, -3]) == Infeasible((F(1), F(1), F(-1)))
@@ -431,7 +451,7 @@ def test_a_wrong_certificate_on_a_list_raises(monkeypatch):
     cols = [[1, 0], [0, 1]]
     # a pricing that finds no entering column stops at the artificial basis,
     # whose y = sign(b) = (1, -1) is positive on the first column alone
-    monkeypatch.setattr(lp._ColumnDag, "first_positive", lambda self, y: (-1, None))
+    monkeypatch.setattr(lp._ColumnDag, "most_positive", lambda self, y: (-1, None))
     with pytest.raises(LPError, match="positive on a column"):
         solve_feasibility(cols, [1, -1])
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from magoglab import (
     BooleanTriangle,
     ConvexDecomposition,
+    MagogVertices,
     NotInHull,
     RationalMatrixPoint,
     RationalPolynomial,
@@ -24,6 +25,7 @@ from magoglab import (
     btp_facet_audit,
     btp_split,
     check_necessary_inequalities,
+    classify,
     ehrhart_interpolate,
     lattice_points_in_dilate,
     lp_membership,
@@ -738,6 +740,49 @@ def test_tsscpp4_facet_filter_agrees_with_the_lp(family):
             assert passes == isinstance(lp_membership(point, verts), ConvexDecomposition)
             members += passes
         assert members == lattice_points_in_dilate("tsscpp", t, n=4)
+
+
+def test_order_5_lp_membership_agrees_with_the_facets(family):
+    # a second route for the LP on the row graph: the order-5 hull is the
+    # matrices with unit row and column sums that satisfy its 45 facets
+    # (the double description of _magog_facets), a check that shares no
+    # code with the simplex
+    n = 5
+    facets = _magog_facets(n)
+    magog = [m.entries for m in family("magog_matrix", n)]
+    others = [m.entries for m in family("square_sign", n) if not classify(m).magog]
+    rng = random.Random(20261021)
+
+    def mix(row_lists):
+        weights = [rng.randint(1, 9) for _ in row_lists]
+        total = sum(weights)
+        return [[sum(F(w, total) * rows[i][j] for w, rows in zip(weights, row_lists)) for j in range(n)]
+                for i in range(n)]
+
+    points = []
+    for _ in range(10):
+        points.append(mix(rng.sample(magog, rng.randint(1, 5))))
+        points.append(mix([rng.choice(magog), rng.choice(others)]))
+    for _ in range(6):
+        # non-sign matrices: a mix moved by +-e on a 2 x 2 block, which keeps
+        # the unit sums
+        rows = mix(rng.sample(magog, 3))
+        i, j, e = rng.randrange(n - 1), rng.randrange(n - 1), F(rng.randint(1, 4), 7)
+        for di, dj, sign in ((0, 0, 1), (1, 1, 1), (0, 1, -1), (1, 0, -1)):
+            rows[i + di][j + dj] += sign * e
+        points.append(rows)
+    points += [[[F(1, n)] * n for _ in range(n)], [[F(2, n)] * n for _ in range(n)]]
+
+    outcomes = []
+    for rows in points:
+        flat = [v for row in rows for v in row]
+        inside = (all(sum(row) == 1 for row in rows) and all(sum(col) == 1 for col in zip(*rows))
+                  and all(sum(a * x for a, x in zip(row, flat)) >= rhs for row, rhs in facets))
+        outcome = lp_membership(RationalMatrixPoint.from_rows(rows), MagogVertices(n))
+        assert isinstance(outcome, ConvexDecomposition) == inside, rows
+        outcomes.append(inside)
+    assert outcomes[:20:2] == [True] * 10 and False in outcomes[1:20:2]
+    assert {True, False} <= set(outcomes[20:26])
 
 
 def test_order_4_dilates_and_the_audit_call_no_lp(monkeypatch):
