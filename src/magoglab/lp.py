@@ -41,16 +41,23 @@ Every column DAG is built by _ColumnDag.of_paths from a move rule, and
 held with its source's own routes for checking an outcome (ColumnPaths).
 A list's rule moves from a run of adjacent columns that agree on their
 first d items to the runs within it that agree on item d, so its DAG is
-its trie with equal subtrees merged, built on every call; the magog row
-graph (polytope.MagogVertices) lists no column and is built once per
-order.  Either outcome is verified in integers before it is returned,
-and a failed check raises LPError: a solution on its basic columns as
-the source gives them, a certificate by the source's max_value, apart
-from the DAG (a scan over a list, a max-plus pass over the magog rules).
+its trie with equal subtrees merged.  That DAG depends on the list's
+contents alone, so the ColumnPaths of the last four lists are kept,
+keyed by their columns as tuples and m: a later call with an equal list
+reuses its DAG, and a list that differs in any item, or was changed in
+place since, is built afresh.  Equal items are equal numbers, which
+scale to the same integers, so a reused DAG prices as a fresh one would.
+The magog row graph (polytope.MagogVertices) lists no column and is
+built once per order.  Either outcome is verified in integers on every
+call before it is returned, also on a kept DAG, and a failed check
+raises LPError: a solution on its basic columns as the source gives
+them, a certificate by the source's max_value, apart from the DAG (a
+scan over a list, a max-plus pass over the magog rules).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,7 +92,10 @@ def _scaled(values) -> tuple[int, list[int]]:
     come back as they are, with s = 1."""
     if _INT.issuperset(map(type, values)):
         return 1, list(values)
-    values = [Fraction(v) for v in values]
+    try:
+        values = [Fraction(v) for v in values]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationFailure(f"not an exact number: {exc}") from None
     scale = math.lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
@@ -317,26 +327,37 @@ class ColumnPaths:
         return self.dag.counts[-1]
 
 
-def _list_paths(columns: list, m: int) -> ColumnPaths:
-    """A column list as the paths of its run rule: a state after d steps
-    is a run of adjacent columns that agree on their first d items, named
-    by its first column, and it moves by item d to the runs within it;
-    after the last step it is the run's length, the equal columns its leaf
+def _list_paths(columns, m: int, tail: tuple = ()) -> ColumnPaths:
+    """A column list as the paths of its run rule, each column a sequence
+    of items followed by the items of ``tail``: a state after d steps is a
+    run of adjacent columns that agree on their first d items, named by
+    its first column, and it moves by item d to the runs within it; after
+    the last step it is the run's length, the equal columns its leaf
     stands for.  So the DAG is the list's trie with equal subtrees merged.
     Column j is read from the list, and max_value(y) scans every column in
     scaled integers: y.A_j times the column's positive scale, which keeps
-    its sign."""
-    depth = len(columns[0]) if columns else 0
+    its sign.
+
+    The result is kept for the last four (columns, m, tail), compared by
+    value with the columns as tuples; a build that raises keeps nothing."""
+    return _list_paths_of(tuple(map(tuple, columns)), m, tuple(tail))
+
+
+@functools.lru_cache(maxsize=4)
+def _list_paths_of(columns: tuple, m: int, tail: tuple) -> ColumnPaths:
+    width = len(columns[0]) if columns else 0
+    depth = width + len(tail) if columns else 0
     # diff[j]: the first item where column j differs from column j - 1
-    # (depth when they are equal); -1 past the last column ends every run
+    # (depth when they are equal, tails and all); -1 past the last column
+    # ends every run
     diff = [0]
     for prev, column in zip(columns, columns[1:]):
-        if len(column) != depth:
+        if len(column) != width:
             raise ValidationFailure("column length does not match rhs")
         d = 0
-        while d < depth and column[d] == prev[d]:
+        while d < width and column[d] == prev[d]:
             d += 1
-        diff.append(d)
+        diff.append(d if d < width else depth)
     diff.append(-1)
 
     def moves(i):
@@ -349,7 +370,7 @@ def _list_paths(columns: list, m: int) -> ColumnPaths:
             while True:
                 split = diff[j]
                 if split <= d:
-                    out.append((columns[lo][d], j - lo if last else lo))
+                    out.append((columns[lo][d] if d < width else tail[d - width], j - lo if last else lo))
                     if split < d:
                         return out
                     lo = j
@@ -357,13 +378,18 @@ def _list_paths(columns: list, m: int) -> ColumnPaths:
 
         return runs
 
+    @functools.cache
+    def supports():
+        # each column's integer support, made on the list's first certificate
+        return [_integer_column(column + tail, m)[1] for column in columns]
+
     def max_value(y):
-        return max((_dot(y, _integer_column(column, m)[1]) for column in columns), default=0)
+        return max((_dot(y, support) for support in supports()), default=0)
 
     dag = _ColumnDag.of_paths(depth, 0 if depth else len(columns), moves, m, lambda count: count)
     if dag.counts[-1] != len(columns):
         raise LPError("column DAG does not count every column")
-    return ColumnPaths(dag, columns.__getitem__, max_value)
+    return ColumnPaths(dag, lambda j: columns[j] + tail, max_value)
 
 
 def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
@@ -371,10 +397,12 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
     columns: a list, each column a sequence of numbers, or of items that
     are numbers or tuples of numbers, concatenated to length len(rhs); or a
     ColumnPaths, whose DAG is used as it is and whose routes check the
-    outcome.  A list is made a ColumnPaths of its run rule on every call."""
+    outcome.  A list is made a ColumnPaths of its run rule (_list_paths),
+    whose DAG is reused when an equal list was among the last four solved.
+    The outcome is checked on every call."""
     m = len(rhs)
     if not isinstance(columns, ColumnPaths):
-        columns = _list_paths(list(columns), m)
+        columns = _list_paths(columns, m)
     dag = columns.dag
     if dag.m != m:
         raise ValidationFailure("column length does not match rhs")

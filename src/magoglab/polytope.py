@@ -47,7 +47,7 @@ from .enumeration import (
     _raw_rows,
     _row_moves,
 )
-from .lp import ColumnPaths, Feasible, Infeasible, _ColumnDag, _scaled, solve_feasibility
+from .lp import ColumnPaths, Feasible, Infeasible, _ColumnDag, _list_paths, _scaled, solve_feasibility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,7 +68,10 @@ def as_fraction(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationFailure(f"cannot read {v!r} as an exact rational") from None
     raise TypeError(f"cannot interpret {v!r} as an exact rational")
 
 
@@ -595,12 +598,13 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
     verified separating functional.
 
     This picks the LP's column source and nothing more: a list of columns
-    (A, 1), each vertex's rows as items, whose run-rule DAG the LP builds
-    on every call, or MagogVertices(n)'s columns, on the DAG built once
-    per n.  Every call checks its outcome in integers: a decomposition on
-    its basic columns as the source gives them (each basic magog matrix
-    rebuilt and checked once, and taken as the term), a certificate on
-    every vertex."""
+    (A, 1), each vertex's rows as items and the convexity item after them,
+    whose run-rule DAG is kept for the last four lists and reused for an
+    equal list (lp._list_paths), or MagogVertices(n)'s columns, on the DAG
+    built once per n.  Every call checks its outcome in integers: a
+    decomposition on its basic columns as the source gives them (each
+    basic magog matrix rebuilt and checked once, and taken as the term), a
+    certificate on every vertex."""
     if isinstance(vertices, MagogVertices):
         shape = (vertices.n,) * vertices.n
         # a term's vertex is the matrix the solver's check rebuilt
@@ -611,9 +615,9 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
         if not vertices:
             raise ValidationFailure("vertex list is empty")
         shape = _shape(vertices[0])
-        # the solver refuses a later vertex whose row widths differ from the
-        # first's
-        columns = [(*_rows_of(v), 1) for v in vertices]
+        # keyed on the vertices' own rows; the solver refuses a later vertex
+        # whose row widths differ from the first's
+        columns = _list_paths(tuple(map(_rows_of, vertices)), sum(shape) + 1, (1,))
     if shape != _shape(point):
         raise ValidationFailure("vertex shape does not match the point's shape")
     target = [as_fraction(x) for x in _flatten(point)]

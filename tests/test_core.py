@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magoglab import core, enumeration, polytope, serialize
+from magoglab import core, enumeration, lp, polytope, serialize
 from magoglab import (
     BooleanTriangle,
     MagogTriangle,
@@ -396,6 +396,12 @@ ARGUMENT_CHECKS = {
     "lp-mixed-shapes": lambda: polytope.lp_membership(
         BooleanTriangle(3, ((0,), (0, 0))),
         [BooleanTriangle(3, ((0,), (0, 0))), BooleanTriangle(4, ((0,), (0, 0), (0, 0, 0)))]),
+    "lp-entry-literal": lambda: lp.solve_feasibility([["x", 0]], [1, 1]),
+    "lp-entry-none": lambda: lp.solve_feasibility([[None, 0]], [1, 1]),
+    "lp-vertex-entry": lambda: polytope.lp_membership(
+        [[1, 0], [0, 1]], [[[1, 0], [0, 1]], [[0, 1], [1, "x"]]]),
+    "rational-literal": lambda: polytope.as_fraction("x"),
+    "rational-point-entry": lambda: polytope.lp_membership([[1, 0], [0, "x"]], [[[1, 0], [0, 1]]]),
     "facet-audit": lambda: polytope.btp_facet_audit(1),
     "dilate-t": lambda: polytope.check_dilate("btp", -1, n=3),
     "dilate-btp-order": lambda: polytope.check_dilate("btp", 2),

@@ -27,6 +27,7 @@ from magoglab import (
     validate_boolean_triangle,
     validate_magog,
 )
+from magoglab.core import ValidationFailure
 from magoglab.lp import Feasible, Infeasible, LPError, solve_feasibility
 
 
@@ -450,10 +451,65 @@ def test_equal_columns_give_one_outcome():
 def test_a_wrong_certificate_on_a_list_raises(monkeypatch):
     cols = [[1, 0], [0, 1]]
     # a pricing that finds no entering column stops at the artificial basis,
-    # whose y = sign(b) = (1, -1) is positive on the first column alone
+    # whose y = sign(b) = (1, -1) is positive on the first column alone; the
+    # second solve takes the kept DAG and is checked all the same
     monkeypatch.setattr(lp._ColumnDag, "most_positive", lambda self, y: (-1, None))
-    with pytest.raises(LPError, match="positive on a column"):
-        solve_feasibility(cols, [1, -1])
+    for _ in range(2):
+        with pytest.raises(LPError, match="positive on a column"):
+            solve_feasibility(cols, [1, -1])
+
+
+def _spy(monkeypatch, owner, name):
+    """Calls of owner.name, each recorded by its arguments."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+    return calls
+
+
+def test_an_equal_list_reuses_its_dag(family, monkeypatch):
+    vertices = family("boolean_triangle", 5)
+    chosen = [vertices[3].rows, vertices[200].rows, vertices[411].rows]
+    point = RationalTrianglePoint.from_rows(5, _combination([1, 2, 4], chosen))
+    memo = lp._list_paths_of
+    memo.cache_clear()
+    first = serialize.dumps(lp_membership(point, vertices))
+    built = _spy(monkeypatch, lp._ColumnDag, "of_paths")
+    checked = _spy(monkeypatch, lp, "_verify_solution")
+    # the same list, and an equal one of other objects, take the kept DAG;
+    # the solution is checked on every call
+    copies = [BooleanTriangle(5, tuple(tuple(r) for r in v.rows)) for v in vertices]
+    for same in (vertices, copies):
+        assert serialize.dumps(lp_membership(point, same)) == first
+    assert built == [] and len(checked) == 2
+    assert memo.cache_info().hits == 2 and memo.cache_info().maxsize == 4
+    # a list changed in one column is built afresh
+    changed = list(vertices)
+    changed[-1] = changed[0]
+    assert isinstance(lp_membership(point, changed), ConvexDecomposition)
+    assert len(built) == 1 and memo.cache_info().misses == 2
+    memo.cache_clear()
+
+
+def test_a_kept_list_with_another_rhs_length_is_refused():
+    cols = [[0, 1, 1], [1, 0, 1]]
+    assert isinstance(solve_feasibility(cols, [F(1, 2), F(1, 2), 1]), Feasible)
+    for rhs in ([F(1, 2), 1], [F(1, 2), F(1, 2), 1, 0]):
+        with pytest.raises(ValidationFailure):
+            solve_feasibility(cols, rhs)
+
+
+def test_a_list_certificate_scan_makes_each_support_once(family, monkeypatch):
+    vertices = family("boolean_triangle", 5)
+    point = RationalTrianglePoint.from_rows(5, [[2], [0, 0], [0, 0, 0], [0, 0, 0, 0]])
+    lp._list_paths_of.cache_clear()
+    made = _spy(monkeypatch, lp, "_integer_column")
+    outcomes = [lp_membership(point, vertices) for _ in range(2)]
+    assert isinstance(outcomes[0], NotInHull)
+    assert serialize.dumps(outcomes[0]) == serialize.dumps(outcomes[1])
+    # the DAG's labels take one item each; the scan takes whole columns
+    columns = [args[0] for args in made if len(args[0]) > 1]
+    assert sorted(columns) == sorted((*v.rows, 1) for v in vertices)
+    lp._list_paths_of.cache_clear()
 
 
 def test_magog_vertices_of_one_order_share_one_dag():

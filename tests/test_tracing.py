@@ -66,7 +66,8 @@ def test_traced_tsscpp_membership_runs(tmp_path, capsys):
 
 
 def test_traced_library_membership_counts_the_listed_columns(family):
-    # a vertex list reaches solve_feasibility as a list, one column a vertex
+    # a vertex list reaches solve_feasibility as its kept ColumnPaths, one
+    # column a vertex
     spans = _spans()
     from magoglab import ConvexDecomposition, RationalTrianglePoint, polytope
 
