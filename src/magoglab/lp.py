@@ -2,10 +2,11 @@
 x >= 0, solved by a revised phase-one simplex in integer arithmetic.
 
 The simplex state is fraction-free (Edmonds 1967; Bareiss 1968).  The
-right-hand side is scaled by the lcm D of its denominators and each
-column by the lcm of its own denominators; a positive column scale
-changes neither the sign of a reduced cost nor the order of the ratio
-test.  With delta = |det B| for the current basis B (the previous pivot,
+right-hand side is scaled by the lcm D of its denominators and every
+column by the lcm S of its DAG's denominators, so pricing runs in
+integers; one scale for all columns scales every y.A_j and every row of
+the ratio test by one factor, and y not at all, so it keeps every pivot.
+With delta = |det B| for the current basis B (the previous pivot,
 positive because the ratio test only pivots on d > 0), the solver keeps
 delta * B^{-1} and delta * x_B, whose entries are minors and so
 integers.  A pivot on row r with pivot p replaces every other row k by
@@ -45,8 +46,8 @@ its trie with equal subtrees merged.  That DAG depends on the list's
 contents alone, so the ColumnPaths of the last four lists are kept,
 keyed by their columns as tuples and m: a later call with an equal list
 reuses its DAG, and a list that differs in any item, or was changed in
-place since, is built afresh.  Equal items are equal numbers, which
-scale to the same integers, so a reused DAG prices as a fresh one would.
+place since, is built afresh.  Equal items are equal numbers, so a
+reused DAG has a fresh one's scale and supports, and prices as it would.
 The magog row graph (polytope.MagogVertices) lists no column and is
 built once per order.  Either outcome is verified in integers on every
 call before it is returned, also on a kept DAG, and a failed check
@@ -104,30 +105,32 @@ def _values(item) -> tuple:
     return item if isinstance(item, tuple) else (item,)
 
 
-def _integer_column(items, m, offset=0):
+def _integer_column(items, m, scale, offset=0):
     """Scale the column that concatenates ``items`` (numbers or tuples of
-    numbers) by the lcm s of its denominators and split s * column into
-    (+1 positions, -1 positions, other (position, value) pairs), the
-    positions counted from ``offset``.
+    numbers) by ``scale``, which its denominators must divide (LPError
+    otherwise), and split scale * column into (+1 positions, -1 positions,
+    other (position, value) pairs), the positions counted from ``offset``.
 
     Columns made of 0/1/-1 entries admit a multiplication-free dot
     product, which dominates the pricing cost on large vertex lists.
-    Returns (s, support).
     """
     column = [v for item in items for v in _values(item)]
     if len(column) != m:
         raise ValidationFailure("column length does not match rhs")
-    scale, column = _scaled(column)
+    own, column = _scaled(column)
+    if scale % own:
+        raise LPError("a column's denominators do not divide the scale of its DAG")
     pos, neg, other = [], [], []
     for i, v in enumerate(column, offset):
         if v:
+            v *= scale // own
             if v == 1:
                 pos.append(i)
             elif v == -1:
                 neg.append(i)
             else:
                 other.append((i, v))
-    return scale, (tuple(pos), tuple(neg), tuple(other))
+    return tuple(pos), tuple(neg), tuple(other)
 
 
 def _dot(y, support) -> int:
@@ -155,14 +158,13 @@ class _ColumnDag:
     parents, and the root is the last node.  Nodes are interned by (edges,
     count), so equal subtrees are stored once (the ordered form of a minimal
     acyclic automaton, Daciuk et al. 2000), and edge labels by (level,
-    item), each holding its item, the item's integer support at the item's
-    offset and its scale.  Every DAG is built by of_paths.
+    item), each holding its item and its integer support at the item's
+    offset and the DAG's ``scale`` S.  Every DAG is built by of_paths.
     """
 
-    def __init__(self, m, items, supports, scales, edges, counts):
-        self.m, self.items, self.supports, self.scales = m, items, supports, scales
+    def __init__(self, m, scale, items, supports, edges, counts):
+        self.m, self.scale, self.items, self.supports = m, scale, items, supports
         self.edges, self.counts = edges, counts
-        self.scaled = [l for l, s in enumerate(scales) if s != 1]
         # the nodes with edges, children first, for pricing: (node, label,
         # child) for a node of one edge, else (node, None, its (label, child)
         # pairs)
@@ -170,19 +172,21 @@ class _ColumnDag:
                       for k, e in enumerate(edges) if e]
 
     @classmethod
-    def of_paths(cls, depth, start, moves, m, count=lambda state: 1):
+    def of_paths(cls, depth, start, moves, m, count=lambda state: 1, tail=()):
         """The paths of ``depth`` steps from ``start`` under a move rule,
         ``moves(i)`` mapping a state to its (item, next state) pairs in
-        order (the rules of magoglab.enumeration), as the columns of their
-        items, in the order a depth-first walk meets them.
+        order (the rules of magoglab.enumeration), then of a step per item
+        of ``tail`` that keeps the state, as columns in depth-first order.
 
         Each state a step reaches is a node (states with equal paths below
         them share one), each move an edge labelled with its item; a state
         after the last step is a leaf of ``count(state)`` equal columns, and
         a state with no column below it is left out, so a rule with no path
-        gives the DAG of no columns.  No column is listed; the labels'
-        supports are made last, when each step's item width is known."""
+        gives the DAG of no columns.  No column is listed; the scale and the
+        labels' supports are made last, from every item and each width."""
         rules = [moves(i) for i in range(1, depth + 1)]
+        rules += [lambda state, item=item: ((item, state),) for item in tail]
+        depth = len(rules)
         items, all_edges, counts = [], [], []
         labels = [{} for _ in range(depth)]
         registry = {}
@@ -240,11 +244,12 @@ class _ColumnDag:
         widths = [len(_values(next(iter(ids)))) for ids in labels if ids]
         if counts[root] and sum(widths) != m:
             raise ValidationFailure("column length does not match rhs")
-        supports, scales = [None] * len(items), [None] * len(items)
+        scale = math.lcm(*(_scaled(_values(item))[0] for item in items))
+        supports = [None] * len(items)
         for d, ids in enumerate(labels):
             for item, label in ids.items():
-                scales[label], supports[label] = _integer_column((item,), widths[d], sum(widths[:d]))
-        return cls(m, items, supports, scales, all_edges, counts)
+                supports[label] = _integer_column((item,), widths[d], scale, sum(widths[:d]))
+        return cls(m, scale, items, supports, all_edges, counts)
 
     def most_positive(self, y):
         """Dantzig's entering column: the smallest j among the columns of
@@ -259,8 +264,6 @@ class _ColumnDag:
         """
         all_edges = self.edges
         val = [_dot(y, support) for support in self.supports]
-        for l in self.scaled:
-            val[l] = Fraction(val[l], self.scales[l])
         best = [0] * len(all_edges)
         for k, l, below in self.inner:
             if l is None:
@@ -282,19 +285,13 @@ class _ColumnDag:
         return j, path
 
     def support(self, path):
-        """The integer support of the column whose path has these labels:
-        the items scaled to the lcm of their scales."""
-        scale = math.lcm(*(self.scales[l] for l in path))
+        """The column on this path, as its labels' supports concatenated."""
         pos, neg, other = [], [], []
         for l in path:
-            f = scale // self.scales[l]
             p, n, o = self.supports[l]
-            if f == 1:
-                pos += p
-                neg += n
-                other += o
-            else:
-                other += [(i, f) for i in p] + [(i, -f) for i in n] + [(i, v * f) for i, v in o]
+            pos += p
+            neg += n
+            other += o
         return tuple(pos), tuple(neg), tuple(other)
 
     def column(self, j):
@@ -333,23 +330,29 @@ def _list_paths(columns, m: int, tail: tuple = ()) -> ColumnPaths:
     run of adjacent columns that agree on their first d items, named by
     its first column, and it moves by item d to the runs within it; after
     the last step it is the run's length, the equal columns its leaf
-    stands for.  So the DAG is the list's trie with equal subtrees merged.
-    Column j is read from the list, and max_value(y) scans every column in
-    scaled integers: y.A_j times the column's positive scale, which keeps
-    its sign.
+    stands for, and ``tail`` is the DAG's tail.  So the DAG is the list's
+    trie with equal subtrees merged.  Column j is read from the list, and
+    max_value(y) scans every column at the DAG's positive scale.
 
     The result is kept for the last four (columns, m, tail), compared by
-    value with the columns as tuples; a build that raises keeps nothing."""
-    return _list_paths_of(tuple(map(tuple, columns)), m, tuple(tail))
+    value with the columns as tuples; a build that raises keeps nothing,
+    and an item that cannot be hashed, such as a list, is refused."""
+    key = tuple(map(tuple, columns)), m, tuple(tail)
+    try:
+        return _list_paths_of(*key)
+    except TypeError:
+        try:
+            hash(key)
+        except TypeError:
+            raise ValidationFailure("a column item must be a number or a tuple of numbers") from None
+        raise
 
 
 @functools.lru_cache(maxsize=4)
 def _list_paths_of(columns: tuple, m: int, tail: tuple) -> ColumnPaths:
     width = len(columns[0]) if columns else 0
-    depth = width + len(tail) if columns else 0
     # diff[j]: the first item where column j differs from column j - 1
-    # (depth when they are equal, tails and all); -1 past the last column
-    # ends every run
+    # (width when they are equal); -1 past the last column ends every run
     diff = [0]
     for prev, column in zip(columns, columns[1:]):
         if len(column) != width:
@@ -357,11 +360,11 @@ def _list_paths_of(columns: tuple, m: int, tail: tuple) -> ColumnPaths:
         d = 0
         while d < width and column[d] == prev[d]:
             d += 1
-        diff.append(d if d < width else depth)
+        diff.append(d)
     diff.append(-1)
 
     def moves(i):
-        d, last = i - 1, i == depth
+        d, last = i - 1, i == width
 
         def runs(lo):
             # the run from column lo ends before the next column differing in
@@ -370,7 +373,7 @@ def _list_paths_of(columns: tuple, m: int, tail: tuple) -> ColumnPaths:
             while True:
                 split = diff[j]
                 if split <= d:
-                    out.append((columns[lo][d] if d < width else tail[d - width], j - lo if last else lo))
+                    out.append((columns[lo][d], j - lo if last else lo))
                     if split < d:
                         return out
                     lo = j
@@ -381,12 +384,12 @@ def _list_paths_of(columns: tuple, m: int, tail: tuple) -> ColumnPaths:
     @functools.cache
     def supports():
         # each column's integer support, made on the list's first certificate
-        return [_integer_column(column + tail, m)[1] for column in columns]
+        return [_integer_column(column + tail, m, dag.scale) for column in columns]
 
     def max_value(y):
         return max((_dot(y, support) for support in supports()), default=0)
 
-    dag = _ColumnDag.of_paths(depth, 0 if depth else len(columns), moves, m, lambda count: count)
+    dag = _ColumnDag.of_paths(width, 0 if width else len(columns), moves, m, lambda count: count, tail)
     if dag.counts[-1] != len(columns):
         raise LPError("column DAG does not count every column")
     return ColumnPaths(dag, lambda j: columns[j] + tail, max_value)
@@ -433,9 +436,8 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
             if sum(xb[k] for k, bj in enumerate(basis) if bj >= n_real) == 0:
                 # checked on the columns as the source gives them, not the DAG
                 x = {bj: xb[k] for k, bj in enumerate(basis) if bj < n_real and xb[k] != 0}
-                given = {j: _integer_column(columns.column(j), m) for j in x}
-                _verify_solution(x, {j: support for j, (_, support) in given.items()}, b, delta)
-                return Feasible({j: Fraction(v * given[j][0], delta * rhs_scale) for j, v in x.items()})
+                _verify_solution(x, {j: _integer_column(columns.column(j), m, dag.scale) for j in x}, b, delta)
+                return Feasible({j: Fraction(v * dag.scale, delta * rhs_scale) for j, v in x.items()})
             _verify_functional(y, columns.max_value(y), b)
             return Infeasible(tuple(Fraction(v, delta) for v in y))
 

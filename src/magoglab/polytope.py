@@ -83,6 +83,7 @@ class RationalMatrixPoint:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        _guard(self.n)
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise ValidationFailure("entries must be square of order n")
 
@@ -164,6 +165,8 @@ class NotInHull:
 
     def value_at(self, obj) -> Fraction:
         flat = _flatten(obj)
+        if len(flat) != len(self.coefficients):
+            raise ValidationFailure("the point has not one entry per coefficient")
         return sum((c * as_fraction(x) for c, x in zip(self.coefficients, flat)), self.offset)
 
 
@@ -518,17 +521,11 @@ def btp_decompose(p: RationalTrianglePoint | BooleanTriangle) -> ConvexDecomposi
 # LP membership oracle
 
 
-def _convexity_step(state):
-    """The last step of every path of MagogVertices: the convexity item 1."""
-    return ((1, None),)
-
-
 @functools.lru_cache(maxsize=4)
 def _magog_dag(n: int) -> _ColumnDag:
     """The column DAG of MagogVertices(n), which depends on n alone: built
     on first use and kept for the last four orders asked for."""
-    rows = _row_moves(n, "magog", matrix=True)
-    return _ColumnDag.of_paths(n + 1, (), lambda i: rows(i) if i <= n else _convexity_step, n * n + 1)
+    return _ColumnDag.of_paths(n, (), _row_moves(n, "magog", matrix=True), n * n + 1, tail=(1,))
 
 
 class MagogVertices:
@@ -538,8 +535,8 @@ class MagogVertices:
 
     The hull LP reads them as a column DAG built from the move rules
     (_row_moves): a node per (step, triangle row) state, an edge per move
-    labelled with its matrix row, and one more step, on every path, that
-    emits the convexity item 1.  The DAG is built once per n in a process,
+    labelled with its matrix row, and the DAG's tail, the convexity item 1,
+    at the end of every path.  The DAG is built once per n in a process,
     on the first MagogVertices(n), and shared by every later one while n
     is among the last four orders asked for.
     ``vertices[j]`` reads matrix j down that DAG by its counts and builds

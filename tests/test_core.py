@@ -385,6 +385,7 @@ ARGUMENT_CHECKS = {
     "boundary-position": lambda: enumeration.boundary_count(3, 4, 1),
     "theorem-suite": lambda: enumeration.theorem_suite(1),
     "conjecture-suite": lambda: enumeration.conjecture_suite(2),
+    "rational-matrix-order": lambda: polytope.RationalMatrixPoint.from_rows([]),
     "rational-matrix-shape": lambda: polytope.RationalMatrixPoint(2, ()),
     "rational-triangle-shape": lambda: polytope.RationalTrianglePoint(3, ()),
     "decomposition-empty": lambda: polytope.ConvexDecomposition(()),
@@ -398,8 +399,10 @@ ARGUMENT_CHECKS = {
         [BooleanTriangle(3, ((0,), (0, 0))), BooleanTriangle(4, ((0,), (0, 0), (0, 0, 0)))]),
     "lp-entry-literal": lambda: lp.solve_feasibility([["x", 0]], [1, 1]),
     "lp-entry-none": lambda: lp.solve_feasibility([[None, 0]], [1, 1]),
+    "lp-list-item": lambda: lp.solve_feasibility([[[1, 0], 1]], [1, 0, 1]),
     "lp-vertex-entry": lambda: polytope.lp_membership(
         [[1, 0], [0, 1]], [[[1, 0], [0, 1]], [[0, 1], [1, "x"]]]),
+    "lp-vertex-list-item": lambda: polytope.lp_membership([[1, 0], [0, 1]], [[[1, [0]], [0, 1]]]),
     "rational-literal": lambda: polytope.as_fraction("x"),
     "rational-point-entry": lambda: polytope.lp_membership([[1, 0], [0, "x"]], [[[1, 0], [0, 1]]]),
     "facet-audit": lambda: polytope.btp_facet_audit(1),
@@ -414,6 +417,7 @@ ARGUMENT_CHECKS = {
     "affine-dimension-mixed-lengths": lambda: polytope.affine_dimension([(1, 2), (1,)]),
     "affine-dimension-mixed-shapes": lambda: polytope.affine_dimension([((1, 2),), ((1,),)]),
     "polynomial-no-coefficients": lambda: polytope.RationalPolynomial(()),
+    "functional-point-length": lambda: polytope.NotInHull((Fraction(1), Fraction(2)), Fraction(0)).value_at([[1]]),
 }
 
 

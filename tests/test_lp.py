@@ -133,9 +133,9 @@ def test_ratio_ties_break_lexicographically():
 
 
 def test_verification_rejects_wrong_results():
-    _, support = lp._integer_column([1, -1], 2)
+    support = lp._integer_column([1, -1], 2, 1)
     # a list's max_value scans its columns scaled to integers: the second
-    # column's y.A_j for y = (0, 1) is -1/2, read as -3 at its scale 6
+    # column's y.A_j for y = (0, 1) is -1/2, read as -3 at the DAG's scale 6
     columns = lp._list_paths([[1, -1], [F(1, 3), F(-1, 2)]], 2)
     assert columns.max_value([0, 1]) < 0
     with pytest.raises(LPError):
@@ -256,7 +256,7 @@ def _flat(column):
 @given(item_columns(), st.data())
 def test_dag_pricing_is_the_linear_scan(system, data):
     # Dantzig's rule: the smallest j among the columns of largest y.A_j > 0,
-    # against a scan in Fractions (the items' scales need not be 1)
+    # against a scan in Fractions (the DAG's scale need not be 1)
     columns, m = system
     assume(columns)
     dag = lp._list_paths(columns, m).dag
@@ -267,7 +267,7 @@ def test_dag_pricing_is_the_linear_scan(system, data):
         j, path = dag.most_positive(y)
         assert j == (values.index(top) if top > 0 else -1)
         if j >= 0:
-            scale, support = lp._integer_column(_flat(columns[j]), m)
+            support = lp._integer_column(_flat(columns[j]), m, dag.scale)
             assert lp._dot(y, dag.support(path)) == lp._dot(y, support) > 0
             assert [sorted(part) for part in dag.support(path)] == [sorted(part) for part in support]
 
@@ -457,6 +457,37 @@ def test_a_wrong_certificate_on_a_list_raises(monkeypatch):
     for _ in range(2):
         with pytest.raises(LPError, match="positive on a column"):
             solve_feasibility(cols, [1, -1])
+
+
+def test_pricing_makes_no_fraction(monkeypatch):
+    # items in halves and thirds: the DAG holds them at its one scale 6,
+    # so pricing gives the scan's choice in integers alone
+    columns = [[F(1, 2), 1, 0], [F(1, 3), F(2, 3), 1], [1, F(-1, 2), F(1, 3)], [0, F(1, 2), F(1, 2)]]
+    dag = lp._list_paths(columns, 3).dag
+    assert dag.scale == 6
+    ys = [[a, b, c] for a in (-2, 0, 3) for b in (-1, 1) for c in (-3, 0, 2)]
+    scans = []
+    for y in ys:
+        values = [sum(a * v for a, v in zip(y, col)) for col in columns]
+        scans.append(values.index(max(values)) if max(values) > 0 else -1)
+    assert -1 in scans and {0, 1, 2, 3} & set(scans)
+
+    def refuse(*args):
+        raise AssertionError("pricing made a Fraction")
+
+    monkeypatch.setattr(lp, "Fraction", refuse)
+    assert [dag.most_positive(y)[0] for y in ys] == scans
+
+
+def test_a_column_off_the_dag_scale_raises():
+    # the DAG holds halves (scale 2); a source that gives a basic column in
+    # thirds fails the solution check, and is not truncated to the scale
+    listed = lp._list_paths([[F(1, 2), 0], [0, 1]], 2)
+    assert listed.dag.scale == 2
+    columns = lp.ColumnPaths(listed.dag, lambda j: (F(1, 3), 0) if j == 0 else (0, 1), listed.max_value)
+    with pytest.raises(LPError, match="scale"):
+        solve_feasibility(columns, [1, 1])
+    assert solve_feasibility(listed, [1, 1]) == Feasible({0: F(2), 1: F(1)})
 
 
 def _spy(monkeypatch, owner, name):
