@@ -15,6 +15,13 @@ prefixes too).  Each public check forms them once.  Every constraint
 family is a generator that reads them and yields its violations in a fixed
 order; a report keeps all of them, or only the first.
 
+A caller's value becomes an exact number in one place, as_fraction: an
+int or a Fraction as it is, or a 'p/q' string parsed; a float, a bool or
+anything else is refused with ValidationFailure.  _read_rows reads a
+caller's rows through it.  The three integer kinds take only entries
+whose type is int, and their from_rows keep a value only when as_fraction
+reads it as a whole number (_whole), so nothing is truncated.
+
 All indices in violation reports are 1-based to match the usual (i,j)
 naming of the inequalities.  All objects are immutable after construction
 and every function here is pure.
@@ -26,6 +33,7 @@ import itertools
 import operator
 import reprlib
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class ValidationFailure(ValueError):
@@ -37,10 +45,66 @@ class ValidationFailure(ValueError):
         self.report = report
 
 
+# the types of an exact number; compared exactly, so a bool is not an int
+_INT = {int}
+_EXACT = {int, Fraction}
+
+
+def as_fraction(v) -> int | Fraction:
+    """The exact number a caller's value stands for: an int or a Fraction
+    as it is, or the Fraction a 'p/q' string names.  A float, a bool, None
+    or anything else raises ValidationFailure, so no float enters the
+    library."""
+    if type(v) in _EXACT:
+        return v
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationFailure(f"cannot read {reprlib.repr(v)} as an exact rational")
+
+
+def _whole(v) -> int:
+    """A caller's value as an int, read by as_fraction (where an int
+    passes at once) and kept only when it is whole: 3/2 is refused, not
+    truncated."""
+    q = as_fraction(v)
+    if q.denominator != 1:
+        raise ValidationFailure(f"{reprlib.repr(v)} is not an integer")
+    return q.numerator
+
+
+def _read_rows(rows, read=as_fraction) -> tuple:
+    """A caller's rows as tuples, each value read by ``read``;
+    ValidationFailure when they are not a sequence of sequences."""
+    try:
+        return tuple(tuple(map(read, row)) for row in rows)
+    except TypeError:
+        raise ValidationFailure(f"{reprlib.repr(rows)} is not a sequence of sequences") from None
+
+
+def _integer(v, what: str):
+    """ValidationFailure unless the type of v is int; a bool, a float and a
+    Fraction are not."""
+    if type(v) is not int:
+        raise ValidationFailure(f"{what} {reprlib.repr(v)} is not an integer")
+
+
 def _guard(n: int):
-    """ValidationFailure unless the order n is at least 1."""
+    """ValidationFailure unless the order n is an int of at least 1."""
+    _integer(n, "order")
     if n < 1:
         raise ValidationFailure("order must be positive")
+
+
+def _check_types(rows, types: set, what: str):
+    """ValidationFailure at the first entry of the rows whose type is not in
+    ``types`` (_INT or _EXACT)."""
+    for row in rows:
+        if not types.issuperset(map(type, row)):
+            v = next(v for v in row if type(v) not in types)
+            raise ValidationFailure(f"entry {reprlib.repr(v)} is not {what}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +149,7 @@ class SignMatrix:
         _guard(self.n)
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise ValidationFailure(f"entries must form an {self.n}x{self.n} matrix")
+        _check_types(self.entries, _INT, "an int")
         for row in self.entries:
             for v in row:
                 if v not in (-1, 0, 1):
@@ -92,7 +157,7 @@ class SignMatrix:
 
     @staticmethod
     def from_rows(rows) -> "SignMatrix":
-        t = tuple(tuple(int(v) for v in row) for row in rows)
+        t = _read_rows(rows, _whole)
         return SignMatrix(len(t), t)
 
     @staticmethod
@@ -122,6 +187,7 @@ class MagogTriangle:
         _guard(n)
         if len(rows) != n or any(len(r) != i + 1 for i, r in enumerate(rows)):
             raise ValidationFailure("row i must hold exactly i entries")
+        _check_types(rows, _INT, "an int")
         for i, row in enumerate(rows, start=1):
             for k, v in enumerate(row, start=1):
                 if not 1 <= v <= n:
@@ -138,7 +204,7 @@ class MagogTriangle:
 
     @staticmethod
     def from_rows(rows) -> "MagogTriangle":
-        t = tuple(tuple(int(v) for v in row) for row in rows)
+        t = _read_rows(rows, _whole)
         return MagogTriangle(len(t), t)
 
 
@@ -159,6 +225,7 @@ class BooleanTriangle:
         _guard(self.n)
         if len(self.rows) != self.n - 1 or any(len(r) != i + 1 for i, r in enumerate(self.rows)):
             raise ValidationFailure("boolean triangle of order n needs rows of lengths 1..n-1")
+        _check_types(self.rows, _INT, "an int")
         for row in self.rows:
             for v in row:
                 if v not in (0, 1):
@@ -166,7 +233,7 @@ class BooleanTriangle:
 
     @staticmethod
     def from_rows(n: int, rows) -> "BooleanTriangle":
-        return BooleanTriangle(n, tuple(tuple(int(v) for v in row) for row in rows))
+        return BooleanTriangle(n, _read_rows(rows, _whole))
 
     def ones(self) -> frozenset[tuple[int, int]]:
         """Positions (row, column) of the one entries, both 1-based."""
@@ -204,6 +271,7 @@ class Permutation:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        _check_types((self.values,), _INT, "an int")
         n = len(self.values)
         if sorted(self.values) != list(range(1, n + 1)):
             raise ValidationFailure("values must be a permutation of 1..n")
@@ -459,6 +527,8 @@ def inversion_stats(m: SignMatrix) -> InversionStats:
 def inversion_profile(m: SignMatrix, k: int, l: int) -> int:
     """Inversions involving the (k,l) entry and entries strictly southwest
     of it: a_kl * sum_{i>k, j<l} a_ij.  1-based."""
+    _integer(k, "row")
+    _integer(l, "column")
     if not (1 <= k <= m.n and 1 <= l <= m.n):
         raise ValidationFailure("indices out of range")
     v = m.entries[k - 1][l - 1]

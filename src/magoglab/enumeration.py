@@ -47,6 +47,7 @@ from .core import (
     SignMatrix,
     ValidationFailure,
     _guard,
+    _integer,
     _matrix_row,
     _prefix_matrices,
     _special_violations,
@@ -576,9 +577,11 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, D
 
 def boundary_count(n: int, i: int, j: int) -> int:
     """Number of magog matrices of order n with a one in row i, column j."""
+    _guard(n)
+    _integer(i, "row")
+    _integer(j, "column")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValidationFailure("position out of range")
-    _guard(n)
     # the paths on whose step to row i column j enters the row
     (tally,) = _path_sums(n, (), _row_moves(n, "magog"),
                           [lambda n, r, prev, row: (r == i and j in row and j not in prev,)])
@@ -621,20 +624,27 @@ class SuiteReport:
         return out
 
 
+def _avoider_moves(n: int, state: tuple) -> list:
+    """(value, next state) for each value that may follow a 132-free prefix
+    of a permutation of 1..n, increasing.  A 132 in a prefix stays in every
+    extension, so only 132-free prefixes grow.  The state is (low,
+    blocked): the least value so far (n+1 at the start), and the bitset of
+    the used values and those that would close a 132, the ones strictly
+    between an earlier value and the least before it."""
+    low, blocked = state
+    out = []
+    for x in range(1, n + 1):
+        if not blocked >> x & 1:
+            gap = (1 << x) - (1 << low + 1) if low < x else 0
+            out.append((x, (min(low, x), blocked | 1 << x | gap)))
+    return out
+
+
 def _iter_132_avoiders(n: int) -> Iterator[Permutation]:
-    """The 132-avoiding permutations of 1..n in lexicographic order.  A 132
-    in a prefix stays in every extension, so only 132-free prefixes grow;
-    ``blocked`` holds the used values and those that would close a 132,
-    the ones strictly between an earlier value and the least before it."""
-    stack = [((), n + 1, 0)]
-    while stack:
-        prefix, low, blocked = stack.pop()
-        if len(prefix) == n:
-            yield Permutation(prefix)
-        for x in range(n, 0, -1):
-            if not blocked >> x & 1:
-                gap = (1 << x) - (1 << low + 1) if low < x else 0
-                stack.append((prefix + (x,), min(low, x), blocked | 1 << x | gap))
+    """The 132-avoiding permutations of 1..n in lexicographic order, the
+    paths of _avoider_moves."""
+    move = functools.partial(_avoider_moves, n)
+    return map(Permutation, _walk(n, (n + 1, 0), lambda i: move))
 
 
 def theorem_suite(n_max: int) -> SuiteReport:
@@ -643,6 +653,7 @@ def theorem_suite(n_max: int) -> SuiteReport:
     identification with 132-avoiding permutation matrices, the five
     boundary-one identities, the five inversion identities, the shared
     maximum for the number of negative ones, and the square sign count."""
+    _integer(n_max, "n_max")
     if n_max < 2:
         raise ValidationFailure("n_max must be at least 2")
     checks: list[SuiteCheck] = []
@@ -709,6 +720,7 @@ def conjecture_suite(n_max: int) -> SuiteReport:
     """Compare the four conjectured inversion enumerations against brute
     force.  Agreement within the tested range is evidence, not proof, so a
     caller should report rather than hard-fail on a mismatch."""
+    _integer(n_max, "n_max")
     if n_max < 3:
         raise ValidationFailure("n_max must be at least 3")
     checks: list[SuiteCheck] = []

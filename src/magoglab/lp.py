@@ -48,6 +48,11 @@ keyed by their columns as tuples and m: a later call with an equal list
 reuses its DAG, and a list that differs in any item, or was changed in
 place since, is built afresh.  Equal items are equal numbers, so a
 reused DAG has a fresh one's scale and supports, and prices as it would.
+A caller's list is read value by value (core.as_fraction) before the memo
+is asked, since 1.0 == 1 and True == 1 hash alike: a float, a bool or any
+other value that is not an exact number is refused whatever the memo
+holds.  A list of typed vertices (polytope.lp_membership) is not read
+again, as its constructors have checked every entry.
 The magog row graph (polytope.MagogVertices) lists no column and is
 built once per order.  Either outcome is verified in integers on every
 call before it is returned, also on a kept DAG, and a failed check
@@ -64,10 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import ValidationFailure
-
-
-_INT = {int}
+from .core import _INT, ValidationFailure, _read_rows, as_fraction
 
 
 class LPError(RuntimeError):
@@ -89,14 +91,11 @@ class Feasible:
 
 
 def _scaled(values) -> tuple[int, list[int]]:
-    """(s, s * values) for the lcm s of the values' denominators; integers
-    come back as they are, with s = 1."""
+    """(s, s * values) for the lcm s of the values' denominators, each read
+    by core.as_fraction; integers come back as they are, with s = 1."""
     if _INT.issuperset(map(type, values)):
         return 1, list(values)
-    try:
-        values = [Fraction(v) for v in values]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationFailure(f"not an exact number: {exc}") from None
+    values = [as_fraction(v) for v in values]
     scale = math.lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
@@ -324,9 +323,22 @@ class ColumnPaths:
         return self.dag.counts[-1]
 
 
-def _list_paths(columns, m: int, tail: tuple = ()) -> ColumnPaths:
-    """A column list as the paths of its run rule, each column a sequence
-    of items followed by the items of ``tail``: a state after d steps is a
+def _item(item):
+    """A caller's column item, a number or a tuple of numbers, read by
+    core.as_fraction."""
+    return tuple(map(as_fraction, item)) if type(item) is tuple else as_fraction(item)
+
+
+def _list_paths(columns, m: int) -> ColumnPaths:
+    """_list_paths_of a caller's column list, read item by item (_item)
+    before the memo is asked."""
+    return _list_paths_of(_read_rows(columns, _item), m, ())
+
+
+@functools.lru_cache(maxsize=4)
+def _list_paths_of(columns: tuple, m: int, tail: tuple) -> ColumnPaths:
+    """A column list as the paths of its run rule, each column a tuple of
+    items followed by the items of ``tail``: a state after d steps is a
     run of adjacent columns that agree on their first d items, named by
     its first column, and it moves by item d to the runs within it; after
     the last step it is the run's length, the equal columns its leaf
@@ -335,21 +347,10 @@ def _list_paths(columns, m: int, tail: tuple = ()) -> ColumnPaths:
     max_value(y) scans every column at the DAG's positive scale.
 
     The result is kept for the last four (columns, m, tail), compared by
-    value with the columns as tuples; a build that raises keeps nothing,
-    and an item that cannot be hashed, such as a list, is refused."""
-    key = tuple(map(tuple, columns)), m, tuple(tail)
-    try:
-        return _list_paths_of(*key)
-    except TypeError:
-        try:
-            hash(key)
-        except TypeError:
-            raise ValidationFailure("a column item must be a number or a tuple of numbers") from None
-        raise
-
-
-@functools.lru_cache(maxsize=4)
-def _list_paths_of(columns: tuple, m: int, tail: tuple) -> ColumnPaths:
+    value; a build that raises keeps nothing.  Every item must already be
+    an exact number or a tuple of them: a caller's list comes through
+    _list_paths, and polytope.lp_membership's vertices through
+    polytope._rows_of."""
     width = len(columns[0]) if columns else 0
     # diff[j]: the first item where column j differs from column j - 1
     # (width when they are equal); -1 past the last column ends every run
@@ -400,9 +401,11 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
     columns: a list, each column a sequence of numbers, or of items that
     are numbers or tuples of numbers, concatenated to length len(rhs); or a
     ColumnPaths, whose DAG is used as it is and whose routes check the
-    outcome.  A list is made a ColumnPaths of its run rule (_list_paths),
-    whose DAG is reused when an equal list was among the last four solved.
-    The outcome is checked on every call."""
+    outcome.  A list is read value by value, so a value that is not an
+    exact number (core.as_fraction) raises ValidationFailure, and made a
+    ColumnPaths of its run rule (_list_paths), whose DAG is reused when an
+    equal list was among the last four solved.  The outcome is checked on
+    every call."""
     m = len(rhs)
     if not isinstance(columns, ColumnPaths):
         columns = _list_paths(columns, m)

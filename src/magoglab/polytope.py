@@ -1,14 +1,18 @@
 """Exact polytope computations for the two hulls studied here: the hull
 of the n x n magog matrices and the hull of the order-n boolean triangles.
 
-All arithmetic is exact.  Points and weights are Fractions, floats are
-rejected at the boundary, and the inner loops run over integers: the LP
-and the elimination scale their rows to integers, the split decomposition
-runs on the point scaled to integers, the facet audit keeps slacks in
-quarter units, and dilates are counted by integer filters.  The
-boolean-triangle hull has a complete inequality description (entry bounds
-plus the diagonal partial-sum inequalities), which makes membership a
-direct check and supports a constructive convex decomposition.  An integer
+All arithmetic is exact.  Points and weights are ints and Fractions: a
+caller's value is read by core.as_fraction (re-exported here), which
+refuses a float, and the rational points take only int and Fraction
+entries.  Rows given as plain sequences are read through it too
+(_rows_of), for the LP, affine_dimension and the certificates.  The inner
+loops run over integers: the LP and the elimination scale their rows to
+integers, the split decomposition runs on the point scaled to integers,
+the facet audit keeps slacks in quarter units, and dilates are counted by
+integer filters.  The boolean-triangle hull has a complete inequality
+description (entry bounds plus the diagonal partial-sum inequalities),
+which makes membership a direct check and supports a constructive convex
+decomposition.  An integer
 double-description routine computes the magog hull's facets from its
 vertices once per order, and they filter its dilates at n = 3, 4; at n=3
 they are, up to the unit sums, the six inequalities tsscpp3_vertex_audit
@@ -26,18 +30,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    _EXACT,
     BooleanTriangle,
     SignMatrix,
     ValidationFailure,
     ValidationReport,
+    _check_types,
     _column_ones,
     _column_prefixes,
     _diagonal_differences,
     _diagonal_violations,
     _guard,
+    _integer,
     _prefix_matrices,
+    _read_rows,
     _special_violations,
     _trusted,
+    as_fraction,
     validate_magog,
 )
 from .enumeration import (
@@ -47,7 +56,7 @@ from .enumeration import (
     _raw_rows,
     _row_moves,
 )
-from .lp import ColumnPaths, Feasible, Infeasible, _ColumnDag, _list_paths, _scaled, solve_feasibility
+from .lp import ColumnPaths, Feasible, Infeasible, _ColumnDag, _list_paths_of, _scaled, solve_feasibility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,22 +66,6 @@ HALF = Fraction(1, 2)
 class DecompositionError(RuntimeError):
     """An internal invariant of the decomposition algorithm failed; this
     signals a bug, not bad input."""
-
-
-def as_fraction(v) -> Fraction:
-    """Exact coercion; floats are refused to keep the module float-free."""
-    if isinstance(v, float):
-        raise TypeError("floats are not accepted; pass ints, Fractions, or 'p/q' strings")
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationFailure(f"cannot read {v!r} as an exact rational") from None
-    raise TypeError(f"cannot interpret {v!r} as an exact rational")
 
 
 @dataclass(frozen=True)
@@ -86,10 +79,11 @@ class RationalMatrixPoint:
         _guard(self.n)
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise ValidationFailure("entries must be square of order n")
+        _check_types(self.entries, _EXACT, "an int or a Fraction")
 
     @staticmethod
     def from_rows(rows) -> "RationalMatrixPoint":
-        t = tuple(tuple(as_fraction(v) for v in row) for row in rows)
+        t = _read_rows(rows)
         return RationalMatrixPoint(len(t), t)
 
 
@@ -101,20 +95,24 @@ class RationalTrianglePoint:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        _guard(self.n)
         if len(self.rows) != self.n - 1 or any(len(r) != i + 1 for i, r in enumerate(self.rows)):
             raise ValidationFailure("rows must have lengths 1..n-1")
+        _check_types(self.rows, _EXACT, "an int or a Fraction")
 
     @staticmethod
     def from_rows(n: int, rows) -> "RationalTrianglePoint":
-        return RationalTrianglePoint(n, tuple(tuple(as_fraction(v) for v in row) for row in rows))
+        return RationalTrianglePoint(n, _read_rows(rows))
 
 
 def _rows_of(obj):
+    """The rows of a matrix or triangle object as it holds them, or of rows
+    of a caller's values, each read by as_fraction (core._read_rows)."""
     if isinstance(obj, (SignMatrix, RationalMatrixPoint)):
         return obj.entries
     if isinstance(obj, (BooleanTriangle, RationalTrianglePoint)):
         return obj.rows
-    return tuple(tuple(r) for r in obj)
+    return _read_rows(obj)
 
 
 def _flatten(obj) -> tuple:
@@ -135,6 +133,7 @@ class ConvexDecomposition:
     def __post_init__(self):
         if not self.terms:
             raise ValidationFailure("a decomposition needs at least one term")
+        _check_types((tuple(w for w, _ in self.terms),), _EXACT, "an int or a Fraction")
         if any(w <= 0 for w, _ in self.terms):
             raise ValidationFailure("weights must be positive")
         if sum(w for w, _ in self.terms) != 1:
@@ -163,11 +162,14 @@ class NotInHull:
     coefficients: tuple[Fraction, ...]
     offset: Fraction
 
+    def __post_init__(self):
+        _check_types((self.coefficients, (self.offset,)), _EXACT, "an int or a Fraction")
+
     def value_at(self, obj) -> Fraction:
         flat = _flatten(obj)
         if len(flat) != len(self.coefficients):
             raise ValidationFailure("the point has not one entry per coefficient")
-        return sum((c * as_fraction(x) for c, x in zip(self.coefficients, flat)), self.offset)
+        return sum((c * x for c, x in zip(self.coefficients, flat)), self.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +614,13 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
         if not vertices:
             raise ValidationFailure("vertex list is empty")
         shape = _shape(vertices[0])
-        # keyed on the vertices' own rows; the solver refuses a later vertex
-        # whose row widths differ from the first's
-        columns = _list_paths(tuple(map(_rows_of, vertices)), sum(shape) + 1, (1,))
+        # keyed on the vertices' own rows, each value of a raw one read by
+        # as_fraction before the memo is asked; the solver refuses a later
+        # vertex whose row widths differ from the first's
+        columns = _list_paths_of(tuple(map(_rows_of, vertices)), sum(shape) + 1, (1,))
     if shape != _shape(point):
         raise ValidationFailure("vertex shape does not match the point's shape")
-    target = [as_fraction(x) for x in _flatten(point)]
-    outcome = solve_feasibility(columns, target + [ONE])
+    outcome = solve_feasibility(columns, [*_flatten(point), 1])
     if isinstance(outcome, Feasible):
         # solve_feasibility has checked A x = b in integers, the convexity
         # row included, so the weights reproduce the point
@@ -734,6 +736,7 @@ def btp_facet_audit(n: int) -> FacetAuditReport:
     so its slacks are the base ones plus the bumped cells' deltas on the
     inequalities that contain them.  A failure names the first offending
     inequality in btp_inequalities order."""
+    _integer(n, "order")
     if n < 2:
         raise ValidationFailure("order must be at least 2")
     ineqs = btp_inequalities(n)
@@ -774,8 +777,11 @@ def check_dilate(polytope: str, t: int, n: int | None = None) -> tuple[int, int]
     (n-1)^2 for tsscpp) of the polytope whose t-th dilate
     lattice_points_in_dilate counts.  Raises what that call would raise
     before any counting, and a check at the largest t clears 0..t."""
+    _integer(t, "dilation factor")
     if t < 0:
         raise ValidationFailure("dilation factor must be nonnegative")
+    if n is not None:
+        _integer(n, "order")
     if polytope == "btp":
         if n is None:
             raise ValidationFailure("btp requires the order n")
@@ -850,6 +856,7 @@ class RationalPolynomial:
     def __post_init__(self):
         if not self.coefficients:
             raise ValidationFailure("a polynomial needs at least one coefficient")
+        _check_types((self.coefficients,), _EXACT, "an int or a Fraction")
         if len(self.coefficients) > 1 and self.coefficients[-1] == 0:
             raise ValidationFailure("leading coefficient must be nonzero")
 
@@ -893,8 +900,10 @@ def ehrhart_interpolate(samples, degree: int | None = None) -> RationalPolynomia
     polynomial and every remaining sample must evaluate exactly; otherwise
     all samples are used.  Trailing zero coefficients are trimmed.
     """
-    if degree is not None and degree < 0:
-        raise ValidationFailure("degree must be nonnegative")
+    if degree is not None:
+        _integer(degree, "degree")
+        if degree < 0:
+            raise ValidationFailure("degree must be nonnegative")
     pts = sorted((as_fraction(t), as_fraction(c)) for t, c in samples)
     if not pts:
         raise InterpolationError("need at least one sample")
@@ -973,10 +982,7 @@ def affine_dimension(points) -> int:
     """Rank of the difference set {p - p0} under exact elimination.  A point
     is a matrix or triangle object, or rows of numbers, read row by row, and
     every point must have as many entries as the first."""
-    try:
-        pts = [[v if type(v) is int else as_fraction(v) for v in _flatten(p)] for p in points]
-    except TypeError as exc:
-        raise ValidationFailure(f"a point must be rows of exact numbers: {exc}") from exc
+    pts = [list(_flatten(p)) for p in points]
     if not pts:
         raise ValidationFailure("need at least one point")
     if any(len(p) != len(pts[0]) for p in pts):

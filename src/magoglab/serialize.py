@@ -18,8 +18,8 @@ import reprlib
 import sys
 from fractions import Fraction
 
-from .core import BooleanTriangle, MagogTriangle, SignMatrix, ValidationFailure
-from .polytope import ConvexDecomposition, NotInHull, RationalMatrixPoint, RationalTrianglePoint, as_fraction
+from .core import BooleanTriangle, MagogTriangle, SignMatrix, ValidationFailure, as_fraction
+from .polytope import ConvexDecomposition, NotInHull, RationalMatrixPoint, RationalTrianglePoint
 
 
 def _rat(v: Fraction) -> str:
@@ -55,7 +55,7 @@ def to_document(obj) -> dict:
             "coefficients": [_rat(c) for c in obj.coefficients],
             "offset": _rat(obj.offset),
         }
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise ValidationFailure(f"cannot serialize {type(obj).__name__}")
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -120,8 +120,8 @@ def _scalar(v):
         raise DocumentError(f"{reprlib.repr(v)} is neither an integer nor a rational string")
     if isinstance(v, str):
         try:
-            Fraction(v)
-        except (ValueError, ZeroDivisionError):
+            as_fraction(v)
+        except ValidationFailure:
             raise DocumentError(f"{reprlib.repr(v)} is not a rational") from None
     return v
 

@@ -418,6 +418,41 @@ ARGUMENT_CHECKS = {
     "affine-dimension-mixed-shapes": lambda: polytope.affine_dimension([((1, 2),), ((1,),)]),
     "polynomial-no-coefficients": lambda: polytope.RationalPolynomial(()),
     "functional-point-length": lambda: polytope.NotInHull((Fraction(1), Fraction(2)), Fraction(0)).value_at([[1]]),
+    # a float, a bool or a whole Fraction is no entry of an integer kind, and
+    # from_rows keeps only whole values: nothing is truncated
+    "sign-matrix-bool-entry": lambda: SignMatrix(2, ((True, False), (False, True))),
+    "sign-matrix-float-entry": lambda: SignMatrix(1, ((1.0,),)),
+    "sign-matrix-fraction-entry": lambda: SignMatrix(1, ((Fraction(1),),)),
+    "sign-matrix-rows-half": lambda: SignMatrix.from_rows([[Fraction(3, 2)]]),
+    "sign-matrix-rows-float": lambda: SignMatrix.from_rows([[1.9]]),
+    "magog-triangle-rows-float": lambda: MagogTriangle.from_rows([[1.0]]),
+    "boolean-triangle-bool-entry": lambda: BooleanTriangle(3, ((False,), (True, False))),
+    "boolean-triangle-rows-float": lambda: BooleanTriangle.from_rows(2, [[0.99]]),
+    "permutation-float": lambda: Permutation((1.0,)),
+    "rational-bool": lambda: polytope.as_fraction(True),
+    "rational-matrix-float": lambda: polytope.RationalMatrixPoint(1, ((1.0,),)),
+    "rational-triangle-float": lambda: polytope.RationalTrianglePoint(2, ((0.5,),)),
+    "rational-triangle-order": lambda: polytope.RationalTrianglePoint(None, ()),
+    "decomposition-float-weight": lambda: polytope.ConvexDecomposition(
+        ((0.5, SignMatrix.identity(2)), (0.5, SignMatrix.antidiagonal(2)))),
+    "lp-float-entry": lambda: lp.solve_feasibility([[0.5]], [1]),
+    "lp-float-rhs": lambda: lp.solve_feasibility([[1]], [0.5]),
+    "lp-vertex-float": lambda: polytope.lp_membership([[1]], [[[0.5]], [[1]]]),
+    "lp-column-not-a-sequence": lambda: lp.solve_feasibility([1, 2], [1]),
+    "lp-vertex-not-rows": lambda: polytope.lp_membership([[1]], [1, 2]),
+    "count-order-float": lambda: enumeration.count("asm", 2.5),
+    "count-order-text": lambda: enumeration.count("asm", "3"),
+    "dilate-t-float": lambda: polytope.lattice_points_in_dilate("btp", 1.5, n=3),
+    "facet-audit-float": lambda: polytope.btp_facet_audit(2.5),
+    "serialize-unknown": lambda: serialize.dumps(object()),
+    "boundary-position-float": lambda: enumeration.boundary_count(3, 1.0, 1),
+    "boundary-order-text": lambda: enumeration.boundary_count("3", 1, 1),
+    "inversion-profile-float": lambda: inversion_profile(SignMatrix.identity(2), 1.0, 1),
+    "theorem-suite-float": lambda: enumeration.theorem_suite(2.5),
+    "conjecture-suite-float": lambda: enumeration.conjecture_suite(3.0),
+    "interpolation-degree-float": lambda: polytope.ehrhart_interpolate([(0, 1), (1, 2)], 1.5),
+    "functional-float": lambda: polytope.NotInHull((0.5,), Fraction(1)),
+    "polynomial-float": lambda: polytope.RationalPolynomial((0.5, 1)),
 }
 
 
@@ -425,3 +460,76 @@ ARGUMENT_CHECKS = {
 def test_argument_checks_raise_validation_failure(name):
     with pytest.raises(ValidationFailure):
         ARGUMENT_CHECKS[name]()
+
+
+# a value that is not an exact number, or not one of the right type
+JUNK = (0.5, 1.0, True, None, "x", Fraction(3, 2), [0])
+
+
+# entry points and valid arguments; a junk value goes in place of one
+# argument that is a number or a word, or of one cell of an argument made
+# of rows, or, where the library reads plain rows, of one row, column or
+# vertex (``nested``)
+JUNK_CALLS = {
+    "SignMatrix": (SignMatrix, (2, ((0, 1), (1, 0))), False),
+    "SignMatrix.from_rows": (SignMatrix.from_rows, ([[0, 1], [1, 0]],), False),
+    "MagogTriangle": (MagogTriangle, (2, ((1,), (1, 2))), False),
+    "MagogTriangle.from_rows": (MagogTriangle.from_rows, ([[2], ["1", 2]],), False),
+    "BooleanTriangle": (BooleanTriangle, (3, ((1,), (0, 1))), False),
+    "BooleanTriangle.from_rows": (BooleanTriangle.from_rows, (3, [[1], [0, Fraction(1)]]), False),
+    "RationalMatrixPoint": (polytope.RationalMatrixPoint, (2, ((Fraction(1, 2), 0), (Fraction(1, 2), 1))), False),
+    "RationalMatrixPoint.from_rows": (polytope.RationalMatrixPoint.from_rows, ([["1/2", 0], [Fraction(1, 2), 1]],),
+                                      False),
+    "RationalTrianglePoint": (polytope.RationalTrianglePoint, (3, ((Fraction(1, 2),), (0, 1))), False),
+    "RationalTrianglePoint.from_rows": (polytope.RationalTrianglePoint.from_rows, (3, [["1/2"], [0, 1]]), False),
+    "btp_contains": (lambda n, rows: polytope.btp_contains(polytope.RationalTrianglePoint(n, rows)),
+                     (3, ((Fraction(1, 2),), (0, 1))), False),
+    "btp_contains-boolean": (lambda n, rows: polytope.btp_contains(BooleanTriangle(n, rows)),
+                             (3, ((1,), (0, 1))), False),
+    "solve_feasibility": (lp.solve_feasibility, ([[1, 0], [Fraction(1, 2), (1,)]], [1, "2"]), True),
+    "lp_membership": (polytope.lp_membership,
+                      ([["1/2", Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]],
+                       [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]), True),
+    "affine_dimension": (polytope.affine_dimension, ([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, "1/2"], [0, 1]]],),
+                         True),
+    "boundary_count": (enumeration.boundary_count, (3, 2, 1), False),
+    "inversion_profile": (lambda k, l: inversion_profile(SignMatrix.identity(3), k, l), (2, 1), False),
+    "theorem_suite": (enumeration.theorem_suite, (2,), False),
+    "NotInHull": (lambda c, o: polytope.NotInHull(c, o).value_at([[1, 0]]), ((Fraction(1, 2), 1), 0), False),
+    "RationalPolynomial": (lambda c, t: polytope.RationalPolynomial(c)(t), ((1, Fraction(1, 2)), 3), False),
+    "count": (enumeration.count, ("asm", 3), False),
+    "lattice_points_in_dilate": (polytope.lattice_points_in_dilate, ("btp", 2, 3), False),
+    "lattice_points_in_dilate-tsscpp3": (polytope.lattice_points_in_dilate, ("tsscpp3", 1, None), False),
+}
+
+
+def _junk_paths(value, nested, path=()):
+    """The paths into the arguments where a junk value may go: every leaf,
+    and with ``nested`` every sequence below an argument too."""
+    if isinstance(value, (list, tuple)):
+        if nested and len(path) > 1:
+            yield path
+        for k, v in enumerate(value):
+            yield from _junk_paths(v, nested, path + (k,))
+    else:
+        yield path
+
+
+def _with(value, path, new):
+    if not path:
+        return new
+    out = list(value)
+    out[path[0]] = _with(value[path[0]], path[1:], new)
+    return tuple(out) if isinstance(value, tuple) else out
+
+
+@settings(derandomize=True, max_examples=1200, deadline=None)
+@given(name=st.sampled_from(sorted(JUNK_CALLS)), data=st.data())
+def test_a_junk_value_returns_or_raises_validation_failure(name, data):
+    fn, args, nested = JUNK_CALLS[name]
+    path = data.draw(st.sampled_from(list(_junk_paths(args, nested))))
+    junk = data.draw(st.sampled_from(JUNK))
+    try:
+        fn(*_with(args, path, junk))
+    except ValidationFailure:
+        pass

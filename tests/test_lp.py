@@ -521,6 +521,20 @@ def test_an_equal_list_reuses_its_dag(family, monkeypatch):
     memo.cache_clear()
 
 
+@pytest.mark.parametrize("junk", [1.0, True])
+def test_an_inexact_list_equal_to_a_kept_one_is_refused(junk):
+    # 1.0 == 1 and True == 1 hash alike, so a caller's list is read before
+    # the memo is asked: after an exact list is solved, an equal one with a
+    # float or a bool in it is still refused
+    assert isinstance(solve_feasibility([[1], [2]], [1]), Feasible)
+    with pytest.raises(ValidationFailure):
+        solve_feasibility([[junk], [2]], [1])
+    point = [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
+    assert isinstance(lp_membership(point, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]), ConvexDecomposition)
+    with pytest.raises(ValidationFailure):
+        lp_membership(point, [[[junk, 0], [0, 1]], [[0, 1], [1, 0]]])
+
+
 def test_a_kept_list_with_another_rhs_length_is_refused():
     cols = [[0, 1, 1], [1, 0, 1]]
     assert isinstance(solve_feasibility(cols, [F(1, 2), F(1, 2), 1]), Feasible)

@@ -920,7 +920,7 @@ def test_rational_polynomial_text_skips_zero_terms_and_subtracts():
 
 
 def test_as_fraction_rejects_floats():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationFailure):
         as_fraction(0.5)
 
 
