@@ -33,14 +33,17 @@ STAT_FLAGS = {stat.replace("_", "-"): stat for stat in enumeration.STATISTICS}
 # kind, else the "enumerate" one: at n=8 the magog-family and boolean streams
 # write 10.9M lines and square-sign 268M, gapless 9.1M at n=9.  Commands sized
 # by their input file and the tables suite (bounded by its golden data) have none.
-# A tsscpp membership LP of a mix of three order-8 magog matrices, or of that
-# mix pushed off the hull, took 3-5 s there; at n=9 each took 71 s.
+# tsscpp membership at n=9: mixes of 1-40 magog matrices, their twins pushed
+# off the hull and outside points that pass every known inequality take at
+# most 1.7 s; the centre point (every entry 1/n), on no proper face, takes
+# 17 s, and 135 s at n=10.  The mixes alone would allow n=12 (at most 18.6 s,
+# 145 MiB); a 40-mix took up to 85 s at n=13.
 CEILINGS = {
     "enumerate": {"n": 7},
     "enumerate --kind gapless": {"n": 8},
     "enumerate --count": {"n": 14},
     "stats": {"n": 13},
-    "polytope membership --polytope tsscpp": {"n": 8},
+    "polytope membership --polytope tsscpp": {"n": 9},
     "polytope certify": {"n": 6},
     "polytope facets": {"n": 300},
     "ehrhart --polytope btp": {"n": 6, "tmax": 12},

@@ -84,6 +84,15 @@ def _read_rows(rows, read=as_fraction) -> tuple:
         raise ValidationFailure(f"{reprlib.repr(rows)} is not a sequence of sequences") from None
 
 
+def _lengths(rows) -> tuple[int, ...]:
+    """The length of each of a caller's rows; ValidationFailure when they
+    are not a sequence of sequences."""
+    try:
+        return tuple(map(len, rows))
+    except TypeError:
+        raise ValidationFailure(f"{reprlib.repr(rows)} is not a sequence of sequences") from None
+
+
 def _integer(v, what: str):
     """ValidationFailure unless the type of v is int; a bool, a float and a
     Fraction are not."""
@@ -147,7 +156,7 @@ class SignMatrix:
 
     def __post_init__(self):
         _guard(self.n)
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+        if _lengths(self.entries) != (self.n,) * self.n:
             raise ValidationFailure(f"entries must form an {self.n}x{self.n} matrix")
         _check_types(self.entries, _INT, "an int")
         for row in self.entries:
@@ -185,7 +194,7 @@ class MagogTriangle:
     def __post_init__(self):
         n, rows = self.n, self.rows
         _guard(n)
-        if len(rows) != n or any(len(r) != i + 1 for i, r in enumerate(rows)):
+        if _lengths(rows) != tuple(range(1, n + 1)):
             raise ValidationFailure("row i must hold exactly i entries")
         _check_types(rows, _INT, "an int")
         for i, row in enumerate(rows, start=1):
@@ -223,7 +232,7 @@ class BooleanTriangle:
 
     def __post_init__(self):
         _guard(self.n)
-        if len(self.rows) != self.n - 1 or any(len(r) != i + 1 for i, r in enumerate(self.rows)):
+        if _lengths(self.rows) != tuple(range(1, self.n)):
             raise ValidationFailure("boolean triangle of order n needs rows of lengths 1..n-1")
         _check_types(self.rows, _INT, "an int")
         for row in self.rows:

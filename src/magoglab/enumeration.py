@@ -161,10 +161,10 @@ def _path_sums(depth: int, start, moves, steps=()):
     return tallies
 
 
-def _path_max(depth: int, start, moves, weight) -> int:
+def _path_max(depth: int, start, moves, weight) -> int | None:
     """The largest sum of weight(i, emitted) over the steps i of a path of
-    _walk(depth, start, moves): the forward pass of _path_sums in the
-    max-plus semiring, one value per state."""
+    _walk(depth, start, moves), None when there is no path: the forward
+    pass of _path_sums in the max-plus semiring, one value per state."""
     layer = {start: 0}
     for i in range(1, depth + 1):
         move = moves(i)
@@ -175,7 +175,7 @@ def _path_max(depth: int, start, moves, weight) -> int:
                 if q not in nxt or v > nxt[q]:
                     nxt[q] = v
         layer = nxt
-    return max(layer.values())
+    return max(layer.values(), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,9 @@ is asked, since 1.0 == 1 and True == 1 hash alike: a float, a bool or any
 other value that is not an exact number is refused whatever the memo
 holds.  A list of typed vertices (polytope.lp_membership) is not read
 again, as its constructors have checked every entry.
-The magog row graph (polytope.MagogVertices) lists no column and is
-built once per order.  Either outcome is verified in integers on every
+The magog row graph (polytope.MagogVertices) lists no column: the hull
+LP runs on the DAG of the point's face, built per call from the row
+graph's move rule.  Either outcome is verified in integers on every
 call before it is returned, also on a kept DAG, and a failed check
 raises LPError: a solution on its basic columns as the source gives
 them, a certificate by the source's max_value, apart from the DAG (a
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -406,7 +408,10 @@ def solve_feasibility(columns, rhs) -> Feasible | Infeasible:
     ColumnPaths of its run rule (_list_paths), whose DAG is reused when an
     equal list was among the last four solved.  The outcome is checked on
     every call."""
-    m = len(rhs)
+    try:
+        m = len(rhs)
+    except TypeError:
+        raise ValidationFailure(f"right-hand side {reprlib.repr(rhs)} is not a sequence") from None
     if not isinstance(columns, ColumnPaths):
         columns = _list_paths(columns, m)
     dag = columns.dag

@@ -16,14 +16,23 @@ decomposition.  An integer
 double-description routine computes the magog hull's facets from its
 vertices once per order, and they filter its dilates at n = 3, 4; at n=3
 they are, up to the unit sums, the six inequalities tsscpp3_vertex_audit
-certifies.  For n >= 4 membership is decided by an exact LP whose columns
-are the paths of the magog row graph (MagogVertices), with no vertex list,
-and a Farkas functional returned as the non-membership certificate.
+certifies.  For n >= 4 membership is decided on the magog row graph
+(MagogVertices), with no vertex list.  A point that breaks a prefix, unit
+sum or special inequality (the core generators validate_magog reads) has
+that inequality as its certificate, with no LP.  Any other point is solved
+by the exact LP on its face: every magog matrix of a decomposition is
+tight wherever the point is, so the tight column and row prefixes filter
+the row graph's moves, and the face's paths are the LP's columns.  A
+Farkas functional on the face is lifted to the whole hull by subtracting
+a multiple of the tight prefixes' summed slack, which is 0 on the face
+and at least 1 on every other vertex, and every certificate is checked
+on every magog matrix before it is returned.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -42,9 +51,11 @@ from .core import (
     _diagonal_violations,
     _guard,
     _integer,
+    _lengths,
     _prefix_matrices,
     _read_rows,
     _special_violations,
+    _square_sign_violations,
     _trusted,
     as_fraction,
     validate_magog,
@@ -56,7 +67,8 @@ from .enumeration import (
     _raw_rows,
     _row_moves,
 )
-from .lp import ColumnPaths, Feasible, Infeasible, _ColumnDag, _list_paths_of, _scaled, solve_feasibility
+from .lp import (ColumnPaths, Feasible, Infeasible, _ColumnDag, _list_paths_of, _scaled, _verify_functional,
+                 solve_feasibility)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -77,7 +89,7 @@ class RationalMatrixPoint:
 
     def __post_init__(self):
         _guard(self.n)
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+        if _lengths(self.entries) != (self.n,) * self.n:
             raise ValidationFailure("entries must be square of order n")
         _check_types(self.entries, _EXACT, "an int or a Fraction")
 
@@ -96,7 +108,7 @@ class RationalTrianglePoint:
 
     def __post_init__(self):
         _guard(self.n)
-        if len(self.rows) != self.n - 1 or any(len(r) != i + 1 for i, r in enumerate(self.rows)):
+        if _lengths(self.rows) != tuple(range(1, self.n)):
             raise ValidationFailure("rows must have lengths 1..n-1")
         _check_types(self.rows, _EXACT, "an int or a Fraction")
 
@@ -133,10 +145,14 @@ class ConvexDecomposition:
     def __post_init__(self):
         if not self.terms:
             raise ValidationFailure("a decomposition needs at least one term")
-        _check_types((tuple(w for w, _ in self.terms),), _EXACT, "an int or a Fraction")
-        if any(w <= 0 for w, _ in self.terms):
+        try:
+            weights = tuple(w for w, _ in self.terms)
+        except (TypeError, ValueError):
+            raise ValidationFailure("each term must be a (weight, vertex) pair") from None
+        _check_types((weights,), _EXACT, "an int or a Fraction")
+        if any(w <= 0 for w in weights):
             raise ValidationFailure("weights must be positive")
-        if sum(w for w, _ in self.terms) != 1:
+        if sum(weights) != 1:
             raise ValidationFailure("weights must sum to one exactly")
         if len({_shape(v) for _, v in self.terms}) != 1:
             raise ValidationFailure("vertices must all have the same shape")
@@ -524,10 +540,76 @@ def btp_decompose(p: RationalTrianglePoint | BooleanTriangle) -> ConvexDecomposi
 
 
 @functools.lru_cache(maxsize=4)
+def _magog_rule(n: int):
+    """(moves, bits) of the magog row graph of order n: moves(i) maps a
+    state, the last triangle row, to its (matrix row, next row) moves
+    (_row_moves), listed on the state's first visit and kept, with equal
+    matrix rows and states held once; bits maps each state met to its
+    mask, bit v-1 per entry v.  Kept for the last four orders asked for."""
+    move = _row_moves(n, "magog", matrix=True)(1)
+    listed, bits, items = {}, {(): 0}, {}
+
+    def moves_of(prev):
+        out = listed.get(prev)
+        if out is None:
+            out = []
+            for item, row in move(prev):
+                if row not in bits:
+                    bits[row] = sum(1 << (v - 1) for v in row)
+                out.append((items.setdefault(item, item), row))
+            out = listed[prev] = tuple(out)
+        return out
+
+    return (lambda i: moves_of), bits
+
+
+@functools.lru_cache(maxsize=4)
 def _magog_dag(n: int) -> _ColumnDag:
     """The column DAG of MagogVertices(n), which depends on n alone: built
     on first use and kept for the last four orders asked for."""
-    return _ColumnDag.of_paths(n, (), _row_moves(n, "magog", matrix=True), n * n + 1, tail=(1,))
+    return _ColumnDag.of_paths(n, (), _magog_rule(n)[0], n * n + 1, tail=(1,))
+
+
+def _magog_matrix(n: int, dag: _ColumnDag, j: int) -> SignMatrix:
+    """Column j of a column DAG built from a magog move rule, read down the
+    DAG by its counts and rebuilt through the checking SignMatrix
+    constructor and validate_magog; DecompositionError when it is not a
+    magog matrix followed by the convexity item 1."""
+    *rows, one = dag.column(j)
+    try:
+        matrix = SignMatrix(n, tuple(rows))
+    except ValidationFailure as exc:
+        raise DecompositionError(f"row-graph column {j} is not a sign matrix: {exc}") from exc
+    if one != 1 or not validate_magog(matrix).valid:
+        raise DecompositionError(f"row-graph column {j} is not a magog matrix")
+    return matrix
+
+
+def _magog_max(n: int, moves, y) -> int | None:
+    """The largest y.(A, 1) over the matrices A of a magog move rule
+    ``moves``, for integer y: one max-plus pass over the rule (_path_max),
+    apart from any DAG; None when the rule has no path."""
+    rows = [y[k * n:(k + 1) * n] for k in range(n)]
+    top = _path_max(n, (), moves, lambda i, row: sum(map(operator.mul, rows[i - 1], row)))
+    return None if top is None else top + y[-1]
+
+
+def _magog_paths(n: int, dag: _ColumnDag, moves, rebuilt: dict) -> ColumnPaths:
+    """The columns (A, 1) of a DAG built from the magog move rule ``moves``
+    (the row graph's, or a face's), with its routes apart from the DAG:
+    column j is _magog_matrix(n, dag, j), also put in ``rebuilt`` by j, and
+    max_value is _magog_max over ``moves``, 0 when it has no path (as for
+    a list of no column)."""
+
+    def column(j):
+        matrix = rebuilt[j] = _magog_matrix(n, dag, j)
+        return (*matrix.entries, 1)
+
+    def max_value(y):
+        top = _magog_max(n, moves, y)
+        return 0 if top is None else top
+
+    return ColumnPaths(dag, column, max_value)
 
 
 class MagogVertices:
@@ -535,92 +617,233 @@ class MagogVertices:
     enumerate_objects order, held as the paths of the magog row graph and
     not as a list.
 
-    The hull LP reads them as a column DAG built from the move rules
-    (_row_moves): a node per (step, triangle row) state, an edge per move
-    labelled with its matrix row, and the DAG's tail, the convexity item 1,
-    at the end of every path.  The DAG is built once per n in a process,
-    on the first MagogVertices(n), and shared by every later one while n
-    is among the last four orders asked for.
-    ``vertices[j]`` reads matrix j down that DAG by its counts and builds
-    it, on every read, through the checking SignMatrix constructor and
-    validate_magog."""
+    They are read as a column DAG built from the move rules (_row_moves):
+    a node per (step, triangle row) state, an edge per move labelled with
+    its matrix row, and the DAG's tail, the convexity item 1, at the end of
+    every path.  The DAG is built once per n in a process, on the first
+    read of len(), an index or hull_columns(), and shared by every
+    MagogVertices(n) while n is among the last four orders asked for;
+    lp_membership does not read it, as it solves on a DAG of the point's
+    face built for the call.  ``vertices[j]`` reads matrix j down that DAG
+    by its counts and builds it, on every read, through the checking
+    SignMatrix constructor and validate_magog."""
 
     def __init__(self, n: int):
         _guard(n)
         self.n = n
-        self._dag = _magog_dag(n)
+
+    @property
+    def _dag(self) -> _ColumnDag:
+        return _magog_dag(self.n)
 
     def __len__(self) -> int:
         return self._dag.counts[-1]
 
     def __getitem__(self, j: int) -> SignMatrix:
-        *rows, one = self._dag.column(j)
-        try:
-            matrix = SignMatrix(self.n, tuple(rows))
-        except ValidationFailure as exc:
-            raise DecompositionError(f"row-graph column {j} is not a sign matrix: {exc}") from exc
-        if one != 1 or not validate_magog(matrix).valid:
-            raise DecompositionError(f"row-graph column {j} is not a magog matrix")
-        return matrix
+        return _magog_matrix(self.n, self._dag, j)
 
     def hull_columns(self, rebuilt=None) -> ColumnPaths:
         """The columns (A, 1) of the hull LP, one per magog matrix A: a
         solution is checked on the matrices rebuilt by ``self[j]``, each
         also put in the dict ``rebuilt`` by j when one is given, and a
         certificate by a max-plus pass over the row graph."""
-        if rebuilt is None:
-            rebuilt = {}
-
-        def column(j):
-            matrix = rebuilt[j] = self[j]
-            return (*matrix.entries, 1)
-
-        return ColumnPaths(self._dag, column, self._max_value)
+        return _magog_paths(self.n, self._dag, _magog_rule(self.n)[0], {} if rebuilt is None else rebuilt)
 
     def _max_value(self, y) -> int:
         """The largest y.(A, 1) over the magog matrices A, for integer y:
-        one max-plus pass over the move rules (_path_max), apart from the
-        DAG."""
-        n = self.n
-        parts = [y[k * n:(k + 1) * n] for k in range(n)]
-        top = _path_max(n, (), _row_moves(n, "magog", matrix=True),
-                        lambda i, row: sum(map(operator.mul, parts[i - 1], row)))
-        return top + y[-1]
+        _magog_max over the row graph, which has a path at every n."""
+        return _magog_max(self.n, _magog_rule(self.n)[0], y)
+
+
+# the bounds (lower, upper; None for none) that every magog matrix keeps on
+# the quantity each violation label of core._square_sign_violations and
+# core._special_violations names
+_MAGOG_BOUNDS = {"column-prefix": (0, 1), "column-sum": (1, 1), "row-prefix": (0, None),
+                 "row-sum": (1, 1), "special": (0, None)}
+
+
+def _magog_slack(n: int, label: str, index: tuple, upper: bool) -> list[int]:
+    """The slack of one side of a magog inequality, named as the core
+    violation generators name it, as the integer vector (coefficients over
+    the cells row-major, then the offset) of an affine function that is
+    >= 0 on every magog matrix: the quantity less its lower bound, or with
+    ``upper`` its upper bound less the quantity.  The quantities are a
+    column prefix (i, j) or sum (j,), a row prefix (i, j) or sum (i,), and
+    the (i, j)-special sum, row i+1 through column j plus column j+1
+    through row i+1 less column j through row i."""
+    form = [0] * (n * n + 1)
+
+    def add(cells, c):
+        for i, j in cells:
+            form[i * n + j] += c
+
+    if label == "column-prefix":
+        i, j = index
+        add(((k, j - 1) for k in range(i)), 1)
+    elif label == "column-sum":
+        (j,) = index
+        add(((k, j - 1) for k in range(n)), 1)
+    elif label == "row-prefix":
+        i, j = index
+        add(((i - 1, k) for k in range(j)), 1)
+    elif label == "row-sum":
+        (i,) = index
+        add(((i - 1, k) for k in range(n)), 1)
+    elif label == "special":
+        i, j = index
+        add(((i, k) for k in range(j)), 1)
+        add(((k, j) for k in range(i + 1)), 1)
+        add(((k, j - 1) for k in range(i)), -1)
+    else:
+        raise DecompositionError(f"no magog inequality is named {label!r}")
+    low, high = _MAGOG_BOUNDS[label]
+    if upper:
+        return [-c for c in form[:-1]] + [high]
+    form[-1] = -low
+    return form
+
+
+def _tight_prefixes(col, rowp):
+    """(label, index, upper) as _magog_slack takes them, of each prefix
+    inequality that a point with the prefix matrices col and rowp meets
+    with equality: a column prefix of 0 (its lower side) or 1 (upper), and
+    a row prefix of 0."""
+    n = len(col)
+    for i in range(n):
+        for j in range(n):
+            if col[i][j] in (0, 1):
+                yield "column-prefix", (i + 1, j + 1), col[i][j] == 1
+            if rowp[i][j] == 0:
+                yield "row-prefix", (i + 1, j + 1), False
+
+
+def _face_masks(n: int, tight) -> list[tuple[int, int, tuple]]:
+    """Per step i of the magog row graph, the face filter of the tight
+    prefixes ``tight`` (_tight_prefixes): (fixed, ones, cuts), where a
+    tight column prefix (i, j) puts bit j-1 in fixed, and in ones when it
+    is 1, and a row prefix (i, j) of 0 puts the mask of columns 1..j in
+    cuts.  A triangle row r (bit v-1 per entry v) after prev lies on the
+    face when r & fixed == ones and r and prev hold as many entries under
+    every mask of cuts."""
+    fixed, ones, cuts = [0] * n, [0] * n, [[] for _ in range(n)]
+    for label, (i, j), upper in tight:
+        if label == "column-prefix":
+            fixed[i - 1] |= 1 << (j - 1)
+            ones[i - 1] |= upper << (j - 1)
+        else:
+            cuts[i - 1].append((1 << j) - 1)
+    return list(zip(fixed, ones, map(tuple, cuts)))
+
+
+def _face_moves(n: int, masks):
+    """moves(i) of the magog row graph (_magog_rule), less the moves off
+    the face that ``masks`` (_face_masks) describe."""
+    step, bits = _magog_rule(n)
+
+    def moves(i):
+        move = step(i)
+        fixed, ones, cuts = masks[i - 1]
+        if not fixed and not cuts:
+            return move
+
+        def face_move(prev):
+            p = bits[prev]
+            kept = [(p & low).bit_count() for low in cuts]
+            out = []
+            for item, row in move(prev):
+                r = bits[row]
+                if r & fixed == ones and all((r & low).bit_count() == c for low, c in zip(cuts, kept)):
+                    out.append((item, row))
+            return out
+
+        return face_move
+
+    return moves
+
+
+def _magog_membership(rows, vertices: MagogVertices):
+    """(the rebuilt matrices by column, Feasible or NotInHull) for the
+    point whose rows are ``rows`` in the hull of ``vertices``.
+
+    The point's prefix matrices are formed once (core._prefix_matrices).
+    The first violation that core._square_sign_violations and
+    core._special_violations yield on them is its own certificate: that
+    side's slack, negated (_magog_slack).  Otherwise every magog matrix
+    of a decomposition is tight wherever the point is, so the LP runs on
+    the point's face: the row graph filtered by its tight column and row
+    prefixes (_face_moves), built by _ColumnDag.of_paths.  A face
+    certificate y is lifted to y - mu * g, where g, the sum of the tight
+    prefixes' slacks, is 0 on the face and the point and at least 1 on
+    every other vertex, and mu = max(0, the largest y.(A, 1) over the
+    whole row graph).  Each certificate is checked by _verify_functional
+    on the whole row graph (vertices._max_value) before it is returned."""
+    n = vertices.n
+    rhs = [*(v for row in rows for v in row), 1]
+    b = _scaled(rhs)[1]
+    col, rowp = _prefix_matrices(rows)
+    violation = next(itertools.chain(_square_sign_violations(col, rowp), _special_violations(col, rowp)), None)
+    if violation is not None:
+        label, index = violation
+        slack = _magog_slack(n, label, index, False)
+        if sum(map(operator.mul, slack, b)) >= 0:
+            slack = _magog_slack(n, label, index, True)
+        y = [-v for v in slack]
+    else:
+        tight = list(_tight_prefixes(col, rowp))
+        moves = _face_moves(n, _face_masks(n, tight))
+        vertex = {}
+        columns = _magog_paths(n, _ColumnDag.of_paths(n, (), moves, n * n + 1, tail=(1,)), moves, vertex)
+        outcome = solve_feasibility(columns, rhs)
+        if isinstance(outcome, Feasible):
+            return vertex, outcome
+        # solve_feasibility has checked y.(A, 1) <= 0 on the face
+        g = list(map(sum, zip([0] * (n * n + 1), *(_magog_slack(n, *t) for t in tight))))
+        y = _scaled(outcome.y)[1]
+        mu = max(0, vertices._max_value(y))
+        y = [a - mu * c for a, c in zip(y, g)]
+    _verify_functional(y, vertices._max_value(y), b)
+    return {}, NotInHull(tuple(map(Fraction, y[:-1])), Fraction(y[-1]))
 
 
 def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
     """Exact membership of a point in the convex hull of the vertices, via
     phase-one simplex.  The vertices are an explicit list, or
-    MagogVertices(n) for the tsscpp hull, which the LP reads as the paths
-    of the row graph.  The point is a rational point or an integer object
-    of the vertices' shape.  Returns a reproducing decomposition or a
-    verified separating functional.
+    MagogVertices(n) for the tsscpp hull, which is solved on the point's
+    face of the row graph (_magog_membership).  The point is a rational
+    point or an integer object of the vertices' shape.  Returns a
+    reproducing decomposition or a verified separating functional.
 
-    This picks the LP's column source and nothing more: a list of columns
-    (A, 1), each vertex's rows as items and the convexity item after them,
-    whose run-rule DAG is kept for the last four lists and reused for an
-    equal list (lp._list_paths), or MagogVertices(n)'s columns, on the DAG
-    built once per n.  Every call checks its outcome in integers: a
-    decomposition on its basic columns as the source gives them (each
-    basic magog matrix rebuilt and checked once, and taken as the term), a
-    certificate on every vertex."""
+    A list gives columns (A, 1), each vertex's rows as items and the
+    convexity item after them, whose run-rule DAG is kept for the last
+    four lists and reused for an equal list (lp._list_paths).  On
+    MagogVertices(n), a point that breaks a prefix, sum or special
+    inequality gets that inequality as its certificate with no LP; any
+    other is solved on the DAG of its face, and a face certificate is
+    lifted to one for the whole hull.  Every call checks its outcome in
+    integers: a decomposition on its basic columns as the source gives
+    them (each basic magog matrix rebuilt and checked once, and taken as
+    the term), a certificate on every vertex (for the tsscpp hull, by a
+    max-plus pass over the whole row graph)."""
     if isinstance(vertices, MagogVertices):
-        shape = (vertices.n,) * vertices.n
-        # a term's vertex is the matrix the solver's check rebuilt
-        vertex = {}
-        columns = vertices.hull_columns(vertex)
+        rows = _rows_of(point)
+        if _shape(rows) != (vertices.n,) * vertices.n:
+            raise ValidationFailure("vertex shape does not match the point's shape")
+        vertex, outcome = _magog_membership(rows, vertices)
     else:
         vertex = vertices = list(vertices)
         if not vertices:
             raise ValidationFailure("vertex list is empty")
-        shape = _shape(vertices[0])
         # keyed on the vertices' own rows, each value of a raw one read by
         # as_fraction before the memo is asked; the solver refuses a later
         # vertex whose row widths differ from the first's
+        shape = _shape(vertices[0])
         columns = _list_paths_of(tuple(map(_rows_of, vertices)), sum(shape) + 1, (1,))
-    if shape != _shape(point):
-        raise ValidationFailure("vertex shape does not match the point's shape")
-    outcome = solve_feasibility(columns, [*_flatten(point), 1])
+        if shape != _shape(point):
+            raise ValidationFailure("vertex shape does not match the point's shape")
+        outcome = solve_feasibility(columns, [*_flatten(point), 1])
+        if isinstance(outcome, Infeasible):
+            # solve_feasibility has checked y.(v, 1) <= 0 on every vertex v
+            outcome = NotInHull(coefficients=outcome.y[:-1], offset=outcome.y[-1])
     if isinstance(outcome, Feasible):
         # solve_feasibility has checked A x = b in integers, the convexity
         # row included, so the weights reproduce the point
@@ -628,13 +851,9 @@ def lp_membership(point, vertices) -> ConvexDecomposition | NotInHull:
             return ConvexDecomposition(tuple((w, vertex[j]) for j, w in sorted(outcome.x.items())))
         except ValidationFailure as exc:
             raise DecompositionError(f"feasible basis is not a convex decomposition: {exc}") from exc
-    assert isinstance(outcome, Infeasible)
-    # solve_feasibility has checked y.(v, 1) <= 0 on every vertex v
-    y = outcome.y
-    cert = NotInHull(coefficients=y[:-1], offset=y[-1])
-    if cert.value_at(point) <= 0:
+    if outcome.value_at(point) <= 0:
         raise DecompositionError("separating functional fails on the point")
-    return cert
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +1062,9 @@ def _magog_facets(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(facets)
 
 
-class InterpolationError(ValueError):
-    """Samples are insufficient or mutually inconsistent."""
+class InterpolationError(ValidationFailure):
+    """A caller's samples are insufficient or mutually inconsistent; the CLI
+    reports it with exit 1."""
 
 
 @dataclass(frozen=True)
@@ -904,7 +1124,11 @@ def ehrhart_interpolate(samples, degree: int | None = None) -> RationalPolynomia
         _integer(degree, "degree")
         if degree < 0:
             raise ValidationFailure("degree must be nonnegative")
-    pts = sorted((as_fraction(t), as_fraction(c)) for t, c in samples)
+    try:
+        pairs = [(t, c) for t, c in samples]
+    except (TypeError, ValueError):
+        raise ValidationFailure("samples must be (t, count) pairs") from None
+    pts = sorted((as_fraction(t), as_fraction(c)) for t, c in pairs)
     if not pts:
         raise InterpolationError("need at least one sample")
     if len({t for t, _ in pts}) != len(pts):

@@ -426,16 +426,16 @@ MEMBERSHIP_PINS = {
     "n4-outside-passing": (
         {"kind": "matrix", "n": 4, "entries": [["1/2", "0", "1/2", "0"], ["0", "1/2", "0", "1/2"],
                                                ["1/2", "0", "0", "1/2"], ["0", "1/2", "1/2", "0"]]},
-        1, "36695468f3f05662bd253614c4466d02e704d8ec1e15f3a347641ce25707ce00"),
+        1, "b4b547c2da1fca500ee8860ad8aec4d6bbd6974f0fd1bb4ae528a3df849bb4e5"),
     "n5-member": (
         {"kind": "matrix", "n": 5, "entries": [["0", "2/7", "0", "4/7", "1/7"], ["0", "0", "6/7", "-3/7", "4/7"],
                                                ["4/7", "1/7", "1/7", "2/7", "-1/7"],
                                                ["3/7", "4/7", "-1/7", "4/7", "-3/7"], ["0", "0", "1/7", "0", "6/7"]]},
-        0, "6942b837ac02f0ccdbd462e434f4aff6c31414a2c0155bc7da0d4b16d8c9563c"),
+        0, "ffec75ebbae18988e22cf2fb8440ac1981320383ba369ac5c9e061910e2f6be4"),
     "n5-nonmember": (
         {"kind": "matrix", "n": 5, "entries": [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 1, -1, 0, 1],
                                                [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]},
-        1, "5f5802e6690f9543e722b79f8491ff936c74108cbe501ebe7d860c9f32455380"),
+        1, "aee6c5cad9992ca9d8b07c80d119bceda9df1b694969cb5510d6ff9d517138c6"),
 }
 
 

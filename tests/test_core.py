@@ -453,6 +453,14 @@ ARGUMENT_CHECKS = {
     "interpolation-degree-float": lambda: polytope.ehrhart_interpolate([(0, 1), (1, 2)], 1.5),
     "functional-float": lambda: polytope.NotInHull((0.5,), Fraction(1)),
     "polynomial-float": lambda: polytope.RationalPolynomial((0.5, 1)),
+    # a row, a right-hand side or a term that is not a sequence or a pair
+    "sign-matrix-row-not-a-sequence": lambda: SignMatrix(1, (5,)),
+    "boolean-triangle-row-not-a-sequence": lambda: BooleanTriangle(2, (None,)),
+    "rational-triangle-row-not-a-sequence": lambda: polytope.RationalTrianglePoint(2, (Fraction(1, 2),)),
+    "lp-rhs-not-a-sequence": lambda: lp.solve_feasibility([[1]], 0.5),
+    "decomposition-term-not-a-pair": lambda: polytope.ConvexDecomposition((Fraction(1, 2),)),
+    "interpolation-repeated-t": lambda: polytope.ehrhart_interpolate([(0, 1), (0, 2)]),
+    "interpolation-inconsistent": lambda: polytope.ehrhart_interpolate([(0, 1), (Fraction(3, 2), 2), (2, 3)], 1),
 }
 
 
@@ -500,6 +508,7 @@ JUNK_CALLS = {
     "count": (enumeration.count, ("asm", 3), False),
     "lattice_points_in_dilate": (polytope.lattice_points_in_dilate, ("btp", 2, 3), False),
     "lattice_points_in_dilate-tsscpp3": (polytope.lattice_points_in_dilate, ("tsscpp3", 1, None), False),
+    "ehrhart_interpolate": (polytope.ehrhart_interpolate, ([(0, 1), (1, 3), (2, 5)], 1), True),
 }
 
 

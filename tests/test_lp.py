@@ -362,11 +362,31 @@ def magog_batch(family, seed=20261020):
             yield SignMatrix.from_rows(rng.choice(magog))
 
 
+def recheck_magog_answer(point, outcome, listed):
+    """An answer for the tsscpp hull checked apart from the solver, on the
+    listed magog matrices: a decomposition reproduces the point from
+    listed matrices, and a certificate is positive at the point and at
+    most 0 on every listed matrix."""
+    if isinstance(outcome, ConvexDecomposition):
+        assert outcome.reconstruct() == tuple(map(tuple, point.entries))
+        assert all(vertex in listed for _, vertex in outcome.terms)
+    else:
+        assert outcome.value_at(point) > 0
+        assert all(outcome.value_at(vertex) <= 0 for vertex in listed)
+
+
 def test_row_graph_path_answers_as_the_vertex_list(family):
+    # the row-graph path solves on the point's face, the list on every
+    # vertex, so the two end in other bases: the outcome kinds agree, and
+    # each answer is checked on its own
     outcomes = set()
     for point in magog_batch(family):
-        listed = lp_membership(point, family("magog_matrix", point.n))
-        assert serialize.dumps(lp_membership(point, MagogVertices(point.n))) == serialize.dumps(listed)
+        vertices = family("magog_matrix", point.n)
+        listed = lp_membership(point, vertices)
+        face = lp_membership(point, MagogVertices(point.n))
+        assert type(face) is type(listed)
+        recheck_magog_answer(point, listed, vertices)
+        recheck_magog_answer(point, face, vertices)
         outcomes.add(type(listed))
     assert outcomes == {ConvexDecomposition, NotInHull}
 
@@ -405,17 +425,26 @@ def test_max_plus_pass_checks_certificates(family):
 
 
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
-def test_row_graph_answers_hold_with_the_dag_memo(family, monkeypatch, warm):
-    # cold: every MagogVertices builds its DAG on a cleared memo; warm: all
-    # but the first of each order take it from the memo
-    memo = polytope._magog_dag
+def test_row_graph_answers_hold_with_the_rule_memo(family, monkeypatch, warm):
+    # cold: every read of the magog rule lists its moves afresh; warm: all
+    # but the first of each order take the kept lists
+    memo = polytope._magog_rule
     memo.cache_clear()
     if not warm:
-        monkeypatch.setattr(polytope, "_magog_dag", lambda n: (memo.cache_clear(), memo(n))[1])
+        monkeypatch.setattr(polytope, "_magog_rule", lambda n: (memo.cache_clear(), memo(n))[1])
     test_row_graph_path_answers_as_the_vertex_list(family)
     hits = memo.cache_info().hits
     assert hits >= 40 if warm else hits == 0
     memo.cache_clear()
+
+
+def test_lp_membership_on_magog_vertices_builds_no_row_graph_dag():
+    # the LP runs on the DAG of the point's face, built for the call
+    polytope._magog_dag.cache_clear()
+    point = RationalMatrixPoint.from_rows(_combination([1, 2], [SignMatrix.identity(5).entries,
+                                                                SignMatrix.antidiagonal(5).entries]))
+    assert isinstance(lp_membership(point, MagogVertices(5)), ConvexDecomposition)
+    assert polytope._magog_dag.cache_info().currsize == 0
 
 
 def test_a_list_changed_in_place_is_solved_afresh(family):

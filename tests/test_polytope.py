@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -36,6 +38,7 @@ from magoglab import (
     verify_vertex_certificates,
 )
 from magoglab import golden, lp, polytope, serialize
+from magoglab.core import _prefix_matrices, _special_violations, _square_sign_violations
 from magoglab.enumeration import _boolean_moves, _count_boolean_rows, _iter_square_sign_rows, _path_sums
 from magoglab.lp import Feasible, LPError
 from magoglab.polytope import (
@@ -783,6 +786,130 @@ def test_order_5_lp_membership_agrees_with_the_facets(family):
         outcomes.append(inside)
     assert outcomes[:20:2] == [True] * 10 and False in outcomes[1:20:2]
     assert {True, False} <= set(outcomes[20:26])
+
+
+def _tight_vertices(rows, listed):
+    """The listed (entries, column prefixes, row prefixes) whose matrices
+    are tight wherever the point of these rows is: the same column prefix
+    where the point's is 0 or 1, and a row prefix of 0 where the point's
+    is 0."""
+    col, rowp = _prefix_matrices(rows)
+    cells = list(itertools.product(range(len(rows)), repeat=2))
+    fixed = [(i, j) for i, j in cells if col[i][j] in (0, 1)]
+    cut = [(i, j) for i, j in cells if rowp[i][j] == 0]
+    return [entries for entries, vc, vr in listed
+            if all(vc[i][j] == col[i][j] for i, j in fixed) and all(vr[i][j] == 0 for i, j in cut)]
+
+
+def _face_route_points(rng, n, magog, others):
+    """Seeded points of order n: mixes of k magog matrices, each with two
+    twins (a first-row zero pushed to -1/97 with the unit sums kept, and
+    the mix pushed on away from one of its matrices), integer matrices
+    that are not sign matrices, and mixes with a non-magog sign matrix
+    that pass check_necessary_inequalities."""
+    def mix(row_lists):
+        weights = [rng.randint(1, 9) for _ in row_lists]
+        total = sum(weights)
+        return [[sum(F(w, total) * rows[i][j] for w, rows in zip(weights, row_lists)) for j in range(n)]
+                for i in range(n)]
+
+    points = []
+    for k in (1, 2, 3, 5, 10):
+        chosen = rng.sample(magog, min(k, len(magog)))
+        rows = mix(chosen)
+        away = [[v + (v - a) / 7 for v, a in zip(row, vertex)] for row, vertex in zip(rows, chosen[0])]
+        points += [rows, away]
+        if 0 in rows[0]:
+            off = [list(row) for row in rows]
+            j, l = off[0].index(0), next(l for l, v in enumerate(off[0]) if v > 0)
+            e = F(1, 97)
+            off[0][j], off[0][l], off[1][j], off[1][l] = off[0][j] - e, off[0][l] + e, off[1][j] + e, off[1][l] - e
+            points.append(off)
+    for _ in range(3):
+        # +-1 on a 2 x 2 block keeps the unit sums
+        rows = [list(row) for row in rng.choice(magog)]
+        i, j = rng.randrange(n - 1), rng.randrange(n - 1)
+        for di, dj, sign in ((0, 0, 1), (1, 1, 1), (0, 1, -1), (1, 0, -1)):
+            rows[i + di][j + dj] += sign
+        points.append(rows)
+    passing = 0
+    while passing < 12:
+        rows = mix(rng.sample(magog, rng.randint(1, 3)) + [rng.choice(others)])
+        if check_necessary_inequalities(RationalMatrixPoint.from_rows(rows)).valid:
+            points.append(rows)
+            passing += 1
+    return points
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_face_route_agrees_with_the_facets_and_the_listed_vertices(family, n):
+    # a second route for lp_membership on the row graph, which solves on the
+    # point's face: every answer is checked on the listed magog matrices,
+    # the outcome equals the verdict of the hull's facets (_magog_facets,
+    # double description, for n <= 5), and the face's columns are the
+    # listed matrices tight wherever the point is
+    listed = [(m.entries, *_prefix_matrices(m.entries)) for m in family("magog_matrix", n)]
+    magog = [entries for entries, _, _ in listed]
+    others = [m.entries for m in family("square_sign", n) if not classify(m).magog]
+    facets = _magog_facets(n) if n <= 5 else None
+    kinds = collections.Counter()
+    for rows in _face_route_points(random.Random(20261023 + n), n, magog, others):
+        point = RationalMatrixPoint.from_rows(rows)
+        outcome = lp_membership(point, MagogVertices(n))
+        member = isinstance(outcome, ConvexDecomposition)
+        if member:
+            assert outcome.reconstruct() == tuple(map(tuple, rows))
+            assert {vertex.entries for _, vertex in outcome.terms} <= set(magog)
+        else:
+            scale = math.lcm(*(c.denominator for c in (*outcome.coefficients, outcome.offset)))
+            y = [int(c * scale) for c in (*outcome.coefficients, outcome.offset)]
+            assert outcome.value_at(point) > 0
+            assert all(sum(map(operator.mul, y, (*itertools.chain(*m), 1))) <= 0 for m in magog)
+        if facets is not None:
+            flat = [v for row in rows for v in row]
+            inside = (all(sum(row) == 1 for row in rows) and all(sum(col) == 1 for col in zip(*rows))
+                      and all(sum(a * x for a, x in zip(row, flat)) >= rhs for row, rhs in facets))
+            assert member == inside, rows
+        col, rowp = _prefix_matrices(rows)
+        if not any(itertools.chain(_square_sign_violations(col, rowp), _special_violations(col, rowp))):
+            moves = polytope._face_moves(n, polytope._face_masks(n, polytope._tight_prefixes(col, rowp)))
+            dag = lp._ColumnDag.of_paths(n, (), moves, n * n + 1, tail=(1,))
+            face = [dag.column(j)[:-1] for j in range(dag.counts[-1])]
+            assert sorted(face) == sorted(_tight_vertices(rows, listed))
+            kinds["face member" if member else "face non-member"] += 1
+        else:
+            kinds["violated"] += 1
+    assert kinds["violated"] and kinds["face member"]
+    if n in (4, 5):
+        assert kinds["face non-member"]
+
+
+def test_order_9_three_mix_and_its_twin_answer_on_the_face():
+    # the seeded order-9 mix of three magog matrices, as built in
+    # test_order_7_membership_answers_are_checked_again, took 329 s on the
+    # whole row graph; on its face it is a small LP.  Its twin has a
+    # first-row zero pushed to -1/97, a column prefix below 0
+    n = 9
+    rng = random.Random(20261022)
+    vertices = MagogVertices(n)
+    chosen = [vertices[rng.randrange(len(vertices))] for _ in range(3)]
+    weights = [rng.randint(1, 9) for _ in chosen]
+    rows = [[sum(F(w, sum(weights)) * m.entries[i][j] for w, m in zip(weights, chosen)) for j in range(n)]
+            for i in range(n)]
+    e = F(1, 97)
+    j = rows[0].index(0)
+    k = next(k for k, v in enumerate(rows[0]) if v > 0)
+    off = [list(row) for row in rows]
+    off[0][j], off[0][k], off[1][j], off[1][k] = off[0][j] - e, off[0][k] + e, off[1][j] + e, off[1][k] - e
+
+    member = lp_membership(RationalMatrixPoint.from_rows(rows), vertices)
+    assert member.reconstruct() == tuple(map(tuple, rows))
+    assert all(classify(vertex).magog for _, vertex in member.terms)
+    point = RationalMatrixPoint.from_rows(off)
+    cert = lp_membership(point, vertices)
+    assert cert.value_at(point) > 0
+    scale = math.lcm(*(c.denominator for c in (*cert.coefficients, cert.offset)))
+    assert vertices.hull_columns().max_value([int(c * scale) for c in (*cert.coefficients, cert.offset)]) <= 0
 
 
 def test_order_4_dilates_and_the_audit_call_no_lp(monkeypatch):

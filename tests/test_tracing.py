@@ -47,7 +47,8 @@ def test_traced_stream_prints_the_untraced_stdout(capsys):
 
 
 def test_traced_tsscpp_membership_runs(tmp_path, capsys):
-    # the tracer takes len() of the columns solve_feasibility is given
+    # the tracer takes len() of the columns solve_feasibility is given: the
+    # identity's face holds the identity alone, as every prefix is 0 or 1
     spans = _spans()
     from magoglab import SignMatrix, cli, serialize
 
@@ -61,7 +62,7 @@ def test_traced_tsscpp_membership_runs(tmp_path, capsys):
     finally:
         restore()
     assert code == 0 and capsys.readouterr().out.startswith('{"terms":')
-    assert spans.layer_metrics(tracer)["lp.solve.columns"] == 42
+    assert spans.layer_metrics(tracer)["lp.solve.columns"] == 1
     assert spans.layer_metrics(tracer)["polytope.lp_membership.calls"] == 1
 
 
