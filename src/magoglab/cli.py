@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -67,10 +66,6 @@ def _emit(text: str):
     sys.stdout.write(text + "\n")
 
 
-# lines per write of a stream: few writes, and never the whole stream held
-_CHUNK_LINES = 128
-
-
 def _cmd_enumerate(args) -> int:
     kind = KIND_FLAGS[args.kind]
     if args.count:
@@ -79,11 +74,13 @@ def _cmd_enumerate(args) -> int:
         return 0
     command = f"enumerate --kind {args.kind}"
     _check_ceiling(command if command in CEILINGS else "enumerate", n=args.n)
-    # each object's rows as their texts, made once per edge of the walk
-    cls, texts = enumeration._stream(kind, args.n, serialize._row_text)
+    # each object's rows as their texts, made once per row the stream holds
+    # and read once per edge of the walk, in blocks that serialize joins once
+    # per state and writes a chunk at a time
+    cls, blocks = enumeration._stream(kind, args.n, serialize._RowTexts().__getitem__)
     write = sys.stdout.write
-    while chunk := list(itertools.islice(texts, _CHUNK_LINES)):
-        write(serialize._rows_documents(cls, args.n, chunk))
+    for text in serialize._rows_documents(cls, args.n, blocks):
+        write(text)
     return 0
 
 

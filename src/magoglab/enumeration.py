@@ -20,11 +20,17 @@ own pass over states packed into ints: a cell moves a whole layer, each
 next state taking a range sum over the states that differ from it only in
 the cell's two columns (_boolean_transfer), not one update per edge.
 
-enumerate_objects builds each path of the walk into its typed object.
-The CLI's stream builds none: the walk maps each emitted row to its JSON
-text as it lists a state's moves (_walk's ``emit``), so a row is encoded
-once per edge of the move rule, not once per object, and
-serialize._rows_documents joins each path's texts into its line.
+The walk hands over its paths in blocks: each state with at most
+_CHUNK_LINES completions (the paths on from it) keeps their list, built
+once per walk from the blocks of the states it moves to, and every path
+that reaches the state hands over that list with its prefix.  So a
+stream's work grows with the states of its move rule and their blocks,
+not with its paths.  enumerate_objects builds each path of the blocks
+into its typed object.  The CLI's stream builds none: the walk maps each
+emitted row to its JSON text as it lists a state's moves (_walk's
+``emit``), so a row's text is read once per edge of the move rule, and
+serialize._rows_documents joins each block's completions into text once
+and writes each prefix's block with one join.
 
 Canonical orders: triangles stream in lexicographic order read row 1 to
 row n, left to right; square sign matrices in row-major lexicographic
@@ -76,52 +82,80 @@ class CeilingExceeded(ValidationFailure):
 # the walk and the path sum
 
 
+# the most completions a state's block of _walk holds, and so the fewest
+# lines per write of the CLI's stream, all but its last write
+_CHUNK_LINES = 128
+
+
 def _walk(depth: int, start, moves, emit=None) -> Iterator[tuple]:
-    """Every path of ``depth`` steps from ``start``, as the tuple of what its
-    steps emit, depth first in the order the moves are listed.
+    """Every path of ``depth`` steps from ``start``, depth first in the
+    order the moves are listed, as pairs (prefix, block): the paths are
+    prefix + c for each completion c in the block, and a path is the tuple
+    of what its steps emit.
 
     ``moves(i)`` is step i's move function, state -> iterable of
-    (emitted, next state).  Each state's list is built once per call and
-    kept from step 3 on: a step-2 state is the first step itself and is
-    reached once.  With ``emit``, the steps emit emit(emitted) instead,
-    worked out as a state's list is built, so once per edge of the rule
-    and not once per path through it.
+    (emitted, next state).  A forward pass lists each state's moves once
+    per call, step by step.  With ``emit``, the steps emit emit(emitted)
+    instead, worked out as a state's list is built, so once per edge of
+    the rule and not once per path through it.
 
-    The walk holds one iterator over the moves of each step on the
-    current path, so every path leaves one generator frame, and the moves
-    of the last step are read straight off their list."""
-    step_moves = [moves(i) for i in range(1, depth + 1)]
-    if emit is not None:
-        step_moves = [lambda q, m=m: [(emit(e), p) for e, p in m(q)] for m in step_moves]
-    kept = [{} for _ in step_moves]
-    if depth == 0:
-        yield ()
+    A state's block is the list of its completions, the paths on from it,
+    when there are at most _CHUNK_LINES of them.  A backward pass builds
+    each state's block once per call from the blocks of the states it
+    moves to, and every path that reaches the state hands over the same
+    list.  Above the states with a block, the walk holds one iterator over
+    the moves of each step on the current path.  So its work grows with
+    the states and their blocks, not with the paths, and a call holds at
+    most _CHUNK_LINES completions per state."""
+    # listed[k]: each state after k steps -> its moves, listed in order
+    listed = [{start: None}]
+    for i in range(1, depth + 1):
+        move, here, nxt = moves(i), listed[-1], {}
+        for q in here:
+            out = here[q] = list(move(q)) if emit is None else [(emit(e), p) for e, p in move(q)]
+            for _, p in out:
+                nxt[p] = None
+        listed.append(nxt)
+    # kept[k]: each state after k steps -> its block, None above _CHUNK_LINES
+    kept = [dict.fromkeys(listed[depth], [()])]
+    for here in reversed(listed[:depth]):
+        below, blocks = kept[0], {}
+        for q, out in here.items():
+            block = []
+            for e, p in out:
+                tail = below[p]
+                if tail is None or len(block) + len(tail) > _CHUNK_LINES:
+                    block = None
+                    break
+                for c in tail:
+                    block.append((e,) + c)
+            blocks[q] = block
+        kept.insert(0, blocks)
+    top = kept[0][start]
+    if top is not None:
+        if top:
+            yield (), top
         return
     # stack[k-1]: the moves of step k not yet taken, and what steps < k emitted
-    stack = [(iter(step_moves[0](start)), ())]
+    stack = [(iter(listed[0][start]), ())]
     while stack:
         it, out = stack[-1]
         k = len(stack)
         for emitted, q in it:
             path = out + (emitted,)
-            if k == depth:
-                # a walk of one step; deeper ones end in the loop below
-                yield path
-                continue
-            if k < 2:
-                nxt = step_moves[k](q)
-            else:
-                nxt = kept[k].get(q)
-                if nxt is None:
-                    nxt = kept[k][q] = list(step_moves[k](q))
-            if k == depth - 1:
-                for last, _ in nxt:
-                    yield path + (last,)
-                continue
-            stack.append((iter(nxt), path))
-            break
+            tail = kept[k][q]
+            if tail is None:
+                stack.append((iter(listed[k][q]), path))
+                break
+            if tail:
+                yield path, tail
         else:
             stack.pop()
+
+
+def _paths(blocks) -> Iterator[tuple]:
+    """The paths of _walk's (prefix, block) pairs, one by one."""
+    return itertools.chain.from_iterable(map(prefix.__add__, block) for prefix, block in blocks)
 
 
 def _path_sums(depth: int, start, moves, steps=()):
@@ -233,10 +267,10 @@ def _row_moves(n: int, rule: str, matrix: bool = False):
     return lambda i: move
 
 
-def _iter_triangle_rows(n: int, rule: str, matrix: bool = False, emit=None) -> Iterator[tuple]:
+def _triangle_blocks(n: int, rule: str, matrix: bool = False, emit=None):
     """Triangles whose consecutive rows pass ``rule``, in row-lex order (the
-    bottom row is forced to 1..n), or with ``matrix`` their matrices,
-    _triangle_to_matrix_rows of the triangles; ``emit`` as in _walk."""
+    bottom row is forced to 1..n), or with ``matrix`` their matrices, as
+    _walk's blocks of their rows; ``emit`` as in _walk."""
     return _walk(n, (), _row_moves(n, rule, matrix), emit)
 
 
@@ -299,15 +333,9 @@ def _boolean_row_moves(n: int, i: int, pref: tuple) -> list:
     return out
 
 
-def _iter_boolean_rows(n: int, emit=None) -> Iterator[tuple]:
-    """Boolean triangles in row-lex order: rows 1..n-1, one per step;
-    ``emit`` as in _walk."""
-    return _walk(n - 1, (0,) * n, lambda i: functools.partial(_boolean_row_moves, n, i), emit)
-
-
 def _count_boolean_rows(n: int, t: int = 1) -> int:
     """Integer points of the t-th dilate of the boolean triangle polytope
-    (at t=1 the length of _iter_boolean_rows(n)): the paths of
+    (at t=1 the number of boolean triangles of order n): the paths of
     _boolean_cell's rule, counted by a forward pass that moves a whole
     layer per cell (_boolean_transfer).
 
@@ -392,33 +420,28 @@ def _sign_moves(n: int, t: int, i: int, pref: tuple) -> list:
     return [(row, tuple(p + a for p, a in zip(pref, row))) for row, _ in rows]
 
 
-def _iter_square_sign_rows(n: int, t: int = 1, emit=None) -> Iterator[tuple]:
+def _square_sign_blocks(n: int, t: int = 1, emit=None):
     """Square sign matrices in row-major lexicographic entry order, one row
-    per step; with t > 1 the integer points of the t-th dilate of the
-    square-sign relaxation: row and column sums t, column prefixes in
-    [0, t], row prefixes >= 0.  ``emit`` as in _walk."""
+    per step, as _walk's blocks; with t > 1 the integer points of the t-th
+    dilate of the square-sign relaxation: row and column sums t, column
+    prefixes in [0, t], row prefixes >= 0.  ``emit`` as in _walk."""
     return _walk(n, (0,) * n, lambda i: functools.partial(_sign_moves, n, t, i), emit)
+
+
+def _iter_square_sign_rows(n: int, t: int = 1) -> Iterator[tuple]:
+    """The rows of _square_sign_blocks(n, t), path by path."""
+    return _paths(_square_sign_blocks(n, t))
 
 
 # the kinds that are paths through the row graph and the rule of their
 # edges; square sign matrices are counted on it but stream by column prefix
-# state (_iter_square_sign_rows), whose order is that of their entries
+# state (_square_sign_blocks), whose order is that of their entries
 _ROW_RULES = {"magog_triangle": "magog", "magog_matrix": "magog", "asm": "monotone", "gapless": "gapless",
               "square_sign": "sign"}
 
 
 # the class of each kind's objects that is not a SignMatrix
 _STREAM_CLASS = {"magog_triangle": MagogTriangle, "boolean_triangle": BooleanTriangle}
-
-
-def _raw_rows(kind: str, n: int, emit=None) -> Iterator[tuple]:
-    """The rows of each object of the kind at order n, in canonical order;
-    ``emit`` as in _walk."""
-    if kind == "square_sign":
-        return _iter_square_sign_rows(n, emit=emit)
-    if kind == "boolean_triangle":
-        return _iter_boolean_rows(n, emit=emit)
-    return _iter_triangle_rows(n, _ROW_RULES[kind], matrix=kind != "magog_triangle", emit=emit)
 
 
 def _check_kind(kind: str, n: int) -> None:
@@ -429,10 +452,24 @@ def _check_kind(kind: str, n: int) -> None:
 
 
 def _stream(kind: str, n: int, emit=None):
-    """The class of the kind's objects and _raw_rows(kind, n, emit), checked
-    by _check_kind on the call, before a row streams."""
+    """The class of the kind's objects and _walk's blocks of their rows, in
+    canonical order; ``emit`` as in _walk.  Checked by _check_kind on the
+    call, before a row streams.  Boolean triangles take rows 1..n-1, one
+    per step."""
     _check_kind(kind, n)
-    return _STREAM_CLASS.get(kind, SignMatrix), _raw_rows(kind, n, emit)
+    if kind == "square_sign":
+        blocks = _square_sign_blocks(n, emit=emit)
+    elif kind == "boolean_triangle":
+        blocks = _walk(n - 1, (0,) * n, lambda i: functools.partial(_boolean_row_moves, n, i), emit)
+    else:
+        blocks = _triangle_blocks(n, _ROW_RULES[kind], kind != "magog_triangle", emit)
+    return _STREAM_CLASS.get(kind, SignMatrix), blocks
+
+
+def _raw_rows(kind: str, n: int, emit=None) -> Iterator[tuple]:
+    """The rows of each object of the kind at order n, in canonical order,
+    path by path off _stream's blocks; ``emit`` as in _walk."""
+    return _paths(_stream(kind, n, emit)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +478,8 @@ def _stream(kind: str, n: int, emit=None):
 
 def enumerate_objects(kind: str, n: int):
     """Stream every object of the family exactly once, in canonical order."""
-    cls, rows = _stream(kind, n)
-    return map(functools.partial(_trusted, cls, n), rows)
+    cls, blocks = _stream(kind, n)
+    return map(functools.partial(_trusted, cls, n), _paths(blocks))
 
 
 def count(kind: str, n: int) -> int:
@@ -644,7 +681,7 @@ def _iter_132_avoiders(n: int) -> Iterator[Permutation]:
     """The 132-avoiding permutations of 1..n in lexicographic order, the
     paths of _avoider_moves."""
     move = functools.partial(_avoider_moves, n)
-    return map(Permutation, _walk(n, (n + 1, 0), lambda i: move))
+    return map(Permutation, _paths(_walk(n, (n + 1, 0), lambda i: move)))
 
 
 def theorem_suite(n_max: int) -> SuiteReport:

@@ -5,10 +5,13 @@ appear only for genuinely integer-valued objects (sign matrices and the
 two 0/1 triangle kinds).  Field order is fixed, so serialize -> parse ->
 serialize is byte-identical.
 
-Those three integer kinds have one line format, _rows_documents: the
-document head, then the text of each row.  dumps writes one object with
-it, and the CLI's enumerate writes a chunk of lines per call, from row
-texts that the enumeration walk made once per edge of its move rule.
+Those three integer kinds have one line format: the document head
+(_head), then the text of each row.  dumps writes one object with it,
+and _rows_documents the CLI's enumerate stream, from the enumeration
+walk's blocks of row texts (each row's text made once per stream,
+_RowTexts): each block's completions are joined into text once, every
+prefix's block is one join under the head, and a write holds at least
+enumeration._CHUNK_LINES lines.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ import json
 import reprlib
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from .core import BooleanTriangle, MagogTriangle, SignMatrix, ValidationFailure, as_fraction
+from .enumeration import _CHUNK_LINES
 from .polytope import ConvexDecomposition, NotInHull, RationalMatrixPoint, RationalTrianglePoint
 
 
@@ -69,19 +74,52 @@ _ROWS_FIELD = {
 }
 
 
-def _row_text(row) -> str:
-    """JSON text of one row of a rows field."""
-    return _ENCODER.encode(row)
-
-
-def _rows_documents(cls, n: int, texts) -> str:
-    """The documents of the _ROWS_FIELD kind ``cls`` and order n whose rows
-    have the texts of each item of ``texts`` (one or more), a line each.
-    Their head is made once and joins them, so a stream of one kind and
-    order makes a chunk of lines in one call."""
+def _head(cls, n: int) -> str:
+    """The text of a document of the _ROWS_FIELD kind ``cls`` and order n up
+    to its first row; the rows' texts follow, joined by commas, then "]}"."""
     kind, key = _ROWS_FIELD[cls]
-    head = f'{{"kind":"{kind}","n":{_ENCODER.encode(n)},"{key}":['
-    return head + f"]}}\n{head}".join(map(",".join, texts)) + "]}\n"
+    return f'{{"kind":"{kind}","n":{_ENCODER.encode(n)},"{key}":['
+
+
+class _RowTexts(dict):
+    """row -> the JSON text of a row of a rows field, each made once, on
+    its first lookup."""
+
+    def __missing__(self, row) -> str:
+        text = self[row] = _ENCODER.encode(row)
+        return text
+
+
+def _rows_documents(cls, n: int, blocks) -> Iterator[str]:
+    """The documents of the _ROWS_FIELD kind ``cls`` and order n whose rows
+    have the texts of each path of ``blocks``, enumeration._walk's (prefix,
+    block) pairs, a line each, in texts of at least _CHUNK_LINES lines
+    (the last one may hold fewer).
+
+    A block's completions are joined into text once, on its first prefix,
+    and every prefix writes its block with one str.join under the head.
+    The texts are kept by the block's id beside the block itself, which so
+    lives, and keeps its id, as long as they do."""
+    head = _head(cls, n)
+    tail = "]}\n"
+    joined: dict = {}
+    out: list = []
+    lines = 0
+    for prefix, block in blocks:
+        entry = joined.get(id(block))
+        if entry is None:
+            entry = joined[id(block)] = (block, list(map(",".join, block)))
+        texts = entry[1]
+        # a comma between the prefix and the completions, unless either is empty
+        lead = head + ",".join(prefix) + ("," if prefix and block[0] else "")
+        out.append(lead + (tail + lead).join(texts) + tail)
+        lines += len(texts)
+        if lines >= _CHUNK_LINES:
+            yield "".join(out)
+            out.clear()
+            lines = 0
+    if out:
+        yield "".join(out)
 
 
 def dumps(obj) -> str:
@@ -91,7 +129,7 @@ def dumps(obj) -> str:
         return _ENCODER.encode(to_document(obj))
     # the rows' texts, joined, from one encoder call without its outer brackets
     rows = _ENCODER.encode(getattr(obj, _ROWS_FIELD[cls][1]))[1:-1]
-    return _rows_documents(cls, obj.n, [(rows,)])[:-1]
+    return _head(cls, obj.n) + rows + "]}"
 
 
 class DocumentError(ValueError):

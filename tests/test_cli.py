@@ -401,11 +401,46 @@ def test_stream_is_pinned(capsys, kind, n):
     assert hashlib.sha256(out.encode()).hexdigest() == STREAM_PINS[kind][n]
 
 
+# stdout sha256 of `enumerate --kind gapless --n 7` (18626 lines), taken from
+# the walk that joined every line on its own; its blocks begin up to four
+# steps down the row graph
+GAPLESS_ORDER_7_PIN = "be8c040c507b49c9268d66db4885d93fb58c1b2fcaf06adf6c51d1d7ea60e810"
+
+
+def test_gapless_stream_at_order_7_is_pinned_and_is_the_dumps_of_its_objects(capsys):
+    code, out = run(capsys, "enumerate", "--kind", "gapless", "--n", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GAPLESS_ORDER_7_PIN
+    lines = out.splitlines()
+    assert len(lines) == 18626
+    assert lines == [serialize.dumps(o) for o in enumeration.enumerate_objects("gapless", 7)]
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FLAGS))
+def test_a_stream_writes_at_least_a_chunk_of_lines_a_write(monkeypatch, kind):
+    # blocks are buffered until a write holds at least a chunk of lines, so
+    # a stream makes no more writes than chunks of that many lines would
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["enumerate", "--kind", kind, "--n", "6"]) == 0
+    lines = [text.count("\n") for text in writes]
+    assert sum(lines) == enumeration.count(KIND_FLAGS[kind], 6)
+    assert all(k >= enumeration._CHUNK_LINES for k in lines[:-1]) and 0 < lines[-1]
+    assert all(text.endswith("\n") for text in writes)
+    assert len(writes) <= math.ceil(sum(lines) / enumeration._CHUNK_LINES)
+
+
 @pytest.mark.parametrize("kind", sorted(KIND_FLAGS))
 def test_stream_lines_are_the_dumps_of_the_streamed_objects(capsys, kind):
-    # the CLI joins each line from row texts made once per edge of the walk;
-    # the library builds each object, which the suite rebuilds through its
-    # constructor, and dumps it
+    # the CLI joins each block of lines from row texts made once per row of
+    # the stream; the library builds each object, which the suite rebuilds
+    # through its constructor, and dumps it
     for n in range(1, 7):
         code, out = run(capsys, "enumerate", "--kind", kind, "--n", str(n))
         assert code == 0

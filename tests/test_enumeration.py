@@ -279,7 +279,7 @@ def test_tables_and_counts_enumerate_nothing(monkeypatch):
             refuse()
         return walk(depth, start, moves, emit)
 
-    for name in ("_raw_rows", "_iter_triangle_rows", "_iter_square_sign_rows", "_iter_boolean_rows"):
+    for name in ("_stream", "_raw_rows", "_triangle_blocks", "_square_sign_blocks"):
         monkeypatch.setattr(enumeration, name, refuse)
     monkeypatch.setattr(enumeration, "_walk", walk_avoiders_only)
     for name in ("_inv", "_neg_count"):
@@ -324,6 +324,21 @@ def test_a_stream_maps_each_edge_of_its_rule_once(monkeypatch):
     texts = list(enumeration._raw_rows("magog_matrix", 6, lambda row: mapped.append(row) or str(row)))
     assert texts == [tuple(map(str, rows)) for rows in enumeration._raw_rows("magog_matrix", 6)]
     assert len(mapped) == len(edges) < len(texts)
+
+
+def test_no_block_of_a_stream_holds_more_than_a_chunk_of_lines():
+    from magoglab import enumeration
+
+    for kind in KINDS:
+        for n in range(1, 7):
+            _, blocks = enumeration._stream(kind, n)
+            blocks = list(blocks)
+            sizes = [len(block) for _, block in blocks]
+            assert 0 < min(sizes) and max(sizes) <= enumeration._CHUNK_LINES
+            assert sum(sizes) == count(kind, n)
+            if n == 6:
+                # a state's block is one list, handed over by every prefix reaching it
+                assert len({id(block) for _, block in blocks}) < len(blocks)
 
 
 def test_boundary_counts_read_off_the_positional_tables():
@@ -510,11 +525,11 @@ def test_square_sign_row_states_match_the_cellwise_walk(n, t):
 @pytest.mark.parametrize("rule", ["magog", "monotone", "gapless"])
 def test_per_edge_matrix_rows_match_the_triangle_map(rule):
     from magoglab.core import _triangle_to_matrix_rows
-    from magoglab.enumeration import _iter_triangle_rows
+    from magoglab.enumeration import _paths, _triangle_blocks
 
     for n in range(1, 7):
-        tris = list(_iter_triangle_rows(n, rule))
-        mats = list(_iter_triangle_rows(n, rule, matrix=True))
+        tris = list(_paths(_triangle_blocks(n, rule)))
+        mats = list(_paths(_triangle_blocks(n, rule, matrix=True)))
         assert mats == [_triangle_to_matrix_rows(tri) for tri in tris]
 
 
