@@ -238,9 +238,8 @@ def _table_rows(n_max: int, wanted: set | None = None):
     for n in range(2, min(n_max, 5) + 1):
         for table, kind, dimension, vertices in hulls:
             if want(table):
-                objs = list(enumeration.enumerate_objects(kind, n))
-                yield (table, n, "dimension", polytope.affine_dimension(objs), dimension[n])
-                yield (table, n, "vertices", len(objs), vertices[n])
+                yield (table, n, "dimension", polytope.hull_dimension(kind, n), dimension[n])
+                yield (table, n, "vertices", enumeration.count(kind, n), vertices[n])
         if want("table9") and n in golden.TABLE9_FACETS:
             yield ("table9", n, "facets", polytope.btp_facet_audit(n).certified, golden.TABLE9_FACETS[n])
     dilates = (("table9", "btp", (2, 3, 4), golden.TABLE9_EHRHART, golden.TABLE9_VOLUME),

@@ -2,10 +2,15 @@
 their statistics tables, and brute-force verification suites.
 
 Every family is a move rule over states: for each step, what a state may
-emit and where that leads.  One depth-first walk (_walk) streams every
-family, and forward passes (the transfer-matrix method) count them, so no
-count enumerates: _path_sums, edge by edge, counts the row-graph families
-and tallies their statistics.  Magog, monotone (ASM) and gapless
+emit and where that leads (_rule).  One depth-first walk (_walk) streams
+every family, and forward passes (the transfer-matrix method) work on the
+rule without listing a path: _path_sums, edge by edge, counts the
+row-graph families and tallies their statistics, _path_max takes the
+largest weight of a path (the tsscpp LP's pricing), and
+_path_differences yields one path difference per fundamental cycle of the
+rule's live graph, which span the differences of all its paths (the hull
+dimensions).  _walk and _path_differences read one forward listing of
+each state's moves per step (_listing).  Magog, monotone (ASM) and gapless
 triangles step row by row through one graph of triangle rows under a
 window rule (_next_rows); their matrices emit one matrix row per edge
 (core._matrix_row), and square sign matrices are counted on it under the
@@ -43,6 +48,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -79,12 +85,28 @@ class CeilingExceeded(ValidationFailure):
 
 
 # ---------------------------------------------------------------------------
-# the walk and the path sum
+# the walk and the forward passes
 
 
 # the most completions a state's block of _walk holds, and so the fewest
 # lines per write of the CLI's stream, all but its last write
 _CHUNK_LINES = 128
+
+
+def _listing(depth: int, start, moves, emit=None) -> list[dict]:
+    """The forward listing of a move rule, as _walk describes it: entry k
+    maps each state met after k steps to the list of its moves, in order,
+    and each state after the last step to None.  Each state's moves are
+    listed once per step, with ``emit`` applied to what each edge emits."""
+    listed = [{start: None}]
+    for i in range(1, depth + 1):
+        move, here, nxt = moves(i), listed[-1], {}
+        for q in here:
+            out = here[q] = list(move(q)) if emit is None else [(emit(e), p) for e, p in move(q)]
+            for _, p in out:
+                nxt[p] = None
+        listed.append(nxt)
+    return listed
 
 
 def _walk(depth: int, start, moves, emit=None) -> Iterator[tuple]:
@@ -94,10 +116,10 @@ def _walk(depth: int, start, moves, emit=None) -> Iterator[tuple]:
     of what its steps emit.
 
     ``moves(i)`` is step i's move function, state -> iterable of
-    (emitted, next state).  A forward pass lists each state's moves once
-    per call, step by step.  With ``emit``, the steps emit emit(emitted)
-    instead, worked out as a state's list is built, so once per edge of
-    the rule and not once per path through it.
+    (emitted, next state).  A forward pass (_listing) lists each state's
+    moves once per call, step by step.  With ``emit``, the steps emit
+    emit(emitted) instead, worked out as a state's list is built, so once
+    per edge of the rule and not once per path through it.
 
     A state's block is the list of its completions, the paths on from it,
     when there are at most _CHUNK_LINES of them.  A backward pass builds
@@ -107,15 +129,7 @@ def _walk(depth: int, start, moves, emit=None) -> Iterator[tuple]:
     the moves of each step on the current path.  So its work grows with
     the states and their blocks, not with the paths, and a call holds at
     most _CHUNK_LINES completions per state."""
-    # listed[k]: each state after k steps -> its moves, listed in order
-    listed = [{start: None}]
-    for i in range(1, depth + 1):
-        move, here, nxt = moves(i), listed[-1], {}
-        for q in here:
-            out = here[q] = list(move(q)) if emit is None else [(emit(e), p) for e, p in move(q)]
-            for _, p in out:
-                nxt[p] = None
-        listed.append(nxt)
+    listed = _listing(depth, start, moves, emit)
     # kept[k]: each state after k steps -> its block, None above _CHUNK_LINES
     kept = [dict.fromkeys(listed[depth], [()])]
     for here in reversed(listed[:depth]):
@@ -212,6 +226,46 @@ def _path_max(depth: int, start, moves, weight) -> int | None:
     return max(layer.values(), default=None)
 
 
+def _path_differences(depth: int, start, moves) -> Iterator[tuple]:
+    """Differences of paths of _walk(depth, start, moves) that span every
+    p - p0 over its paths p, where a path is read as the concatenation of
+    the tuples its steps emit, all of one length at a step.  A difference
+    is 0 past its end.
+
+    A path's vector is linear in its edges, and the differences of two
+    paths span the cycle space of the rule's live graph: the edges between
+    a state after k steps and one after k+1 that the last step can still
+    be reached from, per step, since a rule may meet a state at several
+    steps.  The first live path into each live state, in listing order,
+    is a spanning tree of that graph, so its fundamental cycles span the
+    space.  With rep(q) what that path emits, every other live edge u -> v
+    emitting e gives rep(u) + e - rep(v), and every end state after the
+    first gives rep(end) - rep(first end).  So the work grows with the
+    edges of the rule (_listing), not with its paths.  ValidationFailure
+    when the rule has no path."""
+    listed = _listing(depth, start, moves)
+    # live[k]: the states after k steps from which step depth is reached
+    live = [set(listed[depth])]
+    for here in reversed(listed[:depth]):
+        below = live[0]
+        live.insert(0, {q for q, out in here.items() if any(p in below for _, p in out)})
+    if start not in live[0]:
+        raise ValidationFailure("need at least one point: the move rule has no path")
+    rep = {start: ()}
+    for k in range(depth):
+        below, nxt = live[k + 1], {}
+        for q, base in rep.items():
+            for e, p in listed[k][q]:
+                if p in nxt:
+                    yield tuple(map(operator.sub, base + e, nxt[p]))
+                elif p in below:
+                    nxt[p] = base + e
+        rep = nxt
+    first, *ends = rep.values()
+    for end in ends:
+        yield tuple(map(operator.sub, end, first))
+
+
 # ---------------------------------------------------------------------------
 # move rules
 
@@ -265,13 +319,6 @@ def _row_moves(n: int, rule: str, matrix: bool = False):
         rows = _next_rows(n, prev, rule)
         return ((_matrix_row(n, prev, row), row) for row in rows) if matrix else zip(rows, rows)
     return lambda i: move
-
-
-def _triangle_blocks(n: int, rule: str, matrix: bool = False, emit=None):
-    """Triangles whose consecutive rows pass ``rule``, in row-lex order (the
-    bottom row is forced to 1..n), or with ``matrix`` their matrices, as
-    _walk's blocks of their rows; ``emit`` as in _walk."""
-    return _walk(n, (), _row_moves(n, rule, matrix), emit)
 
 
 def _boolean_cell(n: int, t: int, i: int, c: int) -> tuple:
@@ -420,22 +467,22 @@ def _sign_moves(n: int, t: int, i: int, pref: tuple) -> list:
     return [(row, tuple(p + a for p, a in zip(pref, row))) for row, _ in rows]
 
 
-def _square_sign_blocks(n: int, t: int = 1, emit=None):
-    """Square sign matrices in row-major lexicographic entry order, one row
-    per step, as _walk's blocks; with t > 1 the integer points of the t-th
-    dilate of the square-sign relaxation: row and column sums t, column
-    prefixes in [0, t], row prefixes >= 0.  ``emit`` as in _walk."""
-    return _walk(n, (0,) * n, lambda i: functools.partial(_sign_moves, n, t, i), emit)
+def _sign_rule(n: int, t: int = 1) -> tuple:
+    """(depth, start, moves) of square sign matrices, one row per step, in
+    row-major lexicographic entry order; with t > 1 of the integer points
+    of the t-th dilate of the square-sign relaxation: row and column sums
+    t, column prefixes in [0, t], row prefixes >= 0."""
+    return n, (0,) * n, lambda i: functools.partial(_sign_moves, n, t, i)
 
 
 def _iter_square_sign_rows(n: int, t: int = 1) -> Iterator[tuple]:
-    """The rows of _square_sign_blocks(n, t), path by path."""
-    return _paths(_square_sign_blocks(n, t))
+    """The rows of the paths of _sign_rule(n, t), one by one."""
+    return _paths(_walk(*_sign_rule(n, t)))
 
 
 # the kinds that are paths through the row graph and the rule of their
 # edges; square sign matrices are counted on it but stream by column prefix
-# state (_square_sign_blocks), whose order is that of their entries
+# state (_sign_rule), whose order is that of their entries
 _ROW_RULES = {"magog_triangle": "magog", "magog_matrix": "magog", "asm": "monotone", "gapless": "gapless",
               "square_sign": "sign"}
 
@@ -451,19 +498,25 @@ def _check_kind(kind: str, n: int) -> None:
     _guard(n)
 
 
+def _rule(kind: str, n: int) -> tuple:
+    """(depth, start, moves) of the kind's move rule at order n, whose paths
+    are the rows of its objects in canonical order, checked by _check_kind.
+    Triangles step through the row graph (the bottom row is forced to
+    1..n), their matrices emitting matrix rows; boolean triangles take rows
+    1..n-1, one per step."""
+    _check_kind(kind, n)
+    if kind == "square_sign":
+        return _sign_rule(n)
+    if kind == "boolean_triangle":
+        return n - 1, (0,) * n, lambda i: functools.partial(_boolean_row_moves, n, i)
+    return n, (), _row_moves(n, _ROW_RULES[kind], kind != "magog_triangle")
+
+
 def _stream(kind: str, n: int, emit=None):
     """The class of the kind's objects and _walk's blocks of their rows, in
     canonical order; ``emit`` as in _walk.  Checked by _check_kind on the
-    call, before a row streams.  Boolean triangles take rows 1..n-1, one
-    per step."""
-    _check_kind(kind, n)
-    if kind == "square_sign":
-        blocks = _square_sign_blocks(n, emit=emit)
-    elif kind == "boolean_triangle":
-        blocks = _walk(n - 1, (0,) * n, lambda i: functools.partial(_boolean_row_moves, n, i), emit)
-    else:
-        blocks = _triangle_blocks(n, _ROW_RULES[kind], kind != "magog_triangle", emit)
-    return _STREAM_CLASS.get(kind, SignMatrix), blocks
+    call, before a row streams."""
+    return _STREAM_CLASS.get(kind, SignMatrix), _walk(*_rule(kind, n), emit)
 
 
 def _raw_rows(kind: str, n: int, emit=None) -> Iterator[tuple]:

@@ -9,11 +9,14 @@ entries.  Rows given as plain sequences are read through it too
 loops run over integers: the LP and the elimination scale their rows to
 integers, the split decomposition runs on the point scaled to integers,
 the facet audit keeps slacks in quarter units, and dilates are counted by
-integer filters.  The boolean-triangle hull has a complete inequality
-description (entry bounds plus the diagonal partial-sum inequalities),
-which makes membership a direct check and supports a constructive convex
-decomposition.  An integer
-double-description routine computes the magog hull's facets from its
+integer filters.  The dimension of a family's hull (hull_dimension) is
+the rank of one path difference per fundamental cycle of its move rule
+(enumeration._path_differences), so no vertex is listed; affine_dimension
+of a point list is the same rank over a rule of one step.  The
+boolean-triangle hull has a complete inequality description (entry
+bounds plus the diagonal partial-sum inequalities), which makes
+membership a direct check and supports a constructive convex
+decomposition.  An integer double-description routine computes the magog hull's facets from its
 vertices once per order, and they filter its dilates at n = 3, 4; at n=3
 they are, up to the unit sums, the six inequalities tsscpp3_vertex_audit
 certifies.  For n >= 4 membership is decided on the magog row graph
@@ -63,9 +66,11 @@ from .core import (
 from .enumeration import (
     _count_boolean_rows,
     _iter_square_sign_rows,
+    _path_differences,
     _path_max,
     _raw_rows,
     _row_moves,
+    _rule,
 )
 from .lp import (ColumnPaths, Feasible, Infeasible, _ColumnDag, _list_paths_of, _scaled, _verify_functional,
                  solve_feasibility)
@@ -1202,18 +1207,36 @@ def _solve_square(aug) -> list[Fraction] | None:
     return [Fraction(row[cols], row[r]) for r, row in enumerate(rows[:cols])]
 
 
+def _path_dimension(depth: int, start, moves) -> int:
+    """The dimension of the affine hull of the paths of a move rule, each
+    read as the concatenation of the tuples its steps emit: the rank of
+    the distinct enumeration._path_differences, each read with zeros past
+    its end, under _reduce.  ValidationFailure when the rule has no path."""
+    diffs = list(dict.fromkeys(_path_differences(depth, start, moves)))
+    width = max(map(len, diffs), default=0)
+    return len(_reduce([d + (0,) * (width - len(d)) for d in diffs], width))
+
+
+def hull_dimension(kind: str, n: int) -> int:
+    """The dimension of the hull of the kind's objects at order n, equal to
+    affine_dimension of the rows of every object but listing none: its
+    work grows with the edges of the kind's move rule (enumeration._rule),
+    not with its objects."""
+    return _path_dimension(*_rule(kind, n))
+
+
 def affine_dimension(points) -> int:
-    """Rank of the difference set {p - p0} under exact elimination.  A point
-    is a matrix or triangle object, or rows of numbers, read row by row, and
-    every point must have as many entries as the first."""
-    pts = [list(_flatten(p)) for p in points]
-    if not pts:
-        raise ValidationFailure("need at least one point")
-    if any(len(p) != len(pts[0]) for p in pts):
-        raise ValidationFailure("points have different numbers of entries")
-    base = pts[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
-    return len(_reduce(diffs, len(base)))
+    """The dimension of the affine hull of the points, the rank of the
+    differences p - p0 under exact elimination: the one-step case of
+    _path_dimension, where every point is a move from one start to one end
+    state.  A point is a matrix or triangle object, or rows of numbers,
+    read row by row; every point must have the rows of the first, as many
+    and each as long.  ValidationFailure for no point."""
+    rows = [_rows_of(p) for p in points]
+    if len({tuple(map(len, r)) for r in rows}) > 1:
+        raise ValidationFailure("points have different shapes")
+    flat = [tuple(itertools.chain.from_iterable(r)) for r in rows]
+    return _path_dimension(1, 0, lambda i: lambda start: [(p, 1) for p in flat])
 
 
 def _primitive(v: list[int]) -> tuple[int, ...]:

@@ -748,6 +748,34 @@ def test_check_tables_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLES_5_SHA256
 
 
+def test_check_tables_lists_no_hull_vertex(capsys, monkeypatch):
+    # the facet engine behind the tsscpp dilates lists the 7 vertices of
+    # order 3 by design, once per process; tables 7-9 list none
+    polytope._magog_facets(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed")
+
+    for name in ("enumerate_objects", "_stream", "_raw_rows"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    monkeypatch.setattr(polytope, "_raw_rows", refuse)
+    monkeypatch.setattr(polytope, "affine_dimension", refuse)
+    code, out = run(capsys, "check", "--suite", "tables", "--n-max", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_5_SHA256
+
+
+def test_check_tables_computes_the_hull_rows(capsys, monkeypatch):
+    monkeypatch.setitem(golden.TABLE8_DIMENSION, 5, 15)
+    monkeypatch.setitem(golden.TABLE9_VERTICES, 5, 430)
+    code, out = run(capsys, "check", "--suite", "tables", "--tables", "table8,table9", "--n-max", "5")
+    assert code == 1
+    assert [ln for ln in out.splitlines() if "MISMATCH" in ln] == [
+        "table8 n=5 dimension: MISMATCH computed=16 golden=15",
+        "table9 n=5 vertices: MISMATCH computed=429 golden=430",
+    ]
+
+
 def test_check_tables_selector(capsys):
     code, out = run(capsys, "check", "--suite", "tables", "--n-max", "4", "--tables", "table5")
     assert code == 0

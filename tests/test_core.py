@@ -416,6 +416,10 @@ ARGUMENT_CHECKS = {
     "affine-dimension": lambda: polytope.affine_dimension([]),
     "affine-dimension-mixed-lengths": lambda: polytope.affine_dimension([(1, 2), (1,)]),
     "affine-dimension-mixed-shapes": lambda: polytope.affine_dimension([((1, 2),), ((1,),)]),
+    # as many entries, in rows of other lengths
+    "affine-dimension-row-lengths": lambda: polytope.affine_dimension([[[1, 2], [3]], [[1, 2, 3]]]),
+    "hull-dimension-kind": lambda: polytope.hull_dimension("cube", 3),
+    "hull-dimension-order": lambda: polytope.hull_dimension("asm", 0),
     "polynomial-no-coefficients": lambda: polytope.RationalPolynomial(()),
     "functional-point-length": lambda: polytope.NotInHull((Fraction(1), Fraction(2)), Fraction(0)).value_at([[1]]),
     # a float, a bool or a whole Fraction is no entry of an integer kind, and
@@ -500,6 +504,7 @@ JUNK_CALLS = {
                        [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]), True),
     "affine_dimension": (polytope.affine_dimension, ([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, "1/2"], [0, 1]]],),
                          True),
+    "hull_dimension": (polytope.hull_dimension, ("asm", 3), False),
     "boundary_count": (enumeration.boundary_count, (3, 2, 1), False),
     "inversion_profile": (lambda k, l: inversion_profile(SignMatrix.identity(3), k, l), (2, 1), False),
     "theorem_suite": (enumeration.theorem_suite, (2,), False),

@@ -279,7 +279,7 @@ def test_tables_and_counts_enumerate_nothing(monkeypatch):
             refuse()
         return walk(depth, start, moves, emit)
 
-    for name in ("_stream", "_raw_rows", "_triangle_blocks", "_square_sign_blocks"):
+    for name in ("_stream", "_raw_rows"):
         monkeypatch.setattr(enumeration, name, refuse)
     monkeypatch.setattr(enumeration, "_walk", walk_avoiders_only)
     for name in ("_inv", "_neg_count"):
@@ -525,11 +525,11 @@ def test_square_sign_row_states_match_the_cellwise_walk(n, t):
 @pytest.mark.parametrize("rule", ["magog", "monotone", "gapless"])
 def test_per_edge_matrix_rows_match_the_triangle_map(rule):
     from magoglab.core import _triangle_to_matrix_rows
-    from magoglab.enumeration import _paths, _triangle_blocks
+    from magoglab.enumeration import _paths, _row_moves, _walk
 
     for n in range(1, 7):
-        tris = list(_paths(_triangle_blocks(n, rule)))
-        mats = list(_paths(_triangle_blocks(n, rule, matrix=True)))
+        tris = list(_paths(_walk(n, (), _row_moves(n, rule))))
+        mats = list(_paths(_walk(n, (), _row_moves(n, rule, matrix=True))))
         assert mats == [_triangle_to_matrix_rows(tri) for tri in tris]
 
 

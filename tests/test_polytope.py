@@ -29,6 +29,7 @@ from magoglab import (
     check_necessary_inequalities,
     classify,
     ehrhart_interpolate,
+    hull_dimension,
     lattice_points_in_dilate,
     lp_membership,
     magog_separating_hyperplane,
@@ -39,7 +40,7 @@ from magoglab import (
 )
 from magoglab import golden, lp, polytope, serialize
 from magoglab.core import _prefix_matrices, _special_violations, _square_sign_violations
-from magoglab.enumeration import _boolean_moves, _count_boolean_rows, _iter_square_sign_rows, _path_sums
+from magoglab.enumeration import KINDS, _boolean_moves, _count_boolean_rows, _iter_square_sign_rows, _path_sums
 from magoglab.lp import Feasible, LPError
 from magoglab.polytope import (
     DecompositionError,
@@ -943,6 +944,7 @@ def test_magog_facets_run_the_double_description_once_per_order(monkeypatch):
 def test_check_dilate_gives_the_hull_dimension(family, polytope_name, kind, orders):
     for n in orders:
         assert polytope.check_dilate(polytope_name, 0, n) == (n, affine_dimension(family(kind, n)))
+        assert hull_dimension(kind, n) == affine_dimension(family(kind, n))
 
 
 def test_ehrhart_interpolate_refuses_no_samples():
@@ -1101,6 +1103,54 @@ def test_affine_dimension_values(family):
     assert affine_dimension(family("boolean_triangle", 4)) == 6
     assert affine_dimension([SignMatrix.identity(3)]) == 0
     assert affine_dimension(family("magog_matrix", 2)) == 1
+
+
+@st.composite
+def move_rules(draw):
+    """(depth, moves) of a random move rule from state 0 over states 0..2,
+    met at every step, with up to three moves per state and step, each
+    emitting a tuple of the step's width: dead ends, several end states and
+    rules with no path at all come up among them."""
+    depth = draw(st.integers(1, 4))
+    steps = []
+    for _ in range(depth):
+        emitted = st.tuples(*[st.integers(-1, 2)] * draw(st.integers(1, 3)))
+        steps.append({q: draw(st.lists(st.tuples(emitted, st.integers(0, 2)), max_size=3)) for q in range(3)})
+    return depth, lambda i: steps[i - 1].__getitem__
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rule=move_rules())
+def test_the_path_differences_span_the_listed_paths(rule):
+    from magoglab.enumeration import _path_differences, _paths, _walk
+
+    depth, moves = rule
+    paths = [sum(path, ()) for path in _paths(_walk(depth, 0, moves))]
+    if not paths:
+        for route in (lambda: list(_path_differences(depth, 0, moves)), lambda: affine_dimension([])):
+            with pytest.raises(ValidationFailure):
+                route()
+        return
+    rank = len(_reduce([[a - b for a, b in zip(p, paths[0])] for p in paths], len(paths[0])))
+    assert polytope._path_dimension(depth, 0, moves) == affine_dimension([(p,) for p in paths]) == rank
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_hull_dimension_is_the_dimension_of_the_listed_objects(kind):
+    from magoglab.enumeration import _raw_rows
+
+    for n in range(1, 6):
+        assert hull_dimension(kind, n) == affine_dimension(list(_raw_rows(kind, n)))
+
+
+def test_hull_dimensions_past_the_golden_orders():
+    # computed values, not golden data: the tsscpp and ASM hulls have
+    # dimension (n-1)^2 and the btp hull C(n, 2), its Ehrhart degree
+    dims = {(kind, n): hull_dimension(kind, n) for kind in ("magog_matrix", "asm", "boolean_triangle") for n in (6, 7)}
+    assert dims == {("magog_matrix", 6): 25, ("magog_matrix", 7): 36, ("asm", 6): 25, ("asm", 7): 36,
+                    ("boolean_triangle", 6): 15, ("boolean_triangle", 7): 21}
+    for n in (6, 7):
+        assert dims["boolean_triangle", n] == polytope.check_dilate("btp", 0, n)[1]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -87,8 +87,8 @@ def test_traced_library_membership_counts_the_listed_columns(family):
 
 
 def test_traced_tables_print_the_untraced_stdout(capsys):
-    # the tracer wraps lattice_points_in_dilate, ehrhart_interpolate and
-    # affine_dimension as attributes of polytope, where the CLI reads them
+    # the tracer wraps lattice_points_in_dilate and ehrhart_interpolate as
+    # attributes of polytope, where the CLI reads them
     spans = _spans()
     from magoglab import cli
 
