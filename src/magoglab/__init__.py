@@ -1,5 +1,15 @@
 """magoglab: exact-arithmetic toolkit for magog matrices, the triangles
-in bijection with them, and the two TSSCPP polytopes."""
+in bijection with them, and the two TSSCPP polytopes.
+
+The names of core (the objects, rational points included, validators and
+statistics) and of enumeration are bound on import.  The hull layer,
+polytope and the lp solver beneath it, is loaded on the first access to
+one of its names or modules (``magoglab.lp_membership``, ``from magoglab
+import btp_decompose``, ``magoglab.polytope``), so a program that
+computes no hull never compiles it.  __all__ lists every public name.
+"""
+
+import importlib
 
 from .core import (
     BooleanTriangle,
@@ -7,6 +17,8 @@ from .core import (
     InversionStats,
     MagogTriangle,
     Permutation,
+    RationalMatrixPoint,
+    RationalTrianglePoint,
     SignMatrix,
     ValidationFailure,
     ValidationReport,
@@ -37,27 +49,37 @@ from .enumeration import (
     product_formula,
     theorem_suite,
 )
-from .polytope import (
-    ConvexDecomposition,
-    MagogVertices,
-    NotInHull,
-    RationalMatrixPoint,
-    RationalPolynomial,
-    RationalTrianglePoint,
-    affine_dimension,
-    boolean_separating_hyperplane,
-    btp_contains,
-    btp_decompose,
-    btp_facet_audit,
-    btp_split,
-    check_necessary_inequalities,
-    ehrhart_interpolate,
-    hull_dimension,
-    lattice_points_in_dilate,
-    lp_membership,
-    magog_separating_hyperplane,
-    tsscpp3_vertex_audit,
-    verify_vertex_certificates,
-)
+# the public names of the hull layer, each resolved by __getattr__
+_HULL_NAMES = frozenset({
+    "ConvexDecomposition",
+    "MagogVertices",
+    "NotInHull",
+    "RationalPolynomial",
+    "affine_dimension",
+    "boolean_separating_hyperplane",
+    "btp_contains",
+    "btp_decompose",
+    "btp_facet_audit",
+    "btp_split",
+    "check_necessary_inequalities",
+    "ehrhart_interpolate",
+    "hull_dimension",
+    "lattice_points_in_dilate",
+    "lp_membership",
+    "magog_separating_hyperplane",
+    "tsscpp3_vertex_audit",
+    "verify_vertex_certificates",
+})
+# the public names bound above from the package's modules, and the hull names
+__all__ = sorted({name for name, value in globals().items() if not name.startswith("_")
+                  and getattr(value, "__module__", "").startswith(f"{__name__}.")} | _HULL_NAMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("polytope", "lp"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HULL_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.polytope"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,6 +6,13 @@ OSError or DocumentError (I/O or parse error), 3 internal error (any other
 exception, a stray ValueError included).  The CLI refuses work above that
 one table before it writes to stdout, and MAGOGLAB_CEILING_OVERRIDE=1
 lifts it; library functions have no ceilings.
+
+Only the commands that compute a hull load the hull layer (polytope, and
+lp beneath it): polytope, ehrhart and the table check when it is asked
+for table 7, 8 or 9.  They import polytope when they run, so enumerate,
+stats, map, classify and the other suites never compile it, which is
+about a fifth of their process's time where Python writes no bytecode
+cache.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import enumeration, golden, polytope, serialize
+from . import enumeration, golden, serialize
 from .core import (BooleanTriangle, MagogTriangle, SignMatrix, ValidationFailure, classify,
                    magog_triangle_to_matrix, matrix_to_magog_triangle)
 from .enumeration import CeilingExceeded
@@ -137,6 +144,7 @@ def _emit_violations(report) -> int:
 
 
 def _cmd_polytope(args) -> int:
+    from . import polytope
     if args.action in ("decompose", "facets") and args.polytope != "btp":
         raise ValidationFailure(f"polytope {args.action} supports only --polytope btp")
     if args.action in ("certify", "facets"):
@@ -189,6 +197,7 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_ehrhart(args) -> int:
+    from . import polytope
     # checking --tmax refuses before the first sample
     n, dimension = polytope.check_dilate(args.polytope, args.tmax, n=args.n)
     _check_ceiling(f"ehrhart --polytope {args.polytope}", n=n, tmax=args.tmax)
@@ -232,6 +241,9 @@ def _table_rows(n_max: int, wanted: set | None = None):
                 yield ("table4", n, stat, asm[stat].counts, golden.TABLE4[n])
             yield ("table6", n, "posinv", asm["posinv"].counts, golden.TABLE6[n]["posinv"])
             yield ("table6", n, "inv", asm["inv"].counts, golden.TABLE6[n]["inv"])
+    if not want("table7", "table8", "table9"):
+        return
+    from . import polytope
     hulls = (("table7", "magog_matrix", golden.TABLE7_DIMENSION, golden.TABLE7_VERTICES),
              ("table8", "asm", golden.TABLE8_DIMENSION, golden.TABLE8_VERTICES),
              ("table9", "boolean_triangle", golden.TABLE9_DIMENSION, golden.TABLE9_VERTICES))

@@ -1,5 +1,5 @@
-"""Core objects: sign matrices, magog/boolean triangles, validators, and
-statistics.
+"""Core objects: sign matrices, magog/boolean triangles, the rational
+points the two hulls are asked about, validators, and statistics.
 
 The central family is the set of square sign matrices: {0,1,-1}-matrices
 whose rows and columns sum to one, whose column prefix sums stay in {0,1},
@@ -252,6 +252,43 @@ class BooleanTriangle:
                 if v:
                     out.append((i, self.n - i + k))
         return frozenset(out)
+
+
+@dataclass(frozen=True)
+class RationalMatrixPoint:
+    """n x n array of exact rationals; candidate point for the magog hull."""
+
+    n: int
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        _guard(self.n)
+        if _lengths(self.entries) != (self.n,) * self.n:
+            raise ValidationFailure("entries must be square of order n")
+        _check_types(self.entries, _EXACT, "an int or a Fraction")
+
+    @staticmethod
+    def from_rows(rows) -> "RationalMatrixPoint":
+        t = _read_rows(rows)
+        return RationalMatrixPoint(len(t), t)
+
+
+@dataclass(frozen=True)
+class RationalTrianglePoint:
+    """Boolean-triangle-shaped array of exact rationals (n-1 ragged rows)."""
+
+    n: int
+    rows: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        _guard(self.n)
+        if _lengths(self.rows) != tuple(range(1, self.n)):
+            raise ValidationFailure("rows must have lengths 1..n-1")
+        _check_types(self.rows, _EXACT, "an int or a Fraction")
+
+    @staticmethod
+    def from_rows(n: int, rows) -> "RationalTrianglePoint":
+        return RationalTrianglePoint(n, _read_rows(rows))
 
 
 # the field that holds the rows, after n, of each kind _trusted builds

@@ -3,7 +3,8 @@ of the n x n magog matrices and the hull of the order-n boolean triangles.
 
 All arithmetic is exact.  Points and weights are ints and Fractions: a
 caller's value is read by core.as_fraction (re-exported here), which
-refuses a float, and the rational points take only int and Fraction
+refuses a float, and the rational points (core's, re-exported here, so
+that reading a document loads no hull code) take only int and Fraction
 entries.  Rows given as plain sequences are read through it too
 (_rows_of), for the LP, affine_dimension and the certificates.  The inner
 loops run over integers: the LP and the elimination scale their rows to
@@ -44,6 +45,9 @@ from fractions import Fraction
 from .core import (
     _EXACT,
     BooleanTriangle,
+    MagogTriangle,
+    RationalMatrixPoint,
+    RationalTrianglePoint,
     SignMatrix,
     ValidationFailure,
     ValidationReport,
@@ -54,7 +58,6 @@ from .core import (
     _diagonal_violations,
     _guard,
     _integer,
-    _lengths,
     _prefix_matrices,
     _read_rows,
     _special_violations,
@@ -85,49 +88,12 @@ class DecompositionError(RuntimeError):
     signals a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class RationalMatrixPoint:
-    """n x n array of exact rationals; candidate point for the magog hull."""
-
-    n: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        _guard(self.n)
-        if _lengths(self.entries) != (self.n,) * self.n:
-            raise ValidationFailure("entries must be square of order n")
-        _check_types(self.entries, _EXACT, "an int or a Fraction")
-
-    @staticmethod
-    def from_rows(rows) -> "RationalMatrixPoint":
-        t = _read_rows(rows)
-        return RationalMatrixPoint(len(t), t)
-
-
-@dataclass(frozen=True)
-class RationalTrianglePoint:
-    """Boolean-triangle-shaped array of exact rationals (n-1 ragged rows)."""
-
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        _guard(self.n)
-        if _lengths(self.rows) != tuple(range(1, self.n)):
-            raise ValidationFailure("rows must have lengths 1..n-1")
-        _check_types(self.rows, _EXACT, "an int or a Fraction")
-
-    @staticmethod
-    def from_rows(n: int, rows) -> "RationalTrianglePoint":
-        return RationalTrianglePoint(n, _read_rows(rows))
-
-
 def _rows_of(obj):
     """The rows of a matrix or triangle object as it holds them, or of rows
     of a caller's values, each read by as_fraction (core._read_rows)."""
     if isinstance(obj, (SignMatrix, RationalMatrixPoint)):
         return obj.entries
-    if isinstance(obj, (BooleanTriangle, RationalTrianglePoint)):
+    if isinstance(obj, (BooleanTriangle, MagogTriangle, RationalTrianglePoint)):
         return obj.rows
     return _read_rows(obj)
 
@@ -1170,7 +1136,12 @@ def _reduce(rows, cols: int) -> list[int]:
     column c clears c from every other row as p*row - f*pivot_row, divided
     by the gcd of its entries.  Returns the pivot columns: row r ends up
     with a nonzero integer at pivots[r] and zero in every other pivot
-    column.  Stops as soon as every row holds a pivot."""
+    column.  Stops as soon as every row holds a pivot.
+
+    f*pivot_row is subtracted at the pivot row's nonzero entries alone.
+    They are few for the path differences of a move rule, most of which
+    end up zero: for the 753 magog differences at n=7, of rank 36, every
+    pivot row has 4 nonzero entries of 49."""
     rows[:] = [_scaled(r)[1] for r in rows]
     m = len(rows)
     pivots: list[int] = []
@@ -1184,10 +1155,16 @@ def _reduce(rows, cols: int) -> list[int]:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         prow = rows[rank]
         p = prow[c]
+        support = [(j, b) for j, b in enumerate(prow) if b]
         for r in range(m):
-            f = rows[r][c]
+            row = rows[r]
+            f = row[c]
             if r != rank and f:
-                row = [p * a - f * b for a, b in zip(rows[r], prow)]
+                # each row is a list of this call's own, so it may change in place
+                if p != 1:
+                    row = [p * a for a in row]
+                for j, b in support:
+                    row[j] -= f * b
                 g = math.gcd(*row)
                 rows[r] = [v // g for v in row] if g > 1 else row
         pivots.append(c)

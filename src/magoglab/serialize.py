@@ -12,6 +12,11 @@ walk's blocks of row texts (each row's text made once per stream,
 _RowTexts): each block's completions are joined into text once, every
 prefix's block is one join under the head, and a write holds at least
 enumeration._CHUNK_LINES lines.
+
+The matrix and triangle kinds, rational points included, are core types.
+A decomposition and a certificate are polytope's, and polytope is
+imported only where one is written or built, so a command that reads and
+writes the other kinds never loads the hull layer (polytope and lp).
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ import sys
 from fractions import Fraction
 from typing import Iterator
 
-from .core import BooleanTriangle, MagogTriangle, SignMatrix, ValidationFailure, as_fraction
+from .core import (BooleanTriangle, MagogTriangle, RationalMatrixPoint, RationalTrianglePoint, SignMatrix,
+                   ValidationFailure, as_fraction)
 from .enumeration import _CHUNK_LINES
-from .polytope import ConvexDecomposition, NotInHull, RationalMatrixPoint, RationalTrianglePoint
 
 
 def _rat(v: Fraction) -> str:
@@ -52,6 +57,8 @@ def to_document(obj) -> dict:
         return {"kind": "boolean-triangle", "n": obj.n, "rows": [list(r) for r in obj.rows]}
     if isinstance(obj, RationalTrianglePoint):
         return {"kind": "rational-triangle", "n": obj.n, "rows": [[_rat(v) for v in r] for r in obj.rows]}
+    # a caller that holds a decomposition or a certificate has loaded polytope
+    from .polytope import ConvexDecomposition, NotInHull
     if isinstance(obj, ConvexDecomposition):
         return {"terms": [{"weight": _rat(w), "vertex": to_document(v)} for w, v in obj.terms]}
     if isinstance(obj, NotInHull):
@@ -203,6 +210,7 @@ def from_document(doc: dict):
     if not isinstance(doc, dict):
         raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
     if "terms" in doc:
+        from .polytope import ConvexDecomposition, NotInHull
         terms = tuple(
             (as_fraction(_scalar(_field(t, "weight"))), from_document(_field(t, "vertex")))
             for t in _list(doc, "terms")
@@ -232,6 +240,7 @@ def from_document(doc: dict):
     if kind == "rational-triangle":
         return RationalTrianglePoint.from_rows(*_rows(doc, kind))
     if kind == "not-in-hull":
+        from .polytope import NotInHull
         return NotInHull(
             coefficients=tuple(as_fraction(_scalar(c)) for c in _list(doc, "coefficients")),
             offset=as_fraction(_scalar(_field(doc, "offset"))),

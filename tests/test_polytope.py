@@ -1105,6 +1105,17 @@ def test_affine_dimension_values(family):
     assert affine_dimension(family("magog_matrix", 2)) == 1
 
 
+def test_magog_triangles_are_points_of_their_hull(family):
+    triangles = family("magog_triangle", 4)
+    # the least and the greatest entry sum are each taken by one triangle,
+    # a vertex of the hull; other triangles need not be vertices
+    for best in (min, max):
+        t = best(triangles, key=lambda t: sum(map(sum, t.rows)))
+        assert lp_membership(t, triangles).terms == ((1, t),)
+    for t in triangles[::5]:
+        assert lp_membership(t, triangles).reconstruct() == t.rows
+
+
 @st.composite
 def move_rules(draw):
     """(depth, moves) of a random move rule from state 0 over states 0..2,
@@ -1136,11 +1147,9 @@ def test_the_path_differences_span_the_listed_paths(rule):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_hull_dimension_is_the_dimension_of_the_listed_objects(kind):
-    from magoglab.enumeration import _raw_rows
-
+def test_hull_dimension_is_the_dimension_of_the_listed_objects(family, kind):
     for n in range(1, 6):
-        assert hull_dimension(kind, n) == affine_dimension(list(_raw_rows(kind, n)))
+        assert hull_dimension(kind, n) == affine_dimension(family(kind, n))
 
 
 def test_hull_dimensions_past_the_golden_orders():
