@@ -197,17 +197,19 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_ehrhart(args) -> int:
+    """One "t,count" line per dilate t = 0..tmax, all from one
+    polytope._dilate_counts call before the first line is written (for a
+    large btp tmax, closed and interior counts up to about C(n,2)/2,
+    extended by reciprocity); with --interpolate, the polynomial of the
+    polytope's dimension through them."""
     from . import polytope
     # checking --tmax refuses before the first sample
     n, dimension = polytope.check_dilate(args.polytope, args.tmax, n=args.n)
     _check_ceiling(f"ehrhart --polytope {args.polytope}", n=n, tmax=args.tmax)
     if args.interpolate and args.tmax < dimension:
         raise ValidationFailure(f"--interpolate needs --tmax >= {dimension}, the dimension of the polytope")
-    samples = []
-    for t in range(args.tmax + 1):
-        c = polytope.lattice_points_in_dilate(args.polytope, t, n=n)
-        samples.append((t, c))
-        _emit(f"{t},{c}")
+    samples = list(enumerate(polytope._dilate_counts(args.polytope, args.tmax, n=n)))
+    _emit("\n".join(f"{t},{c}" for t, c in samples))
     if args.interpolate:
         poly = polytope.ehrhart_interpolate(samples, degree=dimension)
         _emit(json.dumps({
@@ -261,8 +263,7 @@ def _table_rows(n_max: int, wanted: set | None = None):
             if n > n_max or not want(table):
                 continue
             _, dimension = polytope.check_dilate(name, 0, n)
-            samples = [(t, polytope.lattice_points_in_dilate(name, t, n=n)) for t in range(dimension + 1)]
-            poly = polytope.ehrhart_interpolate(samples)
+            poly = polytope.ehrhart_interpolate(enumerate(polytope._dilate_counts(name, dimension, n=n)))
             yield (table, n, "ehrhart", poly.coefficients, polynomials[n])
             if n in volumes:
                 yield (table, n, "volume", poly.normalized_volume(), Fraction(volumes[n]))

@@ -24,6 +24,9 @@ _boolean_moves).  The count, which also counts the btp dilates, is its
 own pass over states packed into ints: a cell moves a whole layer, each
 next state taking a range sum over the states that differ from it only in
 the cell's two columns (_boolean_transfer), not one update per edge.
+The same rule with its interior window (entries in [1, t-1], every
+diagonal cap strict) counts the lattice points inside a dilate, which
+Ehrhart-Macdonald reciprocity turns into closed counts at -t.
 
 The walk hands over its paths in blocks: each state with at most
 _CHUNK_LINES completions (the paths on from it) keeps their list, built
@@ -321,19 +324,23 @@ def _row_moves(n: int, rule: str, matrix: bool = False):
     return lambda i: move
 
 
-def _boolean_cell(n: int, t: int, i: int, c: int) -> tuple:
+def _boolean_cell(n: int, t: int, i: int, c: int, interior: bool = False) -> tuple:
     """The rule of cell (i, c) in a boolean triangle of order n dilated by
     t, over the column differences d[c] = P_c - P_{c-1} of the column
     prefix sums (d[0] = 0): (lo, hi, floor_c, floor_next).
 
     Cells are placed in row-major order; row i covers columns n-i..n-1.
-    Entries v lie in [lo, hi] = [0, t], the window's two bounds.  Once
-    column c-1, which starts a row later and sits left of c, has reached
-    row i, the diagonal inequality P_c(i) <= t + P_{c-1}(i) lowers the top
-    to hi - d[c]: the new difference d[c] + v is at most hi.  Before that,
-    at column c's first cell, d[c] is still 0, so the cap reads the same
-    there.  The top never falls below 0, so every prefix extends by zeros
-    and no path dead-ends.
+    Entries v lie in [lo, hi] = [0, t], the window's two bounds, or with
+    ``interior`` in [1, t-1], where every inequality of the dilate is
+    strict and so the points are those of its interior.  Once column c-1,
+    which starts a row later and sits left of c, has reached row i, the
+    diagonal inequality P_c(i) <= t + P_{c-1}(i) (strict: P_c(i) <= t - 1
+    + P_{c-1}(i)) lowers the top to hi - d[c]: the new difference d[c] + v
+    is at most hi.  Before that, at column c's first cell, d[c] is still 0,
+    so the cap reads the same there.  The top never falls below 0, so in
+    the closed window every prefix extends by zeros and no path dead-ends;
+    in the interior one a top below 1 ends the path, and lo > hi (t < 2)
+    leaves none.
 
     Only column c's own cap reads d[c], each later entry of column c raises
     it by at most hi (those of column c-1 lower it), and the cap is hi
@@ -346,17 +353,18 @@ def _boolean_cell(n: int, t: int, i: int, c: int) -> tuple:
     done: floor_c is None, and the next state sets d[c] to 0.  Every
     difference so stays in [-t*(n-2), t].
     """
-    lo, hi = 0, t
+    lo, hi = (1, t - 1) if interior else (0, t)
     floor_c = None if i == n - 1 else -hi * (n - 2 - i)
     return lo, hi, floor_c, -hi * (n - 1 - i)
 
 
-def _boolean_moves(n: int, t: int, i: int, c: int):
+def _boolean_moves(n: int, t: int, i: int, c: int, interior: bool = False):
     """The move of cell (i, c) in a boolean triangle of order n dilated by
-    t, by _boolean_cell's rule: state d -> (v, next state) for each entry
-    v, increasing, one edge each.  The row walk reads it at t=1; the count
-    moves whole layers by the same rule (_boolean_transfer)."""
-    lo, hi, floor_c, floor_next = _boolean_cell(n, t, i, c)
+    t (its interior with ``interior``), by _boolean_cell's rule: state d ->
+    (v, next state) for each entry v, increasing, one edge each.  The row
+    walk reads it at t=1; the count moves whole layers by the same rule
+    (_boolean_transfer)."""
+    lo, hi, floor_c, floor_next = _boolean_cell(n, t, i, c, interior)
 
     def move(d: tuple) -> list:
         s = d[c]
@@ -380,11 +388,13 @@ def _boolean_row_moves(n: int, i: int, pref: tuple) -> list:
     return out
 
 
-def _count_boolean_rows(n: int, t: int = 1) -> int:
+def _count_boolean_rows(n: int, t: int = 1, interior: bool = False) -> int:
     """Integer points of the t-th dilate of the boolean triangle polytope
-    (at t=1 the number of boolean triangles of order n): the paths of
-    _boolean_cell's rule, counted by a forward pass that moves a whole
-    layer per cell (_boolean_transfer).
+    (at t=1 the number of boolean triangles of order n), or with
+    ``interior`` of its interior: the paths of _boolean_cell's rule,
+    counted by a forward pass that moves a whole layer per cell
+    (_boolean_transfer).  The interior holds none at t < 2 for n >= 2; at
+    n=1 there is no cell and either count is 1.
 
     A state is packed into one int, column c in digit c-1 of radix
     t*(n-1)+1, offset by t*(n-2): every difference lies in [-t*(n-2), t]
@@ -394,7 +404,8 @@ def _count_boolean_rows(n: int, t: int = 1) -> int:
     layer = {off * sum(weights): 1}
     for i in range(1, n):
         for c in range(n - i, n):
-            layer = _boolean_transfer(layer, _boolean_cell(n, t, i, c), weights[c], radix, off, c + 1 < n)
+            cell = _boolean_cell(n, t, i, c, interior)
+            layer = _boolean_transfer(layer, cell, weights[c], radix, off, c + 1 < n)
     return sum(layer.values())
 
 

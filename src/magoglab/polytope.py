@@ -84,8 +84,8 @@ HALF = Fraction(1, 2)
 
 
 class DecompositionError(RuntimeError):
-    """An internal invariant of the decomposition algorithm failed; this
-    signals a bug, not bad input."""
+    """An internal invariant of a decomposition, a facet or a dilate series
+    failed; this signals a bug, not bad input."""
 
 
 def _rows_of(obj):
@@ -987,19 +987,65 @@ def check_dilate(polytope: str, t: int, n: int | None = None) -> tuple[int, int]
     raise ValidationFailure("polytope must be 'btp', 'tsscpp3', or 'tsscpp'")
 
 
-def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None) -> int:
-    """Number of integer points in the t-th dilate.
+def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, interior: bool = False) -> int:
+    """Number of integer points in the t-th dilate, or with ``interior``
+    (btp only) in its interior.
 
     'btp' counts integer triangles with entries in [0, t] satisfying the
     scaled diagonal inequalities as paths of the boolean triangles'
-    cell-state walk at t, without listing them.  'tsscpp3' and 'tsscpp'
-    (n = 3, 4) keep the integer points of the scaled relaxation that satisfy
-    the unit hull's facets (_magog_facets) scaled by t, with no LP.
+    cell-state walk at t, without listing them; its interior points have
+    entries in [1, t-1] and satisfy every diagonal inequality strictly
+    (enumeration._boolean_cell), so there are none at t < 2 for n >= 2.
+    'tsscpp3' and 'tsscpp' (n = 3, 4) keep the integer points of the scaled
+    relaxation that satisfy the unit hull's facets (_magog_facets) scaled
+    by t, with no LP.
     """
     order, _ = check_dilate(polytope, t, n)
+    if not isinstance(interior, bool):
+        raise ValidationFailure("interior must be True or False")
     if polytope == "btp":
-        return _count_boolean_rows(order, t)
+        return _count_boolean_rows(order, t, interior)
+    if interior:
+        raise ValidationFailure("interior dilate counts support only btp")
     return _tsscpp_dilate_count(order, t)
+
+
+def _dilate_counts(polytope: str, tmax: int, n: int | None = None) -> list[int]:
+    """[L(0), ..., L(tmax)], the lattice points of the dilates t = 0..tmax.
+
+    btp(n) is a lattice polytope of dimension d = C(n, 2), so L is a
+    polynomial of degree d, and Ehrhart-Macdonald reciprocity gives
+    L(-t) = (-1)^d L°(t), L° the interior count.  So past t = m =
+    d + 1 - floor(d/2) the closed counts t = 0..floor(d/2) and the interior
+    counts t = 1..m give d + 2 consecutive values L(-m), ..., L(floor(d/2)),
+    which fix L with one to spare: their (d+1)-th difference must be 0, or
+    DecompositionError (a bug, not bad input).  The difference table then
+    extends them to tmax in ints.  The largest count is the interior one
+    at m, about the cost of the closed one at m - 2, so no count is larger
+    than the direct loop's, which runs up to t = m and for tsscpp.
+    """
+    order, d = check_dilate(polytope, tmax, n)
+    k = d // 2
+    m = d + 1 - k
+    if polytope != "btp" or tmax <= m:
+        return [lattice_points_in_dilate(polytope, t, n=order) for t in range(tmax + 1)]
+    sign = -1 if d % 2 else 1
+    values = [sign * lattice_points_in_dilate(polytope, t, n=order, interior=True) for t in range(m, 0, -1)]
+    values += [lattice_points_in_dilate(polytope, t, n=order) for t in range(k + 1)]
+    # the last entry of each row of the difference table, orders 0..d+1
+    ends = []
+    row = values
+    while row:
+        ends.append(row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    if ends.pop():
+        raise DecompositionError(f"btp({order}) counts at t = -{m}..{k} are not of degree {d}")
+    counts = values[m:]
+    for _ in range(k + 1, tmax + 1):
+        for j in range(d - 1, -1, -1):
+            ends[j] += ends[j + 1]
+        counts.append(ends[0])
+    return counts
 
 
 def _tsscpp_dilate_count(n: int, t: int) -> int:

@@ -285,6 +285,21 @@ def test_ehrhart_btp5_interpolate_stdout_is_pinned(capsys):
     assert out == BTP5_INTERPOLATE_STDOUT
 
 
+def test_ehrhart_reports_a_failed_spare_value_as_an_internal_error(capsys, monkeypatch):
+    # the series from closed and interior counts checks one value more than
+    # the polynomial needs; an off count is a bug, so exit 3 and no count
+    real = polytope.lattice_points_in_dilate
+
+    def off_by_one(polytope_name, t, n=None, interior=False):
+        return real(polytope_name, t, n, interior) + (interior and t == 3)
+
+    monkeypatch.setattr(polytope, "lattice_points_in_dilate", off_by_one)
+    code = main(["ehrhart", "--polytope", "btp", "--n", "4", "--tmax", "8"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("internal error: DecompositionError:") and captured.err.count("\n") == 1
+
+
 def test_ehrhart_interpolate_uses_the_dimension(capsys):
     # below the dimension the fit would have the wrong degree: refuse
     code = main(["ehrhart", "--polytope", "tsscpp3", "--tmax", "3", "--interpolate"])

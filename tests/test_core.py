@@ -412,6 +412,11 @@ ARGUMENT_CHECKS = {
     "dilate-tsscpp3-order": lambda: polytope.check_dilate("tsscpp3", 2, n=4),
     "dilate-tsscpp-order": lambda: polytope.check_dilate("tsscpp", 2, n=5),
     "dilate-polytope": lambda: polytope.check_dilate("cube", 2, n=3),
+    "dilate-interior-tsscpp3": lambda: polytope.lattice_points_in_dilate("tsscpp3", 2, interior=True),
+    "dilate-interior-tsscpp": lambda: polytope.lattice_points_in_dilate("tsscpp", 2, n=4, interior=True),
+    "dilate-interior-int": lambda: polytope.lattice_points_in_dilate("btp", 2, n=3, interior=1),
+    "dilate-interior-text": lambda: polytope.lattice_points_in_dilate("btp", 2, n=3, interior="yes"),
+    "dilate-interior-none": lambda: polytope.lattice_points_in_dilate("btp", 2, n=3, interior=None),
     "polynomial-leading": lambda: polytope.RationalPolynomial((Fraction(1), Fraction(0))),
     "affine-dimension": lambda: polytope.affine_dimension([]),
     "affine-dimension-mixed-lengths": lambda: polytope.affine_dimension([(1, 2), (1,)]),
@@ -513,6 +518,7 @@ JUNK_CALLS = {
     "count": (enumeration.count, ("asm", 3), False),
     "lattice_points_in_dilate": (polytope.lattice_points_in_dilate, ("btp", 2, 3), False),
     "lattice_points_in_dilate-tsscpp3": (polytope.lattice_points_in_dilate, ("tsscpp3", 1, None), False),
+    "lattice_points_in_dilate-interior": (polytope.lattice_points_in_dilate, ("btp", 3, 3, True), False),
     "ehrhart_interpolate": (polytope.ehrhart_interpolate, ([(0, 1), (1, 3), (2, 5)], 1), True),
 }
 

@@ -575,12 +575,14 @@ def test_facet_audit_reports_the_dense_failure_on_a_broken_witness(monkeypatch, 
 # lattice points and Ehrhart
 
 
-def brute_force_btp_dilate(n, t):
-    """Independent oracle: product scan over all entry assignments."""
+def brute_force_btp_dilate(n, t, interior=False):
+    """Independent oracle: product scan over all entry assignments; with
+    ``interior``, entries in [1, t-1] and every diagonal inequality strict."""
     shape = [i for i in range(1, n)]
     cells = sum(shape)
     total = 0
-    for vals in itertools.product(range(t + 1), repeat=cells):
+    entries = range(1, t) if interior else range(t + 1)
+    for vals in itertools.product(entries, repeat=cells):
         rows = []
         k = 0
         for w in shape:
@@ -593,7 +595,7 @@ def brute_force_btp_dilate(n, t):
             for j in range(1, i):
                 lhs = t + sum(entry(k2, n - j - 1) for k2 in range(j + 1, i + 1))
                 rhs = sum(entry(k2, n - j) for k2 in range(j, i + 1))
-                if lhs < rhs:
+                if lhs < rhs or (interior and lhs == rhs):
                     ok = False
                     break
             if not ok:
@@ -612,6 +614,48 @@ def test_btp_dilate_against_brute_force():
     for n, tmax in ((4, 4), (5, 2)):
         for t in range(tmax + 1):
             assert lattice_points_in_dilate("btp", t, n=n) == brute_force_btp_dilate(n, t)
+    # the interior window: entries in [1, t-1], every inequality strict
+    for n in (2, 3, 4):
+        for t in range(5):
+            assert lattice_points_in_dilate("btp", t, n=n, interior=True) == brute_force_btp_dilate(n, t, True)
+
+
+def test_btp_interior_dilates_follow_reciprocity():
+    # L°(t) = (-1)^d L(-t), L the golden polynomial, d = C(n, 2)
+    for n in (2, 3, 4, 5):
+        poly, d = RationalPolynomial(golden.TABLE9_EHRHART[n]), n * (n - 1) // 2
+        counts = [lattice_points_in_dilate("btp", t, n=n, interior=True) for t in range(1, 8)]
+        assert counts == [(-1) ** d * poly(-t) for t in range(1, 8)], n
+
+
+def test_btp_is_gorenstein_of_index_2_through_order_6():
+    # computed, not proved: the interior of the t-th dilate holds as many
+    # points as the (t-2)-th dilate
+    for n in range(2, 7):
+        for t in range(2, 9):
+            assert _count_boolean_rows(n, t, interior=True) == _count_boolean_rows(n, t - 2), (n, t)
+
+
+def test_dilate_counts_equal_the_count_of_each_dilate():
+    # tmax = m and m + 1, m = C(n,2) + 1 - floor(C(n,2)/2), are where the
+    # series turns to reciprocity
+    for n in range(1, 6):
+        counts = [lattice_points_in_dilate("btp", t, n=n) for t in range(11 if n < 5 else 9)]
+        for tmax in range(len(counts)):
+            assert polytope._dilate_counts("btp", tmax, n) == counts[:tmax + 1], (n, tmax)
+    poly = RationalPolynomial(golden.TABLE7_EHRHART[3])
+    assert polytope._dilate_counts("tsscpp3", 6) == [poly(t) for t in range(7)]
+
+
+def test_dilate_counts_check_the_spare_value(monkeypatch):
+    real = polytope.lattice_points_in_dilate
+
+    def off_by_one(polytope_name, t, n=None, interior=False):
+        return real(polytope_name, t, n, interior) + (interior and t == 3)
+
+    monkeypatch.setattr(polytope, "lattice_points_in_dilate", off_by_one)
+    with pytest.raises(DecompositionError):
+        polytope._dilate_counts("btp", 8, 4)
 
 
 # h*-vector of btp(6), degree 14 and palindromic: interpolated from closed
@@ -623,27 +667,32 @@ BTP6_H_STAR = BTP6_H_STAR_HALF + BTP6_H_STAR_HALF[-2::-1]
 
 
 def test_btp6_dilates_follow_the_h_star_vector():
-    """L(t) = sum_k h*_k C(t+d-k, d) with d = 15 for btp(6), at t<=6, where
-    the floors of the dilate walk bind at many cells."""
+    """L(t) = sum_k h*_k C(t+d-k, d) with d = 15 for btp(6), at t<=15,
+    where the floors of the dilate walk bind at many cells; t = 8..15 come
+    from the series past its closed and interior counts.  The normalized
+    volume, the sum of h*, is computed here, not a paper value."""
     d = 15
     assert len(BTP6_H_STAR) == 15
     assert sum(BTP6_H_STAR) == 187767277792
-    counts = [lattice_points_in_dilate("btp", t, n=6) for t in range(7)]
+    counts = polytope._dilate_counts("btp", 15, n=6)
     assert counts == [sum(h * math.comb(t + d - k, d) for k, h in enumerate(BTP6_H_STAR))
-                      for t in range(7)]
+                      for t in range(16)]
+    poly = ehrhart_interpolate(enumerate(counts), degree=d)
+    assert poly.degree == d and poly.normalized_volume() == 187767277792
 
 
-def _btp_dilate_by_edges(n, t):
+def _btp_dilate_by_edges(n, t, interior=False):
     """The btp dilate count as paths of _boolean_moves, one cell and one
     edge per step: the second route for the layer transfer."""
     cells = [(i, c) for i in range(1, n) for c in range(n - i, n)]
-    return _path_sums(len(cells), (0,) * n, lambda k: _boolean_moves(n, t, *cells[k - 1]))
+    return _path_sums(len(cells), (0,) * n, lambda k: _boolean_moves(n, t, *cells[k - 1], interior))
 
 
 def test_btp_dilate_transfer_matches_the_edge_by_edge_pass():
     for n, tmax in [(n, 4) for n in range(1, 7)] + [(7, 2)]:
         for t in range(tmax + 1):
-            assert _count_boolean_rows(n, t) == _btp_dilate_by_edges(n, t), (n, t)
+            for inside in (False, True):
+                assert _count_boolean_rows(n, t, inside) == _btp_dilate_by_edges(n, t, inside), (n, t, inside)
 
 
 def test_btp_dilate_transfer_edge_cases():
@@ -653,6 +702,13 @@ def test_btp_dilate_transfer_edge_cases():
         assert _count_boolean_rows(2, t) == t + 1
     for n in range(1, 8):
         assert _count_boolean_rows(n, 0) == 1
+    # the interior window [1, t-1] is empty below t=2, and n=1's point is
+    # its own interior
+    for t in range(8):
+        assert _count_boolean_rows(1, t, True) == 1
+        assert _count_boolean_rows(2, t, True) == max(t - 1, 0)
+    for n in range(2, 8):
+        assert _count_boolean_rows(n, 0, True) == _count_boolean_rows(n, 1, True) == 0
 
 
 def test_btp_dilate_base_cases(family):
