@@ -55,11 +55,12 @@ holds.  A list of typed vertices (polytope.lp_membership) is not read
 again, as its constructors have checked every entry.
 The magog row graph (polytope.MagogVertices) lists no column: the hull
 LP runs on the DAG of the point's face, built per call from the row
-graph's move rule.  Either outcome is verified in integers on every
-call before it is returned, also on a kept DAG, and a failed check
-raises LPError: a solution on its basic columns as the source gives
-them, a certificate by the source's max_value, apart from the DAG (a
-scan over a list, a max-plus pass over the magog rules).
+graph's move rule, and a point with no tight prefix on the DAG of the
+whole row graph, built for the call too.  Either outcome is verified in
+integers on every call before it is returned, also on a kept DAG, and a
+failed check raises LPError: a solution on its basic columns as the
+source gives them, a certificate by the source's max_value, apart from
+the DAG (a scan over a list, a max-plus pass over the magog rules).
 """
 
 from __future__ import annotations

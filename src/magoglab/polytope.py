@@ -21,12 +21,14 @@ decomposition.  An integer double-description routine computes the magog hull's 
 vertices once per order, and they filter its dilates at n = 3, 4; at n=3
 they are, up to the unit sums, the six inequalities tsscpp3_vertex_audit
 certifies.  For n >= 4 membership is decided on the magog row graph
-(MagogVertices), with no vertex list.  A point that breaks a prefix, unit
-sum or special inequality (the core generators validate_magog reads) has
-that inequality as its certificate, with no LP.  Any other point is solved
-by the exact LP on its face: every magog matrix of a decomposition is
+(MagogVertices, an oracle that lists no vertex).  A point that breaks a
+prefix, unit sum or special inequality (the core generators
+validate_magog reads) has that inequality as its certificate, with no
+LP.  Any other point is solved by the exact LP on its face: every magog matrix of a decomposition is
 tight wherever the point is, so the tight column and row prefixes filter
-the row graph's moves, and the face's paths are the LP's columns.  A
+the row graph's moves, and the face's paths are the LP's columns: the
+DAG of that face is built for the call, and a point with no tight prefix
+solves on the DAG of the whole row graph, built for the call too.  A
 Farkas functional on the face is lifted to the whole hull by subtracting
 a multiple of the tight prefixes' summed slack, which is 0 on the face
 and at least 1 on every other vertex, and every certificate is checked
@@ -534,13 +536,6 @@ def _magog_rule(n: int):
     return (lambda i: moves_of), bits
 
 
-@functools.lru_cache(maxsize=4)
-def _magog_dag(n: int) -> _ColumnDag:
-    """The column DAG of MagogVertices(n), which depends on n alone: built
-    on first use and kept for the last four orders asked for."""
-    return _ColumnDag.of_paths(n, (), _magog_rule(n)[0], n * n + 1, tail=(1,))
-
-
 def _magog_matrix(n: int, dag: _ColumnDag, j: int) -> SignMatrix:
     """Column j of a column DAG built from a magog move rule, read down the
     DAG by its counts and rebuilt through the checking SignMatrix
@@ -565,12 +560,13 @@ def _magog_max(n: int, moves, y) -> int | None:
     return None if top is None else top + y[-1]
 
 
-def _magog_paths(n: int, dag: _ColumnDag, moves, rebuilt: dict) -> ColumnPaths:
-    """The columns (A, 1) of a DAG built from the magog move rule ``moves``
-    (the row graph's, or a face's), with its routes apart from the DAG:
-    column j is _magog_matrix(n, dag, j), also put in ``rebuilt`` by j, and
-    max_value is _magog_max over ``moves``, 0 when it has no path (as for
-    a list of no column)."""
+def _magog_paths(n: int, moves, rebuilt: dict) -> ColumnPaths:
+    """The columns (A, 1) of the magog move rule ``moves`` (a face of the
+    row graph, _face_moves), as the paths of the DAG built from ``moves``,
+    with its routes apart from the DAG: column j is _magog_matrix(n, dag,
+    j), also put in ``rebuilt`` by j, and max_value is _magog_max over the
+    same ``moves``, 0 when it has no path (as for a list of no column)."""
+    dag = _ColumnDag.of_paths(n, (), moves, n * n + 1, tail=(1,))
 
     def column(j):
         matrix = rebuilt[j] = _magog_matrix(n, dag, j)
@@ -584,41 +580,16 @@ def _magog_paths(n: int, dag: _ColumnDag, moves, rebuilt: dict) -> ColumnPaths:
 
 
 class MagogVertices:
-    """The n x n magog matrices, the vertices of the tsscpp hull, in
-    enumerate_objects order, held as the paths of the magog row graph and
-    not as a list.
-
-    They are read as a column DAG built from the move rules (_row_moves):
-    a node per (step, triangle row) state, an edge per move labelled with
-    its matrix row, and the DAG's tail, the convexity item 1, at the end of
-    every path.  The DAG is built once per n in a process, on the first
-    read of len(), an index or hull_columns(), and shared by every
-    MagogVertices(n) while n is among the last four orders asked for;
-    lp_membership does not read it, as it solves on a DAG of the point's
-    face built for the call.  ``vertices[j]`` reads matrix j down that DAG
-    by its counts and builds it, on every read, through the checking
-    SignMatrix constructor and validate_magog."""
+    """The n x n magog matrices, the vertices of the tsscpp hull, as an
+    oracle for lp_membership and not as a list: no matrix is listed or
+    indexed.  lp_membership solves on a DAG of the point's face of the
+    magog row graph, built for the call (_magog_membership), and
+    _max_value checks a certificate by a max-plus pass over the whole row
+    graph."""
 
     def __init__(self, n: int):
         _guard(n)
         self.n = n
-
-    @property
-    def _dag(self) -> _ColumnDag:
-        return _magog_dag(self.n)
-
-    def __len__(self) -> int:
-        return self._dag.counts[-1]
-
-    def __getitem__(self, j: int) -> SignMatrix:
-        return _magog_matrix(self.n, self._dag, j)
-
-    def hull_columns(self, rebuilt=None) -> ColumnPaths:
-        """The columns (A, 1) of the hull LP, one per magog matrix A: a
-        solution is checked on the matrices rebuilt by ``self[j]``, each
-        also put in the dict ``rebuilt`` by j when one is given, and a
-        certificate by a max-plus pass over the row graph."""
-        return _magog_paths(self.n, self._dag, _magog_rule(self.n)[0], {} if rebuilt is None else rebuilt)
 
     def _max_value(self, y) -> int:
         """The largest y.(A, 1) over the magog matrices A, for integer y:
@@ -742,7 +713,7 @@ def _magog_membership(rows, vertices: MagogVertices):
     side's slack, negated (_magog_slack).  Otherwise every magog matrix
     of a decomposition is tight wherever the point is, so the LP runs on
     the point's face: the row graph filtered by its tight column and row
-    prefixes (_face_moves), built by _ColumnDag.of_paths.  A face
+    prefixes (_face_moves), whose DAG _magog_paths builds.  A face
     certificate y is lifted to y - mu * g, where g, the sum of the tight
     prefixes' slacks, is 0 on the face and the point and at least 1 on
     every other vertex, and mu = max(0, the largest y.(A, 1) over the
@@ -763,7 +734,7 @@ def _magog_membership(rows, vertices: MagogVertices):
         tight = list(_tight_prefixes(col, rowp))
         moves = _face_moves(n, _face_masks(n, tight))
         vertex = {}
-        columns = _magog_paths(n, _ColumnDag.of_paths(n, (), moves, n * n + 1, tail=(1,)), moves, vertex)
+        columns = _magog_paths(n, moves, vertex)
         outcome = solve_feasibility(columns, rhs)
         if isinstance(outcome, Feasible):
             return vertex, outcome
@@ -1310,13 +1281,6 @@ def _form(*cells) -> list[int]:
     return [cells.count((i, j)) for i in range(1, 4) for j in range(1, 4)]
 
 
-def _eq_rows_3():
-    """Row/column sum equalities of the 3x3 system, as coefficient rows."""
-    rows = [_form(*((i, j) for j in range(1, 4))) for i in range(1, 4)]
-    cols = [_form(*((i, j) for i in range(1, 4))) for j in range(1, 4)]
-    return [(row, 1) for row in rows + cols]
-
-
 def _audit_inequalities_3():
     """The six inequalities of the complete order-3 hull description:
     five entry nonnegativities and a_12 + a_21 + a_22 >= 1."""
@@ -1325,32 +1289,15 @@ def _audit_inequalities_3():
     return ineqs
 
 
-def _relaxation_inequalities_3():
-    """The scaled-down (order 3) relaxation: column prefixes in [0,1]
-    for rows 1..2, row prefixes >= 0 for columns 1..2, and the single
-    (1,1)-special inequality."""
-    out = []
-    for j in range(1, 4):
-        for i in range(1, 3):
-            pref = _form(*((i2, j) for i2 in range(1, i + 1)))
-            out.append((f"colpref({i},{j})>=0", pref, 0))
-            out.append((f"colpref({i},{j})<=1", [-v for v in pref], -1))
-    for i in range(1, 4):
-        for j in range(1, 3):
-            out.append((f"rowpref({i},{j})>=0", _form(*((i, j2) for j2 in range(1, j + 1))), 0))
-    special = [a - b for a, b in zip(_form((2, 1), (1, 2), (2, 2)), _form((1, 1)))]
-    out.append(("special(1,1)>=0", special, 0))
-    return out
-
-
-def _vertices_3(ineqs) -> tuple[list, bool]:
-    """The vertices of {unit row and column sums, ineqs >= rhs} over the 3x3
-    cells, and whether it is bounded, from the extreme rays (x, x0) of
-    row.x >= rhs*x0 (both ways for a sum) and x0 >= 0.  A ray with x0 > 0 is
-    the vertex x/x0; one with x0 = 0, or a rank below 10, means unbounded."""
-    rows = [[s * v for v in (*row, -rhs)] for row, rhs in _eq_rows_3() for s in (1, -1)]
-    rows += [[*row, -rhs] for _, row, rhs in ineqs] + [[0] * 9 + [1]]
-    rays = _extreme_rays(rows)
+def _vertices_3(slacks) -> tuple[list, bool]:
+    """The vertices of {unit row and column sums, a.x + a0 >= 0 for each
+    slack (a, a0) of ``slacks``} over the 3x3 cells, and whether it is
+    bounded, from the extreme rays (x, x0) of a.x + a0*x0 >= 0 (both sides
+    of each unit sum, _magog_slack) and x0 >= 0.  A ray with x0 > 0 is the
+    vertex x/x0; one with x0 = 0, or a rank below 10, means unbounded."""
+    rows = [_magog_slack(3, label, (k,), upper)
+            for label in ("row-sum", "column-sum") for k in range(1, 4) for upper in (False, True)]
+    rays = _extreme_rays([*rows, *slacks, [0] * 9 + [1]])
     vertices = [tuple(Fraction(v, ray[-1]) for v in ray[:-1]) for ray, _ in rays or () if ray[-1]]
     return vertices, rays is not None and len(vertices) == len(rays)
 
@@ -1383,7 +1330,7 @@ def tsscpp3_vertex_audit() -> Tsscpp3AuditReport:
     their hull), record facet incidence evidence, and verify the weaker
     relaxation admits the two half-integer vertices."""
     ineqs = _audit_inequalities_3()
-    sols, bounded = _vertices_3(ineqs)
+    sols, bounded = _vertices_3([*row, -rhs] for _, row, rhs in ineqs)
 
     magog3 = {tuple(Fraction(v) for row in rows for v in row) for rows in _raw_rows("magog_matrix", 3)}
     matches = set(sols) == magog3
@@ -1395,7 +1342,12 @@ def tsscpp3_vertex_audit() -> Tsscpp3AuditReport:
         dim = affine_dimension(mats) if mats else -1
         incidences.append((label, len(incident), dim))
 
-    relax = set(_vertices_3(_relaxation_inequalities_3())[0])
+    # the scaled-down relaxation: column prefixes of rows 1..2 in [0, 1],
+    # row prefixes of columns 1..2 >= 0 and the (1,1)-special inequality
+    relax = [_magog_slack(3, "column-prefix", (i, j), upper)
+             for j in range(1, 4) for i in (1, 2) for upper in (False, True)]
+    relax += [_magog_slack(3, "row-prefix", (i, j), False) for i in range(1, 4) for j in (1, 2)]
+    relax = set(_vertices_3([*relax, _magog_slack(3, "special", (1, 1), False)])[0])
     halves_found = all(
         tuple(v for row in m for v in row) in relax for m in HALF_INTEGER_RELAXATION_VERTICES
     )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from magoglab import enumeration
+from magoglab import enumeration, polytope
 from magoglab.polytope import RationalTrianglePoint
 
 
@@ -19,6 +19,15 @@ def family():
         return cache[key]
 
     return get
+
+
+def row_graph_matrices(n):
+    """(dag, matrix): the column DAG of the whole magog row graph of order
+    n, which lp_membership solves on for a point with no tight prefix, and
+    j -> its magog matrix j, rebuilt and checked as lp_membership rebuilds
+    a basic column."""
+    dag = polytope._magog_paths(n, polytope._face_moves(n, polytope._face_masks(n, ())), {}).dag
+    return dag, lambda j: polytope._magog_matrix(n, dag, j)
 
 
 def random_membership_point(rng: random.Random, vertices, max_terms: int = 5) -> RationalTrianglePoint:

@@ -14,6 +14,8 @@ from magoglab.cli import CEILINGS, KIND_FLAGS, main
 from magoglab.core import BooleanTriangle, MagogTriangle, SignMatrix, validate_magog
 from magoglab.polytope import RationalTrianglePoint
 
+from conftest import row_graph_matrices
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -505,8 +507,8 @@ def test_order_7_membership_answers_are_checked_again(tmp_path, capsys):
     # entry) and the unit sums kept; each answer is loaded and checked here
     n = 7
     rng = random.Random(20261022)
-    vertices = polytope.MagogVertices(n)
-    chosen = [vertices[rng.randrange(len(vertices))] for _ in range(3)]
+    dag, matrix = row_graph_matrices(n)
+    chosen = [matrix(rng.randrange(dag.counts[-1])) for _ in range(3)]
     weights = [rng.randint(1, 9) for _ in chosen]
     rows = [[sum(Fraction(w, sum(weights)) * m.entries[i][j] for w, m in zip(weights, chosen)) for j in range(n)]
             for i in range(n)]
@@ -531,7 +533,7 @@ def test_order_7_membership_answers_are_checked_again(tmp_path, capsys):
     assert cert.value_at(point) > 0
     scale = math.lcm(*(c.denominator for c in (*cert.coefficients, cert.offset)))
     y = [int(c * scale) for c in (*cert.coefficients, cert.offset)]
-    assert vertices.hull_columns().max_value(y) <= 0
+    assert polytope.MagogVertices(n)._max_value(y) <= 0
 
 
 MALFORMED_DOCUMENTS = {

@@ -1,8 +1,5 @@
 import hashlib
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -29,6 +26,8 @@ from magoglab import (
 )
 from magoglab.core import ValidationFailure
 from magoglab.lp import Feasible, Infeasible, LPError, solve_feasibility
+
+from conftest import row_graph_matrices
 
 
 def test_simple_feasible():
@@ -298,7 +297,7 @@ def test_column_dag_sizes_are_pinned(family):
     for n, expected in ((4, (9, 34)), (5, (18, 122)), (6, (39, 455))):
         columns = [(*v.rows, 1) for v in family("boolean_triangle", n)]
         assert size(lp._list_paths(columns, n * (n - 1) // 2 + 1).dag) == expected
-    assert size(MagogVertices(6)._dag) == (65, 429)
+    assert size(row_graph_matrices(6)[0]) == (65, 429)
 
 
 def test_lp_membership_refuses_a_later_vertex_of_another_shape(family):
@@ -331,16 +330,15 @@ def test_lp_membership_certifies_non_magog_sign_matrices(family, data):
 
 def test_row_graph_columns_are_the_enumeration(family):
     for n in range(1, 7):
-        vertices = MagogVertices(n)
-        columns = vertices.hull_columns()
+        dag, matrix = row_graph_matrices(n)
         listed = family("magog_matrix", n)
-        assert len(vertices) == len(columns) == len(listed)
-        assert [vertices[j] for j in range(len(listed))] == listed
-        assert [columns.column(j) for j in range(len(listed))] == [(*m.entries, 1) for m in listed]
+        assert dag.counts[-1] == len(listed)
+        assert [matrix(j) for j in range(len(listed))] == listed
+        assert [dag.column(j) for j in range(len(listed))] == [(*m.entries, 1) for m in listed]
         with pytest.raises(IndexError):
-            vertices[len(listed)]
+            matrix(len(listed))
     for n in range(7, 11):
-        assert len(MagogVertices(n)) == product_formula(n)
+        assert row_graph_matrices(n)[0].counts[-1] == product_formula(n)
 
 
 def magog_batch(family, seed=20261020):
@@ -395,10 +393,10 @@ def test_max_plus_pass_checks_certificates(family):
     rng = random.Random(4)
     for n in (3, 4):
         listed = family("magog_matrix", n)
-        columns = MagogVertices(n).hull_columns()
+        vertices = MagogVertices(n)
         for _ in range(20):
             y = [rng.randint(-3, 3) for _ in range(n * n + 1)]
-            assert columns.max_value(y) == max(
+            assert vertices._max_value(y) == max(
                 sum(a * v for a, v in zip(y, (*(v for row in m.entries for v in row), 1))) for m in listed)
 
     # twice the separating functional of one vertex, less 2 C(n,2) - 1: 1
@@ -413,15 +411,15 @@ def test_max_plus_pass_checks_certificates(family):
             y[above * n + j - 1] += 2
     values = [2 * cert.evaluate(m) + y[-1] for m in listed]
     assert [j for j, v in enumerate(values) if v > 0] == [17]
-    columns = MagogVertices(n).hull_columns()
-    assert columns.max_value(y) == 1
+    vertices = MagogVertices(n)
+    assert vertices._max_value(y) == 1
     b = [0] * (n * n) + [1]
     with pytest.raises(LPError):
-        lp._verify_functional(y, columns.max_value(y), b)  # positive on one column
+        lp._verify_functional(y, vertices._max_value(y), b)  # positive on one column
     y = [0] * (n * n) + [-1]
-    assert columns.max_value(y) == -1
+    assert vertices._max_value(y) == -1
     with pytest.raises(LPError):
-        lp._verify_functional(y, columns.max_value(y), b)  # not positive on b
+        lp._verify_functional(y, vertices._max_value(y), b)  # not positive on b
 
 
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
@@ -436,15 +434,6 @@ def test_row_graph_answers_hold_with_the_rule_memo(family, monkeypatch, warm):
     hits = memo.cache_info().hits
     assert hits >= 40 if warm else hits == 0
     memo.cache_clear()
-
-
-def test_lp_membership_on_magog_vertices_builds_no_row_graph_dag():
-    # the LP runs on the DAG of the point's face, built for the call
-    polytope._magog_dag.cache_clear()
-    point = RationalMatrixPoint.from_rows(_combination([1, 2], [SignMatrix.identity(5).entries,
-                                                                SignMatrix.antidiagonal(5).entries]))
-    assert isinstance(lp_membership(point, MagogVertices(5)), ConvexDecomposition)
-    assert polytope._magog_dag.cache_info().currsize == 0
 
 
 def test_a_list_changed_in_place_is_solved_afresh(family):
@@ -584,18 +573,3 @@ def test_a_list_certificate_scan_makes_each_support_once(family, monkeypatch):
     columns = [args[0] for args in made if len(args[0]) > 1]
     assert sorted(columns) == sorted((*v.rows, 1) for v in vertices)
     lp._list_paths_of.cache_clear()
-
-
-def test_magog_vertices_of_one_order_share_one_dag():
-    assert MagogVertices(4)._dag is MagogVertices(4)._dag
-    assert MagogVertices(5)._dag is not MagogVertices(4)._dag
-
-
-def test_importing_the_cli_builds_no_column_dag():
-    code = ("import magoglab.cli\n"
-            "from magoglab import polytope\n"
-            "assert polytope._magog_dag.cache_info().currsize == 0\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr

@@ -46,11 +46,11 @@ from magoglab.polytope import (
     DecompositionError,
     InterpolationError,
     _audit_inequalities_3,
-    _eq_rows_3,
     _extreme_rays,
     _facet_witness,
     _fractional_measure,
     _magog_facets,
+    _magog_slack,
     _quarter_terms,
     _reduce,
     _solve_square,
@@ -59,7 +59,7 @@ from magoglab.polytope import (
     btp_inequalities,
 )
 
-from conftest import criterion_7_points, random_membership_point
+from conftest import criterion_7_points, random_membership_point, row_graph_matrices
 
 HALF_INTEGER_POINT_A = [["1/2", 0, "1/2"], ["1/2", 0, "1/2"], [0, 1, 0]]
 HALF_INTEGER_POINT_B = [["1/2", "1/2", 0], [0, 0, 1], ["1/2", "1/2", 0]]
@@ -948,8 +948,8 @@ def test_order_9_three_mix_and_its_twin_answer_on_the_face():
     # first-row zero pushed to -1/97, a column prefix below 0
     n = 9
     rng = random.Random(20261022)
-    vertices = MagogVertices(n)
-    chosen = [vertices[rng.randrange(len(vertices))] for _ in range(3)]
+    dag, matrix = row_graph_matrices(n)
+    chosen = [matrix(rng.randrange(dag.counts[-1])) for _ in range(3)]
     weights = [rng.randint(1, 9) for _ in chosen]
     rows = [[sum(F(w, sum(weights)) * m.entries[i][j] for w, m in zip(weights, chosen)) for j in range(n)]
             for i in range(n)]
@@ -959,6 +959,7 @@ def test_order_9_three_mix_and_its_twin_answer_on_the_face():
     off = [list(row) for row in rows]
     off[0][j], off[0][k], off[1][j], off[1][k] = off[0][j] - e, off[0][k] + e, off[1][j] + e, off[1][k] - e
 
+    vertices = MagogVertices(n)
     member = lp_membership(RationalMatrixPoint.from_rows(rows), vertices)
     assert member.reconstruct() == tuple(map(tuple, rows))
     assert all(classify(vertex).magog for _, vertex in member.terms)
@@ -966,7 +967,7 @@ def test_order_9_three_mix_and_its_twin_answer_on_the_face():
     cert = lp_membership(point, vertices)
     assert cert.value_at(point) > 0
     scale = math.lcm(*(c.denominator for c in (*cert.coefficients, cert.offset)))
-    assert vertices.hull_columns().max_value([int(c * scale) for c in (*cert.coefficients, cert.offset)]) <= 0
+    assert vertices._max_value([int(c * scale) for c in (*cert.coefficients, cert.offset)]) <= 0
 
 
 def test_order_4_dilates_and_the_audit_call_no_lp(monkeypatch):
@@ -1120,20 +1121,23 @@ def test_tsscpp3_vertex_audit():
     for label, incident, dim in report.facet_incidences:
         assert incident >= 4 and dim == 3
     assert report.half_integer_relaxation_vertices_found
+    assert report.relaxation_vertex_count == 11
 
 
 def test_tsscpp3_audit_certifies_boundedness():
     report = tsscpp3_vertex_audit()
     assert report.bounded and report.passed
-    eqs, ineqs = _eq_rows_3(), _audit_inequalities_3()
+    sums = [_magog_slack(3, label, (k,), False)[:-1] for label in ("row-sum", "column-sum") for k in range(1, 4)]
+    ineqs = _audit_inequalities_3()
+    slacks = [[*r, -rhs] for _, r, rhs in ineqs]
     # every five of the six inequalities leave a recession direction, an
     # extreme ray with x0 = 0 (the stacked rows still have rank 9)
     for k in range(6):
         rest = ineqs[:k] + ineqs[k + 1:]
-        assert len(_reduce([r for r, _ in eqs] + [r for _, r, _ in rest], 9)) == 9
-        assert not _vertices_3(rest)[1]
+        assert len(_reduce(sums + [r for _, r, _ in rest], 9)) == 9
+        assert not _vertices_3(slacks[:k] + slacks[k + 1:])[1]
     # with two inequalities the rank test alone fails
-    assert not _vertices_3(ineqs[:2])[1]
+    assert not _vertices_3(slacks[:2])[1]
 
 
 def test_ehrhart_btp5_stretch():
