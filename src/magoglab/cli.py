@@ -44,6 +44,13 @@ STAT_FLAGS = {stat.replace("_", "-"): stat for stat in enumeration.STATISTICS}
 # most 1.7 s; the centre point (every entry 1/n), on no proper face, takes
 # 17 s, and 135 s at n=10.  The mixes alone would allow n=12 (at most 18.6 s,
 # 145 MiB); a 40-mix took up to 85 s at n=13.
+# stats at n=13 takes 4.9-9.7 s and check --suite conjectures --n-max 13
+# takes 18 s, each at 466 MiB: the statistics read the whole row graph
+# listed once (2.7M edges at n=13, about 3.6 times that at n=14, so memory,
+# not time, keeps both at 13).  btp ehrhart at n=6 counts dilates only up to
+# t=9; a larger tmax adds the integer extension and the check of each
+# sample against the polynomial: --tmax 500000 --interpolate takes 27 s and
+# 231 MiB, 1000000 takes 60 s.
 CEILINGS = {
     "enumerate": {"n": 7},
     "enumerate --kind gapless": {"n": 8},
@@ -52,7 +59,7 @@ CEILINGS = {
     "polytope membership --polytope tsscpp": {"n": 9},
     "polytope certify": {"n": 6},
     "polytope facets": {"n": 300},
-    "ehrhart --polytope btp": {"n": 6, "tmax": 12},
+    "ehrhart --polytope btp": {"n": 6, "tmax": 500000},
     "ehrhart --polytope tsscpp3": {"tmax": 32},
     "check --suite theorems": {"n_max": 11},
     "check --suite conjectures": {"n_max": 13},
@@ -221,28 +228,39 @@ def _cmd_ehrhart(args) -> int:
     return 0
 
 
+# tables 1-6 by family, each with the statistics of its rows in order
+_POSITIONAL = ("first_row_one", "first_col_one", "last_row_one")
+_STAT_TABLES = {
+    "magog_matrix": (("table1", ("neg_ones",)), ("table3", _POSITIONAL), ("table5", ("posinv", "inv"))),
+    "asm": (("table2", ("neg_ones",)), ("table4", _POSITIONAL), ("table6", ("posinv", "inv"))),
+}
+
+
+def _golden_row(table: str, n: int, stat: str):
+    """The golden counts of a statistic's row of tables 1-6; a table whose
+    rows share one vector (tables 1, 2 and 4) holds it alone."""
+    row = getattr(golden, table.upper())[n]
+    return row[stat] if isinstance(row, dict) else row
+
+
 def _table_rows(n_max: int, wanted: set | None = None):
-    """Computed-vs-golden cell stream for the reproduction report."""
+    """Computed-vs-golden cell stream for the reproduction report, the
+    rows of the wanted tables only: a family's bundle at each order asks
+    for just the statistics of its wanted tables."""
     def want(*tables):
         return wanted is None or any(t in wanted for t in tables)
 
     for n in range(3, n_max + 1):
         if n not in golden.TABLE1:
             continue
-        if want("table1", "table3", "table5"):
-            bundle = enumeration.distribution_bundle("magog_matrix", n)
-            yield ("table1", n, "neg_ones", bundle["neg_ones"].counts, golden.TABLE1[n])
-            for stat in ("first_row_one", "first_col_one", "last_row_one"):
-                yield ("table3", n, stat, bundle[stat].counts, golden.TABLE3[n][stat])
-            yield ("table5", n, "posinv", bundle["posinv"].counts, golden.TABLE5[n]["posinv"])
-            yield ("table5", n, "inv", bundle["inv"].counts, golden.TABLE5[n]["inv"])
-        if want("table2", "table4", "table6"):
-            asm = enumeration.distribution_bundle("asm", n)
-            yield ("table2", n, "neg_ones", asm["neg_ones"].counts, golden.TABLE2[n])
-            for stat in ("first_row_one", "first_col_one", "last_row_one"):
-                yield ("table4", n, stat, asm[stat].counts, golden.TABLE4[n])
-            yield ("table6", n, "posinv", asm["posinv"].counts, golden.TABLE6[n]["posinv"])
-            yield ("table6", n, "inv", asm["inv"].counts, golden.TABLE6[n]["inv"])
+        for kind, tables in _STAT_TABLES.items():
+            tables = [(table, stats) for table, stats in tables if want(table)]
+            if not tables:
+                continue
+            bundle = enumeration.distribution_bundle(kind, n, [s for _, stats in tables for s in stats])
+            for table, stats in tables:
+                for stat in stats:
+                    yield (table, n, stat, bundle[stat].counts, _golden_row(table, n, stat))
     if not want("table7", "table8", "table9"):
         return
     from . import polytope
@@ -296,8 +314,6 @@ def _cmd_check(args) -> int:
     mismatches = 0
     out_rows: dict[str, list[str]] = {}
     for table, n, label, computed, expected in _table_rows(args.n_max, wanted):
-        if wanted is not None and table not in wanted:
-            continue
         ok = computed == expected
         if not ok:
             mismatches += 1

@@ -5,22 +5,28 @@ Every family is a move rule over states: for each step, what a state may
 emit and where that leads (_rule).  One depth-first walk (_walk) streams
 every family, and forward passes (the transfer-matrix method) work on the
 rule without listing a path: _path_sums, edge by edge, counts the
-row-graph families and tallies their statistics, _path_max takes the
-largest weight of a path (the tsscpp LP's pricing), and
-_path_differences yields one path difference per fundamental cycle of the
-rule's live graph, which span the differences of all its paths (the hull
-dimensions).  _walk and _path_differences read one forward listing of
-each state's moves per step (_listing).  Magog, monotone (ASM) and gapless
-triangles step row by row through one graph of triangle rows under a
-window rule (_next_rows); their matrices emit one matrix row per edge
-(core._matrix_row), and square sign matrices are counted on it under the
-sign window.  Square sign matrices stream row by row over states of
-column prefix sums (_sign_moves), which keeps their entry order and walks
-the dilates of their relaxation.  Boolean triangles step over column
-differences under one rule per cell (_boolean_cell): its diagonal cap,
-and floors where the cap can no longer bind, which keep every count
-exact.  The walk takes a row of cells per step (_boolean_row_moves over
-_boolean_moves).  The count, which also counts the btp dilates, is its
+row-graph families, _path_max takes the largest weight of a path (the
+tsscpp LP's pricing), and _path_differences yields one path difference
+per fundamental cycle of the rule's live graph, which span the
+differences of all its paths (the hull dimensions).  _walk,
+_path_differences and the statistics tables read one forward listing of
+each state's moves per step (_listing).  The tables are integer passes
+over it (distribution_bundle): a boundary statistic, set by one edge of
+each path, adds the forward times the backward path count of each edge
+that sets it, and an additive one is a generating polynomial packed into
+one int per state (Kronecker substitution) and shifted along the edges.
+
+Magog, monotone (ASM) and gapless triangles step row by row through one
+graph of triangle rows under a window rule (_next_rows); their matrices
+emit one matrix row per edge (core._matrix_row), and square sign
+matrices are counted on it under the sign window.  Square sign matrices
+stream row by row over states of column prefix sums (_sign_moves), which
+keeps their entry order and walks the dilates of their relaxation.
+Boolean triangles step over column differences under one rule per cell
+(_boolean_cell): its diagonal cap, and floors where the cap can no longer
+bind, which keep every count exact.  The walk takes a row of cells per
+step (_boolean_row_moves over _boolean_moves).  The count, which also
+counts the btp dilates, is its
 own pass over states packed into ints: a cell moves a whole layer, each
 next state taking a range sum over the states that differ from it only in
 the cell's two columns (_boolean_transfer), not one update per edge.
@@ -47,7 +53,6 @@ order of entries with -1 < 0 < 1.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -175,41 +180,20 @@ def _paths(blocks) -> Iterator[tuple]:
     return itertools.chain.from_iterable(map(prefix.__add__, block) for prefix, block in blocks)
 
 
-def _path_sums(depth: int, start, moves, steps=()):
-    """The number of paths of _walk(depth, start, moves), or with ``steps``
-    one tally per value they give: each step(depth, i, state, next state)
-    returns a tuple of values per edge, and tally k counts the paths by the
-    sum along them of the k-th of all those values, as a dict value -> count.
+def _path_sums(depth: int, start, moves) -> int:
+    """The number of paths of _walk(depth, start, moves).
 
-    A forward pass: a layer maps each state to the paths ending there (an
-    int, or with steps its tallies) and is pushed to the next step edge by
-    edge, so only two layers are held.  With steps, every path must end at
-    one state."""
+    A forward pass: a layer maps each state to the paths ending there and
+    is pushed to the next step edge by edge, so only two layers are held."""
     layer = {start: 1}
     for i in range(1, depth + 1):
         move = moves(i)
         nxt: dict = {}
         for state, ways in layer.items():
-            if not steps:
-                for _, q in move(state):
-                    nxt[q] = nxt.get(q, 0) + ways
-                continue
             for _, q in move(state):
-                into = nxt.setdefault(q, [])
-                k = 0
-                for step in steps:
-                    for d in step(depth, i, state, q):
-                        if k == len(into):
-                            into.append({})
-                        # step 1 leaves the start, where every tally is {0: 1}
-                        for v, c in (ways[k] if i > 1 else {0: 1}).items():
-                            into[k][v + d] = into[k].get(v + d, 0) + c
-                        k += 1
+                nxt[q] = nxt.get(q, 0) + ways
         layer = nxt
-    if not steps:
-        return sum(layer.values())
-    (tallies,) = layer.values()
-    return tallies
+    return sum(layer.values())
 
 
 def _path_max(depth: int, start, moves, weight) -> int | None:
@@ -604,45 +588,138 @@ class DistributionTable:
         return self.counts[k] if 0 <= k < len(self.counts) else 0
 
 
-def _inv_step(n: int, i: int, prev: tuple, row: tuple) -> int:
-    # each new entry a_ij pairs with the column prefixes right of j, which
-    # after row i-1 are the columns of prev right of j
-    return (sum(len(prev) - bisect.bisect(prev, j) for j in row if j not in prev)
-            - sum(len(prev) - bisect.bisect(prev, j) for j in prev if j not in row))
-
-
-def _neg_step(n: int, i: int, prev: tuple, row: tuple) -> int:
-    return sum(1 for j in prev if j not in row)
-
-
-# what each statistic adds along the edge from row i-1 (prev) to row i of a
-# row-graph path, as a 1-tuple; column 1 never holds a -1, so its one sits
-# where it enters the row, and row n-1 misses from 1..n just the column of
-# the last matrix row's one.  The inversion statistics share one step
-# (_inversion_step).
-_STAT_STEP = {
-    "first_row_one": lambda n, i, prev, row: (row[0] if i == 1 else 0,),
-    "first_col_one": lambda n, i, prev, row: (i if row[0] == 1 and prev[:1] != (1,) else 0,),
-    "last_row_one": lambda n, i, prev, row: (n * (n + 1) // 2 - sum(prev) if i == n else 0,),
+# the additive statistics, each a sum along a row-graph path of one value
+# per edge (_additive_tallies)
+_ADDITIVE = ("neg_ones", "inv", "posinv")
+# the boundary statistics, each set by exactly one edge of every path
+# (_set_tally): the steps of its edges at order n, and value(i, prev, row)
+# of an edge from row i-1 to row i, None where the edge sets nothing.
+# Column 1 never holds a -1, so its one sits where it enters the row, and
+# row n-1 misses from 1..n just the column of the last matrix row's one
+# (at step n, i is n).
+_BOUNDARY = {
+    "first_row_one": (lambda n: (1,), lambda i, prev, row: row[0]),
+    "first_col_one": (lambda n: range(1, n + 1),
+                      lambda i, prev, row: i if row[0] == 1 and prev[:1] != (1,) else None),
+    "last_row_one": (lambda n: (n,), lambda i, prev, row: i * (i + 1) // 2 - sum(prev)),
 }
-_INVERSION_STATS = ("inv", "neg_ones", "posinv")
-STATISTICS = ("neg_ones", "inv", "posinv", *_STAT_STEP)
+STATISTICS = (*_ADDITIVE, *_BOUNDARY)
 _TABLE_KINDS = ("magog_matrix", "asm", "square_sign")
 
 
-def _inversion_step(wanted):
-    """The step of the wanted inversion statistics, in _INVERSION_STATS
-    order: _inv_step and _neg_step each run at most once per edge, and
-    posinv is read off them as inv - neg."""
-    mask = [s in wanted for s in _INVERSION_STATS]
-    need_inv = mask[0] or mask[2]
-    need_neg = mask[1] or mask[2]
+def _forward_counts(listed: list) -> dict:
+    """state -> the paths from the start to it, over a forward listing
+    (_listing) whose states are each met at one step only, as the row
+    graph's are (a row's length is its step)."""
+    ways = dict.fromkeys(listed[0], 1)
+    for here in listed[:-1]:
+        for q, out in here.items():
+            w = ways[q]
+            for _, p in out:
+                ways[p] = ways.get(p, 0) + w
+    return ways
 
-    def step(n, i, prev, row):
-        inv = _inv_step(n, i, prev, row) if need_inv else 0
-        neg = _neg_step(n, i, prev, row) if need_neg else 0
-        return tuple(itertools.compress((inv, neg, inv - neg), mask))
-    return step
+
+def _backward_counts(listed: list) -> dict:
+    """state -> the paths from it to the last step, over a listing as in
+    _forward_counts."""
+    ways = dict.fromkeys(listed[-1], 1)
+    for here in reversed(listed[:-1]):
+        for q, out in here.items():
+            ways[q] = sum(ways[p] for _, p in out)
+    return ways
+
+
+def _set_tally(listed: list, fwd: dict, bwd: dict, steps, value) -> dict:
+    """value -> paths, over the paths of a row-graph listing on each of
+    which at most one edge sets a value: value(i, prev, row) on an edge
+    prev -> row of step i in ``steps``, None where the edge sets none.
+    fwd[prev] * bwd[row] paths (_forward_counts, _backward_counts) run
+    through that edge, so the tally adds that much, and no tally is pushed
+    along the paths."""
+    tally: dict = {}
+    for i in steps:
+        for prev, out in listed[i - 1].items():
+            ways = fwd[prev]
+            for _, row in out:
+                v = value(i, prev, row)
+                if v is not None:
+                    tally[v] = tally.get(v, 0) + ways * bwd[row]
+    return tally
+
+
+def _additive_tallies(listed: list, stats: list, w: int) -> list[int]:
+    """The tally of each additive statistic of ``stats`` over the paths of
+    a row-graph listing (_listing), as its generating polynomial
+    sum_v c_v x^v packed into one int at slot width w, c_v << w*v
+    (Kronecker substitution; _unpack reads it).  Each state holds one such
+    int per statistic, over the paths that end there, and an edge of value
+    d adds its source's int shifted left by w*d: integer shifts and sums,
+    with two layers held.
+
+    The edge from row r-1 (prev, the columns whose prefix sum is 1) to row
+    r (row) makes matrix row r.  Its -1s are the columns that leave the
+    set, neg = #{p in prev: p not in row}, and it adds
+        inv = sum_{p in prev} #{v in row: v < p} - C(r-1, 2)
+    inversions, each new entry pairing with the column prefixes right of
+    it; posinv = inv - neg.  Each state's bitmask is made once per call,
+    and an edge's values are popcounts of the masks: neg of prev & ~row,
+    and the sum that of prev >> v+1 summed over v in row.
+
+    Packing needs every edge value >= 0 and every coefficient < 2^w.  Every
+    row rule keeps the sign window v_k <= p_k for k < r (the magog window
+    v_{k+1} <= p_k + 1 implies it), so the k-th entry p_k of prev has at
+    least k-1 entries of row below it, and k when p_k is not in row: the sum
+    is at least C(r-1, 2) + neg, so inv >= neg >= 0 on every edge and no
+    offset is needed.  A coefficient at a state counts some of the paths
+    that end there, so w, the bit length of the largest forward count,
+    bounds every coefficient, and no slot carries into the next.  An edge
+    with inv < neg raises RuntimeError (an internal error), and so does, in
+    distribution_bundle, a decoded tally whose total is not the path count,
+    which is what a carry leaves."""
+    which = [_ADDITIVE.index(s) for s in stats]
+    need_inv = which != [0]
+    # one statistic is held as a bare int per state, several as a list
+    one = len(which) == 1
+    first = which[0]
+    masks = {q: sum(1 << v for v in q) for here in listed for q in here}
+    # the states of a layer by their masks, the row graph's states being sets
+    layer = {masks[q]: 1 if one else [1] * len(which) for q in listed[0]}
+    for k, here in enumerate(listed[:-1]):
+        base = k * (k - 1) // 2  # C(r-1, 2) at row r = k + 1
+        nxt: dict = {}
+        get = nxt.get
+        for prev, out in here.items():
+            pm = masks[prev]
+            src = layer[pm]
+            # above[v]: the entries of prev above v
+            above = [(pm >> v + 1).bit_count() for v in range(len(listed))]
+            for _, row in out:
+                rm = masks[row]
+                neg = (pm & ~rm).bit_count()
+                inv = sum(map(above.__getitem__, row)) - base if need_inv else neg
+                if inv < neg:
+                    raise RuntimeError(f"the edge {prev} -> {row} adds {inv} inversions and {neg} negative ones")
+                values = (neg, inv, inv - neg)
+                if one:
+                    nxt[rm] = get(rm, 0) + (src << w * values[first])
+                    continue
+                into = get(rm)
+                if into is None:
+                    into = nxt[rm] = [0] * len(which)
+                for j, s in enumerate(which):
+                    into[j] += src[j] << w * values[s]
+        layer = nxt
+    (tallies,) = layer.values()
+    return [tallies] if one else tallies
+
+
+def _unpack(packed: int, w: int) -> dict:
+    """value -> coefficient over the nonzero slots of a polynomial packed at
+    slot width w (_additive_tallies)."""
+    mask = (1 << w) - 1
+    slots = (packed >> w * v & mask for v in range(-(-packed.bit_length() // w)))
+    return {v: c for v, c in enumerate(slots) if c}
 
 
 def distribution(kind: str, statistic: str, n: int) -> DistributionTable:
@@ -651,9 +728,13 @@ def distribution(kind: str, statistic: str, n: int) -> DistributionTable:
 
 
 def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, DistributionTable]:
-    """All requested distributions from one forward pass over the row
-    graph of the kind, without enumerating: every statistic is a sum of
-    steps along the path (_STAT_STEP, _inversion_step)."""
+    """All requested distributions from one forward listing of the kind's
+    row graph (_listing), without enumerating: a forward pass counts the
+    paths into each state; the additive statistics are packed generating
+    polynomials pushed along the edges (_additive_tallies), and each
+    boundary statistic adds, at the one edge of a path that sets it, the
+    paths through that edge, forward count times backward count
+    (_set_tally)."""
     if kind not in _TABLE_KINDS:
         raise ValidationFailure(f"distributions are defined for {', '.join(_TABLE_KINDS)}")
     stats = tuple(dict.fromkeys(statistics))
@@ -663,29 +744,42 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, D
         if s not in STATISTICS:
             raise ValidationFailure(f"unknown statistic {s!r}; expected one of {STATISTICS}")
     _guard(n)
-    inversion = [s for s in _INVERSION_STATS if s in stats]
-    others = [s for s in stats if s in _STAT_STEP]
-    steps = ([_inversion_step(inversion)] if inversion else []) + [_STAT_STEP[s] for s in others]
-    tallies = _path_sums(n, (), _row_moves(n, _ROW_RULES[kind]), steps)
-    by_stat = dict(zip(inversion + others, tallies))
+    listed = _listing(n, (), _row_moves(n, _ROW_RULES[kind]))
+    fwd = _forward_counts(listed)
+    (total,) = map(fwd.__getitem__, listed[n])
+    tallies = {}
+    additive = [s for s in stats if s in _ADDITIVE]
+    if additive:
+        w = max(fwd.values()).bit_length()
+        tallies.update(zip(additive, (_unpack(p, w) for p in _additive_tallies(listed, additive, w))))
+    boundary = [s for s in stats if s in _BOUNDARY]
+    if boundary:
+        bwd = _backward_counts(listed)
+        for s in boundary:
+            steps, value = _BOUNDARY[s]
+            tallies[s] = _set_tally(listed, fwd, bwd, steps(n), value)
     out = {}
     for s in stats:
-        counts = by_stat[s]
+        counts = tallies[s]
+        if sum(counts.values()) != total:
+            raise RuntimeError(f"the {s} tally of {kind} at n={n} counts {sum(counts.values())} of {total} paths")
         lo, hi = min(counts), max(counts)
         out[s] = DistributionTable(kind, s, n, lo, tuple(counts.get(v, 0) for v in range(lo, hi + 1)))
     return out
 
 
 def boundary_count(n: int, i: int, j: int) -> int:
-    """Number of magog matrices of order n with a one in row i, column j."""
+    """Number of magog matrices of order n with a one in row i, column j:
+    the paths of the magog row graph on whose step i column j enters the
+    row, each edge of that step taking the paths through it (_set_tally)."""
     _guard(n)
     _integer(i, "row")
     _integer(j, "column")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValidationFailure("position out of range")
-    # the paths on whose step to row i column j enters the row
-    (tally,) = _path_sums(n, (), _row_moves(n, "magog"),
-                          [lambda n, r, prev, row: (r == i and j in row and j not in prev,)])
+    listed = _listing(n, (), _row_moves(n, "magog"))
+    tally = _set_tally(listed, _forward_counts(listed), _backward_counts(listed), (i,),
+                       lambda r, prev, row: 1 if j in row and j not in prev else None)
     return tally.get(1, 0)
 
 

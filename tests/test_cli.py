@@ -336,7 +336,7 @@ def test_ehrhart_rejects_negative_tmax(capsys, argv):
     assert captured.err == "error: dilation factor must be nonnegative\n"
 
 
-@pytest.mark.parametrize("argv", [["--polytope", "btp", "--n", "3", "--tmax", "13"],
+@pytest.mark.parametrize("argv", [["--polytope", "btp", "--n", "3", "--tmax", "500001"],
                                   ["--polytope", "tsscpp3", "--tmax", "33"]])
 def test_ehrhart_refuses_a_dilate_ceiling_before_any_sample(capsys, monkeypatch, argv):
     monkeypatch.delenv("MAGOGLAB_CEILING_OVERRIDE", raising=False)
@@ -800,6 +800,33 @@ def test_check_tables_selector(capsys):
     assert lines and all(ln.startswith("table5") for ln in lines)
     code, _ = run(capsys, "check", "--suite", "tables", "--n-max", "3", "--tables", "nope")
     assert code == 1
+
+
+_POSITIONAL = ("first_row_one", "first_col_one", "last_row_one")
+
+
+@pytest.mark.parametrize("tables, asked", [
+    ("table1", [("magog_matrix", 3, ("neg_ones",)), ("magog_matrix", 4, ("neg_ones",))]),
+    ("table6,table3", [("magog_matrix", 3, _POSITIONAL), ("asm", 3, ("posinv", "inv")),
+                       ("magog_matrix", 4, _POSITIONAL), ("asm", 4, ("posinv", "inv"))]),
+    ("table2,table4", [("asm", 3, ("neg_ones",) + _POSITIONAL), ("asm", 4, ("neg_ones",) + _POSITIONAL)]),
+])
+def test_check_tables_asks_only_for_the_statistics_it_prints(tmp_path, capsys, monkeypatch, tables, asked):
+    calls = []
+    real = enumeration.distribution_bundle
+
+    def recorded(kind, n, statistics=enumeration.STATISTICS):
+        calls.append((kind, n, tuple(statistics)))
+        return real(kind, n, statistics)
+
+    monkeypatch.setattr(enumeration, "distribution_bundle", recorded)
+    code, out = run(capsys, "check", "--suite", "tables", "--tables", tables, "--n-max", "4",
+                    "--out-dir", str(tmp_path))
+    assert code == 0 and calls == asked
+    wanted = set(tables.split(","))
+    rows = [ln.split()[0] for ln in out.splitlines() if " n=" in ln]
+    assert rows and set(rows) == wanted
+    assert {p.stem for p in tmp_path.iterdir()} == wanted
 
 
 def test_serialization_round_trip_byte_identity():

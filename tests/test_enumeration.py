@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -234,6 +235,20 @@ def test_boundary_counts():
     assert boundary_count(4, 1, 2) == 7
 
 
+def test_boundary_count_is_the_enumerated_count():
+    from magoglab import enumeration
+
+    for n in range(1, 6):
+        ones = {}
+        for rows in enumeration._raw_rows("magog_matrix", n):
+            for i, row in enumerate(rows, 1):
+                for j, v in enumerate(row, 1):
+                    if v == 1:
+                        ones[i, j] = ones.get((i, j), 0) + 1
+        assert {(i, j): boundary_count(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)} == {
+            (i, j): ones.get((i, j), 0) for i in range(1, n + 1) for j in range(1, n + 1)}
+
+
 def enumerated_tally(kind, n):
     """Independent oracle for distribution_bundle: every object's
     statistics worked out from its entries, one object at a time."""
@@ -295,35 +310,82 @@ def test_tables_and_counts_enumerate_nothing(monkeypatch):
         assert count(kind, 6) > 0
 
 
-def test_a_bundle_works_out_each_inversion_step_once_per_edge(monkeypatch):
+def test_a_bundle_lists_the_moves_of_each_state_once(monkeypatch):
     from magoglab import enumeration
 
-    calls = {"_inv_step": 0, "_neg_step": 0}
-    for name in calls:
-        def counted(*args, real=getattr(enumeration, name), name=name):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(enumeration, name, counted)
-    distribution_bundle("magog_matrix", 6, ("inv",))
-    edges = calls["_inv_step"]
-    assert edges > 0 and calls["_neg_step"] == 0
-    calls.update(_inv_step=0, _neg_step=0)
-    full = distribution_bundle("magog_matrix", 6)
-    assert calls == {"_inv_step": edges, "_neg_step": edges}
-    assert full["posinv"].counts == distribution("magog_matrix", "posinv", 6).counts
+    listed = enumeration._listing(6, (), enumeration._row_moves(6, "magog"))
+    states = sorted(q for here in listed[:-1] for q in here)
+    listings = []
+    real = enumeration._next_rows
+    monkeypatch.setattr(enumeration, "_next_rows", lambda n, prev, rule: listings.append(prev) or real(n, prev, rule))
+    # the forward and backward counts and both kinds of statistic read one listing
+    for call in (lambda: distribution_bundle("magog_matrix", 6, ("inv",)),
+                 lambda: distribution_bundle("magog_matrix", 6),
+                 lambda: boundary_count(6, 3, 4)):
+        listings.clear()
+        call()
+        assert sorted(listings) == states
 
 
-def test_a_stream_maps_each_edge_of_its_rule_once(monkeypatch):
+def test_a_stream_maps_each_edge_of_its_rule_once():
     from magoglab import enumeration
 
-    edges = []
-    real = enumeration._inv_step
-    monkeypatch.setattr(enumeration, "_inv_step", lambda *args: edges.append(args) or real(*args))
-    distribution_bundle("magog_matrix", 6, ("inv",))
+    listed = enumeration._listing(*enumeration._rule("magog_matrix", 6))
+    edges = sum(len(out) for here in listed[:-1] for out in here.values())
     mapped = []
     texts = list(enumeration._raw_rows("magog_matrix", 6, lambda row: mapped.append(row) or str(row)))
     assert texts == [tuple(map(str, rows)) for rows in enumeration._raw_rows("magog_matrix", 6)]
-    assert len(mapped) == len(edges) < len(texts)
+    assert len(mapped) == edges < len(texts)
+
+
+_tally_of = functools.cache(enumerated_tally)
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(st.permutations(STATISTICS))
+def test_every_set_of_statistics_equals_the_enumerated_tally(order):
+    # every nonempty subset, asked for in the drawn order
+    for kind in ("magog_matrix", "asm", "square_sign"):
+        for n in range(1, 7):
+            tallies = _tally_of(kind, n)
+            for size in range(1, len(order) + 1):
+                for stats in itertools.combinations(order, size):
+                    bundle = distribution_bundle(kind, n, stats)
+                    assert tuple(bundle) == stats
+                    for s in stats:
+                        tally = tallies[s]
+                        assert dict(bundle[s].items()) == {v: tally.get(v, 0) for v in range(min(tally), max(tally) + 1)}
+
+
+def test_packed_polynomials_keep_wide_coefficients_and_empty_slots():
+    from magoglab.enumeration import _unpack
+
+    # slots 1, 3 and 4 are empty, and two coefficients pass 2^64
+    poly = {0: 2 ** 64 + 3, 2: 1, 5: 2 ** 70 - 1}
+    w = 72
+    packed = sum(c << w * v for v, c in poly.items())
+    assert _unpack(packed, w) == poly
+    # an edge of value d shifts its source by w*d, and a state sums what reaches it
+    assert _unpack((packed << w * 3) + packed, w) == {0: 2 ** 64 + 3, 2: 1, 3: 2 ** 64 + 3, 5: 2 ** 70, 8: 2 ** 70 - 1}
+    assert _unpack(packed + packed, w) == {v: 2 * c for v, c in poly.items()}
+    # one bit short, a slot carries into the next and the decoded total falls
+    short = sum(c << 69 * v for v, c in poly.items())
+    assert sum(_unpack(short, 69).values()) < sum(poly.values())
+
+
+def test_a_negative_edge_value_is_an_internal_error(monkeypatch, capsys):
+    from magoglab import enumeration
+    from magoglab.cli import main
+
+    # a rule with no window leaves the sign window: at n=4 its edge from row
+    # (1, 2) to (2, 3, 4) adds -1 inversions
+    monkeypatch.setitem(enumeration._ROW_RULES, "magog_matrix", "free")
+    for stat in ("inv", "posinv"):
+        with pytest.raises(RuntimeError, match="inversions"):
+            distribution_bundle("magog_matrix", 4, (stat,))
+    assert main(["stats", "--kind", "magog", "--stat", "inv", "--n", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal error: RuntimeError")
 
 
 def test_no_block_of_a_stream_holds_more_than_a_chunk_of_lines():
