@@ -44,25 +44,26 @@ STAT_FLAGS = {stat.replace("_", "-"): stat for stat in enumeration.STATISTICS}
 # most 1.7 s; the centre point (every entry 1/n), on no proper face, takes
 # 17 s, and 135 s at n=10.  The mixes alone would allow n=12 (at most 18.6 s,
 # 145 MiB); a 40-mix took up to 85 s at n=13.
-# stats at n=13 takes 4.9-9.7 s and check --suite conjectures --n-max 13
-# takes 18 s, each at 466 MiB: the statistics read the whole row graph
-# listed once (2.7M edges at n=13, about 3.6 times that at n=14, so memory,
-# not time, keeps both at 13).  btp ehrhart at n=6 counts dilates only up to
-# t=9; a larger tmax adds the integer extension and the check of each
-# sample against the polynomial: --tmax 500000 --interpolate takes 27 s and
-# 231 MiB, 1000000 takes 60 s.
+# stats at n=14 takes 10-20 s and check --suite conjectures --n-max 14
+# takes 30-32 s, each within 65 MiB: a table is one forward pass holding two
+# layers of the row graph, so memory stays small, but the graph's edges
+# grow about 3.6 times per order, so time keeps both at 14.  btp ehrhart
+# at n=6 counts dilates only up to t=9; a larger tmax adds the integer
+# extension and the integer check of each sample against the polynomial:
+# --tmax 500000 --interpolate takes 2.6 s and 230 MiB, 1000000 takes 5.6 s
+# and 459 MiB, the samples held in memory.
 CEILINGS = {
     "enumerate": {"n": 7},
     "enumerate --kind gapless": {"n": 8},
     "enumerate --count": {"n": 14},
-    "stats": {"n": 13},
+    "stats": {"n": 14},
     "polytope membership --polytope tsscpp": {"n": 9},
     "polytope certify": {"n": 6},
     "polytope facets": {"n": 300},
     "ehrhart --polytope btp": {"n": 6, "tmax": 500000},
     "ehrhart --polytope tsscpp3": {"tmax": 32},
     "check --suite theorems": {"n_max": 11},
-    "check --suite conjectures": {"n_max": 13},
+    "check --suite conjectures": {"n_max": 14},
 }
 
 

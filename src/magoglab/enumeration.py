@@ -5,16 +5,17 @@ Every family is a move rule over states: for each step, what a state may
 emit and where that leads (_rule).  One depth-first walk (_walk) streams
 every family, and forward passes (the transfer-matrix method) work on the
 rule without listing a path: _path_sums, edge by edge, counts the
-row-graph families, _path_max takes the largest weight of a path (the
-tsscpp LP's pricing), and _path_differences yields one path difference
-per fundamental cycle of the rule's live graph, which span the
-differences of all its paths (the hull dimensions).  _walk,
-_path_differences and the statistics tables read one forward listing of
-each state's moves per step (_listing).  The tables are integer passes
-over it (distribution_bundle): a boundary statistic, set by one edge of
-each path, adds the forward times the backward path count of each edge
-that sets it, and an additive one is a generating polynomial packed into
-one int per state (Kronecker substitution) and shifted along the edges.
+row-graph families, _tallies tallies their statistics in the same pass
+(distribution_bundle, boundary_count), _path_max takes the largest
+weight of a path (the tsscpp LP's pricing), and _path_differences yields
+one path difference per fundamental cycle of the rule's live graph,
+which span the differences of all its paths (the hull dimensions).
+_path_sums, _tallies and _path_max hold two layers; _walk and
+_path_differences read one forward listing of each state's moves per
+step (_listing).  Every statistic of the tables adds a value >= 0 per
+edge, a boundary one 0 on each edge but the one that sets it, so a
+state holds each tally as a generating polynomial packed into one int
+(Kronecker substitution), shifted along the edges.
 
 Magog, monotone (ASM) and gapless triangles step row by row through one
 graph of triangle rows under a window rule (_next_rows); their matrices
@@ -589,134 +590,106 @@ class DistributionTable:
 
 
 # the additive statistics, each a sum along a row-graph path of one value
-# per edge (_additive_tallies)
+# per edge (_tallies)
 _ADDITIVE = ("neg_ones", "inv", "posinv")
-# the boundary statistics, each set by exactly one edge of every path
-# (_set_tally): the steps of its edges at order n, and value(i, prev, row)
-# of an edge from row i-1 to row i, None where the edge sets nothing.
-# Column 1 never holds a -1, so its one sits where it enters the row, and
-# row n-1 misses from 1..n just the column of the last matrix row's one
-# (at step n, i is n).
+# the boundary statistics, each set by exactly one edge of every path:
+# value(n, i, prev, row) of the edge from row i-1 to row i, 0 on every edge
+# but the one that sets it, as every value set is >= 1.  Column 1 never
+# holds a -1, so its one sits where it enters the row, and row n-1 misses
+# from 1..n just the column of the last matrix row's one (at step n, i is n).
 _BOUNDARY = {
-    "first_row_one": (lambda n: (1,), lambda i, prev, row: row[0]),
-    "first_col_one": (lambda n: range(1, n + 1),
-                      lambda i, prev, row: i if row[0] == 1 and prev[:1] != (1,) else None),
-    "last_row_one": (lambda n: (n,), lambda i, prev, row: i * (i + 1) // 2 - sum(prev)),
+    "first_row_one": lambda n, i, prev, row: row[0] if i == 1 else 0,
+    "first_col_one": lambda n, i, prev, row: i if row[0] == 1 and prev[:1] != (1,) else 0,
+    "last_row_one": lambda n, i, prev, row: i * (i + 1) // 2 - sum(prev) if i == n else 0,
 }
 STATISTICS = (*_ADDITIVE, *_BOUNDARY)
 _TABLE_KINDS = ("magog_matrix", "asm", "square_sign")
 
 
-def _forward_counts(listed: list) -> dict:
-    """state -> the paths from the start to it, over a forward listing
-    (_listing) whose states are each met at one step only, as the row
-    graph's are (a row's length is its step)."""
-    ways = dict.fromkeys(listed[0], 1)
-    for here in listed[:-1]:
-        for q, out in here.items():
-            w = ways[q]
-            for _, p in out:
-                ways[p] = ways.get(p, 0) + w
-    return ways
+def _tallies(n: int, rule: str, additive=(), boundary=()) -> list[dict]:
+    """value -> paths of the row graph (n, rule) for each additive
+    statistic named in ``additive``, then for each boundary value function
+    in ``boundary`` (as in _BOUNDARY), from one forward pass that holds two
+    layers, as _path_sums does.
 
-
-def _backward_counts(listed: list) -> dict:
-    """state -> the paths from it to the last step, over a listing as in
-    _forward_counts."""
-    ways = dict.fromkeys(listed[-1], 1)
-    for here in reversed(listed[:-1]):
-        for q, out in here.items():
-            ways[q] = sum(ways[p] for _, p in out)
-    return ways
-
-
-def _set_tally(listed: list, fwd: dict, bwd: dict, steps, value) -> dict:
-    """value -> paths, over the paths of a row-graph listing on each of
-    which at most one edge sets a value: value(i, prev, row) on an edge
-    prev -> row of step i in ``steps``, None where the edge sets none.
-    fwd[prev] * bwd[row] paths (_forward_counts, _backward_counts) run
-    through that edge, so the tally adds that much, and no tally is pushed
-    along the paths."""
-    tally: dict = {}
-    for i in steps:
-        for prev, out in listed[i - 1].items():
-            ways = fwd[prev]
-            for _, row in out:
-                v = value(i, prev, row)
-                if v is not None:
-                    tally[v] = tally.get(v, 0) + ways * bwd[row]
-    return tally
-
-
-def _additive_tallies(listed: list, stats: list, w: int) -> list[int]:
-    """The tally of each additive statistic of ``stats`` over the paths of
-    a row-graph listing (_listing), as its generating polynomial
-    sum_v c_v x^v packed into one int at slot width w, c_v << w*v
-    (Kronecker substitution; _unpack reads it).  Each state holds one such
-    int per statistic, over the paths that end there, and an edge of value
-    d adds its source's int shifted left by w*d: integer shifts and sums,
-    with two layers held.
+    Each state holds its path count and, per statistic, its generating
+    polynomial sum_v c_v x^v over the paths that end there, packed into one
+    int at slot width w, c_v << w*v (Kronecker substitution; _unpack reads
+    it).  An edge of value d adds its source's int shifted left by w*d:
+    integer shifts and sums.  A boundary statistic is additive too, of
+    value 0 on every edge but the one of each path that sets it.
 
     The edge from row r-1 (prev, the columns whose prefix sum is 1) to row
     r (row) makes matrix row r.  Its -1s are the columns that leave the
     set, neg = #{p in prev: p not in row}, and it adds
         inv = sum_{p in prev} #{v in row: v < p} - C(r-1, 2)
     inversions, each new entry pairing with the column prefixes right of
-    it; posinv = inv - neg.  Each state's bitmask is made once per call,
-    and an edge's values are popcounts of the masks: neg of prev & ~row,
-    and the sum that of prev >> v+1 summed over v in row.
+    it; posinv = inv - neg.  Each state scores every column once, and an
+    edge sums its row's scores: the entries of prev above the column (only
+    with inv or posinv asked for), times n+1, plus 1 for a column of prev.
+    Boundary-only passes score nothing.
 
     Packing needs every edge value >= 0 and every coefficient < 2^w.  Every
     row rule keeps the sign window v_k <= p_k for k < r (the magog window
     v_{k+1} <= p_k + 1 implies it), so the k-th entry p_k of prev has at
     least k-1 entries of row below it, and k when p_k is not in row: the sum
     is at least C(r-1, 2) + neg, so inv >= neg >= 0 on every edge and no
-    offset is needed.  A coefficient at a state counts some of the paths
-    that end there, so w, the bit length of the largest forward count,
-    bounds every coefficient, and no slot carries into the next.  An edge
-    with inv < neg raises RuntimeError (an internal error), and so does, in
-    distribution_bundle, a decoded tally whose total is not the path count,
-    which is what a carry leaves."""
-    which = [_ADDITIVE.index(s) for s in stats]
-    need_inv = which != [0]
-    # one statistic is held as a bare int per state, several as a list
-    one = len(which) == 1
-    first = which[0]
-    masks = {q: sum(1 << v for v in q) for here in listed for q in here}
-    # the states of a layer by their masks, the row graph's states being sets
-    layer = {masks[q]: 1 if one else [1] * len(which) for q in listed[0]}
-    for k, here in enumerate(listed[:-1]):
-        base = k * (k - 1) // 2  # C(r-1, 2) at row r = k + 1
+    offset is needed.  The slot width w = C(n,2) + 1 is fixed before the
+    pass: every rule's window implies the sign window, so its row graph is
+    a subgraph of the sign window's, where every state has a completion
+    (1, ..., r, n may follow any row of r < n entries).  So the paths into a
+    state are at most the 2^C(n,2) square sign matrices, a coefficient
+    counts some of them, and no slot carries into the next.  An edge with
+    inv < neg raises RuntimeError (an internal error), and so does a
+    decoded tally whose total is not the state's path count, which is what
+    a carry leaves."""
+    w = n * (n - 1) // 2 + 1
+    which = [_ADDITIVE.index(s) for s in additive]
+    need_inv = any(which)
+    # a state's list: its path count in slot 0, then one packed tally per statistic
+    size = 1 + len(which) + len(boundary)
+    slots = list(enumerate(which, 1))
+    boundary = list(enumerate(boundary, 1 + len(which)))
+    layer = {(): [1] * size}
+    for i in range(1, n + 1):
+        base = (i - 1) * (i - 2) // 2  # C(r-1, 2) at row r = i
         nxt: dict = {}
         get = nxt.get
-        for prev, out in here.items():
-            pm = masks[prev]
-            src = layer[pm]
-            # above[v]: the entries of prev above v
-            above = [(pm >> v + 1).bit_count() for v in range(len(listed))]
-            for _, row in out:
-                rm = masks[row]
-                neg = (pm & ~rm).bit_count()
-                inv = sum(map(above.__getitem__, row)) - base if need_inv else neg
-                if inv < neg:
-                    raise RuntimeError(f"the edge {prev} -> {row} adds {inv} inversions and {neg} negative ones")
-                values = (neg, inv, inv - neg)
-                if one:
-                    nxt[rm] = get(rm, 0) + (src << w * values[first])
-                    continue
-                into = get(rm)
+        for prev, src in layer.items():
+            ways = src[0]
+            if which:
+                mask = sum(1 << p for p in prev)
+                score = [((mask >> v + 1).bit_count() * (n + 1) if need_inv else 0) + (mask >> v & 1)
+                         for v in range(n + 1)].__getitem__
+            for row in _next_rows(n, prev, rule):
+                into = get(row)
                 if into is None:
-                    into = nxt[rm] = [0] * len(which)
-                for j, s in enumerate(which):
-                    into[j] += src[j] << w * values[s]
+                    into = nxt[row] = [0] * size
+                into[0] += ways
+                if which:
+                    inv, shared = divmod(sum(map(score, row)), n + 1)
+                    neg = len(prev) - shared
+                    inv = inv - base if need_inv else neg
+                    if inv < neg:
+                        raise RuntimeError(f"the edge {prev} -> {row} adds {inv} inversions and {neg} negative ones")
+                    values = (neg, inv, inv - neg)
+                    for j, s in slots:
+                        into[j] += src[j] << w * values[s]
+                for j, value in boundary:
+                    into[j] += src[j] << w * value(n, i, prev, row)
         layer = nxt
-    (tallies,) = layer.values()
-    return [tallies] if one else tallies
+    ((total, *packed),) = layer.values()
+    tallies = [_unpack(p, w) for p in packed]
+    for tally in tallies:
+        if sum(tally.values()) != total:
+            raise RuntimeError(f"a tally over the {rule} row graph at n={n} counts {sum(tally.values())} "
+                               f"of {total} paths")
+    return tallies
 
 
 def _unpack(packed: int, w: int) -> dict:
     """value -> coefficient over the nonzero slots of a polynomial packed at
-    slot width w (_additive_tallies)."""
+    slot width w (_tallies)."""
     mask = (1 << w) - 1
     slots = (packed >> w * v & mask for v in range(-(-packed.bit_length() // w)))
     return {v: c for v, c in enumerate(slots) if c}
@@ -728,13 +701,10 @@ def distribution(kind: str, statistic: str, n: int) -> DistributionTable:
 
 
 def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, DistributionTable]:
-    """All requested distributions from one forward listing of the kind's
-    row graph (_listing), without enumerating: a forward pass counts the
-    paths into each state; the additive statistics are packed generating
-    polynomials pushed along the edges (_additive_tallies), and each
-    boundary statistic adds, at the one edge of a path that sets it, the
-    paths through that edge, forward count times backward count
-    (_set_tally)."""
+    """All requested distributions from one forward pass over the kind's
+    row rule, without enumerating or listing the row graph (_tallies):
+    each statistic, boundary ones included, is a packed generating
+    polynomial pushed along the edges."""
     if kind not in _TABLE_KINDS:
         raise ValidationFailure(f"distributions are defined for {', '.join(_TABLE_KINDS)}")
     stats = tuple(dict.fromkeys(statistics))
@@ -744,25 +714,13 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, D
         if s not in STATISTICS:
             raise ValidationFailure(f"unknown statistic {s!r}; expected one of {STATISTICS}")
     _guard(n)
-    listed = _listing(n, (), _row_moves(n, _ROW_RULES[kind]))
-    fwd = _forward_counts(listed)
-    (total,) = map(fwd.__getitem__, listed[n])
-    tallies = {}
     additive = [s for s in stats if s in _ADDITIVE]
-    if additive:
-        w = max(fwd.values()).bit_length()
-        tallies.update(zip(additive, (_unpack(p, w) for p in _additive_tallies(listed, additive, w))))
     boundary = [s for s in stats if s in _BOUNDARY]
-    if boundary:
-        bwd = _backward_counts(listed)
-        for s in boundary:
-            steps, value = _BOUNDARY[s]
-            tallies[s] = _set_tally(listed, fwd, bwd, steps(n), value)
+    tallies = _tallies(n, _ROW_RULES[kind], additive, [_BOUNDARY[s] for s in boundary])
+    tallies = dict(zip(additive + boundary, tallies))
     out = {}
     for s in stats:
         counts = tallies[s]
-        if sum(counts.values()) != total:
-            raise RuntimeError(f"the {s} tally of {kind} at n={n} counts {sum(counts.values())} of {total} paths")
         lo, hi = min(counts), max(counts)
         out[s] = DistributionTable(kind, s, n, lo, tuple(counts.get(v, 0) for v in range(lo, hi + 1)))
     return out
@@ -771,15 +729,14 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, D
 def boundary_count(n: int, i: int, j: int) -> int:
     """Number of magog matrices of order n with a one in row i, column j:
     the paths of the magog row graph on whose step i column j enters the
-    row, each edge of that step taking the paths through it (_set_tally)."""
+    row, tallied as a boundary statistic of value 1 there (_tallies)."""
     _guard(n)
     _integer(i, "row")
     _integer(j, "column")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValidationFailure("position out of range")
-    listed = _listing(n, (), _row_moves(n, "magog"))
-    tally = _set_tally(listed, _forward_counts(listed), _backward_counts(listed), (i,),
-                       lambda r, prev, row: 1 if j in row and j not in prev else None)
+    (tally,) = _tallies(n, "magog", boundary=[
+        lambda n, r, prev, row: 1 if r == i and j in row and j not in prev else 0])
     return tally.get(1, 0)
 
 

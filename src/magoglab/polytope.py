@@ -1136,8 +1136,17 @@ def ehrhart_interpolate(samples, degree: int | None = None) -> RationalPolynomia
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     poly = RationalPolynomial(tuple(coeffs))
+    # every sample, in integers: with s the lcm of the coefficients'
+    # denominators, a_k = s*c_k and t = p/q, poly(t) = c exactly when
+    # sum_k a_k p^k q^(d-k) = s*q^d*c, read by Horner's rule homogeneously
+    scale, scaled = _scaled(coeffs)
     for t, c in pts:
-        if poly(t) != c:
+        p, q = t.numerator, t.denominator
+        acc, qk = 0, 1
+        for a in reversed(scaled):
+            acc = acc * p + a * qk
+            qk *= q
+        if acc * q * c.denominator != scale * qk * c.numerator:
             raise InterpolationError(f"sample at t={t} is inconsistent with the fitted polynomial")
     return poly
 

@@ -285,18 +285,20 @@ def test_tables_and_counts_enumerate_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated")
 
-    walk = enumeration._walk
-
-    def walk_avoiders_only(depth, start, moves, emit=None):
-        # the theorem suite's independent check lists the 132-avoiding
-        # permutations on the walk; no family of objects is walked
-        if getattr(moves(1), "func", None) is not enumeration._avoider_moves:
-            refuse()
-        return walk(depth, start, moves, emit)
+    def avoiders_only(real):
+        # the theorem suite's independent check lists and walks the
+        # 132-avoiding permutations; no family of objects is walked, and no
+        # table lists its row graph
+        def call(depth, start, moves, emit=None):
+            if getattr(moves(1), "func", None) is not enumeration._avoider_moves:
+                refuse()
+            return real(depth, start, moves, emit)
+        return call
 
     for name in ("_stream", "_raw_rows"):
         monkeypatch.setattr(enumeration, name, refuse)
-    monkeypatch.setattr(enumeration, "_walk", walk_avoiders_only)
+    for name in ("_walk", "_listing"):
+        monkeypatch.setattr(enumeration, name, avoiders_only(getattr(enumeration, name)))
     for name in ("_inv", "_neg_count"):
         monkeypatch.setattr(core, name, refuse)
     for kind in ("magog_matrix", "asm", "square_sign"):
@@ -318,13 +320,46 @@ def test_a_bundle_lists_the_moves_of_each_state_once(monkeypatch):
     listings = []
     real = enumeration._next_rows
     monkeypatch.setattr(enumeration, "_next_rows", lambda n, prev, rule: listings.append(prev) or real(n, prev, rule))
-    # the forward and backward counts and both kinds of statistic read one listing
+    # one forward pass lists each state's moves once, for every kind of statistic
     for call in (lambda: distribution_bundle("magog_matrix", 6, ("inv",)),
                  lambda: distribution_bundle("magog_matrix", 6),
                  lambda: boundary_count(6, 3, 4)):
         listings.clear()
         call()
         assert sorted(listings) == states
+
+
+def test_a_table_holds_two_layers_not_the_row_graph():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        table = distribution_bundle("magog_matrix", 10, ("inv",))["inv"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.total() == product_formula(10)
+    # the order-10 row graph has 58785 edges, and holding them all takes about 8 MiB
+    assert peak < 2 * 2 ** 20
+
+
+def test_a_tally_that_loses_paths_is_an_internal_error(monkeypatch):
+    from magoglab import enumeration
+
+    unpack = enumeration._unpack
+
+    def drop_largest(packed, w):
+        # as a carry does, the decoded tally counts fewer paths than reach the end
+        tally = unpack(packed, w)
+        del tally[max(tally)]
+        return tally
+
+    monkeypatch.setattr(enumeration, "_unpack", drop_largest)
+    for stats in (("inv",), ("first_col_one",), STATISTICS):
+        with pytest.raises(RuntimeError, match="paths"):
+            distribution_bundle("magog_matrix", 5, stats)
+    with pytest.raises(RuntimeError, match="paths"):
+        boundary_count(5, 2, 3)
 
 
 def test_a_stream_maps_each_edge_of_its_rule_once():
