@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -44,14 +45,14 @@ STAT_FLAGS = {stat.replace("_", "-"): stat for stat in enumeration.STATISTICS}
 # most 1.7 s; the centre point (every entry 1/n), on no proper face, takes
 # 17 s, and 135 s at n=10.  The mixes alone would allow n=12 (at most 18.6 s,
 # 145 MiB); a 40-mix took up to 85 s at n=13.
-# stats at n=14 takes 10-20 s and check --suite conjectures --n-max 14
-# takes 30-32 s, each within 65 MiB: a table is one forward pass holding two
+# stats at n=14 takes 6-13 s and check --suite conjectures --n-max 14
+# takes 20-23 s, each within 28 MiB: a table is one forward pass holding two
 # layers of the row graph, so memory stays small, but the graph's edges
 # grow about 3.6 times per order, so time keeps both at 14.  btp ehrhart
 # at n=6 counts dilates only up to t=9; a larger tmax adds the integer
-# extension and the integer check of each sample against the polynomial:
-# --tmax 500000 --interpolate takes 2.6 s and 230 MiB, 1000000 takes 5.6 s
-# and 459 MiB, the samples held in memory.
+# extension, written as it is made: --tmax 1000000 takes about 2 s within
+# 22 MiB.  --interpolate holds the samples and checks each against the
+# polynomial: --tmax 500000 --interpolate takes 2.4 s and 196 MiB.
 CEILINGS = {
     "enumerate": {"n": 7},
     "enumerate --kind gapless": {"n": 8},
@@ -205,19 +206,26 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_ehrhart(args) -> int:
-    """One "t,count" line per dilate t = 0..tmax, all from one
-    polytope._dilate_counts call before the first line is written (for a
-    large btp tmax, closed and interior counts up to about C(n,2)/2,
-    extended by reciprocity); with --interpolate, the polynomial of the
-    polytope's dimension through them."""
+    """One "t,count" line per dilate t = 0..tmax, from one
+    polytope._dilate_counts call (for a large btp tmax, closed and interior
+    counts up to about C(n,2)/2, extended by reciprocity), which counts
+    every dilate it needs before the first line is written.  The lines are
+    written a chunk at a time (enumeration._CHUNK_LINES, as a stream's
+    are) as the extension yields them, and the samples are held only for
+    --interpolate, which fits the polynomial of the polytope's dimension
+    through them."""
     from . import polytope
     # checking --tmax refuses before the first sample
     n, dimension = polytope.check_dilate(args.polytope, args.tmax, n=args.n)
     _check_ceiling(f"ehrhart --polytope {args.polytope}", n=n, tmax=args.tmax)
     if args.interpolate and args.tmax < dimension:
         raise ValidationFailure(f"--interpolate needs --tmax >= {dimension}, the dimension of the polytope")
-    samples = list(enumerate(polytope._dilate_counts(args.polytope, args.tmax, n=n)))
-    _emit("\n".join(f"{t},{c}" for t, c in samples))
+    counts = enumerate(polytope._dilate_counts(args.polytope, args.tmax, n=n))
+    samples = []
+    while chunk := list(itertools.islice(counts, enumeration._CHUNK_LINES)):
+        sys.stdout.write("".join(f"{t},{c}\n" for t, c in chunk))
+        if args.interpolate:
+            samples += chunk
     if args.interpolate:
         poly = polytope.ehrhart_interpolate(samples, degree=dimension)
         _emit(json.dumps({

@@ -4,33 +4,41 @@ their statistics tables, and brute-force verification suites.
 Every family is a move rule over states: for each step, what a state may
 emit and where that leads (_rule).  One depth-first walk (_walk) streams
 every family, and forward passes (the transfer-matrix method) work on the
-rule without listing a path: _path_sums, edge by edge, counts the
-row-graph families, _tallies tallies their statistics in the same pass
-(distribution_bundle, boundary_count), _path_max takes the largest
-weight of a path (the tsscpp LP's pricing), and _path_differences yields
-one path difference per fundamental cycle of the rule's live graph,
-which span the differences of all its paths (the hull dimensions).
-_path_sums, _tallies and _path_max hold two layers; _walk and
+rule without listing a path: _path_sums counts paths edge by edge (the
+reference the tests hold the faster passes to), _path_max takes the
+largest weight of a path (the tsscpp LP's pricing), and _path_differences
+yields one path difference per fundamental cycle of the rule's live
+graph, which span the differences of all its paths (the hull
+dimensions).  _path_sums and _path_max hold two layers; _walk and
 _path_differences read one forward listing of each state's moves per
-step (_listing).  Every statistic of the tables adds a value >= 0 per
-edge, a boundary one 0 on each edge but the one that sets it, so a
-state holds each tally as a generating polynomial packed into one int
-(Kronecker substitution), shifted along the edges.
+step (_listing).
+
+The row-graph families are counted, and their statistics tallied
+(distribution_bundle, boundary_count), by one pass of their own that
+holds two layers, _tallies.  Its states are rows as column bitmasks, and
+each state builds its successor rows level by level from the bounds of
+each entry (_row_bounds, the one statement of the windows), with the
+scores an edge's statistics read summed as the row grows.  Every
+statistic of the tables adds a value >= 0 per edge, a boundary one 0 on
+each edge but the one that sets it, so a state holds each tally as a
+generating polynomial packed into one int (Kronecker substitution),
+shifted along the edges.
 
 Magog, monotone (ASM) and gapless triangles step row by row through one
-graph of triangle rows under a window rule (_next_rows); their matrices
-emit one matrix row per edge (core._matrix_row), and square sign
-matrices are counted on it under the sign window.  Square sign matrices
-stream row by row over states of column prefix sums (_sign_moves), which
-keeps their entry order and walks the dilates of their relaxation.
-Boolean triangles step over column differences under one rule per cell
-(_boolean_cell): its diagonal cap, and floors where the cap can no longer
-bind, which keep every count exact.  The walk takes a row of cells per
-step (_boolean_row_moves over _boolean_moves).  The count, which also
-counts the btp dilates, is its
-own pass over states packed into ints: a cell moves a whole layer, each
-next state taking a range sum over the states that differ from it only in
-the cell's two columns (_boolean_transfer), not one update per edge.
+graph of triangle rows under a window rule (_next_rows, tuples built from
+the same bounds); their matrices emit one matrix row per edge
+(core._matrix_row), and square sign matrices are counted on it under the
+sign window.  Square sign matrices stream row by row over states of
+column prefix sums (_sign_moves), which keeps their entry order and walks
+the dilates of their relaxation.  Boolean triangles step over column
+differences under one rule per cell (_boolean_cell): its diagonal cap,
+and floors where the cap can no longer bind, which keep every count
+exact.  The walk takes a row of cells per step (_boolean_row_moves over
+_boolean_moves, each cell's move built once per step).  The count, which
+also counts the btp dilates, is its own pass over states packed into
+ints: a cell moves a whole layer, each next state taking a range sum over
+the states that differ from it only in the cell's two columns
+(_boolean_transfer), not one update per edge.
 The same rule with its interior window (entries in [1, t-1], every
 diagonal cap strict) counts the lattice points inside a dilate, which
 Ehrhart-Macdonald reciprocity turns into closed counts at -t.
@@ -185,7 +193,9 @@ def _path_sums(depth: int, start, moves) -> int:
     """The number of paths of _walk(depth, start, moves).
 
     A forward pass: a layer maps each state to the paths ending there and
-    is pushed to the next step edge by edge, so only two layers are held."""
+    is pushed to the next step edge by edge, so only two layers are held.
+    It reads any move rule as it is listed, so the tests hold the row-graph
+    counts of _tallies to it."""
     layer = {start: 1}
     for i in range(1, depth + 1):
         move = moves(i)
@@ -258,46 +268,68 @@ def _path_differences(depth: int, start, moves) -> Iterator[tuple]:
 # move rules
 
 
-def _next_rows(n: int, prev: tuple, rule: str) -> tuple:
-    """Rows that may follow ``prev`` (one entry longer) in a triangle of
-    order n, in lex order; ``prev == ()`` gives the possible first rows.
+def _row_bounds(n: int, prev: tuple, rule: str) -> list:
+    """[(lo, hi)] for the entries k = 1..r of the rows that may follow
+    ``prev`` (one entry longer) in a triangle of order n: entry k lies in
+    [lo, hi] and above entry k-1.  ``prev == ()`` bounds the first rows.
 
     Row i is the set of columns whose prefix sum is 1 after matrix row i,
     and matrix row i is its indicator minus that of row i-1.  Rows
-    increase strictly and leave room for the entries still to come.  The
-    sign window v_k <= prev[k-1] says the matrix row's prefixes are >= 0
-    (square sign matrices); the magog window v_k <= prev[k-2] + 1 implies
-    it (magog triangles, the column-partial-sum triangles of magog
-    matrices); the monotone window adds prev[k-2] <= v_k to the sign
-    window (monotone triangles, those of ASMs); gapless applies both, so
-    it yields the magog matrices that are ASMs.
-    """
+    increase strictly from 1 and leave room for the entries still to come,
+    v_k <= n - (r-k).  The four windows:
+    - sign: v_k <= prev[k-1] for k < r, the matrix row's prefixes are >= 0
+      (square sign matrices);
+    - magog: v_k <= prev[k-2] + 1 for k >= 2, which implies the sign window
+      (magog triangles, the column-partial-sum triangles of magog
+      matrices);
+    - monotone: the sign window and prev[k-2] <= v_k for k >= 2 (monotone
+      triangles, those of ASMs);
+    - gapless: magog and monotone, the magog matrices that are ASMs.
+    _next_rows and the passes of _tallies (_successors) build the rows
+    from these bounds level by level, one entry at a time."""
     magog = rule in ("magog", "gapless")
     monotone = rule in ("monotone", "gapless")
     upper = monotone or rule == "sign"
     r = len(prev) + 1
-    out = []
-    row: list[int] = []
-
-    def fill(k: int, lo: int):
-        if k > r:
-            out.append(tuple(row))
-            return
-        hi = n - (r - k)
+    bounds = []
+    for k in range(1, r + 1):
+        lo, hi = 1, n - (r - k)
         if k >= 2:
             if magog:
                 hi = min(hi, prev[k - 2] + 1)
             if monotone:
-                lo = max(lo, prev[k - 2])
+                lo = prev[k - 2]
         if upper and k < r:
             hi = min(hi, prev[k - 1])
-        for v in range(lo, hi + 1):
-            row.append(v)
-            fill(k + 1, v + 1)
-            row.pop()
+        bounds.append((lo, hi))
+    return bounds
 
-    fill(1, 1)
-    return tuple(out)
+
+def _next_rows(n: int, prev: tuple, rule: str) -> tuple:
+    """Rows that may follow ``prev`` in a triangle of order n under the
+    window ``rule`` (_row_bounds), in lex order, built level by level as
+    (row so far, its last entry)."""
+    rows = [((), 0)]
+    for lo, hi in _row_bounds(n, prev, rule):
+        rows = [(row + (v,), v) for row, last in rows for v in range(last + 1 if last >= lo else lo, hi + 1)]
+    return tuple(row for row, _ in rows)
+
+
+def _successors(bounds: list, score: list) -> list:
+    """(mask, last entry, score sum) of each row whose entries lie within
+    ``bounds`` (_row_bounds), in lex order: its column bitmask, and the sum
+    of score[v] over its entries v.  Built level by level, as _next_rows
+    builds its tuples."""
+    rows = [(0, 0, 0)]
+    for lo, hi in bounds:
+        rows = [(row | 1 << v, v, total + score[v])
+                for row, last, total in rows for v in range(last + 1 if last >= lo else lo, hi + 1)]
+    return rows
+
+
+def _columns(mask: int) -> tuple:
+    """The row of a column bitmask, increasing."""
+    return tuple([v for v in range(1, mask.bit_length()) if mask >> v & 1])
 
 
 def _row_moves(n: int, rule: str, matrix: bool = False):
@@ -363,14 +395,18 @@ def _boolean_moves(n: int, t: int, i: int, c: int, interior: bool = False):
     return move
 
 
-def _boolean_row_moves(n: int, i: int, pref: tuple) -> list:
-    """(row, next state) for each row i of a boolean triangle of order n, in
-    lex order: the cells of the row expanded together."""
-    out = [((), pref)]
-    for c in range(n - i, n):
-        move = _boolean_moves(n, 1, i, c)
-        out = [(row + (v,), q) for row, p in out for v, q in move(p)]
-    return out
+def _boolean_row_moves(n: int, i: int):
+    """moves(i) of boolean triangles of order n: state -> (row, next state)
+    for each row i, in lex order, the cells of the row expanded together.
+    Each cell's move is built once per call, not once per state."""
+    cells = [_boolean_moves(n, 1, i, c) for c in range(n - i, n)]
+
+    def move(pref: tuple) -> list:
+        out = [((), pref)]
+        for cell in cells:
+            out = [(row + (v,), q) for row, p in out for v, q in cell(p)]
+        return out
+    return move
 
 
 def _count_boolean_rows(n: int, t: int = 1, interior: bool = False) -> int:
@@ -504,7 +540,7 @@ def _rule(kind: str, n: int) -> tuple:
     if kind == "square_sign":
         return _sign_rule(n)
     if kind == "boolean_triangle":
-        return n - 1, (0,) * n, lambda i: functools.partial(_boolean_row_moves, n, i)
+        return n - 1, (0,) * n, functools.partial(_boolean_row_moves, n)
     return n, (), _row_moves(n, _ROW_RULES[kind], kind != "magog_triangle")
 
 
@@ -534,11 +570,12 @@ def enumerate_objects(kind: str, n: int):
 def count(kind: str, n: int) -> int:
     """Stream length of enumerate_objects(kind, n), without enumerating:
     boolean triangles are counted as cell-state paths and every other kind
-    (square sign matrices through the sign window) as row-graph paths."""
+    (square sign matrices through the sign window) as row-graph paths, the
+    path count _tallies carries with no statistic."""
     _check_kind(kind, n)
     if kind == "boolean_triangle":
         return _count_boolean_rows(n)
-    return _path_sums(n, (), _row_moves(n, _ROW_RULES[kind]))
+    return _tallies(n, _ROW_RULES[kind])[0]
 
 
 def product_formula(n: int) -> int:
@@ -593,41 +630,46 @@ class DistributionTable:
 # per edge (_tallies)
 _ADDITIVE = ("neg_ones", "inv", "posinv")
 # the boundary statistics, each set by exactly one edge of every path:
-# value(n, i, prev, row) of the edge from row i-1 to row i, 0 on every edge
-# but the one that sets it, as every value set is >= 1.  Column 1 never
-# holds a -1, so its one sits where it enters the row, and row n-1 misses
-# from 1..n just the column of the last matrix row's one (at step n, i is n).
+# value(n, i, prev, row) of the edge from row i-1 to row i, both as column
+# bitmasks (_tallies), 0 on every edge but the one that sets it, as every
+# value set is >= 1.  Column 1 never holds a -1, so its one sits where it
+# enters the row, and row n-1 misses from 1..n just the column of the last
+# matrix row's one (at step n, i is n).
 _BOUNDARY = {
-    "first_row_one": lambda n, i, prev, row: row[0] if i == 1 else 0,
-    "first_col_one": lambda n, i, prev, row: i if row[0] == 1 and prev[:1] != (1,) else 0,
-    "last_row_one": lambda n, i, prev, row: i * (i + 1) // 2 - sum(prev) if i == n else 0,
+    "first_row_one": lambda n, i, prev, row: row.bit_length() - 1 if i == 1 else 0,
+    "first_col_one": lambda n, i, prev, row: i if row & 2 and not prev & 2 else 0,
+    "last_row_one": lambda n, i, prev, row: (row & ~prev).bit_length() - 1 if i == n else 0,
 }
 STATISTICS = (*_ADDITIVE, *_BOUNDARY)
 _TABLE_KINDS = ("magog_matrix", "asm", "square_sign")
 
 
-def _tallies(n: int, rule: str, additive=(), boundary=()) -> list[dict]:
-    """value -> paths of the row graph (n, rule) for each additive
-    statistic named in ``additive``, then for each boundary value function
-    in ``boundary`` (as in _BOUNDARY), from one forward pass that holds two
-    layers, as _path_sums does.
+def _tallies(n: int, rule: str, additive=(), boundary=()) -> tuple:
+    """(paths, tallies) of the row graph (n, rule): its number of paths,
+    and value -> paths for each additive statistic named in ``additive``,
+    then for each boundary value function in ``boundary`` (as in
+    _BOUNDARY), from one forward pass that holds two layers, as _path_sums
+    does.  With no statistic it is the count.
 
-    Each state holds its path count and, per statistic, its generating
-    polynomial sum_v c_v x^v over the paths that end there, packed into one
-    int at slot width w, c_v << w*v (Kronecker substitution; _unpack reads
-    it).  An edge of value d adds its source's int shifted left by w*d:
-    integer shifts and sums.  A boundary statistic is additive too, of
-    value 0 on every edge but the one of each path that sets it.
+    A state is a row as its column bitmask, sum(1 << v for v in row).  It
+    holds its path count and, per statistic, its generating polynomial
+    sum_v c_v x^v over the paths that end there, packed into one int at
+    slot width w, c_v << w*v (Kronecker substitution; _unpack reads it).
+    An edge of value d adds its source's int shifted left by w*d: integer
+    shifts and sums.  A boundary statistic is additive too, of value 0 on
+    every edge but the one of each path that sets it.
 
     The edge from row r-1 (prev, the columns whose prefix sum is 1) to row
     r (row) makes matrix row r.  Its -1s are the columns that leave the
     set, neg = #{p in prev: p not in row}, and it adds
         inv = sum_{p in prev} #{v in row: v < p} - C(r-1, 2)
     inversions, each new entry pairing with the column prefixes right of
-    it; posinv = inv - neg.  Each state scores every column once, and an
-    edge sums its row's scores: the entries of prev above the column (only
-    with inv or posinv asked for), times n+1, plus 1 for a column of prev.
-    Boundary-only passes score nothing.
+    it; posinv = inv - neg.  Each state scores every column once: the
+    entries of prev above the column (only with inv or posinv asked for),
+    times n+1, plus 1 for a column of prev.  It builds its next rows level
+    by level from _row_bounds, as (mask, last entry, score sum), so an
+    edge's score sum accrues as its row grows.  A pass with no additive
+    statistic scores every column 0.
 
     Packing needs every edge value >= 0 and every coefficient < 2^w.  Every
     row rule keeps the sign window v_k <= p_k for k < r (the magog window
@@ -650,28 +692,31 @@ def _tallies(n: int, rule: str, additive=(), boundary=()) -> list[dict]:
     size = 1 + len(which) + len(boundary)
     slots = list(enumerate(which, 1))
     boundary = list(enumerate(boundary, 1 + len(which)))
-    layer = {(): [1] * size}
+    # a state's columns scored 0, for a pass that reads no score
+    unscored = [0] * (n + 1)
+    layer = {0: [1] * size}
     for i in range(1, n + 1):
         base = (i - 1) * (i - 2) // 2  # C(r-1, 2) at row r = i
         nxt: dict = {}
         get = nxt.get
         for prev, src in layer.items():
             ways = src[0]
+            score = unscored
             if which:
-                mask = sum(1 << p for p in prev)
-                score = [((mask >> v + 1).bit_count() * (n + 1) if need_inv else 0) + (mask >> v & 1)
-                         for v in range(n + 1)].__getitem__
-            for row in _next_rows(n, prev, rule):
+                score = [((prev >> v + 1).bit_count() * (n + 1) if need_inv else 0) + (prev >> v & 1)
+                         for v in range(n + 1)]
+            for row, _, total in _successors(_row_bounds(n, _columns(prev), rule), score):
                 into = get(row)
                 if into is None:
                     into = nxt[row] = [0] * size
                 into[0] += ways
                 if which:
-                    inv, shared = divmod(sum(map(score, row)), n + 1)
-                    neg = len(prev) - shared
+                    inv, shared = divmod(total, n + 1)
+                    neg = i - 1 - shared
                     inv = inv - base if need_inv else neg
                     if inv < neg:
-                        raise RuntimeError(f"the edge {prev} -> {row} adds {inv} inversions and {neg} negative ones")
+                        raise RuntimeError(f"the edge {_columns(prev)} -> {_columns(row)} adds {inv} inversions "
+                                           f"and {neg} negative ones")
                     values = (neg, inv, inv - neg)
                     for j, s in slots:
                         into[j] += src[j] << w * values[s]
@@ -684,7 +729,7 @@ def _tallies(n: int, rule: str, additive=(), boundary=()) -> list[dict]:
         if sum(tally.values()) != total:
             raise RuntimeError(f"a tally over the {rule} row graph at n={n} counts {sum(tally.values())} "
                                f"of {total} paths")
-    return tallies
+    return total, tallies
 
 
 def _unpack(packed: int, w: int) -> dict:
@@ -716,7 +761,7 @@ def distribution_bundle(kind: str, n: int, statistics=STATISTICS) -> dict[str, D
     _guard(n)
     additive = [s for s in stats if s in _ADDITIVE]
     boundary = [s for s in stats if s in _BOUNDARY]
-    tallies = _tallies(n, _ROW_RULES[kind], additive, [_BOUNDARY[s] for s in boundary])
+    _, tallies = _tallies(n, _ROW_RULES[kind], additive, [_BOUNDARY[s] for s in boundary])
     tallies = dict(zip(additive + boundary, tallies))
     out = {}
     for s in stats:
@@ -735,8 +780,8 @@ def boundary_count(n: int, i: int, j: int) -> int:
     _integer(j, "column")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValidationFailure("position out of range")
-    (tally,) = _tallies(n, "magog", boundary=[
-        lambda n, r, prev, row: 1 if r == i and j in row and j not in prev else 0])
+    _, (tally,) = _tallies(n, "magog", boundary=[
+        lambda n, r, prev, row: 1 if r == i and row >> j & 1 and not prev >> j & 1 else 0])
     return tally.get(1, 0)
 
 

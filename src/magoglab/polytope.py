@@ -43,6 +43,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .core import (
     _EXACT,
@@ -981,8 +982,8 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, interi
     return _tsscpp_dilate_count(order, t)
 
 
-def _dilate_counts(polytope: str, tmax: int, n: int | None = None) -> list[int]:
-    """[L(0), ..., L(tmax)], the lattice points of the dilates t = 0..tmax.
+def _dilate_counts(polytope: str, tmax: int, n: int | None = None) -> Iterator[int]:
+    """L(0), ..., L(tmax), the lattice points of the dilates t = 0..tmax.
 
     btp(n) is a lattice polytope of dimension d = C(n, 2), so L is a
     polynomial of degree d, and Ehrhart-Macdonald reciprocity gives
@@ -994,12 +995,16 @@ def _dilate_counts(polytope: str, tmax: int, n: int | None = None) -> list[int]:
     extends them to tmax in ints.  The largest count is the interior one
     at m, about the cost of the closed one at m - 2, so no count is larger
     than the direct loop's, which runs up to t = m and for tsscpp.
+
+    Every count of a dilate, and the check of the spare value, is made on
+    the call; the values the difference table extends are yielded as they
+    are made, so a caller that writes them as they come holds none.
     """
     order, d = check_dilate(polytope, tmax, n)
     k = d // 2
     m = d + 1 - k
     if polytope != "btp" or tmax <= m:
-        return [lattice_points_in_dilate(polytope, t, n=order) for t in range(tmax + 1)]
+        return iter([lattice_points_in_dilate(polytope, t, n=order) for t in range(tmax + 1)])
     sign = -1 if d % 2 else 1
     values = [sign * lattice_points_in_dilate(polytope, t, n=order, interior=True) for t in range(m, 0, -1)]
     values += [lattice_points_in_dilate(polytope, t, n=order) for t in range(k + 1)]
@@ -1011,12 +1016,13 @@ def _dilate_counts(polytope: str, tmax: int, n: int | None = None) -> list[int]:
         row = [b - a for a, b in zip(row, row[1:])]
     if ends.pop():
         raise DecompositionError(f"btp({order}) counts at t = -{m}..{k} are not of degree {d}")
-    counts = values[m:]
-    for _ in range(k + 1, tmax + 1):
-        for j in range(d - 1, -1, -1):
-            ends[j] += ends[j + 1]
-        counts.append(ends[0])
-    return counts
+
+    def extend():
+        for _ in range(k + 1, tmax + 1):
+            for j in range(d - 1, -1, -1):
+                ends[j] += ends[j + 1]
+            yield ends[0]
+    return itertools.chain(values[m:], extend())
 
 
 def _tsscpp_dilate_count(n: int, t: int) -> int:

@@ -318,9 +318,9 @@ def test_a_bundle_lists_the_moves_of_each_state_once(monkeypatch):
     listed = enumeration._listing(6, (), enumeration._row_moves(6, "magog"))
     states = sorted(q for here in listed[:-1] for q in here)
     listings = []
-    real = enumeration._next_rows
-    monkeypatch.setattr(enumeration, "_next_rows", lambda n, prev, rule: listings.append(prev) or real(n, prev, rule))
-    # one forward pass lists each state's moves once, for every kind of statistic
+    real = enumeration._row_bounds
+    monkeypatch.setattr(enumeration, "_row_bounds", lambda n, prev, rule: listings.append(prev) or real(n, prev, rule))
+    # one forward pass reads each state's window once, for every kind of statistic
     for call in (lambda: distribution_bundle("magog_matrix", 6, ("inv",)),
                  lambda: distribution_bundle("magog_matrix", 6),
                  lambda: boundary_count(6, 3, 4)):
@@ -630,6 +630,59 @@ def test_per_edge_matrix_rows_match_the_triangle_map(rule):
         assert mats == [_triangle_to_matrix_rows(tri) for tri in tris]
 
 
+def test_row_graph_counts_equal_the_edge_by_edge_path_sums():
+    from magoglab.enumeration import _path_sums, _row_moves
+
+    # count reads the path count of the bitmask pass; _path_sums pushes the
+    # tuple rows of _next_rows edge by edge
+    for kind, rule in _ROW_RULES.items():
+        for n in range(1, 9):
+            assert count(kind, n) == _path_sums(n, (), _row_moves(n, rule)), (kind, n)
+
+
+def windowed_rows(n, prev, rule):
+    """Independent oracle for _next_rows: every r-subset of 1..n, in lex
+    order, kept when it passes the inequalities of its window, each read
+    off the docstring of _row_bounds (1-based k, prev one entry shorter)."""
+    r = len(prev) + 1
+    p = (None,) + tuple(prev)  # p[k] is the k-th entry of prev
+    out = []
+    for v in itertools.combinations(range(1, n + 1), r):
+        v = (None,) + v
+        sign = all(v[k] <= p[k] for k in range(1, r))
+        magog = all(v[k] <= p[k - 1] + 1 for k in range(2, r + 1))
+        monotone = sign and all(p[k - 1] <= v[k] for k in range(2, r + 1))
+        keep = {"sign": sign, "magog": magog, "monotone": monotone, "gapless": magog and monotone}[rule]
+        if keep:
+            out.append(v[1:])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("rule", ["magog", "monotone", "sign", "gapless"])
+def test_next_rows_are_the_subsets_that_pass_their_window(rule):
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            for prev in itertools.combinations(range(1, n + 1), r - 1):
+                assert _next_rows(n, prev, rule) == windowed_rows(n, prev, rule), (n, prev)
+
+
+def test_boundary_values_read_the_edge_masks():
+    from magoglab.enumeration import _BOUNDARY
+
+    def mask(row):
+        return sum(1 << v for v in row)
+
+    # the edge (1, 3) -> (1, 2, 4) of order 4 at step 3
+    first_row, first_col, last_row = (_BOUNDARY[s] for s in ("first_row_one", "first_col_one", "last_row_one"))
+    assert first_row(4, 1, 0, mask((3,))) == 3
+    assert first_row(4, 2, mask((3,)), mask((1, 3))) == 0
+    assert first_col(4, 3, mask((2, 3)), mask((1, 2, 4))) == 3
+    assert first_col(4, 3, mask((1, 3)), mask((1, 2, 4))) == 0
+    # row n-1 misses only column 2 of 1..n, where the last matrix row's one sits
+    assert last_row(4, 4, mask((1, 3, 4)), mask((1, 2, 3, 4))) == 2
+    assert last_row(4, 3, mask((1, 3)), mask((1, 3, 4))) == 0
+
+
 def draw_row_path(data, n, rule):
     """A path of the row graph of order n under ``rule``, drawn one row at a
     time by an index into _next_rows."""
@@ -670,7 +723,7 @@ def test_serialize_round_trips_trusted_objects_of_random_paths(data, n, kind):
     if kind == "boolean_triangle":
         rows, pref = (), (0,) * n
         for i in range(1, n):
-            options = _boolean_row_moves(n, i, pref)
+            options = _boolean_row_moves(n, i)(pref)
             row, pref = options[data.draw(st.integers(0, len(options) - 1))]
             rows += (row,)
         obj = _trusted(BooleanTriangle, n, rows)

@@ -642,9 +642,9 @@ def test_dilate_counts_equal_the_count_of_each_dilate():
     for n in range(1, 6):
         counts = [lattice_points_in_dilate("btp", t, n=n) for t in range(11 if n < 5 else 9)]
         for tmax in range(len(counts)):
-            assert polytope._dilate_counts("btp", tmax, n) == counts[:tmax + 1], (n, tmax)
+            assert list(polytope._dilate_counts("btp", tmax, n)) == counts[:tmax + 1], (n, tmax)
     poly = RationalPolynomial(golden.TABLE7_EHRHART[3])
-    assert polytope._dilate_counts("tsscpp3", 6) == [poly(t) for t in range(7)]
+    assert list(polytope._dilate_counts("tsscpp3", 6)) == [poly(t) for t in range(7)]
 
 
 def test_dilate_counts_check_the_spare_value(monkeypatch):
@@ -654,6 +654,7 @@ def test_dilate_counts_check_the_spare_value(monkeypatch):
         return real(polytope_name, t, n, interior) + (interior and t == 3)
 
     monkeypatch.setattr(polytope, "lattice_points_in_dilate", off_by_one)
+    # the check is made on the call, before a value is yielded
     with pytest.raises(DecompositionError):
         polytope._dilate_counts("btp", 8, 4)
 
@@ -674,7 +675,7 @@ def test_btp6_dilates_follow_the_h_star_vector():
     d = 15
     assert len(BTP6_H_STAR) == 15
     assert sum(BTP6_H_STAR) == 187767277792
-    counts = polytope._dilate_counts("btp", 15, n=6)
+    counts = list(polytope._dilate_counts("btp", 15, n=6))
     assert counts == [sum(h * math.comb(t + d - k, d) for k, h in enumerate(BTP6_H_STAR))
                       for t in range(16)]
     poly = ehrhart_interpolate(enumerate(counts), degree=d)
