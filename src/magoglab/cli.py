@@ -44,7 +44,7 @@ STAT_FLAGS = {stat.replace("_", "-"): stat for stat in enumeration.STATISTICS}
 # off the hull and outside points that pass every known inequality take at
 # most 1.7 s; the centre point (every entry 1/n), on no proper face, takes
 # 17 s, and 135 s at n=10.  The mixes alone would allow n=12 (at most 18.6 s,
-# 145 MiB); a 40-mix took up to 85 s at n=13.
+# 97 MiB); a 40-mix took up to 85 s at n=13.
 # stats at n=14 takes 6-13 s and check --suite conjectures --n-max 14
 # takes 20-23 s, each within 28 MiB: a table is one forward pass holding two
 # layers of the row graph, so memory stays small, but the graph's edges

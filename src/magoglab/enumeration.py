@@ -4,14 +4,12 @@ their statistics tables, and brute-force verification suites.
 Every family is a move rule over states: for each step, what a state may
 emit and where that leads (_rule).  One depth-first walk (_walk) streams
 every family, and forward passes (the transfer-matrix method) work on the
-rule without listing a path: _path_sums counts paths edge by edge (the
-reference the tests hold the faster passes to), _path_max takes the
-largest weight of a path (the tsscpp LP's pricing), and _path_differences
-yields one path difference per fundamental cycle of the rule's live
-graph, which span the differences of all its paths (the hull
-dimensions).  _path_sums and _path_max hold two layers; _walk and
-_path_differences read one forward listing of each state's moves per
-step (_listing).
+rule without listing a path: _path_max takes the largest weight of a
+path (the tsscpp LP's pricing) and holds two layers, and
+_path_differences yields one path difference per fundamental cycle of
+the rule's live graph, which span the differences of all its paths (the
+hull dimensions).  _walk and _path_differences read one forward listing
+of each state's moves per step (_listing).
 
 The row-graph families are counted, and their statistics tallied
 (distribution_bundle, boundary_count), by one pass of their own that
@@ -25,10 +23,11 @@ generating polynomial packed into one int (Kronecker substitution),
 shifted along the edges.
 
 Magog, monotone (ASM) and gapless triangles step row by row through one
-graph of triangle rows under a window rule (_next_rows, tuples built from
-the same bounds); their matrices emit one matrix row per edge
-(core._matrix_row), and square sign matrices are counted on it under the
-sign window.  Square sign matrices stream row by row over states of
+graph of triangle rows under a window rule (_row_moves, over the same
+column bitmask states, built by _successors from the same bounds): an
+edge emits its row, decoded once per move rule, and their matrices one
+matrix row per edge (core._matrix_row).  Square sign matrices are counted
+on the graph under the sign window, and stream row by row over states of
 column prefix sums (_sign_moves), which keeps their entry order and walks
 the dilates of their relaxation.  Boolean triangles step over column
 differences under one rule per cell (_boolean_cell): its diagonal cap,
@@ -189,28 +188,10 @@ def _paths(blocks) -> Iterator[tuple]:
     return itertools.chain.from_iterable(map(prefix.__add__, block) for prefix, block in blocks)
 
 
-def _path_sums(depth: int, start, moves) -> int:
-    """The number of paths of _walk(depth, start, moves).
-
-    A forward pass: a layer maps each state to the paths ending there and
-    is pushed to the next step edge by edge, so only two layers are held.
-    It reads any move rule as it is listed, so the tests hold the row-graph
-    counts of _tallies to it."""
-    layer = {start: 1}
-    for i in range(1, depth + 1):
-        move = moves(i)
-        nxt: dict = {}
-        for state, ways in layer.items():
-            for _, q in move(state):
-                nxt[q] = nxt.get(q, 0) + ways
-        layer = nxt
-    return sum(layer.values())
-
-
 def _path_max(depth: int, start, moves, weight) -> int | None:
     """The largest sum of weight(i, emitted) over the steps i of a path of
-    _walk(depth, start, moves), None when there is no path: the forward
-    pass of _path_sums in the max-plus semiring, one value per state."""
+    _walk(depth, start, moves), None when there is no path: a forward pass
+    in the max-plus semiring that holds two layers, one value per state."""
     layer = {start: 0}
     for i in range(1, depth + 1):
         move = moves(i)
@@ -285,8 +266,9 @@ def _row_bounds(n: int, prev: tuple, rule: str) -> list:
     - monotone: the sign window and prev[k-2] <= v_k for k >= 2 (monotone
       triangles, those of ASMs);
     - gapless: magog and monotone, the magog matrices that are ASMs.
-    _next_rows and the passes of _tallies (_successors) build the rows
-    from these bounds level by level, one entry at a time."""
+    _successors builds the rows from these bounds level by level, one
+    entry at a time, for every reader of the row graph (_row_moves,
+    _tallies)."""
     magog = rule in ("magog", "gapless")
     monotone = rule in ("monotone", "gapless")
     upper = monotone or rule == "sign"
@@ -305,21 +287,11 @@ def _row_bounds(n: int, prev: tuple, rule: str) -> list:
     return bounds
 
 
-def _next_rows(n: int, prev: tuple, rule: str) -> tuple:
-    """Rows that may follow ``prev`` in a triangle of order n under the
-    window ``rule`` (_row_bounds), in lex order, built level by level as
-    (row so far, its last entry)."""
-    rows = [((), 0)]
-    for lo, hi in _row_bounds(n, prev, rule):
-        rows = [(row + (v,), v) for row, last in rows for v in range(last + 1 if last >= lo else lo, hi + 1)]
-    return tuple(row for row, _ in rows)
-
-
 def _successors(bounds: list, score: list) -> list:
     """(mask, last entry, score sum) of each row whose entries lie within
-    ``bounds`` (_row_bounds), in lex order: its column bitmask, and the sum
-    of score[v] over its entries v.  Built level by level, as _next_rows
-    builds its tuples."""
+    ``bounds`` (_row_bounds), in lex order: its column bitmask, sum(1 << v
+    for v in row), and the sum of score[v] over its entries v.  Built level
+    by level, entry k of every row at level k; the only builder of rows."""
     rows = [(0, 0, 0)]
     for lo, hi in bounds:
         rows = [(row | 1 << v, v, total + score[v])
@@ -333,11 +305,24 @@ def _columns(mask: int) -> tuple:
 
 
 def _row_moves(n: int, rule: str, matrix: bool = False):
-    """moves(i) of the row graph (n, rule): the state is the last row, and
-    each edge emits the next row, or with ``matrix`` its matrix row."""
-    def move(prev: tuple) -> list:
-        rows = _next_rows(n, prev, rule)
-        return ((_matrix_row(n, prev, row), row) for row in rows) if matrix else zip(rows, rows)
+    """moves(i) of the row graph (n, rule): the state is the last row as its
+    column bitmask (0 before the first row), its next states come from
+    _successors in lex order, and each edge emits the next row, or with
+    ``matrix`` its matrix row.  Each mask is decoded (_columns) once per
+    call, into a dict of at most 2^n rows."""
+    unscored = [0] * (n + 1)
+    rows: dict = {}
+    get = rows.get
+
+    def move(prev: int) -> list:
+        before = get(prev) or _columns(prev)
+        out = []
+        for mask, _, _ in _successors(_row_bounds(n, before, rule), unscored):
+            row = get(mask)
+            if row is None:
+                row = rows[mask] = _columns(mask)
+            out.append((_matrix_row(n, before, row) if matrix else row, mask))
+        return out
     return lambda i: move
 
 
@@ -533,15 +518,15 @@ def _check_kind(kind: str, n: int) -> None:
 def _rule(kind: str, n: int) -> tuple:
     """(depth, start, moves) of the kind's move rule at order n, whose paths
     are the rows of its objects in canonical order, checked by _check_kind.
-    Triangles step through the row graph (the bottom row is forced to
-    1..n), their matrices emitting matrix rows; boolean triangles take rows
-    1..n-1, one per step."""
+    Triangles step through the row graph (_row_moves) from the empty row,
+    mask 0 (the bottom row is forced to 1..n), their matrices emitting
+    matrix rows; boolean triangles take rows 1..n-1, one per step."""
     _check_kind(kind, n)
     if kind == "square_sign":
         return _sign_rule(n)
     if kind == "boolean_triangle":
         return n - 1, (0,) * n, functools.partial(_boolean_row_moves, n)
-    return n, (), _row_moves(n, _ROW_RULES[kind], kind != "magog_triangle")
+    return n, 0, _row_moves(n, _ROW_RULES[kind], kind != "magog_triangle")
 
 
 def _stream(kind: str, n: int, emit=None):
@@ -648,8 +633,8 @@ def _tallies(n: int, rule: str, additive=(), boundary=()) -> tuple:
     """(paths, tallies) of the row graph (n, rule): its number of paths,
     and value -> paths for each additive statistic named in ``additive``,
     then for each boundary value function in ``boundary`` (as in
-    _BOUNDARY), from one forward pass that holds two layers, as _path_sums
-    does.  With no statistic it is the count.
+    _BOUNDARY), from one forward pass that holds two layers.  With no
+    statistic it is the count.
 
     A state is a row as its column bitmask, sum(1 << v for v in row).  It
     holds its path count and, per statistic, its generating polynomial

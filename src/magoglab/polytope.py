@@ -346,13 +346,6 @@ def _scaled_measure(n, scale, rows, col) -> int:
     return m + sum(1 for *_, d in _diagonal_differences(n, col) if d % scale)
 
 
-def _fractional_measure(n, rows) -> int:
-    """Count of non-integral entries plus non-integral diagonal partial-sum
-    differences; strictly decreases along both split branches."""
-    scale, rows = _scaled_rows(rows)
-    return _scaled_measure(n, scale, rows, _column_prefixes(rows))
-
-
 @dataclass(frozen=True)
 class SplitStep:
     """One step of the decomposition: the point equals
@@ -515,26 +508,21 @@ def btp_decompose(p: RationalTrianglePoint | BooleanTriangle) -> ConvexDecomposi
 
 @functools.lru_cache(maxsize=4)
 def _magog_rule(n: int):
-    """(moves, bits) of the magog row graph of order n: moves(i) maps a
-    state, the last triangle row, to its (matrix row, next row) moves
-    (_row_moves), listed on the state's first visit and kept, with equal
-    matrix rows and states held once; bits maps each state met to its
-    mask, bit v-1 per entry v.  Kept for the last four orders asked for."""
+    """moves(i) of the magog row graph of order n: a state, the last
+    triangle row as its column bitmask (0 before the first), maps to its
+    (matrix row, next state) moves (_row_moves), listed on the state's
+    first visit and kept, with equal matrix rows held once.  Kept for the
+    last four orders asked for."""
     move = _row_moves(n, "magog", matrix=True)(1)
-    listed, bits, items = {}, {(): 0}, {}
+    listed, items = {}, {}
 
-    def moves_of(prev):
+    def moves_of(prev: int) -> tuple:
         out = listed.get(prev)
         if out is None:
-            out = []
-            for item, row in move(prev):
-                if row not in bits:
-                    bits[row] = sum(1 << (v - 1) for v in row)
-                out.append((items.setdefault(item, item), row))
-            out = listed[prev] = tuple(out)
+            out = listed[prev] = tuple((items.setdefault(item, item), row) for item, row in move(prev))
         return out
 
-    return (lambda i: moves_of), bits
+    return lambda i: moves_of
 
 
 def _magog_matrix(n: int, dag: _ColumnDag, j: int) -> SignMatrix:
@@ -557,7 +545,7 @@ def _magog_max(n: int, moves, y) -> int | None:
     ``moves``, for integer y: one max-plus pass over the rule (_path_max),
     apart from any DAG; None when the rule has no path."""
     rows = [y[k * n:(k + 1) * n] for k in range(n)]
-    top = _path_max(n, (), moves, lambda i, row: sum(map(operator.mul, rows[i - 1], row)))
+    top = _path_max(n, 0, moves, lambda i, row: sum(map(operator.mul, rows[i - 1], row)))
     return None if top is None else top + y[-1]
 
 
@@ -567,7 +555,7 @@ def _magog_paths(n: int, moves, rebuilt: dict) -> ColumnPaths:
     with its routes apart from the DAG: column j is _magog_matrix(n, dag,
     j), also put in ``rebuilt`` by j, and max_value is _magog_max over the
     same ``moves``, 0 when it has no path (as for a list of no column)."""
-    dag = _ColumnDag.of_paths(n, (), moves, n * n + 1, tail=(1,))
+    dag = _ColumnDag.of_paths(n, 0, moves, n * n + 1, tail=(1,))
 
     def column(j):
         matrix = rebuilt[j] = _magog_matrix(n, dag, j)
@@ -595,7 +583,7 @@ class MagogVertices:
     def _max_value(self, y) -> int:
         """The largest y.(A, 1) over the magog matrices A, for integer y:
         _magog_max over the row graph, which has a path at every n."""
-        return _magog_max(self.n, _magog_rule(self.n)[0], y)
+        return _magog_max(self.n, _magog_rule(self.n), y)
 
 
 # the bounds (lower, upper; None for none) that every magog matrix keeps on
@@ -660,44 +648,33 @@ def _tight_prefixes(col, rowp):
                 yield "row-prefix", (i + 1, j + 1), False
 
 
-def _face_masks(n: int, tight) -> list[tuple[int, int, tuple]]:
-    """Per step i of the magog row graph, the face filter of the tight
-    prefixes ``tight`` (_tight_prefixes): (fixed, ones, cuts), where a
-    tight column prefix (i, j) puts bit j-1 in fixed, and in ones when it
-    is 1, and a row prefix (i, j) of 0 puts the mask of columns 1..j in
-    cuts.  A triangle row r (bit v-1 per entry v) after prev lies on the
-    face when r & fixed == ones and r and prev hold as many entries under
-    every mask of cuts."""
-    fixed, ones, cuts = [0] * n, [0] * n, [[] for _ in range(n)]
+def _face_moves(n: int, tight):
+    """moves(i) of the magog row graph (_magog_rule), less the moves off
+    the face of the tight prefixes ``tight`` (_tight_prefixes).  At step
+    i, a tight column prefix (i, j) puts bit j in fixed, and in ones when
+    it is 1, and a row prefix (i, j) of 0 puts the mask of columns 1..j in
+    cuts.  A move from state prev to state row, both column bitmasks, lies
+    on the face when row & fixed == ones and row and prev hold as many
+    columns under every mask of cuts."""
+    fixed, ones, cuts = [0] * (n + 1), [0] * (n + 1), [[] for _ in range(n + 1)]
     for label, (i, j), upper in tight:
         if label == "column-prefix":
-            fixed[i - 1] |= 1 << (j - 1)
-            ones[i - 1] |= upper << (j - 1)
+            fixed[i] |= 1 << j
+            ones[i] |= upper << j
         else:
-            cuts[i - 1].append((1 << j) - 1)
-    return list(zip(fixed, ones, map(tuple, cuts)))
-
-
-def _face_moves(n: int, masks):
-    """moves(i) of the magog row graph (_magog_rule), less the moves off
-    the face that ``masks`` (_face_masks) describe."""
-    step, bits = _magog_rule(n)
+            cuts[i].append((1 << j + 1) - 2)
+    step = _magog_rule(n)
 
     def moves(i):
         move = step(i)
-        fixed, ones, cuts = masks[i - 1]
-        if not fixed and not cuts:
+        fix, one, low = fixed[i], ones[i], cuts[i]
+        if not fix and not low:
             return move
 
         def face_move(prev):
-            p = bits[prev]
-            kept = [(p & low).bit_count() for low in cuts]
-            out = []
-            for item, row in move(prev):
-                r = bits[row]
-                if r & fixed == ones and all((r & low).bit_count() == c for low, c in zip(cuts, kept)):
-                    out.append((item, row))
-            return out
+            kept = [(prev & m).bit_count() for m in low]
+            return [(item, row) for item, row in move(prev)
+                    if row & fix == one and all((row & m).bit_count() == c for m, c in zip(low, kept))]
 
         return face_move
 
@@ -714,11 +691,11 @@ def _magog_membership(rows, vertices: MagogVertices):
     side's slack, negated (_magog_slack).  Otherwise every magog matrix
     of a decomposition is tight wherever the point is, so the LP runs on
     the point's face: the row graph filtered by its tight column and row
-    prefixes (_face_moves), whose DAG _magog_paths builds.  A face
-    certificate y is lifted to y - mu * g, where g, the sum of the tight
-    prefixes' slacks, is 0 on the face and the point and at least 1 on
-    every other vertex, and mu = max(0, the largest y.(A, 1) over the
-    whole row graph).  Each certificate is checked by _verify_functional
+    prefixes, read as masks on its column-bitmask states (_face_moves),
+    whose DAG _magog_paths builds.  A face certificate y is lifted to
+    y - mu * g, where g, the sum of the tight prefixes' slacks, is 0 on
+    the face and the point and at least 1 on every other vertex, and
+    mu = max(0, the largest y.(A, 1) over the whole row graph).  Each certificate is checked by _verify_functional
     on the whole row graph (vertices._max_value) before it is returned."""
     n = vertices.n
     rhs = [*(v for row in rows for v in row), 1]
@@ -733,7 +710,7 @@ def _magog_membership(rows, vertices: MagogVertices):
         y = [-v for v in slack]
     else:
         tight = list(_tight_prefixes(col, rowp))
-        moves = _face_moves(n, _face_masks(n, tight))
+        moves = _face_moves(n, tight)
         vertex = {}
         columns = _magog_paths(n, moves, vertex)
         outcome = solve_feasibility(columns, rhs)
@@ -863,15 +840,6 @@ def _facet_bumps(n: int, ineq) -> dict:
         if i + 1 <= n - 1:
             bumps[(i + 1, c)] = 1
     return bumps
-
-
-def _facet_witness(n: int, ineq) -> tuple:
-    """Interior-ish point tight exactly on the requested inequality: all
-    entries 1/2 except the bumps of _facet_bumps."""
-    rows = [[HALF] * i for i in range(1, n)]
-    for (i, c), q in _facet_bumps(n, ineq).items():
-        rows[i - 1][c - (n - i)] = Fraction(q, 4)
-    return tuple(tuple(r) for r in rows)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from magoglab import enumeration, polytope
+from magoglab.core import _column_prefixes
 from magoglab.polytope import RationalTrianglePoint
 
 
@@ -26,8 +27,41 @@ def row_graph_matrices(n):
     n, which lp_membership solves on for a point with no tight prefix, and
     j -> its magog matrix j, rebuilt and checked as lp_membership rebuilds
     a basic column."""
-    dag = polytope._magog_paths(n, polytope._face_moves(n, polytope._face_masks(n, ())), {}).dag
+    dag = polytope._magog_paths(n, polytope._face_moves(n, ()), {}).dag
     return dag, lambda j: polytope._magog_matrix(n, dag, j)
+
+
+def path_sums(depth, start, moves):
+    """The number of paths of enumeration._walk(depth, start, moves): a
+    forward pass that pushes each layer, state -> paths ending there, to
+    the next step edge by edge.  It reads any move rule as it is listed,
+    the reference the faster counting passes are held to."""
+    layer = {start: 1}
+    for i in range(1, depth + 1):
+        move = moves(i)
+        nxt = {}
+        for state, ways in layer.items():
+            for _, q in move(state):
+                nxt[q] = nxt.get(q, 0) + ways
+        layer = nxt
+    return sum(layer.values())
+
+
+def fractional_measure(n, rows):
+    """Count of non-integral entries plus non-integral diagonal partial-sum
+    differences of a boolean-triangle point; strictly decreases along both
+    split branches."""
+    scale, rows = polytope._scaled_rows(rows)
+    return polytope._scaled_measure(n, scale, rows, _column_prefixes(rows))
+
+
+def facet_witness(n, ineq):
+    """Interior-ish point tight exactly on the requested btp inequality:
+    all entries 1/2 except the bumps of polytope._facet_bumps."""
+    rows = [[Fraction(1, 2)] * i for i in range(1, n)]
+    for (i, c), q in polytope._facet_bumps(n, ineq).items():
+        rows[i - 1][c - (n - i)] = Fraction(q, 4)
+    return tuple(tuple(r) for r in rows)
 
 
 def random_membership_point(rng: random.Random, vertices, max_terms: int = 5) -> RationalTrianglePoint:

@@ -31,8 +31,10 @@ from magoglab import (
 )
 from magoglab import golden, serialize
 from magoglab.core import _triangle_to_matrix_rows, _trusted
-from magoglab.enumeration import (KINDS, STATISTICS, _ROW_RULES, _boolean_row_moves, _iter_132_avoiders,
-                                  _next_rows)
+from magoglab.enumeration import (KINDS, STATISTICS, _ROW_RULES, _boolean_row_moves, _columns, _iter_132_avoiders,
+                                  _row_bounds, _row_moves, _successors)
+
+from conftest import path_sums
 
 
 def brute_force_boolean_triangles(n):
@@ -315,8 +317,8 @@ def test_tables_and_counts_enumerate_nothing(monkeypatch):
 def test_a_bundle_lists_the_moves_of_each_state_once(monkeypatch):
     from magoglab import enumeration
 
-    listed = enumeration._listing(6, (), enumeration._row_moves(6, "magog"))
-    states = sorted(q for here in listed[:-1] for q in here)
+    listed = enumeration._listing(6, 0, enumeration._row_moves(6, "magog"))
+    states = sorted(enumeration._columns(q) for here in listed[:-1] for q in here)
     listings = []
     real = enumeration._row_bounds
     monkeypatch.setattr(enumeration, "_row_bounds", lambda n, prev, rule: listings.append(prev) or real(n, prev, rule))
@@ -622,26 +624,24 @@ def test_square_sign_row_states_match_the_cellwise_walk(n, t):
 @pytest.mark.parametrize("rule", ["magog", "monotone", "gapless"])
 def test_per_edge_matrix_rows_match_the_triangle_map(rule):
     from magoglab.core import _triangle_to_matrix_rows
-    from magoglab.enumeration import _paths, _row_moves, _walk
+    from magoglab.enumeration import _paths, _walk
 
     for n in range(1, 7):
-        tris = list(_paths(_walk(n, (), _row_moves(n, rule))))
-        mats = list(_paths(_walk(n, (), _row_moves(n, rule, matrix=True))))
+        tris = list(_paths(_walk(n, 0, _row_moves(n, rule))))
+        mats = list(_paths(_walk(n, 0, _row_moves(n, rule, matrix=True))))
         assert mats == [_triangle_to_matrix_rows(tri) for tri in tris]
 
 
 def test_row_graph_counts_equal_the_edge_by_edge_path_sums():
-    from magoglab.enumeration import _path_sums, _row_moves
-
-    # count reads the path count of the bitmask pass; _path_sums pushes the
-    # tuple rows of _next_rows edge by edge
+    # count reads the path count of the tallying pass; path_sums pushes the
+    # moves of _row_moves, the rule streams walk, edge by edge
     for kind, rule in _ROW_RULES.items():
         for n in range(1, 9):
-            assert count(kind, n) == _path_sums(n, (), _row_moves(n, rule)), (kind, n)
+            assert count(kind, n) == path_sums(n, 0, _row_moves(n, rule)), (kind, n)
 
 
 def windowed_rows(n, prev, rule):
-    """Independent oracle for _next_rows: every r-subset of 1..n, in lex
+    """Independent oracle for _successors: every r-subset of 1..n, in lex
     order, kept when it passes the inequalities of its window, each read
     off the docstring of _row_bounds (1-based k, prev one entry shorter)."""
     r = len(prev) + 1
@@ -663,7 +663,8 @@ def test_next_rows_are_the_subsets_that_pass_their_window(rule):
     for n in range(1, 8):
         for r in range(1, n + 1):
             for prev in itertools.combinations(range(1, n + 1), r - 1):
-                assert _next_rows(n, prev, rule) == windowed_rows(n, prev, rule), (n, prev)
+                rows = tuple(_columns(mask) for mask, _, _ in _successors(_row_bounds(n, prev, rule), [0] * (n + 1)))
+                assert rows == windowed_rows(n, prev, rule), (n, prev)
 
 
 def test_boundary_values_read_the_edge_masks():
@@ -685,12 +686,14 @@ def test_boundary_values_read_the_edge_masks():
 
 def draw_row_path(data, n, rule):
     """A path of the row graph of order n under ``rule``, drawn one row at a
-    time by an index into _next_rows."""
-    tri = ()
+    time by an index into the moves of _row_moves, the rule streams walk."""
+    move = _row_moves(n, rule)(1)
+    tri, state = (), 0
     for _ in range(n):
-        options = _next_rows(n, tri[-1] if tri else (), rule)
+        options = move(state)
         assert options  # no dead ends
-        tri += (options[data.draw(st.integers(0, len(options) - 1))],)
+        row, state = options[data.draw(st.integers(0, len(options) - 1))]
+        tri += (row,)
     return tri
 
 
@@ -698,8 +701,8 @@ def draw_row_path(data, n, rule):
 @given(data=st.data(), n=st.integers(1, 10), rule=st.sampled_from(["magog", "monotone", "sign", "gapless"]))
 def test_random_row_graph_paths_are_objects_of_their_rule(data, n, rule):
     """Past the exhaustive orders (n <= 7): a path of the row graph drawn one
-    row at a time, by an index into _next_rows, is an object of its rule's
-    family."""
+    row at a time, by an index into the moves of _row_moves, is an object
+    of its rule's family."""
     tri = draw_row_path(data, n, rule)
     m = SignMatrix(n, _triangle_to_matrix_rows(tri))
     c = classify(m)

@@ -40,15 +40,13 @@ from magoglab import (
 )
 from magoglab import golden, lp, polytope, serialize
 from magoglab.core import _prefix_matrices, _special_violations, _square_sign_violations
-from magoglab.enumeration import KINDS, _boolean_moves, _count_boolean_rows, _iter_square_sign_rows, _path_sums
+from magoglab.enumeration import KINDS, _boolean_moves, _count_boolean_rows, _iter_square_sign_rows
 from magoglab.lp import Feasible, LPError
 from magoglab.polytope import (
     DecompositionError,
     InterpolationError,
     _audit_inequalities_3,
     _extreme_rays,
-    _facet_witness,
-    _fractional_measure,
     _magog_facets,
     _magog_slack,
     _quarter_terms,
@@ -59,7 +57,8 @@ from magoglab.polytope import (
     btp_inequalities,
 )
 
-from conftest import criterion_7_points, random_membership_point, row_graph_matrices
+from conftest import (criterion_7_points, facet_witness, fractional_measure, path_sums, random_membership_point,
+                      row_graph_matrices)
 
 HALF_INTEGER_POINT_A = [["1/2", 0, "1/2"], ["1/2", 0, "1/2"], [0, 1, 0]]
 HALF_INTEGER_POINT_B = [["1/2", "1/2", 0], [0, 0, 1], ["1/2", "1/2", 0]]
@@ -282,9 +281,9 @@ def test_every_btp_split_lowers_the_fractional_measure(family, data, n):
     with the weights step_down/(step_up+step_down) and step_up/(...)."""
     rows = _draw_combination(data, family("boolean_triangle", n), 2)
     step = btp_split(RationalTrianglePoint(n, rows))
-    measure = _fractional_measure(n, rows)
+    measure = fractional_measure(n, rows)
     for child in (step.child_up, step.child_down):
-        assert _fractional_measure(n, child) < measure
+        assert fractional_measure(n, child) < measure
         assert btp_contains(RationalTrianglePoint(n, child)).valid
     steps = step.step_up + step.step_down
     w_up, w_down = step.step_down / steps, step.step_up / steps
@@ -490,11 +489,11 @@ def test_facet_audit_all_orders_through_8():
 
 
 def test_facet_witness_matches_printed_examples():
-    w = _facet_witness(6, ("lower", 3, 4))
+    w = facet_witness(6, ("lower", 3, 4))
     assert w[2] == (F(1, 2), F(0), F(1, 4))
-    w = _facet_witness(6, ("upper", 3, 4))
+    w = facet_witness(6, ("upper", 3, 4))
     assert w[2] == (F(3, 4), F(1), F(1, 2))
-    w = _facet_witness(6, ("diagonal", 4, 2))
+    w = facet_witness(6, ("diagonal", 4, 2))
     assert w[1] == (F(3, 4), F(1, 2))
     assert w[3] == (F(1, 2), F(1, 2), F(3, 4), F(1, 2))
     assert w[4] == (F(1, 2), F(1, 2), F(1, 2), F(1, 4), F(1, 2))
@@ -523,7 +522,7 @@ def dense_facet_failures(n):
     ineqs = btp_inequalities(n)
     failures = []
     for ineq in ineqs:
-        witness = _facet_witness(n, ineq)
+        witness = facet_witness(n, ineq)
         for other in ineqs:
             s = dense_slack(other, n, witness)
             if other == ineq and s != 0:
@@ -539,7 +538,7 @@ def test_sparse_facet_audit_agrees_with_the_dense_slacks():
     for n in range(2, 9):
         ineqs = btp_inequalities(n)
         for ineq in ineqs:
-            witness = _facet_witness(n, ineq)
+            witness = facet_witness(n, ineq)
             slacks = [dense_slack(other, n, witness) for other in ineqs]
             assert [s == 0 for s in slacks] == [other == ineq for other in ineqs]
             assert min(slacks) == 0
@@ -686,7 +685,7 @@ def _btp_dilate_by_edges(n, t, interior=False):
     """The btp dilate count as paths of _boolean_moves, one cell and one
     edge per step: the second route for the layer transfer."""
     cells = [(i, c) for i in range(1, n) for c in range(n - i, n)]
-    return _path_sums(len(cells), (0,) * n, lambda k: _boolean_moves(n, t, *cells[k - 1], interior))
+    return path_sums(len(cells), (0,) * n, lambda k: _boolean_moves(n, t, *cells[k - 1], interior))
 
 
 def test_btp_dilate_transfer_matches_the_edge_by_edge_pass():
@@ -930,8 +929,8 @@ def test_face_route_agrees_with_the_facets_and_the_listed_vertices(family, n):
             assert member == inside, rows
         col, rowp = _prefix_matrices(rows)
         if not any(itertools.chain(_square_sign_violations(col, rowp), _special_violations(col, rowp))):
-            moves = polytope._face_moves(n, polytope._face_masks(n, polytope._tight_prefixes(col, rowp)))
-            dag = lp._ColumnDag.of_paths(n, (), moves, n * n + 1, tail=(1,))
+            moves = polytope._face_moves(n, polytope._tight_prefixes(col, rowp))
+            dag = lp._ColumnDag.of_paths(n, 0, moves, n * n + 1, tail=(1,))
             face = [dag.column(j)[:-1] for j in range(dag.counts[-1])]
             assert sorted(face) == sorted(_tight_vertices(rows, listed))
             kinds["face member" if member else "face non-member"] += 1
