@@ -49,10 +49,13 @@ STAT_FLAGS = {stat.replace("_", "-"): stat for stat in enumeration.STATISTICS}
 # takes 20-23 s, each within 28 MiB: a table is one forward pass holding two
 # layers of the row graph, so memory stays small, but the graph's edges
 # grow about 3.6 times per order, so time keeps both at 14.  btp ehrhart
-# at n=6 counts dilates only up to t=9; a larger tmax adds the integer
+# at n=6 counts dilates only up to t=7; a larger tmax adds the integer
 # extension, written as it is made: --tmax 1000000 takes about 2 s within
 # 22 MiB.  --interpolate holds the samples and checks each against the
 # polynomial: --tmax 500000 --interpolate takes 2.4 s and 196 MiB.
+# tsscpp3 counts no dilate past t=3, closed or interior, so it has btp's
+# tmax: --tmax 500000 takes 0.6-0.7 s within 20 MiB, and 1.1-1.3 s and
+# 184 MiB with --interpolate.
 CEILINGS = {
     "enumerate": {"n": 7},
     "enumerate --kind gapless": {"n": 8},
@@ -62,7 +65,7 @@ CEILINGS = {
     "polytope certify": {"n": 6},
     "polytope facets": {"n": 300},
     "ehrhart --polytope btp": {"n": 6, "tmax": 500000},
-    "ehrhart --polytope tsscpp3": {"tmax": 32},
+    "ehrhart --polytope tsscpp3": {"tmax": 500000},
     "check --suite theorems": {"n_max": 11},
     "check --suite conjectures": {"n_max": 14},
 }
@@ -207,11 +210,14 @@ def _cmd_polytope(args) -> int:
 
 def _cmd_ehrhart(args) -> int:
     """One "t,count" line per dilate t = 0..tmax, from one
-    polytope._dilate_counts call (for a large btp tmax, closed and interior
-    counts up to about C(n,2)/2, extended by reciprocity), which counts
-    every dilate it needs before the first line is written.  The lines are
-    written a chunk at a time (enumeration._CHUNK_LINES, as a stream's
-    are) as the extension yields them, and the samples are held only for
+    polytope._dilate_counts call.  Past a few dilates it counts closed
+    dilates up to about half the dimension and extends them by
+    reciprocity: for btp through L°(t) = L(t - 2), from its Gorenstein
+    certificate, and for tsscpp3 through interior counts by the strict
+    facet filter.  It counts every dilate it needs, and checks one value
+    to spare, before the first line is written.  The lines are written a
+    chunk at a time (enumeration._CHUNK_LINES, as a stream's are) as the
+    extension yields them, and the samples are held only for
     --interpolate, which fits the polynomial of the polytope's dimension
     through them."""
     from . import polytope

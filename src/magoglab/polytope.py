@@ -814,6 +814,28 @@ def _quarter_terms(n: int, ineq) -> tuple:
     return 4, [((k, c), -1) for k in range(j, i + 1)] + [((k, c - 1), 1) for k in range(j + 1, i + 1)]
 
 
+def _half_point_slack(const: int, terms) -> int:
+    """The slack of _quarter_terms' (const, terms) at the all-1/2 point, in
+    quarter units: twice the slack of the doubled inequality at the all-ones
+    point of 2*btp(n)."""
+    return const + sum(2 * coef for _, coef in terms)
+
+
+def _btp_gorenstein_check(n: int) -> None:
+    """Check that every inequality of btp_inequalities(n) has slack exactly
+    1 at the all-ones point of 2*btp(n), or raise DecompositionError.
+
+    The normals have entries 0 and +-1, so with the facet list complete
+    (the paper's theorem; btp_decompose checks it point by point) 2*btp(n)
+    less the all-ones point is reflexive: btp(n) is Gorenstein of index 2,
+    and L°(t) = L(t - 2)."""
+    for ineq in btp_inequalities(n):
+        slack = _half_point_slack(*_quarter_terms(n, ineq))
+        if slack != 2:
+            raise DecompositionError(f"btp({n}): {ineq} has slack {Fraction(slack, 2)} at the all-ones point "
+                                     "of its 2nd dilate, not 1")
+
+
 def _facet_bumps(n: int, ineq) -> dict:
     """The cells of the inequality's witness that are not 1/2, as
     {(i, c): value in quarters}: the tight cell and small bumps around it."""
@@ -877,7 +899,7 @@ def btp_facet_audit(n: int) -> FacetAuditReport:
     incidence: dict[tuple, list] = {}
     for m, ineq in enumerate(ineqs):
         const, terms = _quarter_terms(n, ineq)
-        base.append(const + sum(2 * coef for _, coef in terms))
+        base.append(_half_point_slack(const, terms))
         for cell, coef in terms:
             incidence.setdefault(cell, []).append((m, coef))
     failing_at_base = [m for m, s in enumerate(base) if s <= 0]
@@ -953,50 +975,74 @@ def lattice_points_in_dilate(polytope: str, t: int, n: int | None = None, interi
 def _dilate_counts(polytope: str, tmax: int, n: int | None = None) -> Iterator[int]:
     """L(0), ..., L(tmax), the lattice points of the dilates t = 0..tmax.
 
-    btp(n) is a lattice polytope of dimension d = C(n, 2), so L is a
-    polynomial of degree d, and Ehrhart-Macdonald reciprocity gives
-    L(-t) = (-1)^d L°(t), L° the interior count.  So past t = m =
-    d + 1 - floor(d/2) the closed counts t = 0..floor(d/2) and the interior
-    counts t = 1..m give d + 2 consecutive values L(-m), ..., L(floor(d/2)),
-    which fix L with one to spare: their (d+1)-th difference must be 0, or
-    DecompositionError (a bug, not bad input).  The difference table then
-    extends them to tmax in ints.  The largest count is the interior one
-    at m, about the cost of the closed one at m - 2, so no count is larger
-    than the direct loop's, which runs up to t = m and for tsscpp.
+    Both hulls are lattice polytopes of dimension d (check_dilate), so L is
+    a polynomial of degree d, and Ehrhart-Macdonald reciprocity gives
+    L(-t) = (-1)^d L°(t), L° the count of the dilate's relative interior.
+    Past a few dilates, consecutive values of L from both sides of 0 fix
+    it, with one to spare, and the difference table extends them to tmax
+    in ints:
 
-    Every count of a dilate, and the check of the spare value, is made on
-    the call; the values the difference table extends are yielded as they
-    are made, so a caller that writes them as they come holds none.
+    - btp(n), n >= 3: _btp_gorenstein_check certifies index 2, so L°(1) = 0
+      and L°(t) = L(t - 2).  The closed counts t = 0..k, k = floor((d-1)/2),
+      give the 2k + 3 values L(-k-2), ..., L(k) with no interior count.
+      At odd d that is d + 2, and their (d+1)-th difference must be 0; at
+      even d it is d + 1, and the interior count at t = 3 must equal L(1).
+    - tsscpp: the closed counts t = 0..floor(d/2) and the strict facet
+      filter's interior counts t = 1..m, m = d + 1 - floor(d/2), give the
+      d + 2 values L(-m), ..., L(floor(d/2)), whose (d+1)-th difference
+      must be 0.
+
+    A failed certificate or spare check is a DecompositionError (a bug, not
+    bad input).  Below those ranges, and for btp at n <= 2, each dilate is
+    counted.  No count is larger than the per-t loop's: an interior count
+    at t costs about as much as the closed one at t.
+
+    Every count of a dilate, and every check, is made on the call; the
+    values the difference table extends are yielded as they are made, so a
+    caller that writes them as they come holds none.
     """
     order, d = check_dilate(polytope, tmax, n)
-    k = d // 2
-    m = d + 1 - k
-    if polytope != "btp" or tmax <= m:
+    gorenstein = polytope == "btp"
+    k = (d - 1) // 2 if gorenstein else d // 2
+    if tmax <= (k if gorenstein else d + 1 - k) or order < 3:
         return iter([lattice_points_in_dilate(polytope, t, n=order) for t in range(tmax + 1)])
+    if gorenstein:
+        _btp_gorenstein_check(order)
+    closed = [lattice_points_in_dilate(polytope, t, n=order) for t in range(k + 1)]
     sign = -1 if d % 2 else 1
-    values = [sign * lattice_points_in_dilate(polytope, t, n=order, interior=True) for t in range(m, 0, -1)]
-    values += [lattice_points_in_dilate(polytope, t, n=order) for t in range(k + 1)]
-    # the last entry of each row of the difference table, orders 0..d+1
+    if gorenstein:
+        negative = [sign * closed[t - 2] for t in range(k + 2, 1, -1)] + [0]
+    else:
+        negative = [sign * _tsscpp_dilate_count(order, t, interior=True) for t in range(d + 1 - k, 0, -1)]
+    values = negative + closed
+    # the last entry of each row of the difference table, orders 0..d(+1)
     ends = []
     row = values
     while row:
         ends.append(row[-1])
         row = [b - a for a, b in zip(row, row[1:])]
-    if ends.pop():
-        raise DecompositionError(f"btp({order}) counts at t = -{m}..{k} are not of degree {d}")
+    if len(ends) > d + 1:
+        spare, expected = ends.pop(), 0
+    else:
+        spare, expected = lattice_points_in_dilate(polytope, 3, n=order, interior=True), closed[1]
+    if spare != expected:
+        raise DecompositionError(f"{polytope}({order}) counts at t = -{len(negative)}..{k} "
+                                 f"are not of degree {d}")
 
     def extend():
         for _ in range(k + 1, tmax + 1):
             for j in range(d - 1, -1, -1):
                 ends[j] += ends[j + 1]
             yield ends[0]
-    return itertools.chain(values[m:], extend())
+    return itertools.chain(closed, extend())
 
 
-def _tsscpp_dilate_count(n: int, t: int) -> int:
+def _tsscpp_dilate_count(n: int, t: int, interior: bool = False) -> int:
     """Scaled-relaxation candidates, whose row and column sums are t, with
-    row.x >= t*rhs for each facet (row, rhs) of the unit hull."""
-    scaled = [(row, t * rhs) for row, rhs in _magog_facets(n)]
+    row.x >= t*rhs for each facet (row, rhs) of the unit hull, or with
+    ``interior`` row.x >= t*rhs + 1: every facet strict, the relative
+    interior of the t-th dilate."""
+    scaled = [(row, t * rhs + interior) for row, rhs in _magog_facets(n)]
     count = 0
     for cand in _iter_square_sign_rows(n, t):
         flat = [v for row in cand for v in row]

@@ -302,6 +302,21 @@ def test_ehrhart_reports_a_failed_spare_value_as_an_internal_error(capsys, monke
     assert captured.err.startswith("internal error: DecompositionError:") and captured.err.count("\n") == 1
 
 
+def test_ehrhart_tsscpp3_reports_a_failed_spare_value_as_an_internal_error(capsys, monkeypatch):
+    # the series from closed and strict-filter interior counts checks one
+    # value more than the polynomial needs
+    real = polytope._tsscpp_dilate_count
+
+    def off_by_one(n, t, interior=False):
+        return real(n, t, interior) + (interior and t == 2)
+
+    monkeypatch.setattr(polytope, "_tsscpp_dilate_count", off_by_one)
+    code = main(["ehrhart", "--polytope", "tsscpp3", "--tmax", "6"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("internal error: DecompositionError:") and captured.err.count("\n") == 1
+
+
 def test_ehrhart_interpolate_uses_the_dimension(capsys):
     # below the dimension the fit would have the wrong degree: refuse
     code = main(["ehrhart", "--polytope", "tsscpp3", "--tmax", "3", "--interpolate"])
@@ -337,7 +352,7 @@ def test_ehrhart_rejects_negative_tmax(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["--polytope", "btp", "--n", "3", "--tmax", "500001"],
-                                  ["--polytope", "tsscpp3", "--tmax", "33"]])
+                                  ["--polytope", "tsscpp3", "--tmax", "500001"]])
 def test_ehrhart_refuses_a_dilate_ceiling_before_any_sample(capsys, monkeypatch, argv):
     monkeypatch.delenv("MAGOGLAB_CEILING_OVERRIDE", raising=False)
     code = main(["ehrhart"] + argv)

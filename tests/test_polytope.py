@@ -658,6 +658,76 @@ def test_dilate_counts_check_the_spare_value(monkeypatch):
         polytope._dilate_counts("btp", 8, 4)
 
 
+def test_btp_gorenstein_check_passes_through_order_60():
+    # every inequality has slack 1 at the all-ones point of 2*btp(n)
+    for n in range(2, 61):
+        assert polytope._btp_gorenstein_check(n) is None
+
+
+def test_dilate_counts_check_the_gorenstein_certificate(monkeypatch):
+    real = polytope._quarter_terms
+
+    def shifted(n, ineq):
+        const, terms = real(n, ineq)
+        return const + (ineq == ("upper", 2, 3)), terms
+
+    monkeypatch.setattr(polytope, "_quarter_terms", shifted)
+    with pytest.raises(DecompositionError):
+        polytope._dilate_counts("btp", 8, 4)
+
+
+def test_btp_series_makes_one_interior_count_at_even_dimension(monkeypatch):
+    # L°(t) = L(t - 2) replaces every interior count; the only one left is
+    # the spare at t = 3 where d = C(n,2) is even (n = 4, 5), none at odd d
+    real = polytope.lattice_points_in_dilate
+    interior_counts = []
+
+    def recorded(polytope_name, t, n=None, interior=False):
+        if interior:
+            interior_counts.append((n, t))
+        return real(polytope_name, t, n, interior)
+
+    monkeypatch.setattr(polytope, "lattice_points_in_dilate", recorded)
+    for n in range(3, 7):
+        list(polytope._dilate_counts("btp", 12, n))
+    assert interior_counts == [(4, 3), (5, 3)]
+
+
+def test_tsscpp_interior_counts_follow_reciprocity():
+    # the strict facet filter against the golden polynomial: L°(t) = L(-t)
+    poly = RationalPolynomial(golden.TABLE7_EHRHART[3])
+    assert [polytope._tsscpp_dilate_count(3, t, interior=True) for t in range(1, 7)] == \
+        [poly(-t) for t in range(1, 7)]
+
+
+def test_tsscpp_dilate_counts_check_the_spare_value(monkeypatch):
+    real = polytope._tsscpp_dilate_count
+
+    def off_by_one(n, t, interior=False):
+        return real(n, t, interior) + (interior and t == 2)
+
+    monkeypatch.setattr(polytope, "_tsscpp_dilate_count", off_by_one)
+    with pytest.raises(DecompositionError):
+        polytope._dilate_counts("tsscpp3", 6)
+
+
+def _h_star(counts, d):
+    """h*_0..h*_d of L(t) = sum_k h*_k C(t+d-k, d): the coefficients of
+    (1 - z)^(d+1) sum_t L(t) z^t up to z^d."""
+    return [sum((-1) ** j * math.comb(d + 1, j) * counts[k - j] for j in range(k + 1)) for k in range(d + 1)]
+
+
+def test_btp_h_star_vectors_are_nonnegative_palindromes():
+    # Gorenstein of index 2: h* has degree d - 1 and h*_k = h*_{d-1-k}
+    for n in range(2, 7):
+        d = n * (n - 1) // 2
+        h = _h_star(list(polytope._dilate_counts("btp", d, n)), d)
+        assert h[0] == 1 and h[d] == 0 and min(h) >= 0, n
+        assert h[:d] == h[d - 1::-1], n
+        if n == 6:
+            assert tuple(h[:d]) == BTP6_H_STAR
+
+
 # h*-vector of btp(6), degree 14 and palindromic: interpolated from closed
 # counts to t=7 and interior counts to t=8 (Ehrhart-Macdonald reciprocity),
 # both taken on unfloored column prefix sums
@@ -773,17 +843,29 @@ def test_tsscpp3_dilates_call_no_lp(monkeypatch):
     assert lattice_points_in_dilate("tsscpp3", 5) == 266
 
 
+# the degree-9 counting polynomial of the order-4 hull, transcribed
+# independently of the dilate code
+TSSCPP4_EHRHART = (F(1), F(1691, 360), F(32693, 3360), F(1055983, 90720), F(5647, 640),
+                   F(18899, 4320), F(1357, 960), F(1237, 4320), F(443, 13440), F(149, 90720))
+
+
 def test_tsscpp_dilate_opt_in_order_4(family):
     # at t=1 the only lattice points of the dilate are the 42 vertices;
-    # at t=2..4 the count must match the degree-9 counting polynomial of the
-    # order-4 hull, transcribed independently of this code path
+    # at t=2..4 the count must match the order-4 polynomial
     assert lattice_points_in_dilate("tsscpp", 0, n=4) == 1
     assert lattice_points_in_dilate("tsscpp", 1, n=4) == 42
-    coeffs = [F(1), F(1691, 360), F(32693, 3360), F(1055983, 90720), F(5647, 640),
-              F(18899, 4320), F(1357, 960), F(1237, 4320), F(443, 13440), F(149, 90720)]
-    values = [sum(c * t ** k for k, c in enumerate(coeffs)) for t in (2, 3, 4)]
+    values = [sum(c * t ** k for k, c in enumerate(TSSCPP4_EHRHART)) for t in (2, 3, 4)]
     assert values == [560, 4100, 20731]
     assert [lattice_points_in_dilate("tsscpp", t, n=4) for t in (2, 3, 4)] == values
+
+
+def test_tsscpp4_series_interpolates_to_the_order_4_polynomial():
+    # closed counts t <= 4 and strict-filter interior counts t <= 6 fix
+    # the series to t = 9; the first interior points are the 7 at t = 5
+    counts = list(polytope._dilate_counts("tsscpp", 9, n=4))
+    poly = ehrhart_interpolate(enumerate(counts), degree=9)
+    assert poly.coefficients == TSSCPP4_EHRHART
+    assert poly.normalized_volume() == 596
 
 
 def test_tsscpp4_facet_filter_agrees_with_the_lp(family):
